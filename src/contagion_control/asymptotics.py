@@ -38,6 +38,10 @@ StateKey = tuple[int, int, int, int]  # (i, j, c, l)
 ClassKey = tuple[int, int, int]
 
 _SINGULAR_TOL = 1e-12
+# grid points per call of the fixed-point scan, and points per residual batch;
+# both bound the temporaries to a few MB
+_SCAN_BLOCK = 512
+_RESIDUAL_BATCH = 512
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +60,10 @@ def _comb_row(i: int) -> tuple[int, ...]:
 
 
 def binom_tail(i: int, x: float, c: int) -> float:
-    """P(Bin(i, x) >= c), evaluated as the defining polynomial in x."""
+    """P(Bin(i, x) >= c), evaluated as the defining polynomial in x.
+
+    Elementwise for an ndarray x (no in-place updates, so no aliasing).
+    """
     if c <= 0:
         return 1.0
     if c > i:
@@ -66,13 +73,13 @@ def binom_tail(i: int, x: float, c: int) -> float:
     pows_x = [1.0] * (i + 1)
     acc = 1.0
     for m in range(1, i + 1):
-        acc *= x
+        acc = acc * x
         pows_x[m] = acc
     tot = 0.0
     po = 1.0
     for m in range(i, c - 1, -1):
-        tot += row[m] * pows_x[m] * po
-        po *= one
+        tot = tot + row[m] * pows_x[m] * po
+        po = po * one
     return tot
 
 
@@ -322,8 +329,11 @@ def hidden_pool_scaled(traj: Trajectory, p: JointDistribution) -> float:
 # no-intervention limits
 # ---------------------------------------------------------------------------
 
-def default_outflow(p: JointDistribution, y: float) -> float:
-    """Scaled out-degree of the default set when an in-link end defaults w.p. y."""
+def default_outflow(p: JointDistribution, y):
+    """Scaled out-degree of the default set when an in-link end defaults w.p. y.
+
+    Elementwise for an ndarray y, as `smallest_fixed_point` requires.
+    """
     tot = 0.0
     for i, j, c, mass in p.vulnerable_items():
         tot += j * mass * binom_tail(i, y, c)
@@ -336,13 +346,15 @@ def default_fraction(p: JointDistribution, y: float) -> float:
 
 
 def smallest_fixed_point(
-    f: Callable[[float], float], grid: int = 4096, tol: float = 1e-12
+    f: Callable[[np.ndarray], np.ndarray], grid: int = 4096, tol: float = 1e-12
 ) -> tuple[float, bool]:
     """Smallest y in [0, 1] with f(y) = y, and whether f'(y) < 1 there.
 
-    Scans a fine grid for the first sign change of f(y) - y, then bisects.
-    Assumes f continuous and increasing with f(1) <= 1, so y = 1 is always a
-    fallback fixed point.
+    Scans the grid k / grid for the first sign change of f(y) - y, then
+    bisects.  `f` must accept an ndarray of points (and a float): the scan
+    evaluates it on blocks of up to _SCAN_BLOCK grid points per call and stops
+    at the first block that crosses zero.  Assumes f continuous and increasing
+    with f(1) <= 1, so y = 1 is always a fallback fixed point.
     """
     def g(y: float) -> float:
         return f(y) - y
@@ -351,25 +363,28 @@ def smallest_fixed_point(
     if g(0.0) <= 0.0:
         y_star = 0.0
     else:
-        prev_y, prev_g = 0.0, g(0.0)
-        for k in range(1, grid + 1):
-            y = k / grid
-            gy = g(y)
-            if gy <= 0.0:
-                lo, hi = prev_y, y
-                glo = prev_g
-                if gy == 0.0:
-                    lo = hi
-                while hi - lo > tol:
-                    mid = 0.5 * (lo + hi)
-                    gm = g(mid)
-                    if gm > 0.0:
-                        lo, glo = mid, gm
-                    else:
-                        hi = mid
-                y_star = hi
-                break
-            prev_y, prev_g = y, gy
+        lo = 0.0  # the last grid point seen with g > 0
+        for k0 in range(1, grid + 1, _SCAN_BLOCK):
+            ys = np.arange(k0, min(k0 + _SCAN_BLOCK, grid + 1)) / grid
+            gs = np.asarray(f(ys), dtype=float) - ys
+            below = np.flatnonzero(gs <= 0.0)
+            if below.size == 0:
+                lo = float(ys[-1])
+                continue
+            k = below[0]
+            if k > 0:
+                lo = float(ys[k - 1])
+            hi = float(ys[k])
+            if gs[k] == 0.0:
+                lo = hi
+            while hi - lo > tol:
+                mid = 0.5 * (lo + hi)
+                if g(mid) > 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            y_star = hi
+            break
         if y_star is None:
             y_star = 1.0
 
@@ -479,62 +494,128 @@ def intervention_volume(
 
 
 class _ClassPack:
-    """Per-distribution arrays for vectorized residual evaluation.
+    """Per-distribution arrays for batched evaluation of the program equations.
 
-    Rows are the vulnerable-or-defaulted classes.  Tail sums become matrix
-    contractions: tail(i_k, x_k, c_k) = sum_m C[k, m] x_k^m (1 - x_k)^{i_k - m}
-    with coefficients zeroed outside [c_k, i_k].  Rows with c = 0 are zeroed in
-    the Hamiltonian coefficient matrices, which sum over c >= 1 only.
+    Rows are the vulnerable classes (1 <= c <= i); defaulted classes (c = 0)
+    add the constant j * mass to the outflow and nothing to the Hamiltonian.
+    Batched arrays are classes x points, so a run of rows is one contiguous
+    block.  The rows are sorted by the window length n = i - c, so the rows
+    with n >= a are the suffix starting at `first[a]`.  The tails are kept in
+    Bernstein form and evaluated with running products (one power, x^c, per
+    class), never as monomial expansions, which lose accuracy as i grows:
+
+        tail(i-1, x, c) = x^c sum_{a<n} C(i-1, c+a) x^a (1-x)^(n-1-a)
+        tail(i, x, c)   = tail(i-1, x, c) + C(i-1, c-1) x^c (1-x)^n
+
+    The y-bracket tail(i-1, y, c-1) shares y across classes: one table of
+    Bernstein terms per in-degree, summed from the top.
     """
 
     def __init__(self, p: JointDistribution):
-        rows = p.vulnerable_items()
+        rows = sorted((r for r in p.vulnerable_items() if r[2] >= 1),
+                      key=lambda r: r[0] - r[2])
         self.lam = p.lam
-        self.i = np.array([r[0] for r in rows], dtype=float)
-        self.j = np.array([r[1] for r in rows], dtype=float)
-        self.c = np.array([r[2] for r in rows], dtype=float)
-        self.mass = np.array([r[3] for r in rows], dtype=float)
-        self.jmass = self.j * self.mass
-        max_i = int(self.i.max(initial=0))
-        m = np.arange(max_i + 1)
-        self.m = m
-        k = len(rows)
-        self.tail_coef = np.zeros((k, max_i + 1))
-        self.tail_exp = np.zeros((k, max_i + 1), dtype=int)
-        self.ham_coef_y = np.zeros((k, max_i + 1))
-        self.ham_coef_x = np.zeros((k, max_i + 1))
-        self.ham_exp = np.zeros((k, max_i + 1), dtype=int)
-        for r, (i, j, c, _mass) in enumerate(rows):
-            for mm in range(c, i + 1):
-                self.tail_coef[r, mm] = comb(i, mm)
-            self.tail_exp[r] = np.maximum(i - m, 0)
-            if c >= 1:
-                for mm in range(c - 1, i):
-                    self.ham_coef_y[r, mm] = comb(i - 1, mm)
-                for mm in range(c, i):
-                    self.ham_coef_x[r, mm] = comb(i - 1, mm)
-                self.ham_exp[r] = np.maximum(i - 1 - m, 0)
-        self.sing_rows_c_eq_i = self.c == self.i
+        self.defaulted_flow = sum(j * mass for (_i, j, c, mass) in p.vulnerable_items()
+                                  if c == 0)
 
-    def starts(self, cost: float, v: float, y: float) -> np.ndarray:
-        w = cost + v * self.j - 1.0
-        denom = (self.i - self.c + 1.0) * cost + v * self.j - 1.0
-        with np.errstate(divide="ignore", invalid="ignore"):
+        def column(values):
+            return np.array(values, dtype=float).reshape(-1, 1)
+
+        self.i = column([r[0] for r in rows])
+        self.j = column([r[1] for r in rows])
+        self.c = column([r[2] for r in rows])
+        mass = np.array([r[3] for r in rows], dtype=float)
+        self.jmass = self.j * mass[:, None]
+        self.imass = self.i * mass[:, None]
+        n = [i - c for (i, _j, c, _m) in rows]
+        self.max_n = max(n, default=0)
+        self.first = np.searchsorted(n, np.arange(self.max_n + 2), side="left")
+        # coefficient a of the Horner sum only reaches the rows with n > a
+        self.window = [column([comb(i - 1, c + a) for (i, _j, c, _m) in rows[self.first[a + 1]:]])
+                       for a in range(self.max_n)]
+        self.edge = column([comb(i - 1, c - 1) for (i, _j, c, _m) in rows])
+        # y-side table, row q * G + g for in-degree group g of degree d:
+        # C(d, q) y^(d-q) (1-y)^q, zero for q > d.  Summed over q <= n it is
+        # tail(d, y, d - n) = tail(i-1, y, c-1) for d = i - 1, n = i - c.
+        degrees = sorted({i - 1 for (i, _j, _c, _m) in rows})
+        groups, width = len(degrees), max(degrees, default=0) + 1
+        self.y_m = np.zeros(width * groups, dtype=int)
+        self.y_e = np.zeros(width * groups, dtype=int)
+        self.y_binom = np.zeros((width * groups, 1))
+        for g, d in enumerate(degrees):
+            for q in range(d + 1):
+                r = q * groups + g
+                self.y_m[r], self.y_e[r], self.y_binom[r] = d - q, q, comb(d, q)
+        self.y_shape = (width, groups)
+        group = {d: g for g, d in enumerate(degrees)}
+        self.y_index = np.array([(i - c) * groups + group[i - 1] for (i, _j, c, _m) in rows],
+                                dtype=int)
+
+    def starts(self, cost: float, v, y: np.ndarray) -> np.ndarray:
+        """Start times x (classes x points) of `intervention_start`, batched."""
+        vj = self.j * v
+        w = cost + vj - 1.0
+        denom = (self.i - self.c + 1.0) * cost + vj - 1.0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             interior = 1.0 - (1.0 - y) * ((self.i - self.c) * cost) / denom
-            cond2 = (self.c >= 1) & (self.c < self.i + w / (cost * y)) if y > 0 else np.zeros(len(self.i), bool)
+            cond2 = (self.c < self.i + w / (cost * y)) & (y > 0.0)
         x = np.where(cond2 & (denom > 1e-300), interior, 0.0)
-        return np.where((w >= 0.0) | (self.c == 0), y, x)
+        return np.where(w >= 0.0, y, x)
 
-    def tails(self, coef, exp_one, x) -> np.ndarray:
-        xm = x[:, None] ** self.m[None, :]
-        om = (1.0 - x)[:, None] ** exp_one
-        return (coef * xm * om).sum(axis=1)
+    def x_sums(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(tail(i, x, c), tail(i-1, x, c)) per class and point, by nested Horner steps."""
+        first, s = self.first, 1.0 - x
+        acc = np.zeros_like(x)
+        edge = np.ones_like(x)  # becomes (1-x)^n
+        power = np.ones_like(x[first[1]:])  # x^a on the rows with n > a
+        for a in range(self.max_n):
+            lo = first[a + 1]
+            if a:
+                power = power[lo - first[a]:] * x[lo:]
+            acc[lo:] += self.window[a] * power
+            acc[first[a + 2]:] *= s[first[a + 2]:]
+            edge[lo:] *= s[lo:]
+        xc = x ** self.c
+        ham = xc * acc
+        return ham + xc * self.edge * edge, ham
 
-    def singular_mask(self, cost: float, v: float, singular_j: int | None) -> np.ndarray:
-        sing = np.abs(v * self.j - 1.0 + cost) <= _SINGULAR_TOL
+    def y_sums(self, y: np.ndarray) -> np.ndarray:
+        """tail(i-1, y, c-1) per class and point."""
+        width, groups = self.y_shape
+        ypow = np.ones((width, len(y)))
+        opow = np.ones((width, len(y)))
+        ypow[1:] = y
+        opow[1:] = 1.0 - y
+        np.cumprod(ypow, axis=0, out=ypow)
+        np.cumprod(opow, axis=0, out=opow)
+        tails = ypow[self.y_m] * opow[self.y_e] * self.y_binom
+        for q in range(1, width):
+            tails[q * groups:(q + 1) * groups] += tails[(q - 1) * groups:q * groups]
+        return tails[self.y_index]
+
+    def residuals(self, cost: float, y: np.ndarray, v, z,
+                  singular_j: int | None) -> tuple[np.ndarray, np.ndarray]:
+        """Both residuals at the points y; v and z are floats or arrays like y."""
+        x = self.starts(cost, v, y)
+        tail_x, ham_x = self.x_sums(x)
+        flow = self.jmass * tail_x
+        # the classes with c = i lead the rows (n = 0)
+        rows = slice(0, self.first[1])
+        sing = np.abs(self.j[rows] * v - 1.0 + cost) <= _SINGULAR_TOL
         if singular_j is not None:
-            sing |= self.j == singular_j
-        return sing & self.sing_rows_c_eq_i
+            sing |= self.j[rows] == singular_j
+        if sing.any():
+            i = self.i[rows]
+            flow[rows] -= self.jmass[rows] * np.where(sing, y ** i - z ** i, 0.0)
+        coef = np.maximum(-cost, self.j * v - 1.0) * self.imass
+        ham = _class_sum(coef * (self.y_sums(y) - ham_x))
+        flow = (_class_sum(flow) + self.defaulted_flow) / self.lam
+        return (1.0 - y) * (ham - self.lam * v), flow - y
+
+
+def _class_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over classes (axis 0), in the same order for every batch size."""
+    return np.ascontiguousarray(a.T).sum(axis=1)
 
 
 def _pack(p: JointDistribution) -> _ClassPack:
@@ -547,27 +628,34 @@ def _pack(p: JointDistribution) -> _ClassPack:
 
 
 def program_residuals(
-    p: JointDistribution, cost: float, y: float, v: float, z: float,
-    singular_j: int | None = None,
-) -> tuple[float, float]:
+    p: JointDistribution, cost: float, y, v, z, singular_j: int | None = None,
+):
     """((1-y)(H - lam v), controlled outflow - y): the two program equations.
 
-    Vectorized twin of terminal_hamiltonian / default_outflow_controlled,
-    evaluated together because root finding calls them in lockstep.
+    The solver's only evaluation of both equations; `terminal_hamiltonian`
+    and `default_outflow_controlled` compute the same quantities class by
+    class and serve as its oracles.  Takes scalar or array inputs: y, v and z
+    are floats or equal-length 1-D arrays (a float broadcasts against arrays).
+    Floats give a pair of floats, arrays a pair of arrays, evaluated in
+    chunks of _RESIDUAL_BATCH points.
     """
     pk = _pack(p)
-    x = pk.starts(cost, v, y)
-    tails_x = pk.tails(pk.tail_coef, pk.tail_exp, x)
-    sing = pk.singular_mask(cost, v, singular_j)
-    corr = pk.jmass[sing] @ (y ** pk.i[sing] - z ** pk.i[sing]) if sing.any() else 0.0
-    outflow = (pk.jmass @ tails_x - corr) / pk.lam
+    y, v, z = (np.asarray(a, dtype=float) for a in (y, v, z))
+    scalar = y.ndim == v.ndim == z.ndim == 0
+    # y sets the batch; a float v or z stays a float, so the per-class terms
+    # that depend on v alone (stage B pins v) are computed once per call
+    n = np.broadcast_shapes(y.shape, v.shape, z.shape, (1,))[0]
+    y = np.broadcast_to(y, (n,))
 
-    y_arr = np.full(len(pk.i), y)
-    ham_y = pk.tails(pk.ham_coef_y, pk.ham_exp, y_arr)
-    ham_x = pk.tails(pk.ham_coef_x, pk.ham_exp, x)
-    coef = np.maximum(-cost, v * pk.j - 1.0) * pk.i * pk.mass
-    ham = coef @ (ham_y - ham_x)
-    return (1.0 - y) * (ham - pk.lam * v), outflow - y
+    def chunk(a, s):
+        return a[s:s + _RESIDUAL_BATCH] if a.ndim else a
+
+    parts = [pk.residuals(cost, chunk(y, s), chunk(v, s), chunk(z, s), singular_j)
+             for s in range(0, max(n, 1), _RESIDUAL_BATCH)]
+    r1, r2 = (np.concatenate(col) for col in zip(*parts))
+    if scalar:
+        return float(r1[0]), float(r2[0])
+    return r1, r2
 
 
 def terminal_hamiltonian(p: JointDistribution, cost: float, y: float, v: float) -> float:
@@ -610,11 +698,12 @@ def forced_policy_limits(
     """(y*, stable, defaults limit, interventions limit) for a forced start rule.
 
     `start_rule(i, j, c, y)` returns the scaled start time of aid for a class
-    (y itself means never).  Covers the no-aid, full-aid and degree-band
-    policies, whose limits follow the same fixed-point structure as the
-    optimal one.
+    (y itself means never).  The fixed-point scan passes y as an ndarray, so
+    the rule must work elementwise (return y, a float, or an array like y).
+    Covers the no-aid, full-aid and degree-band policies, whose limits follow
+    the same fixed-point structure as the optimal one.
     """
-    def outflow(y: float) -> float:
+    def outflow(y):
         tot = 0.0
         for i, j, c, mass in p.vulnerable_items():
             tot += j * mass * binom_tail(i, start_rule(i, j, c, y), c)

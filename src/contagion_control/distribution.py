@@ -336,21 +336,21 @@ def distribution_from_spec(spec: dict) -> JointDistribution:
     kind = spec["kind"]
     if kind == "zipf_copula":
         try:
-            return build_zipf_copula(
-                xi=float(spec["xi"]),
-                a1=float(spec["a1"]),
-                a2=float(spec["a2"]),
-                rho=float(spec["rho"]),
-                max_deg=int(spec["max_deg"]),
-            )
+            args = {name: float(spec[name]) for name in ("xi", "a1", "a2", "rho")}
+            args["max_deg"] = int(spec["max_deg"])
         except KeyError as exc:
             raise ParameterError(f"zipf_copula spec missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"zipf_copula spec has a non-numeric field: {exc}") from exc
+        return build_zipf_copula(**args)
     if kind == "explicit":
         entries = {}
         for row in spec.get("entries", []):
-            if len(row) != 4:
-                raise ParameterError(f"explicit entry must be [i, j, c, mass], got {row}")
-            i, j, c, mass = int(row[0]), int(row[1]), int(row[2]), float(row[3])
+            try:
+                i, j, c, mass = row
+                i, j, c, mass = int(i), int(j), int(c), float(mass)
+            except (TypeError, ValueError) as exc:
+                raise ParameterError(f"explicit entry must be [i, j, c, mass], got {row}") from exc
             entries[(i, j, c)] = entries.get((i, j, c), 0.0) + mass
         return JointDistribution(entries)
     raise ParameterError(f"unknown distribution kind {kind!r}")

@@ -47,14 +47,44 @@ def normalize_policy_spec(spec) -> PolicySpec:
     out = dict(spec)
     kind = out["kind"]
     if kind == "degree_range":
+        try:
+            int(out["lo"]), int(out["hi"])
+        except KeyError as exc:
+            raise ParameterError(f"degree_range policy needs {exc}: {spec!r}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"degree_range bounds must be integers: {spec!r}") from exc
         out.setdefault("name", f"degree_{out['lo']}_{out['hi']}")
     elif kind in ("none", "complete", "optimal"):
         out.setdefault("name", kind)
     elif kind == "threshold_table":
+        _table_entries(out)
         out.setdefault("name", "table")
     else:
         raise ParameterError(f"unknown policy kind {kind!r}")
     return out
+
+
+def _table_entries(spec: PolicySpec) -> tuple[dict, dict]:
+    """(thresholds, singular) of a threshold_table spec, keyed "i,j,c" and "i,j"."""
+    def parse(field: str, arity: int) -> dict:
+        table = spec.get(field, {})
+        if not isinstance(table, dict):
+            raise ParameterError(f"threshold_table '{field}' must be an object, got {table!r}")
+        out = {}
+        for key, value in table.items():
+            try:
+                cls = tuple(int(part) for part in str(key).split(","))
+                start = float(value)
+            except (TypeError, ValueError) as exc:
+                raise ParameterError(
+                    f"bad threshold_table '{field}' entry {key!r}: {value!r}") from exc
+            if len(cls) != arity:
+                raise ParameterError(
+                    f"threshold_table '{field}' key {key!r} needs {arity} integers")
+            out[cls] = start
+        return out
+
+    return parse("thresholds", 3), parse("singular", 2)
 
 
 @dataclass(frozen=True)
@@ -167,11 +197,7 @@ def simulation_policy(
         sol = solve_op(dist, cost)
         return extract_policy(sol, dist, cost)
     if kind == "threshold_table":
-        thresholds = {tuple(int(v) for v in k.split(",")): float(x)
-                      for k, x in spec.get("thresholds", {}).items()}
-        singular = {tuple(int(v) for v in k.split(",")): float(z)
-                    for k, z in spec.get("singular", {}).items()}
-        return InterventionPolicy.table(thresholds, singular)
+        return InterventionPolicy.table(*_table_entries(spec))
     raise ParameterError(f"unknown policy kind {kind!r}")
 
 

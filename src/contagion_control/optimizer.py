@@ -15,6 +15,7 @@ burns) join the comparison when feasible.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -29,7 +30,7 @@ from .asymptotics import (
     program_residuals,
     singular_out_degrees,
     smallest_fixed_point,
-    terminal_hamiltonian,
+    terminal_hamiltonian,  # noqa: F401  (re-exported: looked up as optimizer.terminal_hamiltonian)
 )
 from .cascade import InterventionPolicy
 from .distribution import JointDistribution
@@ -42,6 +43,8 @@ _STAGE_A_Y_STARTS = [round(0.05 + 0.1 * k, 2) for k in range(10)]
 _STAGE_A_V_STARTS = [0.0, 1e-3, -1e-3, 1e-2, -1e-2, 0.1, -0.1, 0.3, -0.3, 1.0, -1.0, 3.0, -3.0]
 _STAGE_B_Y_STARTS = [0.1, 0.3, 0.5, 0.7, 0.9]
 _STAGE_B_Z_SHARES = [0.05, 0.5, 0.95]
+_STAGE_A_STARTS = [(y0, v0) for y0 in _STAGE_A_Y_STARTS for v0 in _STAGE_A_V_STARTS]
+_STAGE_B_STARTS = [(y0, share * y0) for y0 in _STAGE_B_Y_STARTS for share in _STAGE_B_Z_SHARES]
 
 
 @dataclass(frozen=True)
@@ -64,10 +67,6 @@ class OPSolution:
         return max(abs(self.residuals[0]), abs(self.residuals[1])) < _RESIDUAL_TOL
 
 
-def _residuals(p, cost, y, v, z, singular_j):
-    return program_residuals(p, cost, y, v, z, singular_j)
-
-
 def _outflow_slope(p, cost, y, v, z, singular_j, h=1e-6):
     lo, hi = max(0.0, y - h), min(1.0, y + h)
     if hi <= lo:
@@ -78,7 +77,7 @@ def _outflow_slope(p, cost, y, v, z, singular_j, h=1e-6):
 
 
 def _make_solution(p, cost, y, v, z, branch, singular_j) -> OPSolution:
-    res = _residuals(p, cost, y, v, z, singular_j)
+    res = program_residuals(p, cost, y, v, z, singular_j)
     aid = intervention_volume(p, cost, y, v, z, singular_j)
     dflt = default_fraction_controlled(p, cost, y, v, z, singular_j)
     slope = _outflow_slope(p, cost, y, v, z, singular_j)
@@ -90,48 +89,96 @@ def _make_solution(p, cost, y, v, z, branch, singular_j) -> OPSolution:
     )
 
 
-def _newton(fun, x0, max_iter=80, tol=1e-12):
-    """Damped Newton with central-difference Jacobians; None when it stalls.
+def _solve_2x2(a, b, c, d, r0, r1):
+    """Solutions of [[a, b], [c, d]] x = (r0, r1), by LU with partial pivoting.
 
-    The residual pieces are smooth between start-time branch switches but only
-    continuous across them, so analytic Jacobians would be brittle; numerical
-    differencing plus backtracking on the residual norm is robust here.
+    The closed form of a 2x2 `np.linalg.solve`, batched; rows whose pivot
+    vanishes (an exactly singular system) come back as NaN.
     """
-    x = np.asarray(x0, dtype=float)
-    f = np.asarray(fun(x), dtype=float)
-    if not np.all(np.isfinite(f)):
-        return None
+    swap = np.abs(c) > np.abs(a)
+    p, q, rp = np.where(swap, c, a), np.where(swap, d, b), np.where(swap, r1, r0)
+    s, t, rs = np.where(swap, a, c), np.where(swap, b, d), np.where(swap, r0, r1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        l = s / p
+        u = t - l * q
+        x1 = (rs - l * rp) / u
+        x0 = (rp - q * x1) / p
+    singular = (p == 0.0) | (u == 0.0)
+    return np.where(singular, np.nan, x0), np.where(singular, np.nan, x1)
+
+
+def _lockstep_newton(fun, starts, max_iter=80, tol=1e-12):
+    """Damped Newton from every start at once; (S, 2) roots, NaN where a start fails.
+
+    `fun(a, b)` evaluates both residuals at equal-length arrays of points.
+    Each start follows the scalar rules: stop below `tol`; central-difference
+    Jacobian with h = 1e-6 * max(1, |x|); full step, else the first of 44
+    halvings that strictly lowers the max-norm; a start that cannot improve
+    (or whose step is singular or non-finite) ends there, as a root only if
+    its norm is below 1e-9, as after `max_iter` iterations.  The residual
+    pieces are smooth between start-time branch switches but only continuous
+    across them, so numerical differencing plus backtracking is robust here.
+    One iteration makes one batched call for all Jacobian points, one for all
+    full steps and, when some full step fails, one for all their halvings.
+    """
+    def residuals(pts):
+        r0, r1 = fun(pts[:, 0], pts[:, 1])
+        return np.stack([r0, r1], axis=1)
+
+    x = np.array(starts, dtype=float)
+    f = residuals(x)
+    roots = np.full_like(x, np.nan)
+    active = np.flatnonzero(np.isfinite(f).all(axis=1))
+    halvings = 0.5 ** np.arange(1, 45)
+
+    def settle(idx, norm):
+        # a start that stops short of `tol` counts only below 1e-9
+        ok = norm < 1e-9
+        roots[idx[ok]] = x[idx[ok]]
+
     for _ in range(max_iter):
-        norm = np.max(np.abs(f))
-        if norm < tol:
-            return x
-        jac = np.empty((len(x), len(x)))
-        for k in range(len(x)):
-            hk = 1e-6 * max(1.0, abs(x[k]))
-            e = np.zeros(len(x))
-            e[k] = hk
-            f_hi = np.asarray(fun(x + e), dtype=float)
-            f_lo = np.asarray(fun(x - e), dtype=float)
-            jac[:, k] = (f_hi - f_lo) / (2.0 * hk)
-        try:
-            dx = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(dx)):
-            return None
-        step = 1.0
-        improved = False
-        for _ in range(45):
-            xn = x + step * dx
-            fn = np.asarray(fun(xn), dtype=float)
-            if np.all(np.isfinite(fn)) and np.max(np.abs(fn)) < norm:
-                x, f = xn, fn
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            return x if np.max(np.abs(f)) < 1e-9 else None
-    return x if np.max(np.abs(f)) < 1e-9 else None
+        norm = np.abs(f[active]).max(axis=1)
+        done = norm < tol
+        roots[active[done]] = x[active[done]]
+        active, norm = active[~done], norm[~done]
+        if not active.size:
+            break
+        xa, fa = x[active], f[active]
+        h = 1e-6 * np.maximum(1.0, np.abs(xa))
+        n = len(active)
+        pts = np.repeat(xa[None], 4, axis=0)
+        pts[0, :, 0] += h[:, 0]
+        pts[1, :, 0] -= h[:, 0]
+        pts[2, :, 1] += h[:, 1]
+        pts[3, :, 1] -= h[:, 1]
+        fp = residuals(pts.reshape(4 * n, 2)).reshape(4, n, 2)
+        d0 = (fp[0] - fp[1]) / (2.0 * h[:, :1])
+        d1 = (fp[2] - fp[3]) / (2.0 * h[:, 1:])
+        dx = np.stack(_solve_2x2(d0[:, 0], d1[:, 0], d0[:, 1], d1[:, 1],
+                                 -fa[:, 0], -fa[:, 1]), axis=1)
+        ok = np.isfinite(dx).all(axis=1)
+        active, xa, dx, norm = active[ok], xa[ok], dx[ok], norm[ok]
+        if not active.size:
+            break
+        xn = xa + dx
+        fn = residuals(xn)
+        better = np.isfinite(fn).all(axis=1) & (np.abs(fn).max(axis=1) < norm)
+        x[active[better]], f[active[better]] = xn[better], fn[better]
+        miss = ~better
+        if miss.any():
+            sub, norm_sub = active[miss], norm[miss]
+            xs = xa[miss][:, None, :] + halvings[None, :, None] * dx[miss][:, None, :]
+            fs = residuals(xs.reshape(-1, 2)).reshape(xs.shape)
+            good = np.isfinite(fs).all(axis=2) & (np.abs(fs).max(axis=2) < norm_sub[:, None])
+            found = good.any(axis=1)
+            k = good.argmax(axis=1)[found]
+            x[sub[found]], f[sub[found]] = xs[found, k], fs[found, k]
+            # no halving helps: the start ends where it stands
+            settle(sub[~found], norm_sub[~found])
+            active = np.setdiff1d(active, sub[~found])
+    else:  # max_iter iterations without emptying `active`
+        settle(active, np.abs(f[active]).max(axis=1))
+    return roots
 
 
 def _dedup(points: list[tuple]) -> list[tuple]:
@@ -142,23 +189,26 @@ def _dedup(points: list[tuple]) -> list[tuple]:
     return kept
 
 
+def _check_cost(cost: float) -> None:
+    if not (math.isfinite(cost) and cost > 0):
+        raise ParameterError(f"intervention cost must be positive and finite, got {cost}")
+
+
+def _raw_roots(roots: np.ndarray) -> list[tuple[float, float]]:
+    """Converged rows of a Newton result, in start order, as float pairs."""
+    return [(float(a), float(b)) for a, b in roots if not np.isnan(a)]
+
+
 def solve_stage_a(p: JointDistribution, cost: float) -> list[OPSolution]:
     """Roots of the two terminal equations with z = y, from a grid of starts."""
-    if cost <= 0:
-        raise ParameterError(f"intervention cost must be positive, got {cost}")
+    _check_cost(cost)
+    roots = _lockstep_newton(lambda y, v: program_residuals(p, cost, y, v, y), _STAGE_A_STARTS)
+    return _stage_a_solutions(p, cost, roots)
 
-    def fun(x):
-        y, v = x
-        return _residuals(p, cost, y, v, y, None)
 
-    raw = []
-    for y0 in _STAGE_A_Y_STARTS:
-        for v0 in _STAGE_A_V_STARTS:
-            sol = _newton(fun, (y0, v0))
-            if sol is not None:
-                raw.append((float(sol[0]), float(sol[1])))
+def _stage_a_solutions(p: JointDistribution, cost: float, roots: np.ndarray) -> list[OPSolution]:
     out = []
-    for y, v in _dedup(raw):
+    for y, v in _dedup(_raw_roots(roots)):
         # y ~ 1 makes the first equation vacuous; that boundary is handled
         # separately, as a candidate of solve_op
         if not -1e-9 <= y <= 1.0 - 1e-9:
@@ -172,24 +222,22 @@ def solve_stage_a(p: JointDistribution, cost: float) -> list[OPSolution]:
 
 def solve_stage_b(p: JointDistribution, cost: float, j: int) -> list[OPSolution]:
     """Roots with v pinned to (1 - cost) / j, unknowns (y, z), same equations."""
+    _check_cost(cost)
     if j <= 0:
         raise ParameterError(f"singular out-degree must be positive, got {j}")
     if j not in {jj for (_i, jj, _c) in p.entries}:
         raise ParameterError(f"out-degree {j} not in the support")
     v = (1.0 - cost) / j
+    roots = _lockstep_newton(lambda y, z: program_residuals(p, cost, y, v, z, j),
+                             _STAGE_B_STARTS)
+    return _stage_b_solutions(p, cost, j, roots)
 
-    def fun(x):
-        y, z = x
-        return _residuals(p, cost, y, v, z, j)
 
-    raw = []
-    for y0 in _STAGE_B_Y_STARTS:
-        for share in _STAGE_B_Z_SHARES:
-            sol = _newton(fun, (y0, share * y0))
-            if sol is not None:
-                raw.append((float(sol[0]), float(sol[1])))
+def _stage_b_solutions(p: JointDistribution, cost: float, j: int,
+                       roots: np.ndarray) -> list[OPSolution]:
+    v = (1.0 - cost) / j
     out = []
-    for y, z in _dedup(raw):
+    for y, z in _dedup(_raw_roots(roots)):
         if not (-1e-9 <= y <= 1.0 - 1e-9 and -1e-9 <= z <= y + 1e-9):
             continue
         y = max(y, 0.0)
@@ -201,30 +249,28 @@ def solve_stage_b(p: JointDistribution, cost: float, j: int) -> list[OPSolution]
 
 
 def _solve_multiplier_at(p, cost, y, v_lo=-8.0, v_hi=8.0, grid=400):
-    """All v with H(y, v) = lam * v, by scan plus bisection (1-D)."""
-    lam = p.lam
+    """All v with H(y, v) = lam * v for a fixed y < 1, by scan plus bisection.
 
-    def g(v):
-        return terminal_hamiltonian(p, cost, y, v) - lam * v
+    The sign of H - lam v is that of the first program residual, (1 - y)
+    times it; the grid is one batched call and the brackets bisect together.
+    """
+    def g(vs):
+        return program_residuals(p, cost, y, vs, y)[0]
 
     vs = np.linspace(v_lo, v_hi, grid + 1)
-    vals = [g(v) for v in vs]
-    roots = []
-    for k in range(grid):
-        a, b = vs[k], vs[k + 1]
-        ga, gb = vals[k], vals[k + 1]
-        if ga == 0.0:
-            roots.append(float(a))
-        if ga * gb < 0.0:
-            lo, hi = a, b
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if g(lo) * g(mid) <= 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-            roots.append(float(0.5 * (lo + hi)))
-    return roots
+    vals = g(vs)
+    exact = np.flatnonzero(vals[:-1] == 0.0)
+    brackets = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+    lo, hi, g_lo = vs[brackets], vs[brackets + 1], vals[brackets]
+    for _ in range(80 if brackets.size else 0):
+        mid = 0.5 * (lo + hi)
+        g_mid = g(mid)
+        left = g_lo * g_mid <= 0.0
+        hi = np.where(left, mid, hi)
+        lo, g_lo = np.where(left, lo, mid), np.where(left, g_lo, g_mid)
+    found = dict(zip(exact.tolist(), vs[exact].tolist()))
+    found.update(zip(brackets.tolist(), (0.5 * (lo + hi)).tolist()))
+    return [found[k] for k in sorted(found)]
 
 
 def _boundary_candidates(p: JointDistribution, cost: float) -> list[OPSolution]:
@@ -263,11 +309,13 @@ def solve_op(p: JointDistribution, cost: float) -> OPSolution:
     candidate is unstable with y < 1, the minimizer is still returned but a
     warning notes that the asymptotic guarantees do not apply.
     """
+    _check_cost(cost)
     candidates = list(solve_stage_a(p, cost))
     for j in sorted({j for (_i, j, _c) in p.entries if j > 0}):
         candidates.extend(solve_stage_b(p, cost, j))
     candidates.extend(_boundary_candidates(p, cost))
-    candidates = [c for c in candidates if c.feasible]
+    # a NaN objective would pass `feasible` and empty the tie set below
+    candidates = [c for c in candidates if c.feasible and math.isfinite(c.objective)]
     if not candidates:
         raise ConstructionError("no feasible candidate found for the program")
     best_obj = min(c.objective for c in candidates)

@@ -1,0 +1,219 @@
+"""The batched solver against scalar references.
+
+The lockstep Newton, the array residuals and the blocked fixed-point scan
+must reproduce what one-point-at-a-time code finds.  The references below are
+the scalar forms: a damped Newton run per start, scalar residual calls, and a
+point-by-point grid scan.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from contagion_control import JointDistribution, default_outflow, smallest_fixed_point
+from contagion_control.asymptotics import (
+    default_outflow_controlled,
+    program_residuals,
+    terminal_hamiltonian,
+)
+from contagion_control import optimizer as opt
+
+from conftest import make_rng
+
+SINK = {(2, 0, 1): 0.3, (0, 2, 0): 0.3, (1, 1, 1): 0.4}
+NO_INITIAL_DEFAULTS = {(2, 2, 2): 0.7, (1, 1, 1): 0.3}
+
+# every (fixture, cost) pair that tests/test_optimizer.py solves
+OPTIMIZER_CASES = (
+    [("quadratic_dist", k) for k in (0.001, 0.05, 0.5, 1.5, 5 / 3, 5.0, 10.0)]
+    + [("mixed_dist", k) for k in (0.05, 0.5, 1.5, 5.0)]
+    + [("experiment_dist", k) for k in (0.05, 0.5, 1.5, 5.0)]
+    + [("one_regular_dist", 50.0)]
+    + [("sink", k) for k in (0.3, 0.8, 2.0)]
+    + [("no_initial_defaults", 0.5)]
+)
+
+
+def _newton(fun, x0, max_iter=80, tol=1e-12):
+    """Scalar damped Newton with central-difference Jacobians; None when it stalls."""
+    x = np.asarray(x0, dtype=float)
+    f = np.asarray(fun(x), dtype=float)
+    if not np.all(np.isfinite(f)):
+        return None
+    for _ in range(max_iter):
+        norm = np.max(np.abs(f))
+        if norm < tol:
+            return x
+        jac = np.empty((len(x), len(x)))
+        for k in range(len(x)):
+            hk = 1e-6 * max(1.0, abs(x[k]))
+            e = np.zeros(len(x))
+            e[k] = hk
+            f_hi = np.asarray(fun(x + e), dtype=float)
+            f_lo = np.asarray(fun(x - e), dtype=float)
+            jac[:, k] = (f_hi - f_lo) / (2.0 * hk)
+        try:
+            dx = np.linalg.solve(jac, -f)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(dx)):
+            return None
+        step = 1.0
+        improved = False
+        for _ in range(45):
+            xn = x + step * dx
+            fn = np.asarray(fun(xn), dtype=float)
+            if np.all(np.isfinite(fn)) and np.max(np.abs(fn)) < norm:
+                x, f = xn, fn
+                improved = True
+                break
+            step *= 0.5
+        if not improved:
+            return x if np.max(np.abs(f)) < 1e-9 else None
+    return x if np.max(np.abs(f)) < 1e-9 else None
+
+
+def _scalar_roots(fun, starts):
+    """Newton from each start in turn, as the (S, 2) array the lockstep solver returns."""
+    out = np.full((len(starts), 2), np.nan)
+    for k, x0 in enumerate(starts):
+        sol = _newton(fun, x0)
+        if sol is not None:
+            out[k] = sol
+    return out
+
+
+def _scalar_scan(f, grid=4096, tol=1e-12):
+    """Point-by-point form of the smallest_fixed_point scan and slope test."""
+    def g(y):
+        return f(y) - y
+
+    y_star = None
+    if g(0.0) <= 0.0:
+        y_star = 0.0
+    else:
+        prev_y = 0.0
+        for k in range(1, grid + 1):
+            y = k / grid
+            gy = g(y)
+            if gy <= 0.0:
+                lo, hi = prev_y, y
+                if gy == 0.0:
+                    lo = hi
+                while hi - lo > tol:
+                    mid = 0.5 * (lo + hi)
+                    if g(mid) > 0.0:
+                        lo = mid
+                    else:
+                        hi = mid
+                y_star = hi
+                break
+            prev_y = y
+        if y_star is None:
+            y_star = 1.0
+    lo_pt, hi_pt = max(0.0, y_star - 1e-6), min(1.0, y_star + 1e-6)
+    deriv = (f(hi_pt) - f(lo_pt)) / (hi_pt - lo_pt) if hi_pt > lo_pt else float("inf")
+    return y_star, bool(deriv < 1.0 - 1e-9)
+
+
+def _dist(name, request):
+    if name == "sink":
+        return JointDistribution(SINK)
+    if name == "no_initial_defaults":
+        return JointDistribution(NO_INITIAL_DEFAULTS)
+    return request.getfixturevalue(name)
+
+
+def _assert_same_candidates(got, want, fields):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for name in fields:
+            assert getattr(a, name) == pytest.approx(getattr(b, name), abs=1e-10), name
+
+
+@pytest.mark.parametrize("name,cost", OPTIMIZER_CASES)
+def test_lockstep_candidates_match_scalar_newton(name, cost, request):
+    p = _dist(name, request)
+    fields = ("end_fraction", "multiplier", "singular_start", "objective")
+
+    ref_a = _scalar_roots(
+        lambda x: program_residuals(p, cost, x[0], x[1], x[0]), opt._STAGE_A_STARTS)
+    _assert_same_candidates(opt.solve_stage_a(p, cost),
+                            opt._stage_a_solutions(p, cost, ref_a), fields)
+
+    for j in sorted({j for (_i, j, _c) in p.entries if j > 0}):
+        v = (1.0 - cost) / j
+        ref_b = _scalar_roots(
+            lambda x: program_residuals(p, cost, x[0], v, x[1], j), opt._STAGE_B_STARTS)
+        _assert_same_candidates(opt.solve_stage_b(p, cost, j),
+                                opt._stage_b_solutions(p, cost, j, ref_b), fields)
+
+
+@pytest.mark.parametrize("singular_j", [None, 1, 4, 10])
+def test_array_residuals_equal_scalar_calls(experiment_dist, singular_j):
+    rng = make_rng(77, 0 if singular_j is None else singular_j)
+    count = 700  # more than one evaluation batch
+    y = rng.uniform(-0.1, 1.1, count)
+    v = rng.uniform(-3.0, 3.0, count)
+    z = rng.uniform(-0.1, 1.0, count)
+    # a few points on the singular plane of out-degree 3, found by tolerance
+    v[:5] = (1.0 - 0.5) / 3
+    r1, r2 = program_residuals(experiment_dist, 0.5, y, v, z, singular_j)
+    assert r1.shape == r2.shape == (count,)
+    for k in range(count):
+        s1, s2 = program_residuals(experiment_dist, 0.5, y[k], v[k], z[k], singular_j)
+        assert isinstance(s1, float) and isinstance(s2, float)
+        assert abs(r1[k] - s1) <= 1e-13 and abs(r2[k] - s2) <= 1e-13
+
+
+@pytest.mark.parametrize("singular_j", [None, 2, 7])
+def test_array_residuals_match_per_class_forms(experiment_dist, singular_j):
+    rng = make_rng(78, 0 if singular_j is None else singular_j)
+    y = rng.uniform(0.01, 0.99, 60)
+    v = rng.uniform(-2.0, 2.0, 60)
+    z = y * rng.uniform(0.0, 1.0, 60)
+    cost, lam = 0.7, experiment_dist.lam
+    r1, r2 = program_residuals(experiment_dist, cost, y, v, z, singular_j)
+    for k in range(len(y)):
+        h = terminal_hamiltonian(experiment_dist, cost, y[k], v[k])
+        flow = default_outflow_controlled(experiment_dist, cost, y[k], v[k], z[k], singular_j)
+        assert r1[k] == pytest.approx((1 - y[k]) * (h - lam * v[k]), abs=1e-12)
+        assert r2[k] == pytest.approx(flow - y[k], abs=1e-12)
+
+
+def test_scalar_inputs_broadcast_against_arrays(quadratic_dist):
+    ys = np.array([0.1, 0.2, 0.3])
+    r1, r2 = program_residuals(quadratic_dist, 1.5, ys, -0.25, 0.05, 2)
+    for k, y in enumerate(ys):
+        assert (r1[k], r2[k]) == pytest.approx(
+            program_residuals(quadratic_dist, 1.5, float(y), -0.25, 0.05, 2), abs=1e-15)
+
+
+@pytest.mark.parametrize("case", ["zero", "interior", "interior_late", "none"])
+def test_blocked_scan_equals_scalar_scan(case, quadratic_dist, experiment_dist):
+    f = {
+        # g(0) <= 0: nothing defaulted at the start
+        "zero": lambda y: default_outflow(JointDistribution({(2, 2, 2): 1.0}), y),
+        "interior": lambda y: default_outflow(quadratic_dist, y),
+        # the crossing lies several blocks into the grid
+        "interior_late": lambda y: default_outflow(experiment_dist, y),
+        # f stays above the diagonal: no crossing, y* = 1
+        "none": lambda y: 0.5 + 0.5 * y * y + 1e-3,
+    }[case]
+    got = smallest_fixed_point(f)
+    want = _scalar_scan(f)
+    assert got == want
+    if case == "none":
+        assert got[0] == 1.0
+    if case == "zero":
+        assert got[0] == 0.0
+
+
+def test_multiplier_scan_finds_the_quadratic_root(quadratic_dist):
+    # at the uncontrolled fixed point y = 1/4 with cost 10 the multiplier is -1/3
+    roots = opt._solve_multiplier_at(quadratic_dist, 10.0, 0.25)
+    assert any(math.isclose(v, -1 / 3, abs_tol=1e-9) for v in roots)
+    lam = quadratic_dist.lam
+    for v in roots:
+        assert abs(terminal_hamiltonian(quadratic_dist, 10.0, 0.25, v) - lam * v) < 1e-9

@@ -115,3 +115,37 @@ class TestStudyAndCompare:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert main(["study", "--config", str(path)]) == 2
+
+
+ZIPF = {"kind": "zipf_copula", "xi": 0.5, "a1": 0.8, "a2": 0.7, "rho": 0.9, "max_deg": 4}
+QUAD = {"kind": "explicit", "entries": [[2, 2, 0, 0.2], [2, 2, 2, 0.8]]}
+
+
+@pytest.mark.parametrize("case,distribution,extra,policy", [
+    ("cost nan", QUAD, ["solve", "--cost", "nan"], None),
+    ("cost inf", QUAD, ["solve", "--cost", "inf"], None),
+    ("non-numeric xi", {**ZIPF, "xi": "half"}, ["solve", "--cost", "0.5"], None),
+    ("non-numeric explicit entry", {"kind": "explicit", "entries": [[2, 2, "x", 1.0]]},
+     ["solve", "--cost", "0.5"], None),
+    ("short explicit entry", {"kind": "explicit", "entries": [[2, 2, 1.0]]},
+     ["solve", "--cost", "0.5"], None),
+    ("degree_range without lo", QUAD, ["simulate", "--n", "50"],
+     {"kind": "degree_range", "hi": 2}),
+    ("degree_range without hi", QUAD, ["simulate", "--n", "50"],
+     {"kind": "degree_range", "lo": 1}),
+    ("threshold key with a letter", QUAD, ["simulate", "--n", "50"],
+     {"kind": "threshold_table", "thresholds": {"2,2,x": 0.1}}),
+    ("threshold key of the wrong length", QUAD, ["simulate", "--n", "50"],
+     {"kind": "threshold_table", "singular": {"2,2,2": 0.1}}),
+])
+def test_bad_input_is_a_one_line_config_error(case, distribution, extra, policy, tmp_path, capsys):
+    dist = tmp_path / "dist.json"
+    dist.write_text(json.dumps(distribution))
+    argv = [extra[0], "--distribution", str(dist), *extra[1:]]
+    if policy is not None:
+        pol = tmp_path / "policy.json"
+        pol.write_text(json.dumps(policy))
+        argv += ["--policy", str(pol)]
+    assert main(argv) == 2, case
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), (case, err)
