@@ -32,7 +32,7 @@ for i in degrees:
         if c > i:
             cells.append("    ")
             continue
-        x = policy.thresholds.get((i, i, c))
+        x = policy.start(i, i, c)
         cells.append(f"{x:.2f}" if x is not None else " -  ")
     print(f"{i:>3} | " + " ".join(cells))
 

@@ -9,7 +9,6 @@ import numpy as np
 
 from contagion_control import (
     InterventionPolicy,
-    ThresholdSchedule,
     build_zipf_copula,
     empirical_counts,
     instantiate,
@@ -21,15 +20,15 @@ from contagion_control import (
 p = build_zipf_copula(0.5, 0.8, 0.7, 0.9, 10)
 n = 10_000
 pop = instantiate(empirical_counts(p, n))
-schedule = ThresholdSchedule()  # no interventions
+policy = InterventionPolicy.none()
 
 taus = [0.2 * p.lam, 0.5 * p.lam]
 rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(1)))
-out = run(pop, InterventionPolicy.none(), rng, snapshot_times=taus)
+out = run(pop, policy, rng, snapshot_times=taus)
 
 print(f"network: n={n}, m={pop.m}; no interventions\n")
 for tau in taus:
-    exact = trajectory_at(p, schedule, tau)
+    exact = trajectory_at(p, policy, tau)
     agg = out.snapshots[tau]
     rows = sorted(
         (key for key in exact.s if exact.s[key] > 1e-3), key=lambda k: -exact.s[k]
@@ -42,7 +41,7 @@ for tau in taus:
 
 # the RK4 integrator is a pure cross-check of the closed form
 tau = 0.5 * p.lam
-exact = trajectory_at(p, schedule, tau)
-numeric = integrate_rk4(p, schedule, tau, h=1e-3 * p.lam)
+exact = trajectory_at(p, policy, tau)
+numeric = integrate_rk4(p, policy, tau, h=1e-3 * p.lam)
 sup = max(abs(exact.s[k] - numeric.s[k]) for k in exact.s)
 print(f"closed form vs fixed-step RK4 at tau={tau:.3f}: sup-difference {sup:.2e}")

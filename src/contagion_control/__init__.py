@@ -4,8 +4,10 @@ The package has three layers:
 
 - finite networks: class distributions, empirical counts, node populations and
   uniform stub matching (`distribution`, `network`);
-- the contagion chain with pluggable intervention policies plus an exact
-  brute-force oracle for tiny instances (`cascade`);
+- the contagion chain plus an exact brute-force oracle for tiny instances
+  (`cascade`), and `InterventionPolicy`, the one policy type: every policy
+  is a per-class table of scaled aid start times, read through
+  `policy.start(i, j, c)` by the simulators and the limits alike;
 - the deterministic limits: closed-form state trajectories, fixed points of
   the default flow, the regulator's program and its solver, and the study
   harness that checks simulations against the limits (`asymptotics`,
@@ -26,7 +28,6 @@ from .distribution import (
     build_zipf_copula,
     distribution_from_spec,
     empirical_counts,
-    mean_degree,
     truncation_index,
 )
 from .errors import (
@@ -36,12 +37,12 @@ from .errors import (
     ParameterError,
 )
 from .asymptotics import (
-    ThresholdSchedule,
     Trajectory,
     default_fraction,
     default_fraction_controlled,
     default_outflow,
     default_outflow_controlled,
+    forced_policy_limits,
     integrate_rk4,
     intervention_start,
     intervention_volume,
@@ -52,9 +53,7 @@ from .asymptotics import (
 )
 from .network import (
     InStubPool,
-    Matching,
     NodePopulation,
-    draw_in_stub,
     enumerate_matchings,
     instantiate,
 )
@@ -79,14 +78,13 @@ __version__ = "0.1.0"
 __all__ = [
     "ContagionState", "InterventionPolicy", "RunOutcome", "exact_expectation", "run", "step",
     "EmpiricalCounts", "JointDistribution", "build_zipf_copula", "distribution_from_spec",
-    "empirical_counts", "mean_degree", "truncation_index",
+    "empirical_counts", "truncation_index",
     "ConstructionError", "ContagionControlError", "EnumerationLimitError", "ParameterError",
-    "ThresholdSchedule", "Trajectory", "default_fraction", "default_fraction_controlled",
-    "default_outflow", "default_outflow_controlled", "integrate_rk4", "intervention_start",
-    "intervention_volume", "propagate", "smallest_fixed_point", "terminal_hamiltonian",
-    "trajectory_at",
-    "InStubPool", "Matching", "NodePopulation", "draw_in_stub", "enumerate_matchings",
-    "instantiate",
+    "Trajectory", "default_fraction", "default_fraction_controlled",
+    "default_outflow", "default_outflow_controlled", "forced_policy_limits", "integrate_rk4",
+    "intervention_start", "intervention_volume", "propagate", "smallest_fixed_point",
+    "terminal_hamiltonian", "trajectory_at",
+    "InStubPool", "NodePopulation", "enumerate_matchings", "instantiate",
     "OPSolution", "asymptotic_prediction", "extract_policy", "solve_op", "solve_stage_a",
     "solve_stage_b",
     "StudyConfig", "StudyResult", "compare_policies", "powerlaw_fit", "run_study",

@@ -25,12 +25,13 @@ The terminal objects are plain functions of (y, v, z):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 from typing import Callable
 
 import numpy as np
 
+from .cascade import InterventionPolicy
 from .distribution import JointDistribution
 from .errors import ParameterError
 
@@ -201,38 +202,16 @@ def propagate(traj: Trajectory, tau2: float, controls: dict[ClassKey, int]) -> T
 
 
 # ---------------------------------------------------------------------------
-# threshold schedules and piecewise evaluation
+# piecewise evaluation under a policy's start times
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ThresholdSchedule:
-    """Scaled start times per class, plus the singular start, horizon and cost.
-
-    A class missing from `starts` is never aided (start = 1).  `singular_pairs`
-    lists (i, j) pairs whose state c == i uses `singular_start` instead of the
-    table.  `end` (y), `multiplier` (v) and `cost` are carried for provenance
-    and validation; the ODE side only consumes the start times.
-    """
-
-    starts: dict[ClassKey, float] = field(default_factory=dict)
-    singular_pairs: frozenset[tuple[int, int]] = frozenset()
-    singular_start: float = 1.0
-    end: float = 1.0
-    multiplier: float = 0.0
-    cost: float = 1.0
-
-    def start_of(self, i: int, j: int, c: int) -> float:
-        if c == i and (i, j) in self.singular_pairs:
-            return self.singular_start
-        return self.starts.get((i, j, c), 1.0)
+def _starts(policy: InterventionPolicy, keys: list[ClassKey]) -> dict[ClassKey, float]:
+    """Scaled start times of the classes in `keys` that the policy ever aids."""
+    return {key: x for key in keys if (x := policy.start(*key)) is not None}
 
 
-def _controls_at(schedule: ThresholdSchedule, tau: float, lam: float,
-                 keys: list[ClassKey]) -> dict[ClassKey, int]:
-    return {
-        (i, j, c): 1 if tau >= lam * schedule.start_of(i, j, c) - 1e-12 else 0
-        for (i, j, c) in keys
-    }
+def _controls_at(starts: dict[ClassKey, float], tau: float, lam: float) -> dict[ClassKey, int]:
+    return {key: 1 if tau >= lam * x - 1e-12 else 0 for key, x in starts.items()}
 
 
 def _control_keys(p: JointDistribution) -> list[ClassKey]:
@@ -242,26 +221,23 @@ def _control_keys(p: JointDistribution) -> list[ClassKey]:
     return sorted(keys)
 
 
-def _switch_times(schedule: ThresholdSchedule, keys: list[ClassKey], lam: float,
-                  tau: float) -> list[float]:
-    times = {lam * schedule.start_of(i, j, c) for (i, j, c) in keys}
-    return sorted(t for t in times if 0.0 < t < tau)
+def _switch_times(starts: dict[ClassKey, float], lam: float, tau: float) -> list[float]:
+    return sorted({t for x in starts.values() if 0.0 < (t := lam * x) < tau})
 
 
-def trajectory_at(p: JointDistribution, schedule: ThresholdSchedule, tau: float) -> Trajectory:
-    """Closed-form state at scaled time tau under a threshold schedule."""
+def trajectory_at(p: JointDistribution, policy: InterventionPolicy, tau: float) -> Trajectory:
+    """Closed-form state at scaled time tau under a policy's start times."""
     if not 0.0 <= tau < p.lam:
         raise ParameterError(f"time {tau} outside [0, lam={p.lam})")
-    keys = _control_keys(p)
+    starts = _starts(policy, _control_keys(p))
     traj = initial_trajectory(p)
-    for t_next in _switch_times(schedule, keys, p.lam, tau) + [tau]:
-        controls = _controls_at(schedule, traj.tau, p.lam, keys)
-        traj = propagate(traj, t_next, controls)
+    for t_next in _switch_times(starts, p.lam, tau) + [tau]:
+        traj = propagate(traj, t_next, _controls_at(starts, traj.tau, p.lam))
     return traj
 
 
 def integrate_rk4(
-    p: JointDistribution, schedule: ThresholdSchedule, tau: float, h: float
+    p: JointDistribution, policy: InterventionPolicy, tau: float, h: float
 ) -> Trajectory:
     """Fixed-step RK4 integration of the state ODEs; numerical oracle only.
 
@@ -273,7 +249,7 @@ def integrate_rk4(
         raise ParameterError(f"time {tau} too close to the singular point lam={lam}")
     if h > 1e-3 * lam * (1 + 1e-9):
         raise ParameterError(f"step {h} too coarse; need h <= 1e-3 * lam")
-    keys = _control_keys(p)
+    starts = _starts(policy, _control_keys(p))
     states = state_space(p)
     idx = {key: r for r, key in enumerate(states)}
     vec = np.zeros(len(states))
@@ -293,10 +269,10 @@ def integrate_rk4(
         return mat
 
     prev = 0.0
-    for t_next in _switch_times(schedule, keys, lam, tau) + [tau]:
+    for t_next in _switch_times(starts, lam, tau) + [tau]:
         if t_next <= prev:
             continue
-        mat = matrix(_controls_at(schedule, prev, lam, keys))
+        mat = matrix(_controls_at(starts, prev, lam))
         n_steps = max(1, int(math.ceil((t_next - prev) / h)))
         hh = (t_next - prev) / n_steps
         t = prev
@@ -669,53 +645,61 @@ def terminal_hamiltonian(p: JointDistribution, cost: float, y: float, v: float) 
     return tot
 
 
-def schedule_from_policy_params(
-    p: JointDistribution, cost: float, y: float, v: float, z: float,
-    singular_j: int | None = None,
-) -> ThresholdSchedule:
-    """Materialize the threshold schedule implied by (y, v, z)."""
-    sing = singular_out_degrees(p, cost, v, singular_j)
-    starts: dict[ClassKey, float] = {}
-    pairs = set()
-    for i, j, c in _control_keys(p):
-        if j in sing and c == i:
-            pairs.add((i, j))
-            continue
-        starts[(i, j, c)] = intervention_start(i, j, c, cost, v, y)
-    return ThresholdSchedule(
-        starts=starts, singular_pairs=frozenset(pairs), singular_start=z,
-        end=y, multiplier=v, cost=cost,
-    )
-
-
 # ---------------------------------------------------------------------------
-# limits of simple forced policies (never / always / degree band)
+# limits under fixed start times (never / always / degree band / table)
 # ---------------------------------------------------------------------------
+
+def _check_keeps_aiding(p: JointDistribution, policy: InterventionPolicy) -> None:
+    """Reject start times that rise with the cushion on a class of p.
+
+    A node of initial cushion c0 passes through cushions c0..i as it is aided;
+    wherever the policy aids at cushion c, it must aid at c + 1 no later.
+    """
+    for i, j, c0, _mass in p.vulnerable_items():
+        if c0 == 0:
+            continue  # defaulted from the start, never aided
+        for c in range(c0, i):
+            x, x_next = policy.start(i, j, c), policy.start(i, j, c + 1)
+            if x is not None and (x_next is None or x_next > x):
+                later = "never" if x_next is None else x_next
+                raise ParameterError(
+                    f"class {(i, j, c + 1)} is aided from {later}, later than {(i, j, c)} "
+                    f"from {x}: a node aided once must be aided at every later loss "
+                    f"for the limits to hold"
+                )
+
 
 def forced_policy_limits(
-    p: JointDistribution, start_rule: Callable[[int, int, int, float], float]
+    p: JointDistribution, policy: InterventionPolicy
 ) -> tuple[float, bool, float, float]:
-    """(y*, stable, defaults limit, interventions limit) for a forced start rule.
+    """(y*, stable, defaults limit, interventions limit) under fixed start times.
 
-    `start_rule(i, j, c, y)` returns the scaled start time of aid for a class
-    (y itself means never).  The fixed-point scan passes y as an ndarray, so
-    the rule must work elementwise (return y, a float, or an array like y).
-    Covers the no-aid, full-aid and degree-band policies, whose limits follow
-    the same fixed-point structure as the optimal one.
+    A class aided from scaled time x on defaults when c of its in-links are
+    revealed before min(x, y); a class the policy never aids uses y itself.
+    That holds when a node, once aided, is aided at every later loss: aid
+    moves it from cushion c to c + 1, so the start time may not rise with the
+    cushion (see `_check_keeps_aiding`).  Covers every policy whose start
+    times do not depend on the horizon: the no-aid, full-aid and degree-band
+    policies and explicit threshold tables, whose limits follow the same
+    fixed-point structure as the optimal one.  The fixed-point scan passes y
+    as an ndarray, so starts clamp elementwise.
     """
+    _check_keeps_aiding(p, policy)
+    classes = [(i, j, c, mass, policy.start(i, j, c)) for i, j, c, mass in p.vulnerable_items()]
+
+    def start(x, y):
+        return y if x is None else np.minimum(x, y)
+
     def outflow(y):
         tot = 0.0
-        for i, j, c, mass in p.vulnerable_items():
-            tot += j * mass * binom_tail(i, start_rule(i, j, c, y), c)
+        for i, j, c, mass, x in classes:
+            tot += j * mass * binom_tail(i, start(x, y), c)
         return tot / p.lam
 
     y_star, stable = smallest_fixed_point(outflow)
-    defaults = sum(
-        mass * binom_tail(i, start_rule(i, j, c, y_star), c)
-        for i, j, c, mass in p.vulnerable_items()
-    )
+    defaults = sum(mass * binom_tail(i, start(x, y_star), c) for i, _j, c, mass, x in classes)
     aid = sum(
-        mass * _interventions_per_class(i, c, start_rule(i, j, c, y_star), y_star)
-        for i, j, c, mass in p.vulnerable_items() if c >= 1
+        mass * _interventions_per_class(i, c, start(x, y_star), y_star)
+        for i, _j, c, mass, x in classes if c >= 1
     )
-    return y_star, stable, defaults, aid
+    return y_star, stable, float(defaults), float(aid)

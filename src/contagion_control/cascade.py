@@ -14,32 +14,37 @@ depends on.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from .errors import EnumerationLimitError, ParameterError
-from .network import InStubPool, NodePopulation, draw_in_stub, out_stub_owners
+from .network import InStubPool, NodePopulation, enumerate_matchings
 
 _EXACT_MAX_M = 10
 
 Aggregate = dict[tuple[int, int, int, int], int]  # (i, j, c, l) -> node count
 
 
+_KINDS = ("none", "complete", "degree_range", "threshold_table")
+
+
 @dataclass(frozen=True)
 class InterventionPolicy:
     """When to inject equity into the currently selected node.
 
-    Policies act only on the selected node and only when it is one loss from
-    default; anything else is wasted aid.  Threshold tables carry scaled start
-    times: class (i, j, c) is aided from step n*lam*start onward, where lam is
-    the realized mean degree of the population being run (so the cutoff is
-    m * start).  A class absent from the table is never aided.  `singular`
-    entries apply to the state c == i of their (i, j) pair.
+    Every policy is a per-class table of scaled start times: class (i, j, c)
+    (c the current equity-plus-aid) is aided from step n*lam*start onward,
+    where lam is the realized mean degree of the population being run (so the
+    cutoff is m * start).  `start` is the one place that acts on `kind`: `none`
+    never aids, `complete` aids from 0, a degree band aids from 0 inside
+    [degree_lo, degree_hi], and a threshold table looks the class up (absent
+    means never; `singular` entries apply to the state c == i of their (i, j)
+    pair).  Policies act only on the selected node and only when it is one loss
+    from default; anything else is wasted aid.
     """
 
     kind: str  # "none" | "complete" | "degree_range" | "threshold_table"
@@ -47,6 +52,13 @@ class InterventionPolicy:
     degree_hi: int = 0
     thresholds: dict[tuple[int, int, int], float] = field(default_factory=dict)
     singular: dict[tuple[int, int], float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ParameterError(f"unknown policy kind {self.kind!r}")
+        for key, start in [*self.thresholds.items(), *self.singular.items()]:
+            if not (math.isfinite(start) and 0.0 <= start <= 1.0):
+                raise ParameterError(f"start time of class {key} must lie in [0, 1], got {start}")
 
     @staticmethod
     def none() -> "InterventionPolicy":
@@ -68,48 +80,51 @@ class InterventionPolicy:
         thresholds: dict[tuple[int, int, int], float],
         singular: dict[tuple[int, int], float] | None = None,
     ) -> "InterventionPolicy":
+        """Start times per class; each must be a finite scaled time in [0, 1]."""
         return InterventionPolicy(
             kind="threshold_table", thresholds=dict(thresholds), singular=dict(singular or {})
         )
 
+    def start(self, i: int, j: int, c: int) -> float | None:
+        """Scaled start time of aid for class (i, j) at cushion c; None means never."""
+        if self.kind == "none":
+            return None
+        if self.kind == "complete":
+            return 0.0
+        if self.kind == "degree_range":
+            return 0.0 if self.degree_lo <= i <= self.degree_hi else None
+        if c == i and (i, j) in self.singular:
+            return self.singular[(i, j)]
+        return self.thresholds.get((i, j, c))
 
-def _compile_policy(policy: InterventionPolicy, pop: NodePopulation) -> Callable[[int, int, int, int, int], bool]:
-    """Bind a policy to a population: (i, j, c_now, node, k) -> intervene?"""
-    if policy.kind == "none":
-        return lambda i, j, c, node, k: False
-    if policy.kind == "complete":
-        return lambda i, j, c, node, k: True
-    if policy.kind == "degree_range":
-        lo, hi = policy.degree_lo, policy.degree_hi
-        return lambda i, j, c, node, k: lo <= i <= hi
-    if policy.kind == "threshold_table":
-        scale = pop.m  # n * realized mean degree
-        cutoffs: dict[tuple[int, int, int], float] = {}
-        for (i, j, c), x in policy.thresholds.items():
-            cutoffs[(i, j, c)] = x * scale
-        for (i, j), z in policy.singular.items():
-            cutoffs[(i, j, i)] = z * scale
 
-        def decide(i, j, c, node, k, _cut=cutoffs):
-            cut = _cut.get((i, j, c))
-            return cut is not None and k >= cut
+def _cutoffs(policy: InterventionPolicy, pop: NodePopulation) -> dict[tuple[int, int, int], float]:
+    """(i, j, c) -> first step k at which a one-loss node is aided; absent = never.
 
-        return decide
-    raise ParameterError(f"unknown policy kind {policy.kind!r}")
+    A node is one loss from default only at cushions 1..i, so those are the
+    only classes the chain ever looks up.
+    """
+    cutoffs = {}
+    for i, j in {(i, j) for (i, j, _c) in set(pop.nodes)}:
+        for c in range(1, i + 1):
+            start = policy.start(i, j, c)
+            if start is not None:
+                cutoffs[(i, j, c)] = start * pop.m
+    return cutoffs
 
 
 class ContagionState:
     """Mutable chain state: per-node (c, l), default set, pool size, counters."""
 
     __slots__ = (
-        "pop", "policy", "_decide", "pool", "c", "l", "dead",
+        "pop", "policy", "_cutoffs", "pool", "c", "l", "dead",
         "k", "interventions", "defaults", "hidden_out",
     )
 
     def __init__(self, pop: NodePopulation, policy: InterventionPolicy):
         self.pop = pop
         self.policy = policy
-        self._decide = _compile_policy(policy, pop)
+        self._cutoffs = _cutoffs(policy, pop)
         self.pool = InStubPool(pop.in_degrees())
         self.c = list(pop.equities())
         self.l = [0] * pop.n
@@ -137,7 +152,8 @@ class ContagionState:
             if self.c[node] - lw == 1:
                 # one loss from default; the policy sees the pre-reveal state
                 i, j, _c0 = self.pop.nodes[node]
-                if self._decide(i, j, self.c[node], node, self.k):
+                cut = self._cutoffs.get((i, j, self.c[node]))
+                if cut is not None and self.k >= cut:
                     self.c[node] += 1
                     self.interventions += 1
                 else:
@@ -182,7 +198,7 @@ def step(state: ContagionState, rng: np.random.Generator) -> ContagionState:
     """One transition of the chain; errors if the hidden pool is empty."""
     if state.done:
         raise ParameterError("step called on a terminated process (empty hidden pool)")
-    node = draw_in_stub(state.pool, rng)
+    node = state.pool.draw(rng)
     state.advance(node)
     return state
 
@@ -275,15 +291,10 @@ def exact_expectation(
         raise EnumerationLimitError(
             f"refusing exact enumeration at m={pop.m} (limit m <= {_EXACT_MAX_M})"
         )
-    decide = _compile_policy(policy, pop)
-    sources = out_stub_owners(pop)
-    in_owners = []
-    for node, (i, _j, _c) in enumerate(pop.nodes):
-        in_owners.extend([node] * i)
-
+    cutoffs = _cutoffs(policy, pop)
     weights: dict[tuple[tuple[int, int], ...], int] = {}
-    for perm in itertools.permutations(in_owners):
-        key = tuple(sorted(zip(sources, perm)))
+    for links in enumerate_matchings(pop):
+        key = tuple(sorted(links))
         weights[key] = weights.get(key, 0) + 1
 
     total = Fraction(math.factorial(pop.m))
@@ -292,7 +303,7 @@ def exact_expectation(
     eqs = pop.equities()
     e_d = e_it = e_t = Fraction(0)
     for links, mult in sorted(weights.items()):
-        d, it, t = _order_tree(links, ins, outs, eqs, pop, decide)
+        d, it, t = _order_tree(links, ins, outs, eqs, pop, cutoffs)
         w = Fraction(mult, 1)
         e_d += w * d
         e_it += w * it
@@ -300,7 +311,7 @@ def exact_expectation(
     return e_d / total, e_it / total, e_t / total
 
 
-def _order_tree(links, ins, outs, eqs, pop, decide):
+def _order_tree(links, ins, outs, eqs, pop, cutoffs):
     """Expected (defaults, interventions, T) for one matching, all reveal orders.
 
     The memo key carries the revealed-link set and the per-node equity vector:
@@ -336,7 +347,8 @@ def _order_tree(links, ins, outs, eqs, pop, decide):
             mu = 0
             if not is_dead(cvec, lvec, w) and cvec[w] - lvec[w] == 1:
                 i, j, _c0 = pop.nodes[w]
-                if decide(i, j, cvec[w], w, k):
+                cut = cutoffs.get((i, j, cvec[w]))
+                if cut is not None and k >= cut:
                     mu = 1
                     new_c = cvec[:w] + (cvec[w] + 1,) + cvec[w + 1:]
             d, it, t = rec(revealed | {e}, new_c)

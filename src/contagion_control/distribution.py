@@ -68,23 +68,12 @@ class JointDistribution:
     def max_degree(self) -> int:
         return max((max(i, j) for (i, j, _c) in self.entries), default=0)
 
-    @property
-    def total_mass(self) -> float:
-        return sum(self.entries.values())
-
     def mass(self, i: int, j: int, c: int) -> float:
         return self.entries.get((i, j, c), 0.0)
-
-    def degree_pairs(self) -> list[tuple[int, int]]:
-        """Distinct (i, j) pairs in the support, sorted."""
-        return sorted({(i, j) for (i, j, _c) in self.entries})
 
     def vulnerable_items(self) -> tuple[tuple[int, int, int, float], ...]:
         """(i, j, c, mass) for classes with c <= i (defaulted or vulnerable), sorted."""
         return self._vulnerable  # type: ignore[attr-defined]
-
-    def initially_defaulted_mass(self) -> float:
-        return sum(m for (i, j, c), m in self.entries.items() if c == 0)
 
 
 @dataclass(frozen=True)
@@ -108,15 +97,6 @@ class EmpiricalCounts:
     def to_distribution(self) -> JointDistribution:
         """The empirical distribution P_n = counts / n."""
         return JointDistribution({k: cnt / self.n for k, cnt in self.counts.items() if cnt})
-
-
-def mean_degree(p: JointDistribution) -> float:
-    """Common value of sum(i*p) and sum(j*p); raises if they disagree beyond 1e-12."""
-    in_mean = sum(i * m for (i, _j, _c), m in p.entries.items())
-    out_mean = sum(j * m for (_i, j, _c), m in p.entries.items())
-    if abs(in_mean - out_mean) > _BALANCE_TOL:
-        raise ParameterError(f"in/out degree means differ: {in_mean} vs {out_mean}")
-    return in_mean
 
 
 def zipf_weights(exponent: float, max_val: int) -> np.ndarray:

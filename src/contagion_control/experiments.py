@@ -35,7 +35,10 @@ PolicySpec = dict
 
 
 def normalize_policy_spec(spec) -> PolicySpec:
-    """Accept shorthands and JSON dicts; return {"kind": ..., ...} with a name."""
+    """Accept shorthands and JSON dicts; return {"kind": ..., ...} with a name.
+
+    Every spec but `optimal` is checked by building its policy.
+    """
     if isinstance(spec, str):
         if spec == "alternative":
             return {"kind": "degree_range", "lo": 8, "hi": 10, "name": "alternative"}
@@ -46,22 +49,33 @@ def normalize_policy_spec(spec) -> PolicySpec:
         raise ParameterError(f"policy spec must be a name or an object with 'kind': {spec!r}")
     out = dict(spec)
     kind = out["kind"]
+    if kind != "optimal":
+        spec_policy(out)
+    if kind == "degree_range":
+        out.setdefault("name", f"degree_{out['lo']}_{out['hi']}")
+    else:
+        out.setdefault("name", "table" if kind == "threshold_table" else kind)
+    return out
+
+
+def spec_policy(spec: PolicySpec) -> InterventionPolicy:
+    """The policy of any spec but `optimal`, whose table needs a solve."""
+    kind = spec["kind"]
+    if kind == "none":
+        return InterventionPolicy.none()
+    if kind == "complete":
+        return InterventionPolicy.complete()
     if kind == "degree_range":
         try:
-            int(out["lo"]), int(out["hi"])
+            lo, hi = int(spec["lo"]), int(spec["hi"])
         except KeyError as exc:
             raise ParameterError(f"degree_range policy needs {exc}: {spec!r}") from exc
         except (TypeError, ValueError) as exc:
             raise ParameterError(f"degree_range bounds must be integers: {spec!r}") from exc
-        out.setdefault("name", f"degree_{out['lo']}_{out['hi']}")
-    elif kind in ("none", "complete", "optimal"):
-        out.setdefault("name", kind)
-    elif kind == "threshold_table":
-        _table_entries(out)
-        out.setdefault("name", "table")
-    else:
-        raise ParameterError(f"unknown policy kind {kind!r}")
-    return out
+        return InterventionPolicy.degree_range(lo, hi)
+    if kind == "threshold_table":
+        return InterventionPolicy.table(*_table_entries(spec))
+    raise ParameterError(f"unknown policy kind {kind!r}")
 
 
 def _table_entries(spec: PolicySpec) -> tuple[dict, dict]:
@@ -102,9 +116,14 @@ class StudyConfig:
             raise ParameterError("sizes must be strictly increasing")
         if self.runs < 2:
             raise ParameterError("need at least 2 runs per cell")
-        object.__setattr__(
-            self, "policies", tuple(normalize_policy_spec(s) for s in self.policies)
-        )
+        if not (math.isfinite(self.cost) and self.cost > 0):
+            raise ParameterError(f"cost must be positive and finite, got {self.cost}")
+        policies = tuple(normalize_policy_spec(s) for s in self.policies)
+        names = [spec["name"] for spec in policies]
+        repeated = sorted({name for name in names if names.count(name) > 1}, key=str)
+        if repeated:
+            raise ParameterError(f"policy names must be distinct, repeated: {repeated}")
+        object.__setattr__(self, "policies", policies)
 
     @staticmethod
     def from_json(doc: dict) -> "StudyConfig":
@@ -119,7 +138,9 @@ class StudyConfig:
                 master_seed=int(doc.get("seed", 7)),
                 outdir=Path(doc["outdir"]) if doc.get("outdir") else None,
             )
-        except (KeyError, TypeError) as exc:
+        except ParameterError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParameterError(f"bad study config: {exc}") from exc
 
 
@@ -161,21 +182,11 @@ class StudyResult:
 
 def theory_limits(dist: JointDistribution, spec: PolicySpec, cost: float) -> dict[str, float]:
     """Asymptotic (aid/n, defaults/n, T/m) under a named policy."""
-    kind = spec["kind"]
-    if kind == "optimal":
+    if spec["kind"] == "optimal":
         sol = solve_op(dist, cost)
         defaults, aid, y = asymptotic_prediction(sol, dist, cost)
-    elif kind == "none":
-        y, _stable, defaults, aid = forced_policy_limits(dist, lambda i, j, c, y: y)
-    elif kind == "complete":
-        y, _stable, defaults, aid = forced_policy_limits(dist, lambda i, j, c, y: 0.0)
-    elif kind == "degree_range":
-        lo, hi = int(spec["lo"]), int(spec["hi"])
-        y, _stable, defaults, aid = forced_policy_limits(
-            dist, lambda i, j, c, y: 0.0 if lo <= i <= hi else y
-        )
     else:
-        raise ParameterError(f"no theory route for policy kind {kind!r}")
+        y, _stable, defaults, aid = forced_policy_limits(dist, spec_policy(spec))
     return {
         "intervention_fraction": aid,
         "default_fraction": defaults,
@@ -186,19 +197,9 @@ def theory_limits(dist: JointDistribution, spec: PolicySpec, cost: float) -> dic
 def simulation_policy(
     dist: JointDistribution, spec: PolicySpec, cost: float
 ) -> InterventionPolicy:
-    kind = spec["kind"]
-    if kind == "none":
-        return InterventionPolicy.none()
-    if kind == "complete":
-        return InterventionPolicy.complete()
-    if kind == "degree_range":
-        return InterventionPolicy.degree_range(int(spec["lo"]), int(spec["hi"]))
-    if kind == "optimal":
-        sol = solve_op(dist, cost)
-        return extract_policy(sol, dist, cost)
-    if kind == "threshold_table":
-        return InterventionPolicy.table(*_table_entries(spec))
-    raise ParameterError(f"unknown policy kind {kind!r}")
+    if spec["kind"] == "optimal":
+        return extract_policy(solve_op(dist, cost), dist, cost)
+    return spec_policy(spec)
 
 
 def run_study(cfg: StudyConfig) -> StudyResult:

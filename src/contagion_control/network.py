@@ -85,21 +85,10 @@ class InStubPool:
         return node
 
     def draw(self, rng: np.random.Generator) -> int:
+        """Consume one in-stub uniformly at random; returns the owning node."""
         if self.remaining <= 0:
             raise ParameterError("no in-stubs left to draw")
         return self.draw_at(int(rng.integers(self.remaining)))
-
-
-def draw_in_stub(pool: InStubPool, rng: np.random.Generator) -> int:
-    """Consume one in-stub uniformly at random; returns the owning node."""
-    return pool.draw(rng)
-
-
-@dataclass(frozen=True)
-class Matching:
-    """A complete stub matching as (source, target) node pairs, one per link."""
-
-    links: tuple[tuple[int, int], ...]
 
 
 def out_stub_owners(pop: NodePopulation) -> list[int]:
@@ -110,8 +99,11 @@ def out_stub_owners(pop: NodePopulation) -> list[int]:
     return owners
 
 
-def enumerate_matchings(pop: NodePopulation) -> Iterator[Matching]:
-    """All m! stub matchings, as orderings of in-stubs against the fixed out-stub order."""
+def enumerate_matchings(pop: NodePopulation) -> Iterator[tuple[tuple[int, int], ...]]:
+    """All m! stub matchings, as orderings of in-stubs against the fixed out-stub order.
+
+    Each matching is a tuple of (source, target) node pairs, one per link.
+    """
     if pop.m > _ENUMERATION_MAX_M:
         raise EnumerationLimitError(
             f"refusing to enumerate {pop.m}! matchings (limit m <= {_ENUMERATION_MAX_M})"
@@ -121,4 +113,4 @@ def enumerate_matchings(pop: NodePopulation) -> Iterator[Matching]:
     for node, (i, _j, _c) in enumerate(pop.nodes):
         in_owners.extend([node] * i)
     for perm in itertools.permutations(in_owners):
-        yield Matching(links=tuple(zip(sources, perm)))
+        yield tuple(zip(sources, perm))

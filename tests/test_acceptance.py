@@ -58,10 +58,10 @@ def test_criterion_1_ode_equivalence():
     rng = make_rng(2024)
     worst = 0.0
     for _ in range(20):
-        p, sched = random_fixture(rng, max_deg=5)
+        p, policy = random_fixture(rng, max_deg=5)
         tau = float(rng.uniform(0.2, 0.95)) * p.lam
-        exact = trajectory_at(p, sched, tau)
-        numeric = integrate_rk4(p, sched, tau, h=1e-3 * p.lam)
+        exact = trajectory_at(p, policy, tau)
+        numeric = integrate_rk4(p, policy, tau, h=1e-3 * p.lam)
         worst = max(worst, max(abs(exact.s[k] - numeric.s[k]) for k in exact.s))
     elapsed = time.time() - t0
     _report(
@@ -281,7 +281,7 @@ def test_criterion_4_program_feasibility_and_oracle():
         feasible.append(max(abs(r) for r in sol.residuals) < 1e-9)
         y_ni, _ = smallest_fixed_point(lambda y: default_outflow(p, y))
         obj_none = default_fraction(p, y_ni)
-        _y, _s, d_full, aid_full = forced_policy_limits(p, lambda i, j, c, y: 0.0)
+        _y, _s, d_full, aid_full = forced_policy_limits(p, InterventionPolicy.complete())
         obj_full = cost * aid_full + d_full
         sandwich.append(sol.objective <= min(obj_none, obj_full) + 1e-9)
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from contagion_control import (
+    InterventionPolicy,
     JointDistribution,
     ParameterError,
-    ThresholdSchedule,
     default_fraction,
     default_fraction_controlled,
     default_outflow,
@@ -26,9 +26,8 @@ from contagion_control.asymptotics import (
     hidden_pool_scaled,
     initial_trajectory,
     program_residuals,
-    schedule_from_policy_params,
 )
-from contagion_control.optimizer import solve_op
+from contagion_control.optimizer import _make_solution, extract_policy, solve_op
 
 from conftest import make_rng
 
@@ -50,7 +49,7 @@ def random_fixture(rng, max_deg=5):
     for (i, j, c) in {(i, j, c) for (i, j, c) in entries if 1 <= c <= i}:
         for cc in range(1, i + 1):
             starts[(i, j, cc)] = float(rng.uniform(0.0, 1.0))
-    return p, ThresholdSchedule(starts=starts)
+    return p, InterventionPolicy.table(starts)
 
 
 class TestPropagate:
@@ -95,31 +94,31 @@ class TestRk4Oracle:
     def test_agrees_with_closed_form(self):
         rng = make_rng(99)
         for _ in range(5):
-            p, sched = random_fixture(rng)
+            p, policy = random_fixture(rng)
             tau = float(rng.uniform(0.3, 0.95)) * p.lam
-            exact = trajectory_at(p, sched, tau)
-            numeric = integrate_rk4(p, sched, tau, h=1e-3 * p.lam)
+            exact = trajectory_at(p, policy, tau)
+            numeric = integrate_rk4(p, policy, tau, h=1e-3 * p.lam)
             sup = max(abs(exact.s[k] - numeric.s[k]) for k in exact.s)
             assert sup < 1e-8
 
     def test_order_four(self, quadratic_dist):
-        sched = ThresholdSchedule(starts={(2, 2, 1): 0.2, (2, 2, 2): 0.6})
+        policy = InterventionPolicy.table({(2, 2, 1): 0.2, (2, 2, 2): 0.6})
         tau = 0.95 * quadratic_dist.lam
-        exact = trajectory_at(quadratic_dist, sched, tau)
+        exact = trajectory_at(quadratic_dist, policy, tau)
 
         def err(h):
-            num = integrate_rk4(quadratic_dist, sched, tau, h)
+            num = integrate_rk4(quadratic_dist, policy, tau, h)
             return max(abs(exact.s[k] - num.s[k]) for k in exact.s)
 
         e1, e2 = err(2e-3), err(1e-3)
         assert 8 < e1 / e2 < 32
 
     def test_domain_guards(self, quadratic_dist):
-        sched = ThresholdSchedule()
+        policy = InterventionPolicy.none()
         with pytest.raises(ParameterError):
-            integrate_rk4(quadratic_dist, sched, 0.99 * quadratic_dist.lam, 1e-3)
+            integrate_rk4(quadratic_dist, policy, 0.99 * quadratic_dist.lam, 1e-3)
         with pytest.raises(ParameterError):
-            integrate_rk4(quadratic_dist, sched, 1.0, h=0.1)
+            integrate_rk4(quadratic_dist, policy, 1.0, h=0.1)
 
 
 class TestUncontrolledLimits:
@@ -289,18 +288,19 @@ class TestSingularAidVolume:
         v = (1 - cost) / 2
         formula = intervention_volume(quadratic_dist, cost, y, v, z, singular_j=2)
 
-        sched = schedule_from_policy_params(quadratic_dist, cost, y, v, z, singular_j=2)
+        candidate = _make_solution(quadratic_dist, cost, y, v, z, "stage_b:j=2", 2)
+        policy = extract_policy(candidate, quadratic_dist, cost)
         lam = quadratic_dist.lam
         tau_end = lam * y
         nodes, weights = np.polynomial.legendre.leggauss(60)
 
         def rate(tau):
-            traj = trajectory_at(quadratic_dist, sched, tau)
+            traj = trajectory_at(quadratic_dist, policy, tau)
             tot = 0.0
             for (i, j, c, l), val in traj.s.items():
                 if l == c - 1 and c <= i:
-                    start = sched.start_of(i, j, c)
-                    if tau >= lam * start - 1e-12 and start < y:
+                    start = policy.start(i, j, c)
+                    if start is not None and tau >= lam * start - 1e-12 and start < y:
                         tot += (i - c + 1) * val / (lam - tau)
             return tot
 
@@ -331,10 +331,8 @@ class TestTrajectoryConsistency:
         for cost in (0.5, 1.5, 10.0):
             sol = solve_op(quadratic_dist, cost)
             y = sol.end_fraction
-            sched = schedule_from_policy_params(
-                quadratic_dist, cost, y, sol.multiplier, sol.singular_start, sol.singular_j
-            )
-            traj = trajectory_at(quadratic_dist, sched, quadratic_dist.lam * y)
+            policy = extract_policy(sol, quadratic_dist, cost)
+            traj = trajectory_at(quadratic_dist, policy, quadratic_dist.lam * y)
             assert hidden_pool_scaled(traj, quadratic_dist) == pytest.approx(0.0, abs=1e-9)
             assert default_fraction_at(traj, quadratic_dist) == pytest.approx(
                 sol.defaults, abs=1e-9
@@ -343,18 +341,44 @@ class TestTrajectoryConsistency:
 
 class TestForcedPolicies:
     def test_never_matches_uncontrolled(self, quadratic_dist):
-        y, stable, defaults, aid = forced_policy_limits(
-            quadratic_dist, lambda i, j, c, y: y
-        )
+        y, stable, defaults, aid = forced_policy_limits(quadratic_dist, InterventionPolicy.none())
         assert (y, defaults, aid) == pytest.approx((0.25, 0.25, 0.0), abs=1e-10)
         assert stable
 
     def test_always_keeps_only_initial_defaults(self, experiment_dist):
         _y, _stable, defaults, aid = forced_policy_limits(
-            experiment_dist, lambda i, j, c, y: 0.0
+            experiment_dist, InterventionPolicy.complete()
         )
         assert defaults == pytest.approx(0.5, abs=1e-10)
         assert aid > 0.0
+
+    def test_hand_tables_match_trajectory(self):
+        """Tables whose starts fall with the cushion: the closed-form limits
+        agree with the state trajectory, which follows every cushion."""
+        cases = [
+            (JointDistribution({(2, 2, 0): 0.2, (2, 2, 1): 0.8}),
+             InterventionPolicy.table({(2, 2, 1): 0.1}, {(2, 2): 0.0})),
+            (JointDistribution({(3, 3, 0): 0.2, (3, 3, 1): 0.3, (3, 3, 2): 0.3, (2, 2, 1): 0.2}),
+             InterventionPolicy.table({(3, 3, 1): 0.3, (3, 3, 2): 0.15, (3, 3, 3): 0.05,
+                                       (2, 2, 1): 0.2, (2, 2, 2): 0.2})),
+        ]
+        for p, policy in cases:
+            y, stable, defaults, aid = forced_policy_limits(p, policy)
+            assert stable and 0.0 < y < 1.0 and aid > 0.0
+            traj = trajectory_at(p, policy, p.lam * y)
+            assert hidden_pool_scaled(traj, p) == pytest.approx(0.0, abs=1e-9)
+            assert default_fraction_at(traj, p) == pytest.approx(defaults, abs=1e-9)
+
+    def test_start_rising_with_cushion_rejected(self, quadratic_dist):
+        """An aided node moves up one cushion; a later start there (or none)
+        breaks the closed form, so the limits refuse it."""
+        p = JointDistribution({(2, 2, 0): 0.2, (2, 2, 1): 0.8})
+        for policy in (InterventionPolicy.table({(2, 2, 1): 0.0}, {(2, 2): 0.1}),
+                       InterventionPolicy.table({(2, 2, 1): 0.0})):
+            with pytest.raises(ParameterError, match="later"):
+                forced_policy_limits(p, policy)
+            # quadratic_dist starts every node at cushion 2, so cushion 1 is never used
+            forced_policy_limits(quadratic_dist, policy)
 
     def test_binom_tail_edges(self):
         assert binom_tail(3, 0.5, 0) == 1.0

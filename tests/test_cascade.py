@@ -225,7 +225,7 @@ class TestTrajectoryConvergence:
     def test_scaled_state_approaches_closed_form(self, experiment_dist):
         """Scaled state counts track the deterministic trajectories, and the
         sup-distance shrinks as the network grows."""
-        from contagion_control import ThresholdSchedule, empirical_counts, trajectory_at
+        from contagion_control import empirical_counts, trajectory_at
         from contagion_control import instantiate as make_pop
 
         lam = experiment_dist.lam
@@ -241,7 +241,7 @@ class TestTrajectoryConvergence:
                           snapshot_times=taus)
                 worst = 0.0
                 for tau, agg in out.snapshots.items():
-                    ref = trajectory_at(experiment_dist, ThresholdSchedule(), tau)
+                    ref = trajectory_at(experiment_dist, InterventionPolicy.none(), tau)
                     keys = set(ref.s) | set(agg)
                     for key in keys:
                         worst = max(worst, abs(agg.get(key, 0) / n - ref.s.get(key, 0.0)))
@@ -249,3 +249,57 @@ class TestTrajectoryConvergence:
             sup_dist.append(np.mean(dists))
         assert sup_dist[-1] < sup_dist[0]
         assert sup_dist[-1] < 0.01
+
+
+class TestOnePolicyType:
+    """`start` is the one dispatch point: every policy equals its explicit table."""
+
+    MIXED = {(2, 1, 1): 0.3, (1, 2, 1): 0.3, (1, 1, 0): 0.2, (2, 2, 2): 0.1, (1, 1, 5): 0.1}
+
+    @staticmethod
+    def _tables(p):
+        pairs = {(i, j) for (i, j, c) in p.entries if 1 <= c <= i}
+        every = [(i, j, c) for i, j in pairs for c in range(1, i + 1)]
+        return [
+            (InterventionPolicy.none(), InterventionPolicy.table({})),
+            (InterventionPolicy.complete(), InterventionPolicy.table({k: 0.0 for k in every})),
+            (InterventionPolicy.degree_range(2, 2),
+             InterventionPolicy.table({k: 0.0 for k in every if k[0] == 2})),
+        ]
+
+    def test_same_runs_limits_and_trajectories(self):
+        from contagion_control import (
+            JointDistribution, empirical_counts, forced_policy_limits, trajectory_at,
+        )
+
+        p = JointDistribution(self.MIXED)
+        pop = instantiate(empirical_counts(p, 200))
+        for named, table in self._tables(p):
+            for seed in range(5):
+                a = run(pop, named, make_rng(60, seed))
+                b = run(pop, table, make_rng(60, seed))
+                assert (a.T, a.interventions, a.defaults) == (b.T, b.interventions, b.defaults)
+            assert forced_policy_limits(p, named) == forced_policy_limits(p, table)
+            for tau in (0.2 * p.lam, 0.7 * p.lam):
+                assert trajectory_at(p, named, tau).s == trajectory_at(p, table, tau).s
+
+    def test_start_values(self):
+        band = InterventionPolicy.degree_range(2, 3)
+        assert (band.start(2, 5, 1), band.start(4, 1, 1)) == (0.0, None)
+        table = InterventionPolicy.table({(2, 2, 2): 0.4, (2, 2, 1): 0.1}, {(2, 2): 0.3})
+        assert (table.start(2, 2, 1), table.start(2, 2, 2), table.start(3, 3, 3)) == (0.1, 0.3, None)
+        assert InterventionPolicy.none().start(1, 1, 1) is None
+        assert InterventionPolicy.complete().start(1, 1, 1) == 0.0
+
+    @pytest.mark.parametrize("start", [float("nan"), float("inf"), 1.5, -0.1])
+    def test_table_rejects_start_outside_unit_interval(self, start):
+        with pytest.raises(ParameterError):
+            InterventionPolicy.table({(1, 1, 1): start})
+        with pytest.raises(ParameterError):
+            InterventionPolicy.table({}, {(1, 1): start})
+        with pytest.raises(ParameterError):
+            InterventionPolicy(kind="threshold_table", thresholds={(1, 1, 1): start})
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ParameterError):
+            InterventionPolicy(kind="sometimes")

@@ -111,6 +111,17 @@ class TestStudyAndCompare:
         assert "complete" in capsys.readouterr().out
         assert (outdir / "comparison.csv").exists()
 
+    def test_solved_table_in_study_and_compare(self, quad_spec, tmp_path, capsys):
+        assert main(["solve", "--distribution", quad_spec, "--cost", "1.5"]) == 0
+        table = json.loads(capsys.readouterr().out)["policy"]
+        cfg = json.loads(open(self._config(tmp_path)).read())
+        cfg.update(policies=["optimal", table], cost=1.5)
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(cfg))
+        for command in ("study", "compare"):
+            assert main([command, "--config", str(path), "--outdir", str(tmp_path / command)]) == 0
+        assert "table: defaults=" in capsys.readouterr().out
+
     def test_garbage_config(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -137,11 +148,28 @@ QUAD = {"kind": "explicit", "entries": [[2, 2, 0, 0.2], [2, 2, 2, 0.8]]}
      {"kind": "threshold_table", "thresholds": {"2,2,x": 0.1}}),
     ("threshold key of the wrong length", QUAD, ["simulate", "--n", "50"],
      {"kind": "threshold_table", "singular": {"2,2,2": 0.1}}),
+    # study rows: `extra` is the command and the fields that override a valid config
+    ("duplicate policy names", QUAD, ["study", {"policies": ["none", {"kind": "none"}]}], None),
+    ("study cost nan", QUAD, ["compare", {"cost": "nan"}], None),
+    ("non-numeric runs", QUAD, ["study", {"runs": "x"}], None),
+    ("threshold nan", QUAD, ["simulate", "--n", "50"],
+     {"kind": "threshold_table", "thresholds": {"2,2,2": "nan"}}),
+    ("threshold above 1", QUAD, ["simulate", "--n", "50"],
+     {"kind": "threshold_table", "thresholds": {"2,2,2": 1.5}}),
+    ("table start rising with the cushion",
+     {"kind": "explicit", "entries": [[2, 2, 0, 0.2], [2, 2, 1, 0.8]]},
+     ["study", {"policies": ["none", {"kind": "threshold_table", "thresholds": {"2,2,1": 0.0},
+                                      "singular": {"2,2": 0.1}}]}], None),
 ])
 def test_bad_input_is_a_one_line_config_error(case, distribution, extra, policy, tmp_path, capsys):
     dist = tmp_path / "dist.json"
     dist.write_text(json.dumps(distribution))
     argv = [extra[0], "--distribution", str(dist), *extra[1:]]
+    if extra[0] in ("study", "compare"):
+        cfg = tmp_path / "study.json"
+        cfg.write_text(json.dumps({"distribution": distribution, "sizes": [50, 100], "runs": 2,
+                                   "policies": ["none", "complete"], **extra[1]}))
+        argv = [extra[0], "--config", str(cfg), "--outdir", str(tmp_path / "out")]
     if policy is not None:
         pol = tmp_path / "policy.json"
         pol.write_text(json.dumps(policy))

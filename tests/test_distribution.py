@@ -9,7 +9,6 @@ from contagion_control import (
     build_zipf_copula,
     distribution_from_spec,
     empirical_counts,
-    mean_degree,
     truncation_index,
 )
 from contagion_control.distribution import sample_zipf_copula, zipf_weights
@@ -65,10 +64,10 @@ class TestBuildZipfCopula:
 
 class TestMeanDegree:
     def test_single_class(self, quadratic_dist):
-        assert mean_degree(quadratic_dist) == 2.0
+        assert quadratic_dist.lam == 2.0
 
     def test_one_regular(self, one_regular_dist):
-        assert mean_degree(one_regular_dist) == 1.0
+        assert one_regular_dist.lam == 1.0
 
     def test_unbalanced_rejected(self):
         with pytest.raises(ParameterError):
@@ -77,7 +76,7 @@ class TestMeanDegree:
     def test_copula_mean_against_sampling(self):
         # independent route: Monte Carlo draws of the same construction
         p = build_zipf_copula(0.5, 0.8, 0.7, 0.9, 10)
-        lam = mean_degree(p)
+        lam = p.lam
         deg, _eq = sample_zipf_copula(0.5, 0.8, 0.7, 0.9, 10, 200_000, make_rng(8, 1))
         est = deg.mean()
         se = deg.std(ddof=1) / math.sqrt(len(deg))

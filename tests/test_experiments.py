@@ -1,7 +1,13 @@
 
 import pytest
 
-from contagion_control import JointDistribution, ParameterError, powerlaw_fit
+from contagion_control import (
+    JointDistribution,
+    ParameterError,
+    extract_policy,
+    powerlaw_fit,
+    solve_op,
+)
 from contagion_control.experiments import (
     StudyConfig,
     compare_policies,
@@ -111,6 +117,36 @@ class TestRunStudy:
             StudyConfig(distribution=quadratic_dist, sizes=(100, 100), runs=4)
         with pytest.raises(ParameterError):
             StudyConfig(distribution=quadratic_dist, sizes=(50, 100), runs=1)
+        with pytest.raises(ParameterError, match="distinct"):
+            StudyConfig(distribution=quadratic_dist, policies=("none", {"kind": "none"}))
+        for cost in (float("nan"), float("inf"), 0.0):
+            with pytest.raises(ParameterError):
+                StudyConfig(distribution=quadratic_dist, cost=cost)
+        with pytest.raises(ParameterError):
+            StudyConfig.from_json({"distribution": {"kind": "explicit",
+                                                    "entries": [[1, 1, 0, 1.0]]}, "runs": "x"})
+
+
+class TestExplicitTable:
+    @pytest.mark.parametrize("fixture,cost,sizes", [
+        ("quadratic_dist", 1.5, (50, 100)),  # singular branch stage_b:j=2
+        ("experiment_dist", 0.5, (625,)),
+    ])
+    def test_solved_table_has_the_optimal_limits(self, fixture, cost, sizes, request):
+        p = request.getfixturevalue(fixture)
+        policy = extract_policy(solve_op(p, cost), p, cost)
+        table = {
+            "kind": "threshold_table",
+            "thresholds": {",".join(map(str, k)): x for k, x in policy.thresholds.items()},
+            "singular": {",".join(map(str, k)): z for k, z in policy.singular.items()},
+        }
+        cfg = StudyConfig(distribution=p, sizes=sizes, runs=2,
+                          policies=("optimal", table), cost=cost, master_seed=4)
+        res = run_study(cfg)
+        for var, want in res.theory_p["optimal"].items():
+            assert res.theory_p["table"][var] == pytest.approx(want, abs=1e-9)
+        rows = {r.policy: r for r in compare_policies(cfg, res)}
+        assert rows["table"].objective == pytest.approx(rows["optimal"].objective, abs=1e-9)
 
 
 class TestPowerlawFit:
@@ -146,7 +182,8 @@ class TestComparePolicies:
 
     def test_identical_policies_zero_difference(self, quadratic_dist):
         cfg = StudyConfig(distribution=quadratic_dist, sizes=(50, 100), runs=4,
-                          policies=("none", "none"), cost=0.5, master_seed=3)
+                          policies=("none", {"kind": "none", "name": "none_again"}),
+                          cost=0.5, master_seed=3)
         rows = compare_policies(cfg)
         assert rows[0].defaults_limit == rows[1].defaults_limit
         assert rows[0].aid_cost == rows[1].aid_cost

@@ -10,7 +10,6 @@ from contagion_control import (
     InStubPool,
     NodePopulation,
     ParameterError,
-    draw_in_stub,
     enumerate_matchings,
     instantiate,
 )
@@ -40,7 +39,7 @@ class TestInstantiate:
 class TestDrawInStub:
     def test_single_stub_certain(self):
         pool = InStubPool([0, 1])  # node 1 has the only stub
-        assert draw_in_stub(pool, make_rng(0)) == 1
+        assert pool.draw(make_rng(0)) == 1
         assert pool.remaining == 0
 
     def test_weighted_law(self):
@@ -50,7 +49,7 @@ class TestDrawInStub:
         trials = 100_000
         for _ in range(trials):
             pool = InStubPool([2, 1])
-            if draw_in_stub(pool, rng) == 0:
+            if pool.draw(rng) == 0:
                 hits += 1
         p_hat = hits / trials
         se = math.sqrt((2 / 3) * (1 / 3) / trials)
@@ -61,14 +60,14 @@ class TestDrawInStub:
         rng = make_rng(1)
         for k in range(6):
             assert pool.remaining == 6 - k
-            draw_in_stub(pool, rng)
+            pool.draw(rng)
         assert pool.remaining == 0
 
     def test_empty_pool_errors(self):
         pool = InStubPool([1])
-        draw_in_stub(pool, make_rng(2))
+        pool.draw(make_rng(2))
         with pytest.raises(ParameterError):
-            draw_in_stub(pool, make_rng(2))
+            pool.draw(make_rng(2))
 
 
 class TestEnumerateMatchings:
@@ -82,7 +81,7 @@ class TestEnumerateMatchings:
         pop = instantiate(EmpiricalCounts(n=1, counts={(1, 1, 0): 1}))
         matchings = list(enumerate_matchings(pop))
         assert matchings == [matchings[0]]
-        assert matchings[0].links == ((0, 0),)
+        assert matchings[0] == ((0, 0),)
 
     def test_permutation_complete(self):
         # each in-stub owner appears in each link slot exactly (m-1)! times
@@ -91,7 +90,7 @@ class TestEnumerateMatchings:
         total = 0
         for matching in enumerate_matchings(pop):
             total += 1
-            for slot, (_src, dst) in enumerate(matching.links):
+            for slot, (_src, dst) in enumerate(matching):
                 position_counts[slot][dst] += 1
         assert total == math.factorial(pop.m)
         expected = math.factorial(pop.m - 1)
@@ -102,7 +101,7 @@ class TestEnumerateMatchings:
         # the degree-2 node owns two in-stubs and is drawn twice as often per slot
         pop = instantiate(EmpiricalCounts(n=2, counts={(2, 2, 0): 1, (1, 1, 1): 1}))
         assert pop.nodes == ((1, 1, 1), (2, 2, 0))
-        first_slot = Counter(m.links[0][1] for m in enumerate_matchings(pop))
+        first_slot = Counter(m[0][1] for m in enumerate_matchings(pop))
         assert first_slot[1] == 2 * first_slot[0]
 
     def test_refusal(self):
@@ -120,7 +119,7 @@ class TestSequentialEquivalence:
         trials = 60_000
         for _ in range(trials):
             pool = InStubPool([1, 1, 1])
-            perm = tuple(draw_in_stub(pool, rng) for _ in range(3))
+            perm = tuple(pool.draw(rng) for _ in range(3))
             counts[perm] += 1
         assert len(counts) == 6
         expected = trials / 6

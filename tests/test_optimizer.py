@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from contagion_control import (
+    InterventionPolicy,
     JointDistribution,
     ParameterError,
     asymptotic_prediction,
@@ -30,7 +31,7 @@ def no_aid_objective(p):
 
 
 def full_aid_objective(p, cost):
-    _y, _stable, defaults, aid = forced_policy_limits(p, lambda i, j, c, y: 0.0)
+    _y, _stable, defaults, aid = forced_policy_limits(p, InterventionPolicy.complete())
     return cost * aid + defaults
 
 
