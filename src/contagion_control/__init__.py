@@ -38,6 +38,7 @@ from .errors import (
 )
 from .asymptotics import (
     Trajectory,
+    controlled_limits,
     default_fraction,
     default_fraction_controlled,
     default_outflow,
@@ -80,7 +81,7 @@ __all__ = [
     "EmpiricalCounts", "JointDistribution", "build_zipf_copula", "distribution_from_spec",
     "empirical_counts", "truncation_index",
     "ConstructionError", "ContagionControlError", "EnumerationLimitError", "ParameterError",
-    "Trajectory", "default_fraction", "default_fraction_controlled",
+    "Trajectory", "controlled_limits", "default_fraction", "default_fraction_controlled",
     "default_outflow", "default_outflow_controlled", "forced_policy_limits", "integrate_rk4",
     "intervention_start", "intervention_volume", "propagate", "smallest_fixed_point",
     "terminal_hamiltonian", "trajectory_at",

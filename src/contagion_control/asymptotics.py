@@ -8,18 +8,26 @@ ODEs has an explicit solution (mixtures of binomial terms in the elapsed-time
 variable), which `propagate` evaluates; `integrate_rk4` integrates the same
 ODEs numerically and exists purely as a cross-check oracle.
 
-The terminal objects are plain functions of (y, v, z):
+Every terminal limit is a sum over the network classes (i, j, c) of binomial
+tails at the class's aid start time x, a fraction of the links revealed.  Only
+x depends on the policy:
 
-- default_outflow / default_fraction: out-link flow and node share of the
-  default set when nobody intervenes; the process ends at the smallest fixed
-  point of the outflow.
-- intervention_start: the scaled time from which a class is worth aiding,
-  given the terminal fraction y, the multiplier v and the unit cost.
-- controlled counterparts (default_outflow_controlled, ...): the same limits
-  under the threshold policy, including the singular classes whose start z is
-  a free variable.
-- terminal_hamiltonian: left side of the terminal stationarity equation
-  H(y, v) = lam * v.
+- no aid: x = y, the terminal revealed-link fraction (`default_outflow`,
+  `default_fraction`); the process ends at the smallest fixed point of the
+  outflow;
+- the optimal threshold policy: x = `intervention_start`(cost, v, y), and x = z
+  on the singular classes (c = i with a vanishing aid coefficient), whose
+  start is a free variable (`controlled_limits` and the `*_controlled`,
+  `intervention_volume` and `terminal_hamiltonian` functions, and
+  `program_residuals`, the solver's two equations);
+- fixed start times: x = min(policy.start(i, j, c), y), or y where the policy
+  never aids (`forced_policy_limits`).
+
+`_ClassPack` is the only code that sums over classes: for a start array it
+gives the default outflow, the defaulted share and the aid volume, and the
+Hamiltonian H(y, v) of the terminal stationarity equation H = lam * v.  The
+class-by-class scalar forms of these sums are kept in the test suite
+(`tests/scalar_limits.py`) as independent oracles.
 """
 
 from __future__ import annotations
@@ -46,64 +54,6 @@ _RESIDUAL_BATCH = 512
 
 
 # ---------------------------------------------------------------------------
-# tail probabilities (exact coefficients; supports are small)
-# ---------------------------------------------------------------------------
-
-_COMB_ROWS: dict[int, tuple[int, ...]] = {}
-
-
-def _comb_row(i: int) -> tuple[int, ...]:
-    row = _COMB_ROWS.get(i)
-    if row is None:
-        row = tuple(comb(i, m) for m in range(i + 1))
-        _COMB_ROWS[i] = row
-    return row
-
-
-def binom_tail(i: int, x: float, c: int) -> float:
-    """P(Bin(i, x) >= c), evaluated as the defining polynomial in x.
-
-    Elementwise for an ndarray x (no in-place updates, so no aliasing).
-    """
-    if c <= 0:
-        return 1.0
-    if c > i:
-        return 0.0
-    row = _comb_row(i)
-    one = 1.0 - x
-    pows_x = [1.0] * (i + 1)
-    acc = 1.0
-    for m in range(1, i + 1):
-        acc = acc * x
-        pows_x[m] = acc
-    tot = 0.0
-    po = 1.0
-    for m in range(i, c - 1, -1):
-        tot = tot + row[m] * pows_x[m] * po
-        po = po * one
-    return tot
-
-
-def _interventions_per_class(i: int, c: int, x: float, y: float) -> float:
-    """Expected aid units per node of a class intervened on [x, y].
-
-    Of i in-stubs, n are revealed before the start x (the node must survive:
-    n < c), another m - n inside the window, i - m never; every window
-    revelation at distance one is aided, giving m - c + 1 units.
-    """
-    yx = y - x
-    if yx < 0.0:
-        yx = 0.0
-    one_m_y = 1.0 - y
-    total = 0.0
-    for m in range(c, i + 1):
-        for n in range(0, c):
-            coeff = (m - c + 1) * comb(i, m) * comb(m, n)
-            total += coeff * x**n * yx ** (m - n) * one_m_y ** (i - m)
-    return total
-
-
-# ---------------------------------------------------------------------------
 # trajectories
 # ---------------------------------------------------------------------------
 
@@ -126,10 +76,7 @@ def state_space(p: JointDistribution) -> list[StateKey]:
     every c in 1..i is present, not just the supported ones.
     """
     keys: list[StateKey] = []
-    pairs = sorted(
-        {(i, j) for (i, j, c) in p.entries if 1 <= c <= i and p.entries[(i, j, c)] > 0}
-    )
-    for i, j in pairs:
+    for i, j in p.vulnerable_pairs():
         for c in range(1, i + 1):
             for l in range(0, c):
                 keys.append((i, j, c, l))
@@ -215,10 +162,7 @@ def _controls_at(starts: dict[ClassKey, float], tau: float, lam: float) -> dict[
 
 
 def _control_keys(p: JointDistribution) -> list[ClassKey]:
-    keys = []
-    for i, j in {(i, j) for (i, j, c) in p.entries if 1 <= c <= i and p.entries[(i, j, c)] > 0}:
-        keys.extend((i, j, c) for c in range(1, i + 1))
-    return sorted(keys)
+    return [(i, j, c) for i, j in p.vulnerable_pairs() for c in range(1, i + 1)]
 
 
 def _switch_times(starts: dict[ClassKey, float], lam: float, tau: float) -> list[float]:
@@ -302,24 +246,8 @@ def hidden_pool_scaled(traj: Trajectory, p: JointDistribution) -> float:
 
 
 # ---------------------------------------------------------------------------
-# no-intervention limits
+# fixed points
 # ---------------------------------------------------------------------------
-
-def default_outflow(p: JointDistribution, y):
-    """Scaled out-degree of the default set when an in-link end defaults w.p. y.
-
-    Elementwise for an ndarray y, as `smallest_fixed_point` requires.
-    """
-    tot = 0.0
-    for i, j, c, mass in p.vulnerable_items():
-        tot += j * mass * binom_tail(i, y, c)
-    return tot / p.lam
-
-
-def default_fraction(p: JointDistribution, y: float) -> float:
-    """Defaulted node share at link-default probability y, no interventions."""
-    return sum(mass * binom_tail(i, y, c) for i, _j, c, mass in p.vulnerable_items())
-
 
 def smallest_fixed_point(
     f: Callable[[np.ndarray], np.ndarray], grid: int = 4096, tol: float = 1e-12
@@ -372,28 +300,35 @@ def smallest_fixed_point(
 
 
 # ---------------------------------------------------------------------------
-# controlled limits
+# start times of the optimal policy
 # ---------------------------------------------------------------------------
 
 def intervention_start(
     i: int, j: int, c: int, cost: float, multiplier: float, end_fraction: float
 ) -> float:
-    """Scaled start time of aid for class (i, j, c); equals the horizon when aid never pays.
+    """Scaled start time of aid for class (i, j, c); equals the horizon when aid never pays."""
+    if c == 0:
+        return end_fraction
+    return float(_optimal_starts(i, j, c, cost, multiplier, end_fraction))
+
+
+def _optimal_starts(i, j, c, cost: float, v, y):
+    """`intervention_start` elementwise, for 1 <= c <= i; arrays broadcast.
 
     Three regimes: the class is not worth aiding (start = end), aid starts
     mid-process (interior formula), or aid starts immediately (start = 0).
     The boundary case sits in the immediate regime (strict inequality).
     """
-    K, v, y = cost, multiplier, end_fraction
-    w = K + v * j - 1.0
-    if w >= 0.0 or c == 0:
-        return y
-    if c >= 1 and y > 0.0 and c < i + w / (K * y):
-        denom = (i - c + 1) * K + v * j - 1.0
-        if denom <= 1e-300:
-            return 0.0
-        return 1.0 - (1.0 - y) * ((i - c) * K) / denom
-    return 0.0
+    v, y = np.asarray(v, dtype=float), np.asarray(y, dtype=float)
+    vj = j * v
+    w = cost + vj - 1.0
+    denom = (i - c + 1.0) * cost + vj - 1.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        interior = 1.0 - (1.0 - y) * ((i - c) * cost) / denom
+        # a subnormal y can make cost * y zero: w / 0 is then -inf, the immediate regime
+        interior_regime = (c < i + w / (cost * y)) & (y > 0.0)
+    x = np.where(interior_regime & (denom > 1e-300), interior, 0.0)
+    return np.where(w >= 0.0, y, x)
 
 
 def singular_out_degrees(
@@ -411,72 +346,21 @@ def singular_out_degrees(
     return out
 
 
-def _singular_correction(p: JointDistribution, y: float, z: float,
-                         sing: set[int], weight_by_j: bool) -> float:
-    tot = 0.0
-    for i, j, c, mass in p.vulnerable_items():
-        if c == i and j in sing:
-            tot += (j if weight_by_j else 1) * mass * (y**i - z**i)
-    return tot
-
-
-def default_outflow_controlled(
-    p: JointDistribution, cost: float, y: float, v: float, z: float,
-    singular_j: int | None = None,
-) -> float:
-    """Out-link flow of the default set under the threshold policy."""
-    sing = singular_out_degrees(p, cost, v, singular_j)
-    tot = 0.0
-    for i, j, c, mass in p.vulnerable_items():
-        x = intervention_start(i, j, c, cost, v, y)
-        tot += j * mass * binom_tail(i, x, c)
-    tot -= _singular_correction(p, y, z, sing, weight_by_j=True)
-    return tot / p.lam
-
-
-def default_fraction_controlled(
-    p: JointDistribution, cost: float, y: float, v: float, z: float,
-    singular_j: int | None = None,
-) -> float:
-    """Defaulted node share under the threshold policy."""
-    sing = singular_out_degrees(p, cost, v, singular_j)
-    tot = 0.0
-    for i, j, c, mass in p.vulnerable_items():
-        x = intervention_start(i, j, c, cost, v, y)
-        tot += mass * binom_tail(i, x, c)
-    tot -= _singular_correction(p, y, z, sing, weight_by_j=False)
-    return tot
-
-
-def intervention_volume(
-    p: JointDistribution, cost: float, y: float, v: float, z: float,
-    singular_j: int | None = None,
-) -> float:
-    """Scaled count of aid units under the threshold policy.
-
-    Singular classes contribute p(i,j,i) * (y^i - z^i): exactly the mass whose
-    last in-stub is revealed inside the window [z, y].  (That equals the
-    general window sum evaluated with start z, and is what the intervention
-    rate integrates to; it enters with a positive sign.)
-    """
-    sing = singular_out_degrees(p, cost, v, singular_j)
-    tot = 0.0
-    for i, j, c, mass in p.vulnerable_items():
-        if c >= 1:
-            x = intervention_start(i, j, c, cost, v, y)
-            tot += mass * _interventions_per_class(i, c, x, y)
-    tot += _singular_correction(p, y, z, sing, weight_by_j=False)
-    return tot
-
+# ---------------------------------------------------------------------------
+# the class sums
+# ---------------------------------------------------------------------------
 
 class _ClassPack:
-    """Per-distribution arrays for batched evaluation of the program equations.
+    """Per-distribution arrays for batched evaluation of every terminal limit.
 
     Rows are the vulnerable classes (1 <= c <= i); defaulted classes (c = 0)
-    add the constant j * mass to the outflow and nothing to the Hamiltonian.
-    Batched arrays are classes x points, so a run of rows is one contiguous
-    block.  The rows are sorted by the window length n = i - c, so the rows
-    with n >= a are the suffix starting at `first[a]`.  The tails are kept in
+    add the constants j * mass to the outflow and mass to the defaults, and
+    nothing to the aid or the Hamiltonian.  A policy enters only through its
+    start array x (classes x points, x <= y), so every limit is one of
+    `outflow`, `limits`, `hamiltonian` or `residuals` at some x.  Batched
+    arrays are classes x points, so a run of rows is one contiguous block.
+    The rows are sorted by the window length n = i - c, so the rows with
+    n >= a are the suffix starting at `first[a]`.  The tails are kept in
     Bernstein form and evaluated with running products (one power, x^c, per
     class), never as monomial expansions, which lose accuracy as i grows:
 
@@ -493,23 +377,24 @@ class _ClassPack:
         self.lam = p.lam
         self.defaulted_flow = sum(j * mass for (_i, j, c, mass) in p.vulnerable_items()
                                   if c == 0)
+        self.defaulted_mass = sum(mass for (_i, _j, c, mass) in p.vulnerable_items() if c == 0)
+        self.keys = [(i, j, c) for (i, j, c, _m) in rows]
 
-        def column(values):
-            return np.array(values, dtype=float).reshape(-1, 1)
-
-        self.i = column([r[0] for r in rows])
-        self.j = column([r[1] for r in rows])
-        self.c = column([r[2] for r in rows])
-        mass = np.array([r[3] for r in rows], dtype=float)
-        self.jmass = self.j * mass[:, None]
-        self.imass = self.i * mass[:, None]
+        self.i = _column([r[0] for r in rows])
+        self.j = _column([r[1] for r in rows])
+        self.c = _column([r[2] for r in rows])
+        self.mass = _column([r[3] for r in rows])
+        self.jmass = self.j * self.mass
+        self.imass = self.i * self.mass
+        # start column of the no-aid policy: every class waits for the horizon
+        self.never = np.full_like(self.c, np.inf)
         n = [i - c for (i, _j, c, _m) in rows]
         self.max_n = max(n, default=0)
         self.first = np.searchsorted(n, np.arange(self.max_n + 2), side="left")
         # coefficient a of the Horner sum only reaches the rows with n > a
-        self.window = [column([comb(i - 1, c + a) for (i, _j, c, _m) in rows[self.first[a + 1]:]])
+        self.window = [_column([comb(i - 1, c + a) for (i, _j, c, _m) in rows[self.first[a + 1]:]])
                        for a in range(self.max_n)]
-        self.edge = column([comb(i - 1, c - 1) for (i, _j, c, _m) in rows])
+        self.edge = _column([comb(i - 1, c - 1) for (i, _j, c, _m) in rows])
         # y-side table, row q * G + g for in-degree group g of degree d:
         # C(d, q) y^(d-q) (1-y)^q, zero for q > d.  Summed over q <= n it is
         # tail(d, y, d - n) = tail(i-1, y, c-1) for d = i - 1, n = i - c.
@@ -527,16 +412,27 @@ class _ClassPack:
         self.y_index = np.array([(i - c) * groups + group[i - 1] for (i, _j, c, _m) in rows],
                                 dtype=int)
 
-    def starts(self, cost: float, v, y: np.ndarray) -> np.ndarray:
-        """Start times x (classes x points) of `intervention_start`, batched."""
-        vj = self.j * v
-        w = cost + vj - 1.0
-        denom = (self.i - self.c + 1.0) * cost + vj - 1.0
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            interior = 1.0 - (1.0 - y) * ((self.i - self.c) * cost) / denom
-            cond2 = (self.c < self.i + w / (cost * y)) & (y > 0.0)
-        x = np.where(cond2 & (denom > 1e-300), interior, 0.0)
-        return np.where(w >= 0.0, y, x)
+    def start_column(self, policy: InterventionPolicy) -> np.ndarray:
+        """policy.start per row (inf where it never aids); x = min(column, y)."""
+        return _column([np.inf if (x := policy.start(*key)) is None else x
+                        for key in self.keys])
+
+    def starts(self, cost: float, v, y: np.ndarray, z, singular_j: int | None) -> np.ndarray:
+        """Start times x (classes x points) of the optimal policy.
+
+        `intervention_start` on every row, except that the singular rows
+        (c = i with a vanishing aid coefficient v j - 1 + cost, or out-degree
+        `singular_j`) start at z.
+        """
+        x = _optimal_starts(self.i, self.j, self.c, cost, v, y)
+        # the classes with c = i lead the rows (n = 0)
+        top = slice(0, self.first[1])
+        sing = np.abs(self.j[top] * v - 1.0 + cost) <= _SINGULAR_TOL
+        if singular_j is not None:
+            sing |= self.j[top] == singular_j
+        if sing.any():
+            x[top] = np.where(sing, z, x[top])
+        return x
 
     def x_sums(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(tail(i, x, c), tail(i-1, x, c)) per class and point, by nested Horner steps."""
@@ -569,24 +465,47 @@ class _ClassPack:
             tails[q * groups:(q + 1) * groups] += tails[(q - 1) * groups:q * groups]
         return tails[self.y_index]
 
+    def _flow(self, tail_x: np.ndarray) -> np.ndarray:
+        return (_class_sum(self.jmass * tail_x) + self.defaulted_flow) / self.lam
+
+    def outflow(self, x: np.ndarray) -> np.ndarray:
+        """Scaled out-link flow of the default set per point; a class defaults
+        when c of its i in-links are revealed before its start x."""
+        return self._flow(self.x_sums(x)[0])
+
+    def limits(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(outflow, defaults, aid) per point for start times x <= y.
+
+        Of a node's i in-links, M ~ Bin(i, y) are revealed by y and N of them
+        before x.  Aid in the window [x, y] gives (M - c + 1)^+ units when
+        N < c, that is (M - c + 1)^+ - (N - c + 1)^+ - (M - N) 1{N >= c}, and
+        E(B - c + 1)^+ = i q tail(i-1, q, c-1) - (c-1) tail(i, q, c) for
+        B ~ Bin(i, q), while E(M - N) 1{N >= c} = i (y - x) tail(i-1, x, c).
+        Collected, with x (tail(i-1, x, c-1) - tail(i-1, x, c)) = tail(i, x, c)
+        - tail(i-1, x, c), the y-bracket of the Hamiltonian reappears.
+        """
+        tail_x, ham_x = self.x_sums(x)
+        tail_y = self.x_sums(np.broadcast_to(y, x.shape))[0]
+        window = (self.i * (y * (self.y_sums(y) - ham_x) - (tail_x - ham_x))
+                  - (self.c - 1.0) * (tail_y - tail_x))
+        defaults = _class_sum(self.mass * tail_x) + self.defaulted_mass
+        return self._flow(tail_x), defaults, _class_sum(self.mass * window)
+
+    def hamiltonian(self, cost: float, v, y: np.ndarray, ham_x: np.ndarray) -> np.ndarray:
+        """H(y, v) per point, from tail(i-1, x, c) at the optimal starts x."""
+        coef = np.maximum(-cost, self.j * v - 1.0) * self.imass
+        return _class_sum(coef * (self.y_sums(y) - ham_x))
+
     def residuals(self, cost: float, y: np.ndarray, v, z,
                   singular_j: int | None) -> tuple[np.ndarray, np.ndarray]:
         """Both residuals at the points y; v and z are floats or arrays like y."""
-        x = self.starts(cost, v, y)
-        tail_x, ham_x = self.x_sums(x)
-        flow = self.jmass * tail_x
-        # the classes with c = i lead the rows (n = 0)
-        rows = slice(0, self.first[1])
-        sing = np.abs(self.j[rows] * v - 1.0 + cost) <= _SINGULAR_TOL
-        if singular_j is not None:
-            sing |= self.j[rows] == singular_j
-        if sing.any():
-            i = self.i[rows]
-            flow[rows] -= self.jmass[rows] * np.where(sing, y ** i - z ** i, 0.0)
-        coef = np.maximum(-cost, self.j * v - 1.0) * self.imass
-        ham = _class_sum(coef * (self.y_sums(y) - ham_x))
-        flow = (_class_sum(flow) + self.defaulted_flow) / self.lam
-        return (1.0 - y) * (ham - self.lam * v), flow - y
+        tail_x, ham_x = self.x_sums(self.starts(cost, v, y, z, singular_j))
+        ham = self.hamiltonian(cost, v, y, ham_x)
+        return (1.0 - y) * (ham - self.lam * v), self._flow(tail_x) - y
+
+
+def _column(values) -> np.ndarray:
+    return np.array(values, dtype=float).reshape(-1, 1)
 
 
 def _class_sum(a: np.ndarray) -> np.ndarray:
@@ -603,46 +522,119 @@ def _pack(p: JointDistribution) -> _ClassPack:
         return pack
 
 
-def program_residuals(
-    p: JointDistribution, cost: float, y, v, z, singular_j: int | None = None,
-):
-    """((1-y)(H - lam v), controlled outflow - y): the two program equations.
+def _over_points(fn, y, *args):
+    """fn(y, *args) over points, in chunks of _RESIDUAL_BATCH points.
 
-    The solver's only evaluation of both equations; `terminal_hamiltonian`
-    and `default_outflow_controlled` compute the same quantities class by
-    class and serve as its oracles.  Takes scalar or array inputs: y, v and z
-    are floats or equal-length 1-D arrays (a float broadcasts against arrays).
-    Floats give a pair of floats, arrays a pair of arrays, evaluated in
-    chunks of _RESIDUAL_BATCH points.
+    y and args are floats or equal-length 1-D arrays; y sets the batch, and a
+    float arg stays a float, so the per-class terms that depend on it alone
+    (stage B pins v) are computed once per chunk.  `fn` returns a tuple of
+    per-point arrays; the result is that tuple, of floats if every input is.
     """
-    pk = _pack(p)
-    y, v, z = (np.asarray(a, dtype=float) for a in (y, v, z))
-    scalar = y.ndim == v.ndim == z.ndim == 0
-    # y sets the batch; a float v or z stays a float, so the per-class terms
-    # that depend on v alone (stage B pins v) are computed once per call
-    n = np.broadcast_shapes(y.shape, v.shape, z.shape, (1,))[0]
+    y, *args = (np.asarray(a, dtype=float) for a in (y, *args))
+    scalar = y.ndim == 0 and all(a.ndim == 0 for a in args)
+    n = np.broadcast_shapes(y.shape, *(a.shape for a in args), (1,))[0]
     y = np.broadcast_to(y, (n,))
 
     def chunk(a, s):
         return a[s:s + _RESIDUAL_BATCH] if a.ndim else a
 
-    parts = [pk.residuals(cost, chunk(y, s), chunk(v, s), chunk(z, s), singular_j)
+    parts = [fn(chunk(y, s), *(chunk(a, s) for a in args))
              for s in range(0, max(n, 1), _RESIDUAL_BATCH)]
-    r1, r2 = (np.concatenate(col) for col in zip(*parts))
+    cols = tuple(np.concatenate(col) for col in zip(*parts))
     if scalar:
-        return float(r1[0]), float(r2[0])
-    return r1, r2
+        return tuple(float(col[0]) for col in cols)
+    return cols
 
 
-def terminal_hamiltonian(p: JointDistribution, cost: float, y: float, v: float) -> float:
+def _fixed_outflow(pk: _ClassPack, first: np.ndarray, y):
+    """Outflow at y for start times x = min(first, y); first is a start column
+    that does not depend on y (inf where a class is never aided)."""
+    return _over_points(lambda y: (pk.outflow(np.minimum(first, y)),), y)[0]
+
+
+def _fixed_limits(pk: _ClassPack, first: np.ndarray, y):
+    """(outflow, defaults, aid) at y for start times x = min(first, y)."""
+    return _over_points(lambda y: pk.limits(np.minimum(first, y), y), y)
+
+
+# ---------------------------------------------------------------------------
+# limits: each picks the start array x and evaluates the pack
+# ---------------------------------------------------------------------------
+
+def default_outflow(p: JointDistribution, y):
+    """Scaled out-degree of the default set when an in-link end defaults w.p. y.
+
+    No aid (x = y).  Elementwise for an ndarray y, as `smallest_fixed_point`
+    requires.
+    """
+    pk = _pack(p)
+    return _fixed_outflow(pk, pk.never, y)
+
+
+def default_fraction(p: JointDistribution, y):
+    """Defaulted node share at link-default probability y, no interventions."""
+    pk = _pack(p)
+    return _fixed_limits(pk, pk.never, y)[1]
+
+
+def controlled_limits(
+    p: JointDistribution, cost: float, y, v, z, singular_j: int | None = None,
+):
+    """(outflow, defaults, aid) under the optimal threshold policy at (y, v, z).
+
+    The singular classes start at z: their aid is p(i,j,i) * (y^i - z^i),
+    exactly the mass whose last in-stub is revealed inside [z, y].
+    """
+    pk = _pack(p)
+    return _over_points(
+        lambda y, v, z: pk.limits(pk.starts(cost, v, y, z, singular_j), y), y, v, z)
+
+
+def default_outflow_controlled(
+    p: JointDistribution, cost: float, y, v, z, singular_j: int | None = None,
+):
+    """Out-link flow of the default set under the threshold policy."""
+    return controlled_limits(p, cost, y, v, z, singular_j)[0]
+
+
+def default_fraction_controlled(
+    p: JointDistribution, cost: float, y, v, z, singular_j: int | None = None,
+):
+    """Defaulted node share under the threshold policy."""
+    return controlled_limits(p, cost, y, v, z, singular_j)[1]
+
+
+def intervention_volume(
+    p: JointDistribution, cost: float, y, v, z, singular_j: int | None = None,
+):
+    """Scaled count of aid units under the threshold policy."""
+    return controlled_limits(p, cost, y, v, z, singular_j)[2]
+
+
+def terminal_hamiltonian(p: JointDistribution, cost: float, y, v):
     """Left side of the terminal stationarity equation H(y, v) = lam * v."""
-    tot = 0.0
-    for i, j, c, mass in p.vulnerable_items():
-        if c >= 1:
-            x = intervention_start(i, j, c, cost, v, y)
-            bracket = binom_tail(i - 1, y, c - 1) - binom_tail(i - 1, x, c)
-            tot += max(-cost, v * j - 1.0) * i * mass * bracket
-    return tot
+    pk = _pack(p)
+
+    def ham(y, v):
+        # the singular rows have c = i, where tail(i-1, x, c) = 0 whatever x
+        return (pk.hamiltonian(cost, v, y, pk.x_sums(pk.starts(cost, v, y, y, None))[1]),)
+
+    return _over_points(ham, y, v)[0]
+
+
+def program_residuals(
+    p: JointDistribution, cost: float, y, v, z, singular_j: int | None = None,
+):
+    """((1-y)(H - lam v), controlled outflow - y): the two program equations.
+
+    The solver's only evaluation of both equations.  Takes scalar or array
+    inputs: y, v and z are floats or equal-length 1-D arrays (a float
+    broadcasts against arrays).  Floats give a pair of floats, arrays a pair
+    of arrays, evaluated in chunks of _RESIDUAL_BATCH points.
+    """
+    pk = _pack(p)
+    return _over_points(
+        lambda y, v, z: pk.residuals(cost, y, v, z, singular_j), y, v, z)
 
 
 # ---------------------------------------------------------------------------
@@ -681,25 +673,11 @@ def forced_policy_limits(
     cushion (see `_check_keeps_aiding`).  Covers every policy whose start
     times do not depend on the horizon: the no-aid, full-aid and degree-band
     policies and explicit threshold tables, whose limits follow the same
-    fixed-point structure as the optimal one.  The fixed-point scan passes y
-    as an ndarray, so starts clamp elementwise.
+    fixed-point structure as the optimal one.
     """
     _check_keeps_aiding(p, policy)
-    classes = [(i, j, c, mass, policy.start(i, j, c)) for i, j, c, mass in p.vulnerable_items()]
-
-    def start(x, y):
-        return y if x is None else np.minimum(x, y)
-
-    def outflow(y):
-        tot = 0.0
-        for i, j, c, mass, x in classes:
-            tot += j * mass * binom_tail(i, start(x, y), c)
-        return tot / p.lam
-
-    y_star, stable = smallest_fixed_point(outflow)
-    defaults = sum(mass * binom_tail(i, start(x, y_star), c) for i, _j, c, mass, x in classes)
-    aid = sum(
-        mass * _interventions_per_class(i, c, start(x, y_star), y_star)
-        for i, _j, c, mass, x in classes if c >= 1
-    )
-    return y_star, stable, float(defaults), float(aid)
+    pk = _pack(p)
+    first = pk.start_column(policy)
+    y_star, stable = smallest_fixed_point(lambda y: _fixed_outflow(pk, first, y))
+    _flow, defaults, aid = _fixed_limits(pk, first, y_star)
+    return y_star, stable, defaults, aid

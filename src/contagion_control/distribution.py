@@ -46,8 +46,9 @@ class JointDistribution:
         for (i, j, c), mass in self.entries.items():
             if i < 0 or j < 0 or c < 0:
                 raise ParameterError(f"negative index in class {(i, j, c)}")
-            if mass < 0:
-                raise ParameterError(f"negative mass {mass} for class {(i, j, c)}")
+            if not (math.isfinite(mass) and mass >= 0):
+                raise ParameterError(f"mass must be finite and nonnegative, got {mass} "
+                                     f"for class {(i, j, c)}")
             in_mean += i * mass
             out_mean += j * mass
             total += mass
@@ -74,6 +75,14 @@ class JointDistribution:
     def vulnerable_items(self) -> tuple[tuple[int, int, int, float], ...]:
         """(i, j, c, mass) for classes with c <= i (defaulted or vulnerable), sorted."""
         return self._vulnerable  # type: ignore[attr-defined]
+
+    def vulnerable_pairs(self) -> list[tuple[int, int]]:
+        """Sorted (i, j) pairs carrying vulnerable mass (some 1 <= c <= i with mass > 0).
+
+        Aid lifts a node's cushion, so every cushion 1..i of such a pair can
+        hold mass later on.
+        """
+        return sorted({(i, j) for (i, j, c), m in self.entries.items() if 1 <= c <= i and m > 0})
 
 
 @dataclass(frozen=True)
@@ -177,8 +186,8 @@ def build_zipf_copula(
     """
     if not 0.0 <= xi < 1.0:
         raise ParameterError(f"initial default fraction must be in [0, 1), got {xi}")
-    if a1 <= 0 or a2 <= 0:
-        raise ParameterError(f"Zipf exponents must be positive, got ({a1}, {a2})")
+    if not all(math.isfinite(a) and a > 0 for a in (a1, a2)):
+        raise ParameterError(f"Zipf exponents must be positive and finite, got ({a1}, {a2})")
     if not -1.0 < rho < 1.0:
         raise ParameterError(f"correlation must lie in (-1, 1), got {rho}")
     if max_deg < 1:

@@ -22,11 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import (
-    default_fraction_controlled,
+    controlled_limits,
     default_outflow,
     default_outflow_controlled,
     intervention_start,
-    intervention_volume,
     program_residuals,
     singular_out_degrees,
     smallest_fixed_point,
@@ -78,8 +77,7 @@ def _outflow_slope(p, cost, y, v, z, singular_j, h=1e-6):
 
 def _make_solution(p, cost, y, v, z, branch, singular_j) -> OPSolution:
     res = program_residuals(p, cost, y, v, z, singular_j)
-    aid = intervention_volume(p, cost, y, v, z, singular_j)
-    dflt = default_fraction_controlled(p, cost, y, v, z, singular_j)
+    _flow, dflt, aid = controlled_limits(p, cost, y, v, z, singular_j)
     slope = _outflow_slope(p, cost, y, v, z, singular_j)
     stable = bool(slope < 1.0 - 1e-9) or y >= 1.0 - 1e-12
     return OPSolution(
@@ -342,8 +340,7 @@ def extract_policy(sol: OPSolution, p: JointDistribution, cost: float) -> Interv
     sing = singular_out_degrees(p, cost, v, sol.singular_j)
     thresholds: dict[tuple[int, int, int], float] = {}
     singular: dict[tuple[int, int], float] = {}
-    pairs = sorted({(i, j) for (i, j, c) in p.entries if 1 <= c <= i and p.entries[(i, j, c)] > 0})
-    for i, j in pairs:
+    for i, j in p.vulnerable_pairs():
         for c in range(1, i + 1):
             if c == i and j in sing:
                 if z < y - 1e-12:

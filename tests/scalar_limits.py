@@ -1,0 +1,227 @@
+"""Class-by-class forms of the terminal limits: independent test oracles.
+
+The package evaluates every terminal limit as one batched sum over the
+classes of a distribution (`asymptotics._ClassPack`).  The functions here
+compute the same quantities one class at a time, from the defining
+polynomials: P(Bin(i, x) >= c) term by term, the aid window as its double
+sum over the links revealed before and inside [x, y], and the singular
+classes as an explicit correction p(i,j,i) * (y^i - z^i) on top of the
+regular start times, which come from the scalar three-regime formula.  Tests compare the package against them; nothing in
+the package calls them.
+"""
+
+from __future__ import annotations
+
+from math import comb
+
+import numpy as np
+
+from contagion_control.asymptotics import singular_out_degrees, smallest_fixed_point
+from contagion_control.cascade import InterventionPolicy
+from contagion_control.distribution import JointDistribution
+
+
+_COMB_ROWS: dict[int, tuple[int, ...]] = {}
+
+
+def _comb_row(i: int) -> tuple[int, ...]:
+    row = _COMB_ROWS.get(i)
+    if row is None:
+        row = tuple(comb(i, m) for m in range(i + 1))
+        _COMB_ROWS[i] = row
+    return row
+
+
+def binom_tail(i: int, x: float, c: int) -> float:
+    """P(Bin(i, x) >= c), evaluated as the defining polynomial in x.
+
+    Elementwise for an ndarray x (no in-place updates, so no aliasing).
+    """
+    if c <= 0:
+        return 1.0
+    if c > i:
+        return 0.0
+    row = _comb_row(i)
+    one = 1.0 - x
+    pows_x = [1.0] * (i + 1)
+    acc = 1.0
+    for m in range(1, i + 1):
+        acc = acc * x
+        pows_x[m] = acc
+    tot = 0.0
+    po = 1.0
+    for m in range(i, c - 1, -1):
+        tot = tot + row[m] * pows_x[m] * po
+        po = po * one
+    return tot
+
+
+def _interventions_per_class(i: int, c: int, x: float, y: float) -> float:
+    """Expected aid units per node of a class intervened on [x, y].
+
+    Of i in-stubs, n are revealed before the start x (the node must survive:
+    n < c), another m - n inside the window, i - m never; every window
+    revelation at distance one is aided, giving m - c + 1 units.
+    """
+    yx = y - x
+    if yx < 0.0:
+        yx = 0.0
+    one_m_y = 1.0 - y
+    total = 0.0
+    for m in range(c, i + 1):
+        for n in range(0, c):
+            coeff = (m - c + 1) * comb(i, m) * comb(m, n)
+            total += coeff * x**n * yx ** (m - n) * one_m_y ** (i - m)
+    return total
+
+
+def intervention_start(
+    i: int, j: int, c: int, cost: float, multiplier: float, end_fraction: float
+) -> float:
+    """Scaled start time of aid for class (i, j, c); equals the horizon when aid never pays.
+
+    Three regimes: the class is not worth aiding (start = end), aid starts
+    mid-process (interior formula), or aid starts immediately (start = 0).
+    The boundary case sits in the immediate regime (strict inequality).
+    """
+    K, v, y = cost, multiplier, end_fraction
+    w = K + v * j - 1.0
+    if w >= 0.0 or c == 0:
+        return y
+    if c >= 1 and K * y > 0.0 and c < i + w / (K * y):
+        denom = (i - c + 1) * K + v * j - 1.0
+        if denom <= 1e-300:
+            return 0.0
+        return 1.0 - (1.0 - y) * ((i - c) * K) / denom
+    return 0.0
+
+
+def default_outflow(p: JointDistribution, y):
+    """Scaled out-degree of the default set when an in-link end defaults w.p. y.
+
+    Elementwise for an ndarray y, as `smallest_fixed_point` requires.
+    """
+    tot = 0.0
+    for i, j, c, mass in p.vulnerable_items():
+        tot += j * mass * binom_tail(i, y, c)
+    return tot / p.lam
+
+
+def default_fraction(p: JointDistribution, y: float) -> float:
+    """Defaulted node share at link-default probability y, no interventions."""
+    return sum(mass * binom_tail(i, y, c) for i, _j, c, mass in p.vulnerable_items())
+
+
+def _regular_start(i, j, c, cost, v, y, sing):
+    """`intervention_start`, except that a singular class (c = i, j in `sing`)
+    waits for y: its own start z enters through `_singular_correction`."""
+    if c == i and j in sing:
+        return y
+    return intervention_start(i, j, c, cost, v, y)
+
+
+def _singular_correction(p: JointDistribution, y: float, z: float,
+                         sing: set[int], weight_by_j: bool) -> float:
+    tot = 0.0
+    for i, j, c, mass in p.vulnerable_items():
+        if c == i and j in sing:
+            tot += (j if weight_by_j else 1) * mass * (y**i - z**i)
+    return tot
+
+
+def default_outflow_controlled(
+    p: JointDistribution, cost: float, y: float, v: float, z: float,
+    singular_j: int | None = None,
+) -> float:
+    """Out-link flow of the default set under the threshold policy."""
+    sing = singular_out_degrees(p, cost, v, singular_j)
+    tot = 0.0
+    for i, j, c, mass in p.vulnerable_items():
+        x = _regular_start(i, j, c, cost, v, y, sing)
+        tot += j * mass * binom_tail(i, x, c)
+    tot -= _singular_correction(p, y, z, sing, weight_by_j=True)
+    return tot / p.lam
+
+
+def default_fraction_controlled(
+    p: JointDistribution, cost: float, y: float, v: float, z: float,
+    singular_j: int | None = None,
+) -> float:
+    """Defaulted node share under the threshold policy."""
+    sing = singular_out_degrees(p, cost, v, singular_j)
+    tot = 0.0
+    for i, j, c, mass in p.vulnerable_items():
+        x = _regular_start(i, j, c, cost, v, y, sing)
+        tot += mass * binom_tail(i, x, c)
+    tot -= _singular_correction(p, y, z, sing, weight_by_j=False)
+    return tot
+
+
+def intervention_volume(
+    p: JointDistribution, cost: float, y: float, v: float, z: float,
+    singular_j: int | None = None,
+) -> float:
+    """Scaled count of aid units under the threshold policy.
+
+    Singular classes contribute p(i,j,i) * (y^i - z^i): exactly the mass whose
+    last in-stub is revealed inside the window [z, y].  (That equals the
+    general window sum evaluated with start z, and is what the intervention
+    rate integrates to; it enters with a positive sign.)
+    """
+    sing = singular_out_degrees(p, cost, v, singular_j)
+    tot = 0.0
+    for i, j, c, mass in p.vulnerable_items():
+        if c >= 1:
+            x = _regular_start(i, j, c, cost, v, y, sing)
+            tot += mass * _interventions_per_class(i, c, x, y)
+    tot += _singular_correction(p, y, z, sing, weight_by_j=False)
+    return tot
+
+
+def terminal_hamiltonian(p: JointDistribution, cost: float, y: float, v: float) -> float:
+    """Left side of the terminal stationarity equation H(y, v) = lam * v."""
+    tot = 0.0
+    for i, j, c, mass in p.vulnerable_items():
+        if c >= 1:
+            x = intervention_start(i, j, c, cost, v, y)
+            bracket = binom_tail(i - 1, y, c - 1) - binom_tail(i - 1, x, c)
+            tot += max(-cost, v * j - 1.0) * i * mass * bracket
+    return tot
+
+
+def _start(x, y):
+    # a class aided from x starts at min(x, y), a class never aided at y
+    return y if x is None else np.minimum(x, y)
+
+
+def forced_outflow(p: JointDistribution, policy: InterventionPolicy, y):
+    """Outflow at y under fixed start times; elementwise for an ndarray y."""
+    tot = 0.0
+    for i, j, c, mass in p.vulnerable_items():
+        tot += j * mass * binom_tail(i, _start(policy.start(i, j, c), y), c)
+    return tot / p.lam
+
+
+def forced_limits_at(p: JointDistribution, policy: InterventionPolicy,
+                     y: float) -> tuple[float, float]:
+    """(defaults, aid) at y under fixed start times."""
+    classes = [(i, c, mass, _start(policy.start(i, j, c), y))
+               for i, j, c, mass in p.vulnerable_items()]
+    defaults = sum(mass * binom_tail(i, x, c) for i, c, mass, x in classes)
+    aid = sum(mass * _interventions_per_class(i, c, x, y)
+              for i, c, mass, x in classes if c >= 1)
+    return float(defaults), float(aid)
+
+
+def forced_policy_limits(
+    p: JointDistribution, policy: InterventionPolicy
+) -> tuple[float, bool, float, float]:
+    """(y*, stable, defaults limit, interventions limit) under fixed start times.
+
+    The smallest fixed point of `forced_outflow` and the limits there.  They
+    hold when a node, once aided, is aided at every later loss (the package
+    checks this in `_check_keeps_aiding`; this form does not, so pass only
+    tables that keep aiding).
+    """
+    y_star, stable = smallest_fixed_point(lambda y: forced_outflow(p, policy, y))
+    return (y_star, stable, *forced_limits_at(p, policy, y_star))

@@ -16,25 +16,22 @@ from contagion_control import (
     JointDistribution,
     build_zipf_copula,
     default_fraction,
-    default_fraction_controlled,
     default_outflow,
-    default_outflow_controlled,
     empirical_counts,
     exact_expectation,
     extract_policy,
     instantiate,
     integrate_rk4,
-    intervention_volume,
     run,
     smallest_fixed_point,
     solve_op,
-    terminal_hamiltonian,
     trajectory_at,
 )
 from contagion_control.asymptotics import forced_policy_limits
 from contagion_control.experiments import StudyConfig, normalize_policy_spec, run_study, theory_limits
 from contagion_control.optimizer import asymptotic_prediction
 
+import scalar_limits as scalar
 from conftest import make_rng
 from test_asymptotics import random_fixture
 
@@ -139,7 +136,7 @@ def _oracle_candidates_stage_a(p, cost, y_grid, v_lo, v_hi, v_points):
     vs = np.linspace(v_lo, v_hi, v_points)
 
     def ham_gap(y, v):
-        return terminal_hamiltonian(p, cost, y, v) - lam * v
+        return scalar.terminal_hamiltonian(p, cost, y, v) - lam * v
 
     def v_roots(y):
         vals = [ham_gap(y, v) for v in vs]
@@ -159,7 +156,7 @@ def _oracle_candidates_stage_a(p, cost, y_grid, v_lo, v_hi, v_points):
         return roots
 
     def outflow_gap(y, v):
-        return default_outflow_controlled(p, cost, y, v, y) - y
+        return scalar.default_outflow_controlled(p, cost, y, v, y) - y
 
     found = []
     prev = [(v, outflow_gap(y_grid[0], v)) for v in v_roots(y_grid[0])]
@@ -199,7 +196,7 @@ def _oracle_candidates_stage_b(p, cost, y_grid, j):
     v = (1.0 - cost) / j
 
     def f1(y):
-        return (1.0 - y) * (terminal_hamiltonian(p, cost, y, v) - lam * v)
+        return (1.0 - y) * (scalar.terminal_hamiltonian(p, cost, y, v) - lam * v)
 
     candidates = []
     vals = [f1(y) for y in y_grid]
@@ -221,7 +218,7 @@ def _oracle_candidates_stage_b(p, cost, y_grid, j):
             continue
 
         def gap(z):
-            return default_outflow_controlled(p, cost, y, v, z, singular_j=j) - y
+            return scalar.default_outflow_controlled(p, cost, y, v, z, singular_j=j) - y
 
         if gap(0.0) > 0.0 or gap(y) < 0.0:
             continue
@@ -248,14 +245,14 @@ def _grid_scan_minimum(p, cost, resolution=1e-3):
     for y, v, z, sj in cands:
         # bisection across a control-branch kink can bracket a jump instead of
         # a root; keep only candidates that actually satisfy both equations
-        r1 = (1.0 - y) * (terminal_hamiltonian(p, cost, y, v) - p.lam * v)
-        r2 = default_outflow_controlled(p, cost, y, v, z, singular_j=sj) - y
+        r1 = (1.0 - y) * (scalar.terminal_hamiltonian(p, cost, y, v) - p.lam * v)
+        r2 = scalar.default_outflow_controlled(p, cost, y, v, z, singular_j=sj) - y
         if max(abs(r1), abs(r2)) > 1e-6:
             continue
-        objs.append(cost * intervention_volume(p, cost, y, v, z, sj)
-                    + default_fraction_controlled(p, cost, y, v, z, sj))
+        objs.append(cost * scalar.intervention_volume(p, cost, y, v, z, sj)
+                    + scalar.default_fraction_controlled(p, cost, y, v, z, sj))
     # boundaries
-    if default_outflow(p, 0.0) <= 1e-14:
+    if scalar.default_outflow(p, 0.0) <= 1e-14:
         objs.append(sum(m for (i, j, c), m in p.entries.items() if c == 0))
     out_mass = sum(j * m for (i, j, c), m in p.entries.items() if c <= i)
     if abs(out_mass - p.lam) <= 1e-12:

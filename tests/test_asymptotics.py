@@ -20,7 +20,6 @@ from contagion_control import (
     trajectory_at,
 )
 from contagion_control.asymptotics import (
-    binom_tail,
     default_fraction_at,
     forced_policy_limits,
     hidden_pool_scaled,
@@ -29,6 +28,7 @@ from contagion_control.asymptotics import (
 )
 from contagion_control.optimizer import _make_solution, extract_policy, solve_op
 
+import scalar_limits as scalar
 from conftest import make_rng
 
 
@@ -216,6 +216,21 @@ class TestControlledLimits:
         base = default_outflow_controlled(quadratic_dist, 1.5, 0.3, 5.0, 0.3)
         assert with_z == pytest.approx(base, abs=1e-14)
 
+    def test_singular_class_starts_at_z_when_coefficient_rounds_below_zero(self):
+        # (1 - 0.1) / 3 * 3 rounds so that cost + v j - 1 < 0, where the start
+        # formula alone aids class (3, 3, 3) from 0; as a singular class it
+        # must start at z all the same
+        p = JointDistribution({(3, 3, 0): 0.2, (3, 3, 3): 0.8})
+        cost, y, z = 0.1, 0.5, 0.2
+        v = (1 - cost) / 3
+        assert cost + 3 * v - 1 < 0
+        assert default_outflow_controlled(p, cost, y, v, z, 3) == \
+            pytest.approx((0.6 + 2.4 * z**3) / p.lam, abs=1e-15)
+        assert default_fraction_controlled(p, cost, y, v, z, 3) == \
+            pytest.approx(0.2 + 0.8 * z**3, abs=1e-15)
+        assert intervention_volume(p, cost, y, v, z, 3) == \
+            pytest.approx(0.8 * (y**3 - z**3), abs=1e-15)
+
     def test_aid_volume_zero_cases(self, quadratic_dist):
         assert intervention_volume(quadratic_dist, 0.5, 0.0, -0.3, 0.0) == 0.0
         # never-start policy: the aid window is empty
@@ -269,8 +284,8 @@ class TestControlledLimits:
             k = float(rng.uniform(0.05, 2.5))
             r1, r2 = program_residuals(experiment_dist, k, y, v, z)
             lam = experiment_dist.lam
-            r1_ref = (1 - y) * (terminal_hamiltonian(experiment_dist, k, y, v) - lam * v)
-            r2_ref = default_outflow_controlled(experiment_dist, k, y, v, z) - y
+            r1_ref = (1 - y) * (scalar.terminal_hamiltonian(experiment_dist, k, y, v) - lam * v)
+            r2_ref = scalar.default_outflow_controlled(experiment_dist, k, y, v, z) - y
             assert r1 == pytest.approx(r1_ref, abs=1e-12)
             assert r2 == pytest.approx(r2_ref, abs=1e-12)
 
@@ -381,10 +396,10 @@ class TestForcedPolicies:
             forced_policy_limits(quadratic_dist, policy)
 
     def test_binom_tail_edges(self):
-        assert binom_tail(3, 0.5, 0) == 1.0
-        assert binom_tail(3, 0.5, 4) == 0.0
-        assert binom_tail(3, 0.0, 1) == 0.0
-        assert binom_tail(3, 1.0, 3) == 1.0
-        assert binom_tail(4, 0.3, 2) == pytest.approx(
+        assert scalar.binom_tail(3, 0.5, 0) == 1.0
+        assert scalar.binom_tail(3, 0.5, 4) == 0.0
+        assert scalar.binom_tail(3, 0.0, 1) == 0.0
+        assert scalar.binom_tail(3, 1.0, 3) == 1.0
+        assert scalar.binom_tail(4, 0.3, 2) == pytest.approx(
             sum(math.comb(4, m) * 0.3**m * 0.7 ** (4 - m) for m in (2, 3, 4))
         )

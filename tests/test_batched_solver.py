@@ -2,8 +2,8 @@
 
 The lockstep Newton, the array residuals and the blocked fixed-point scan
 must reproduce what one-point-at-a-time code finds.  The references below are
-the scalar forms: a damped Newton run per start, scalar residual calls, and a
-point-by-point grid scan.
+the scalar forms: a damped Newton run per start, scalar residual calls, the
+class-by-class limits of `scalar_limits`, and a point-by-point grid scan.
 """
 
 import math
@@ -12,13 +12,10 @@ import numpy as np
 import pytest
 
 from contagion_control import JointDistribution, default_outflow, smallest_fixed_point
-from contagion_control.asymptotics import (
-    default_outflow_controlled,
-    program_residuals,
-    terminal_hamiltonian,
-)
+from contagion_control.asymptotics import program_residuals
 from contagion_control import optimizer as opt
 
+import scalar_limits as scalar
 from conftest import make_rng
 
 SINK = {(2, 0, 1): 0.3, (0, 2, 0): 0.3, (1, 1, 1): 0.4}
@@ -176,8 +173,9 @@ def test_array_residuals_match_per_class_forms(experiment_dist, singular_j):
     cost, lam = 0.7, experiment_dist.lam
     r1, r2 = program_residuals(experiment_dist, cost, y, v, z, singular_j)
     for k in range(len(y)):
-        h = terminal_hamiltonian(experiment_dist, cost, y[k], v[k])
-        flow = default_outflow_controlled(experiment_dist, cost, y[k], v[k], z[k], singular_j)
+        h = scalar.terminal_hamiltonian(experiment_dist, cost, y[k], v[k])
+        flow = scalar.default_outflow_controlled(experiment_dist, cost, y[k], v[k], z[k],
+                                                 singular_j)
         assert r1[k] == pytest.approx((1 - y[k]) * (h - lam * v[k]), abs=1e-12)
         assert r2[k] == pytest.approx(flow - y[k], abs=1e-12)
 
@@ -216,4 +214,4 @@ def test_multiplier_scan_finds_the_quadratic_root(quadratic_dist):
     assert any(math.isclose(v, -1 / 3, abs_tol=1e-9) for v in roots)
     lam = quadratic_dist.lam
     for v in roots:
-        assert abs(terminal_hamiltonian(quadratic_dist, 10.0, 0.25, v) - lam * v) < 1e-9
+        assert abs(scalar.terminal_hamiltonian(quadratic_dist, 10.0, 0.25, v) - lam * v) < 1e-9

@@ -160,6 +160,13 @@ QUAD = {"kind": "explicit", "entries": [[2, 2, 0, 0.2], [2, 2, 2, 0.8]]}
      {"kind": "explicit", "entries": [[2, 2, 0, 0.2], [2, 2, 1, 0.8]]},
      ["study", {"policies": ["none", {"kind": "threshold_table", "thresholds": {"2,2,1": 0.0},
                                       "singular": {"2,2": 0.1}}]}], None),
+    ("explicit mass nan under solve",
+     {"kind": "explicit", "entries": [[2, 2, 0, 0.2], [2, 2, 2, "nan"]]},
+     ["solve", "--cost", "0.5"], None),
+    ("explicit mass nan under simulate",
+     {"kind": "explicit", "entries": [[2, 2, 0, 0.2], [2, 2, 2, "nan"]]},
+     ["simulate", "--n", "50"], None),
+    ("zipf exponent nan", {**ZIPF, "a1": "nan"}, ["solve", "--cost", "0.5"], None),
 ])
 def test_bad_input_is_a_one_line_config_error(case, distribution, extra, policy, tmp_path, capsys):
     dist = tmp_path / "dist.json"
