@@ -16,17 +16,18 @@ x depends on the policy:
   `default_fraction`); the process ends at the smallest fixed point of the
   outflow;
 - the optimal threshold policy: x = `intervention_start`(cost, v, y), and x = z
-  on the singular classes (c = i with a vanishing aid coefficient), whose
-  start is a free variable (`controlled_limits` and the `*_controlled`,
-  `intervention_volume` and `terminal_hamiltonian` functions, and
-  `program_residuals`, the solver's two equations);
+  on the singular classes (`singular_rows`: c = i with a vanishing aid
+  coefficient), whose start is a free variable (`controlled_limits`, the
+  `*_controlled`, `intervention_volume` and `terminal_hamiltonian` functions,
+  and `program_residuals`, the solver's two equations);
 - fixed start times: x = min(policy.start(i, j, c), y), or y where the policy
   never aids (`forced_policy_limits`).
 
 `_ClassPack` is the only code that sums over classes: for a start array it
 gives the default outflow, the defaulted share and the aid volume, and the
-Hamiltonian H(y, v) of the terminal stationarity equation H = lam * v.  The
-class-by-class scalar forms of these sums are kept in the test suite
+Hamiltonian H(y, v) of the terminal stationarity equation H = lam * v.
+`is_stable` is the one stability test of a fixed point.  The class-by-class
+scalar forms of these sums are kept in the test suite
 (`tests/scalar_limits.py`) as independent oracles.
 """
 
@@ -252,7 +253,7 @@ def hidden_pool_scaled(traj: Trajectory, p: JointDistribution) -> float:
 def smallest_fixed_point(
     f: Callable[[np.ndarray], np.ndarray], grid: int = 4096, tol: float = 1e-12
 ) -> tuple[float, bool]:
-    """Smallest y in [0, 1] with f(y) = y, and whether f'(y) < 1 there.
+    """Smallest y in [0, 1] with f(y) = y, and whether f `is_stable` there.
 
     Scans the grid k / grid for the first sign change of f(y) - y, then
     bisects.  `f` must accept an ndarray of points (and a float): the scan
@@ -291,12 +292,19 @@ def smallest_fixed_point(
             break
         if y_star is None:
             y_star = 1.0
+    return y_star, is_stable(f, y_star)
 
-    h = 1e-6
-    lo_pt = max(0.0, y_star - h)
-    hi_pt = min(1.0, y_star + h)
-    deriv = (f(hi_pt) - f(lo_pt)) / (hi_pt - lo_pt) if hi_pt > lo_pt else float("inf")
-    return y_star, bool(deriv < 1.0 - 1e-9)
+
+def is_stable(f: Callable[[float], float], y: float, h: float = 1e-6) -> bool:
+    """Whether the fixed point y of f is stable: the central slope of f over
+    [y - h, y + h], clamped to [0, 1], is below 1 - 1e-9.
+
+    The one stability test, for `smallest_fixed_point` and for the solver's
+    candidates.
+    """
+    lo, hi = max(0.0, y - h), min(1.0, y + h)
+    slope = (f(hi) - f(lo)) / (hi - lo) if hi > lo else float("inf")
+    return bool(slope < 1.0 - 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -331,19 +339,18 @@ def _optimal_starts(i, j, c, cost: float, v, y):
     return np.where(w >= 0.0, y, x)
 
 
-def singular_out_degrees(
-    p: JointDistribution, cost: float, multiplier: float, singular_j: int | None = None
-) -> set[int]:
-    """Out-degrees j whose aid coefficient vanishes (v*j - 1 == -cost).
+def singular_rows(i, j, c, cost: float, v, singular_j: int | None):
+    """Mask of the singular classes, whose aid start is the free variable z.
 
-    `singular_j` pins the degree exactly when the caller constructed v as
-    (1 - cost) / j; otherwise detection is by a 1e-12 tolerance.
+    A class is singular when c = i and its aid coefficient vanishes,
+    |j v - 1 + cost| <= 1e-12, or when its out-degree is `singular_j` (stage B
+    pins v = (1 - cost) / j, where the rounded coefficient may miss zero).
+    Arguments broadcast elementwise.
     """
-    js = {j for (_i, j, _c) in p.entries}
-    out = {j for j in js if abs(multiplier * j - 1.0 + cost) <= _SINGULAR_TOL}
-    if singular_j is not None and singular_j in js:
-        out.add(singular_j)
-    return out
+    sing = np.abs(j * v - 1.0 + cost) <= _SINGULAR_TOL
+    if singular_j is not None:
+        sing = sing | (j == singular_j)
+    return sing & (c == i)
 
 
 # ---------------------------------------------------------------------------
@@ -420,16 +427,13 @@ class _ClassPack:
     def starts(self, cost: float, v, y: np.ndarray, z, singular_j: int | None) -> np.ndarray:
         """Start times x (classes x points) of the optimal policy.
 
-        `intervention_start` on every row, except that the singular rows
-        (c = i with a vanishing aid coefficient v j - 1 + cost, or out-degree
-        `singular_j`) start at z.
+        `intervention_start` on every row, except that the `singular_rows`
+        start at z.
         """
         x = _optimal_starts(self.i, self.j, self.c, cost, v, y)
         # the classes with c = i lead the rows (n = 0)
         top = slice(0, self.first[1])
-        sing = np.abs(self.j[top] * v - 1.0 + cost) <= _SINGULAR_TOL
-        if singular_j is not None:
-            sing |= self.j[top] == singular_j
+        sing = singular_rows(self.i[top], self.j[top], self.c[top], cost, v, singular_j)
         if sing.any():
             x[top] = np.where(sing, z, x[top])
         return x

@@ -26,6 +26,7 @@ from .experiments import (
     run_study,
     simulation_policy,
     stats_csv,
+    table_spec,
 )
 from .network import instantiate
 from .optimizer import extract_policy, solve_op
@@ -43,7 +44,6 @@ def _load_json(path: str) -> dict:
 def _cmd_solve(args) -> int:
     dist = distribution_from_spec(_load_json(args.distribution))
     sol = solve_op(dist, args.cost)
-    policy = extract_policy(sol, dist, args.cost)
     doc = {
         "end_fraction": sol.end_fraction,
         "multiplier": sol.multiplier,
@@ -54,11 +54,7 @@ def _cmd_solve(args) -> int:
         "stable": sol.stable,
         "branch": sol.branch,
         "residuals": list(sol.residuals),
-        "policy": {
-            "kind": "threshold_table",
-            "thresholds": {",".join(map(str, k)): x for k, x in sorted(policy.thresholds.items())},
-            "singular": {",".join(map(str, k)): z for k, z in sorted(policy.singular.items())},
-        },
+        "policy": table_spec(extract_policy(sol, dist, args.cost)),
     }
     payload = json.dumps(doc, indent=2, sort_keys=True)
     if args.output:

@@ -17,6 +17,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -313,6 +314,20 @@ def truncation_index(p: JointDistribution, eps: float) -> int:
     return p.max_degree + 1
 
 
+def parse_int(value, what: str) -> int:
+    """The one integer parser of JSON inputs: ints, integral floats and integer
+    strings pass; a fraction such as 4.9 raises instead of becoming 4."""
+    if isinstance(value, float):
+        if value.is_integer():
+            return int(value)
+    else:
+        try:
+            return int(value) if isinstance(value, str) else operator.index(value)
+        except (TypeError, ValueError):
+            pass
+    raise ParameterError(f"{what} must be an integer, got {value!r}")
+
+
 def distribution_from_spec(spec: dict) -> JointDistribution:
     """Build a distribution from its JSON form.
 
@@ -326,18 +341,19 @@ def distribution_from_spec(spec: dict) -> JointDistribution:
     if kind == "zipf_copula":
         try:
             args = {name: float(spec[name]) for name in ("xi", "a1", "a2", "rho")}
-            args["max_deg"] = int(spec["max_deg"])
+            args["max_deg"] = parse_int(spec["max_deg"], "max_deg")
         except KeyError as exc:
             raise ParameterError(f"zipf_copula spec missing field {exc}") from exc
         except (TypeError, ValueError) as exc:
-            raise ParameterError(f"zipf_copula spec has a non-numeric field: {exc}") from exc
+            raise ParameterError(f"zipf_copula spec has a bad field: {exc}") from exc
         return build_zipf_copula(**args)
     if kind == "explicit":
         entries = {}
         for row in spec.get("entries", []):
             try:
                 i, j, c, mass = row
-                i, j, c, mass = int(i), int(j), int(c), float(mass)
+                i, j, c = (parse_int(k, "degree or equity") for k in (i, j, c))
+                mass = float(mass)
             except (TypeError, ValueError) as exc:
                 raise ParameterError(f"explicit entry must be [i, j, c, mass], got {row}") from exc
             entries[(i, j, c)] = entries.get((i, j, c), 0.0) + mass

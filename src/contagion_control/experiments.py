@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ import numpy as np
 from . import svg
 from .asymptotics import forced_policy_limits
 from .cascade import InterventionPolicy, RunOutcome, run
-from .distribution import JointDistribution, distribution_from_spec, empirical_counts
+from .distribution import JointDistribution, distribution_from_spec, empirical_counts, parse_int
 from .errors import ParameterError
 from .network import instantiate
 from .optimizer import asymptotic_prediction, extract_policy, solve_op
@@ -49,10 +49,9 @@ def normalize_policy_spec(spec) -> PolicySpec:
         raise ParameterError(f"policy spec must be a name or an object with 'kind': {spec!r}")
     out = dict(spec)
     kind = out["kind"]
-    if kind != "optimal":
-        spec_policy(out)
+    policy = None if kind == "optimal" else spec_policy(out)
     if kind == "degree_range":
-        out.setdefault("name", f"degree_{out['lo']}_{out['hi']}")
+        out.setdefault("name", f"degree_{policy.degree_lo}_{policy.degree_hi}")
     else:
         out.setdefault("name", "table" if kind == "threshold_table" else kind)
     return out
@@ -67,7 +66,7 @@ def spec_policy(spec: PolicySpec) -> InterventionPolicy:
         return InterventionPolicy.complete()
     if kind == "degree_range":
         try:
-            lo, hi = int(spec["lo"]), int(spec["hi"])
+            lo, hi = parse_int(spec["lo"], "lo"), parse_int(spec["hi"], "hi")
         except KeyError as exc:
             raise ParameterError(f"degree_range policy needs {exc}: {spec!r}") from exc
         except (TypeError, ValueError) as exc:
@@ -76,6 +75,15 @@ def spec_policy(spec: PolicySpec) -> InterventionPolicy:
     if kind == "threshold_table":
         return InterventionPolicy.table(*_table_entries(spec))
     raise ParameterError(f"unknown policy kind {kind!r}")
+
+
+def table_spec(policy: InterventionPolicy) -> PolicySpec:
+    """The threshold_table spec of a table policy; `spec_policy` reads it back."""
+    def keyed(table: dict) -> dict:
+        return {",".join(map(str, key)): x for key, x in sorted(table.items())}
+
+    return {"kind": "threshold_table", "thresholds": keyed(policy.thresholds),
+            "singular": keyed(policy.singular)}
 
 
 def _table_entries(spec: PolicySpec) -> tuple[dict, dict]:
@@ -127,17 +135,20 @@ class StudyConfig:
 
     @staticmethod
     def from_json(doc: dict) -> "StudyConfig":
+        """The config of a JSON document; a field the document omits keeps its default."""
+        parsers = {  # JSON key -> (field, parse)
+            "sizes": ("sizes", lambda v: tuple(parse_int(n, "size") for n in v)),
+            "runs": ("runs", lambda v: parse_int(v, "runs")),
+            "policies": ("policies", tuple),
+            "cost": ("cost", float),
+            "seed": ("master_seed", lambda v: parse_int(v, "seed")),
+            "outdir": ("outdir", lambda v: Path(v) if v else None),
+        }
         try:
-            dist = distribution_from_spec(doc["distribution"])
-            return StudyConfig(
-                distribution=dist,
-                sizes=tuple(int(n) for n in doc.get("sizes", (625, 1296, 2401, 4096, 6561, 10000))),
-                runs=int(doc.get("runs", 100)),
-                policies=tuple(doc.get("policies", ("optimal", "alternative"))),
-                cost=float(doc.get("cost", 0.5)),
-                master_seed=int(doc.get("seed", 7)),
-                outdir=Path(doc["outdir"]) if doc.get("outdir") else None,
-            )
+            fields = {name: parse(doc[key]) for key, (name, parse) in parsers.items()
+                      if key in doc}
+            return StudyConfig(distribution=distribution_from_spec(doc["distribution"]),
+                               **fields)
         except ParameterError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
@@ -371,11 +382,7 @@ def compare_policies(cfg: StudyConfig, study: StudyResult | None = None) -> list
     p = cfg.distribution
     base_defaults = theory_limits(p, {"kind": "none", "name": "none"}, cfg.cost)["default_fraction"]
     if study is None:
-        study = run_study(StudyConfig(
-            distribution=cfg.distribution, sizes=cfg.sizes, runs=cfg.runs,
-            policies=cfg.policies, cost=cfg.cost, master_seed=cfg.master_seed,
-            outdir=None,
-        ))
+        study = run_study(replace(cfg, outdir=None))
     n_big = max(cfg.sizes)
     rows = []
     for spec in cfg.policies:

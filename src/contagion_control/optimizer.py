@@ -10,7 +10,9 @@ Solving is staged: stage A sets z = y (no singular class) and solves for
 making that degree's cushion-equals-in-degree class singular, and solves for
 (y, z).  The reported solution is the feasible candidate with the smallest
 objective; boundary candidates y = 0 (nothing to reveal) and y = 1 (everything
-burns) join the comparison when feasible.
+burns) join the comparison when feasible.  Every candidate passes one builder,
+`_candidates`, and is stable by `asymptotics.is_stable`; the singular classes,
+in the equations and in `extract_policy`, are `asymptotics.singular_rows`.
 """
 
 from __future__ import annotations
@@ -22,12 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import (
+    _control_keys,
+    _optimal_starts,
     controlled_limits,
     default_outflow,
     default_outflow_controlled,
-    intervention_start,
+    is_stable,
     program_residuals,
-    singular_out_degrees,
+    singular_rows,
     smallest_fixed_point,
     terminal_hamiltonian,  # noqa: F401  (re-exported: looked up as optimizer.terminal_hamiltonian)
 )
@@ -66,20 +70,11 @@ class OPSolution:
         return max(abs(self.residuals[0]), abs(self.residuals[1])) < _RESIDUAL_TOL
 
 
-def _outflow_slope(p, cost, y, v, z, singular_j, h=1e-6):
-    lo, hi = max(0.0, y - h), min(1.0, y + h)
-    if hi <= lo:
-        return float("inf")
-    f_lo = default_outflow_controlled(p, cost, lo, v, z, singular_j)
-    f_hi = default_outflow_controlled(p, cost, hi, v, z, singular_j)
-    return (f_hi - f_lo) / (hi - lo)
-
-
 def _make_solution(p, cost, y, v, z, branch, singular_j) -> OPSolution:
     res = program_residuals(p, cost, y, v, z, singular_j)
     _flow, dflt, aid = controlled_limits(p, cost, y, v, z, singular_j)
-    slope = _outflow_slope(p, cost, y, v, z, singular_j)
-    stable = bool(slope < 1.0 - 1e-9) or y >= 1.0 - 1e-12
+    stable = (is_stable(lambda y: default_outflow_controlled(p, cost, y, v, z, singular_j), y)
+              or y >= 1.0 - 1e-12)
     return OPSolution(
         end_fraction=y, multiplier=v, singular_start=z,
         objective=cost * aid + dflt, interventions=aid, defaults=dflt,
@@ -179,43 +174,44 @@ def _lockstep_newton(fun, starts, max_iter=80, tol=1e-12):
     return roots
 
 
-def _dedup(points: list[tuple]) -> list[tuple]:
-    kept: list[tuple] = []
-    for pt in points:
-        if all(max(abs(a - b) for a, b in zip(pt, q)) > _DEDUP_TOL for q in kept):
-            kept.append(pt)
-    return kept
-
-
 def _check_cost(cost: float) -> None:
     if not (math.isfinite(cost) and cost > 0):
         raise ParameterError(f"intervention cost must be positive and finite, got {cost}")
 
 
-def _raw_roots(roots: np.ndarray) -> list[tuple[float, float]]:
-    """Converged rows of a Newton result, in start order, as float pairs."""
-    return [(float(a), float(b)) for a, b in roots if not np.isnan(a)]
+def _candidates(p, cost, points, branch, singular_j=None) -> list[OPSolution]:
+    """The candidate builder: solutions at the points (y, v, z) that solve both
+    program equations, with a finite objective (a NaN one would empty
+    solve_op's tie set).  Newton roots and boundary points all pass here."""
+    sols = (_make_solution(p, cost, y, v, z, branch, singular_j) for y, v, z in points)
+    return [s for s in sols if s.feasible and math.isfinite(s.objective)]
+
+
+def _root_candidates(p, cost, roots, branch, singular_j=None) -> list[OPSolution]:
+    """The candidates at Newton roots, rows (y, v, z), sorted by (y, v, z).
+
+    Failed starts (NaN) are dropped and repeats skipped in start order.  y ~ 1
+    makes the first equation vacuous, so a root counts only in 0 <= z <= y <=
+    1 - 1e-9 (1e-9 of slack at 0 and y), clamped into it; y = 1 is a boundary.
+    """
+    seen, points = [], []
+    for y, v, z in roots.tolist():
+        if math.isnan(y) or any(max(abs(y - a), abs(v - b), abs(z - c)) <= _DEDUP_TOL
+                                for a, b, c in seen):
+            continue
+        seen.append((y, v, z))
+        if -1e-9 <= y <= 1.0 - 1e-9 and -1e-9 <= z <= y + 1e-9:
+            y = max(y, 0.0)
+            points.append((y, v, min(max(z, 0.0), y)))
+    return sorted(_candidates(p, cost, points, branch, singular_j),
+                  key=lambda s: (s.end_fraction, s.multiplier, s.singular_start))
 
 
 def solve_stage_a(p: JointDistribution, cost: float) -> list[OPSolution]:
     """Roots of the two terminal equations with z = y, from a grid of starts."""
     _check_cost(cost)
     roots = _lockstep_newton(lambda y, v: program_residuals(p, cost, y, v, y), _STAGE_A_STARTS)
-    return _stage_a_solutions(p, cost, roots)
-
-
-def _stage_a_solutions(p: JointDistribution, cost: float, roots: np.ndarray) -> list[OPSolution]:
-    out = []
-    for y, v in _dedup(_raw_roots(roots)):
-        # y ~ 1 makes the first equation vacuous; that boundary is handled
-        # separately, as a candidate of solve_op
-        if not -1e-9 <= y <= 1.0 - 1e-9:
-            continue
-        y = max(y, 0.0)
-        cand = _make_solution(p, cost, y, v, y, "stage_a", None)
-        if cand.feasible:
-            out.append(cand)
-    return sorted(out, key=lambda s: (s.end_fraction, s.multiplier))
+    return _root_candidates(p, cost, roots[:, [0, 1, 0]], "stage_a")
 
 
 def solve_stage_b(p: JointDistribution, cost: float, j: int) -> list[OPSolution]:
@@ -228,22 +224,7 @@ def solve_stage_b(p: JointDistribution, cost: float, j: int) -> list[OPSolution]
     v = (1.0 - cost) / j
     roots = _lockstep_newton(lambda y, z: program_residuals(p, cost, y, v, z, j),
                              _STAGE_B_STARTS)
-    return _stage_b_solutions(p, cost, j, roots)
-
-
-def _stage_b_solutions(p: JointDistribution, cost: float, j: int,
-                       roots: np.ndarray) -> list[OPSolution]:
-    v = (1.0 - cost) / j
-    out = []
-    for y, z in _dedup(_raw_roots(roots)):
-        if not (-1e-9 <= y <= 1.0 - 1e-9 and -1e-9 <= z <= y + 1e-9):
-            continue
-        y = max(y, 0.0)
-        z = min(max(z, 0.0), y)
-        cand = _make_solution(p, cost, y, v, z, f"stage_b:j={j}", j)
-        if cand.feasible:
-            out.append(cand)
-    return sorted(out, key=lambda s: (s.end_fraction, s.singular_start))
+    return _root_candidates(p, cost, np.insert(roots, 1, v, axis=1), f"stage_b:j={j}", j)
 
 
 def _solve_multiplier_at(p, cost, y, v_lo=-8.0, v_hi=8.0, grid=400):
@@ -273,29 +254,22 @@ def _solve_multiplier_at(p, cost, y, v_lo=-8.0, v_hi=8.0, grid=400):
 
 def _boundary_candidates(p: JointDistribution, cost: float) -> list[OPSolution]:
     out = []
-    # y = 0 is feasible only when no out-links start hidden (no defaulted mass flows)
+    # y = 0 is feasible only when no out-links start hidden (no defaulted mass
+    # flows); the first multiplier that solves the program is enough
     if default_outflow(p, 0.0) <= 1e-14:
-        for v in _solve_multiplier_at(p, cost, 0.0):
-            cand = _make_solution(p, cost, 0.0, v, 0.0, "boundary:y=0", None)
-            if cand.feasible:
-                out.append(cand)
-                break
+        points = [(0.0, v, 0.0) for v in _solve_multiplier_at(p, cost, 0.0)]
+        out += _candidates(p, cost, points, "boundary:y=0")[:1]
     # y = 1 is feasible only when all out-degree mass is vulnerable-or-defaulted
     out_mass = sum(j * m for (i, j, c), m in p.entries.items() if c <= i)
-    if abs(out_mass - p.lam) <= 1e-12:
-        support_j = sorted({j for (_i, j, _c) in p.entries if j > 0})
-        if support_j:
-            v_b = (1.0 - cost) / support_j[0] if cost < 1.0 else 0.0
-            cand = _make_solution(p, cost, 1.0, v_b, 1.0, "boundary:y=1", None)
-            if cand.feasible:
-                out.append(cand)
+    support_j = sorted({j for (_i, j, _c) in p.entries if j > 0})
+    if abs(out_mass - p.lam) <= 1e-12 and support_j:
+        v_b = (1.0 - cost) / support_j[0] if cost < 1.0 else 0.0
+        out += _candidates(p, cost, [(1.0, v_b, 1.0)], "boundary:y=1")
     # no-intervention polish: the uncontrolled fixed point with its multiplier
     y_ni, _stable = smallest_fixed_point(lambda y: default_outflow(p, y))
     if y_ni < 1.0:
-        for v in _solve_multiplier_at(p, cost, y_ni):
-            cand = _make_solution(p, cost, y_ni, v, y_ni, "stage_a", None)
-            if cand.feasible:
-                out.append(cand)
+        points = [(y_ni, v, y_ni) for v in _solve_multiplier_at(p, cost, y_ni)]
+        out += _candidates(p, cost, points, "stage_a")
     return out
 
 
@@ -312,8 +286,6 @@ def solve_op(p: JointDistribution, cost: float) -> OPSolution:
     for j in sorted({j for (_i, j, _c) in p.entries if j > 0}):
         candidates.extend(solve_stage_b(p, cost, j))
     candidates.extend(_boundary_candidates(p, cost))
-    # a NaN objective would pass `feasible` and empty the tie set below
-    candidates = [c for c in candidates if c.feasible and math.isfinite(c.objective)]
     if not candidates:
         raise ConstructionError("no feasible candidate found for the program")
     best_obj = min(c.objective for c in candidates)
@@ -337,18 +309,14 @@ def extract_policy(sol: OPSolution, p: JointDistribution, cost: float) -> Interv
     simulator multiplies by the population's realized n * mean degree.
     """
     y, v, z = sol.end_fraction, sol.multiplier, sol.singular_start
-    sing = singular_out_degrees(p, cost, v, sol.singular_j)
-    thresholds: dict[tuple[int, int, int], float] = {}
-    singular: dict[tuple[int, int], float] = {}
-    for i, j in p.vulnerable_pairs():
-        for c in range(1, i + 1):
-            if c == i and j in sing:
-                if z < y - 1e-12:
-                    singular[(i, j)] = max(0.0, z)
-                continue
-            x = intervention_start(i, j, c, cost, v, y)
-            if x < y - 1e-12:
-                thresholds[(i, j, c)] = min(max(x, 0.0), 1.0)
+    keys = _control_keys(p)
+    i, j, c = np.array(keys, dtype=int).reshape(-1, 3).T
+    starts = _optimal_starts(i, j, c, cost, v, y).tolist()
+    sing = singular_rows(i, j, c, cost, v, sol.singular_j).tolist()
+    thresholds = {key: min(max(x, 0.0), 1.0)
+                  for key, x, s in zip(keys, starts, sing) if not s and x < y - 1e-12}
+    singular = {key[:2]: max(0.0, z)
+                for key, s in zip(keys, sing) if s and z < y - 1e-12}
     return InterventionPolicy.table(thresholds, singular)
 
 
@@ -357,13 +325,12 @@ def asymptotic_prediction(
 ) -> tuple[float, float, float]:
     """(defaults/n, aid/n, T/m) limits under the solution's policy.
 
-    Only valid at a stable fixed point or at y = 1, where the whole vulnerable
-    mass defaults.
+    Only valid at a stable fixed point or at y = 1, where every link is
+    revealed and the limits are the solution's own: a node the policy aids
+    through its last loss survives even then.
     """
     y = sol.end_fraction
-    if y >= 1.0 - 1e-12:
-        return 1.0, sol.interventions, 1.0
-    if not sol.stable:
+    if not sol.stable and y < 1.0 - 1e-12:
         raise ParameterError(
             f"prediction refused: y={y:.6f} is an unstable fixed point "
             f"(branch {sol.branch}); limits are not guaranteed"

@@ -6,8 +6,10 @@ compute the same quantities one class at a time, from the defining
 polynomials: P(Bin(i, x) >= c) term by term, the aid window as its double
 sum over the links revealed before and inside [x, y], and the singular
 classes as an explicit correction p(i,j,i) * (y^i - z^i) on top of the
-regular start times, which come from the scalar three-regime formula.  Tests compare the package against them; nothing in
-the package calls them.
+regular start times, which come from the scalar three-regime formula.  The
+singular out-degrees are detected here too, so of the package only
+`smallest_fixed_point` is shared.  Tests compare the package against them;
+nothing in the package calls them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from contagion_control.asymptotics import singular_out_degrees, smallest_fixed_point
+from contagion_control.asymptotics import smallest_fixed_point
 from contagion_control.cascade import InterventionPolicy
 from contagion_control.distribution import JointDistribution
 
@@ -94,6 +96,17 @@ def intervention_start(
             return 0.0
         return 1.0 - (1.0 - y) * ((i - c) * K) / denom
     return 0.0
+
+
+def singular_out_degrees(p: JointDistribution, cost: float, v: float,
+                         singular_j: int | None) -> set[int]:
+    """Out-degrees j whose aid coefficient v j - 1 + cost vanishes (to 1e-12),
+    plus `singular_j`, pinned when v was built as (1 - cost) / j."""
+    js = {j for (_i, j, _c) in p.entries}
+    out = {j for j in js if abs(v * j - 1.0 + cost) <= 1e-12}
+    if singular_j in js:
+        out.add(singular_j)
+    return out
 
 
 def default_outflow(p: JointDistribution, y):

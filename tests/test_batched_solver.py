@@ -137,14 +137,17 @@ def test_lockstep_candidates_match_scalar_newton(name, cost, request):
     ref_a = _scalar_roots(
         lambda x: program_residuals(p, cost, x[0], x[1], x[0]), opt._STAGE_A_STARTS)
     _assert_same_candidates(opt.solve_stage_a(p, cost),
-                            opt._stage_a_solutions(p, cost, ref_a), fields)
+                            opt._root_candidates(p, cost, ref_a[:, [0, 1, 0]], "stage_a"),
+                            fields)
 
     for j in sorted({j for (_i, j, _c) in p.entries if j > 0}):
         v = (1.0 - cost) / j
         ref_b = _scalar_roots(
             lambda x: program_residuals(p, cost, x[0], v, x[1], j), opt._STAGE_B_STARTS)
-        _assert_same_candidates(opt.solve_stage_b(p, cost, j),
-                                opt._stage_b_solutions(p, cost, j, ref_b), fields)
+        _assert_same_candidates(
+            opt.solve_stage_b(p, cost, j),
+            opt._root_candidates(p, cost, np.insert(ref_b, 1, v, axis=1), f"stage_b:j={j}", j),
+            fields)
 
 
 @pytest.mark.parametrize("singular_j", [None, 1, 4, 10])

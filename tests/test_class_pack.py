@@ -7,18 +7,22 @@ invulnerable classes, and in- and out-degrees that differ) each limit must
 equal the scalar forms of `scalar_limits` to 1e-12 under the three kinds of
 start vector: the optimal policy's at random (cost, y, v, z), with and without
 a singular out-degree; a degree band; and a solved `extract_policy` table.
+The table extracted from a solution must also reproduce the solution's own
+prediction.
 """
 
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contagion_control import (
     InterventionPolicy,
     JointDistribution,
+    ParameterError,
+    asymptotic_prediction,
     controlled_limits,
     extract_policy,
     forced_policy_limits,
@@ -72,16 +76,20 @@ def test_optimal_starts_match_the_oracle(p, cost, y, v, share, data):
             scalar.terminal_hamiltonian(p, cost, y, v), abs=TOL)
 
 
+def _tangent(p, policy, y):
+    """Whether the forced outflow is tangent to the diagonal at y, where
+    rounding of 1e-16 moves the crossing by 1e-8."""
+    lo, hi = max(0.0, y - 1e-6), min(1.0, y + 1e-6)
+    flow = scalar.forced_outflow(p, policy, np.array([lo, hi]))
+    return (flow[1] - flow[0]) / (hi - lo) >= 1.0 - 1e-3
+
+
 def _assert_same_forced_limits(p, policy):
     y, stable, defaults, aid = forced_policy_limits(p, policy)
     y_ref, stable_ref, _defaults, _aid = scalar.forced_policy_limits(p, policy)
     assert stable == stable_ref
-    # both take the first crossing of outflow and diagonal on one grid; where
-    # the outflow is tangent there, rounding of 1e-16 moves the root by 1e-8
-    lo, hi = max(0.0, y - 1e-6), min(1.0, y + 1e-6)
-    flow = scalar.forced_outflow(p, policy, np.array([lo, hi]))
-    slope = (flow[1] - flow[0]) / (hi - lo)
-    assert y == pytest.approx(y_ref, abs=TOL if slope < 1.0 - 1e-3 else 1e-7)
+    # both take the first crossing of outflow and diagonal on one grid
+    assert y == pytest.approx(y_ref, abs=1e-7 if _tangent(p, policy, y) else TOL)
     assert (defaults, aid) == pytest.approx(scalar.forced_limits_at(p, policy, y), abs=TOL)
 
 
@@ -98,3 +106,21 @@ def test_solved_table_matches_the_oracle(p, cost):
         warnings.simplefilter("ignore", RuntimeWarning)  # unstable minimizers are fine here
         sol = solve_op(p, cost)
     _assert_same_forced_limits(p, extract_policy(sol, p, cost))
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=distributions(), cost=st.floats(0.05, 3.0))
+# every link revealed (y = 1), yet the aided sink class survives
+@example(p=JointDistribution({(0, 1, 0): 0.5, (1, 0, 1): 0.5}), cost=0.5)
+def test_solved_table_reproduces_the_prediction(p, cost):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        sol = solve_op(p, cost)
+    try:
+        prediction = asymptotic_prediction(sol, p, cost)
+    except ParameterError:
+        return  # an unstable minimizer makes no prediction
+    policy = extract_policy(sol, p, cost)
+    y, _stable, defaults, aid = forced_policy_limits(p, policy)
+    tol = 1e-7 if _tangent(p, policy, y) else 1e-9
+    assert (defaults, aid, y) == pytest.approx(prediction, abs=tol)

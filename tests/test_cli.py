@@ -167,6 +167,15 @@ QUAD = {"kind": "explicit", "entries": [[2, 2, 0, 0.2], [2, 2, 2, 0.8]]}
      {"kind": "explicit", "entries": [[2, 2, 0, 0.2], [2, 2, 2, "nan"]]},
      ["simulate", "--n", "50"], None),
     ("zipf exponent nan", {**ZIPF, "a1": "nan"}, ["solve", "--cost", "0.5"], None),
+    # fractions where an integer belongs are rejected, not truncated
+    ("fractional max_deg", {**ZIPF, "max_deg": 4.9}, ["solve", "--cost", "0.5"], None),
+    ("fractional explicit entry", {"kind": "explicit", "entries": [[2.7, 2.2, 0, 0.2],
+                                                                 [2, 2, 2, 0.8]]},
+     ["solve", "--cost", "0.5"], None),
+    ("fractional runs", QUAD, ["study", {"runs": 2.9}], None),
+    ("fractional sizes", QUAD, ["study", {"sizes": [100.5, 200]}], None),
+    ("fractional degree_range", QUAD, ["simulate", "--n", "50"],
+     {"kind": "degree_range", "lo": 1.7, "hi": 2.2}),
 ])
 def test_bad_input_is_a_one_line_config_error(case, distribution, extra, policy, tmp_path, capsys):
     dist = tmp_path / "dist.json"

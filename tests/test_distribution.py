@@ -178,6 +178,10 @@ class TestJsonSpecs:
             {"kind": "explicit", "entries": [[2, 2, 0, 0.2], [2, 2, 2, 0.8]]}
         )
         assert p.lam == 2.0
+        # integral numbers of any JSON type are integers
+        assert distribution_from_spec(
+            {"kind": "explicit", "entries": [[2.0, "2", 0, 0.2], [2, 2, 2, 0.8]]}
+        ).entries == p.entries
 
     @pytest.mark.parametrize(
         "spec",
@@ -186,6 +190,9 @@ class TestJsonSpecs:
             {"kind": "zipf_copula", "xi": 0.5},
             {"kind": "explicit", "entries": [[1, 1, 0]]},
             "not a dict",
+            # fractions are not truncated to integers
+            {"kind": "zipf_copula", "xi": 0.5, "a1": 0.8, "a2": 0.7, "rho": 0.9, "max_deg": 4.9},
+            {"kind": "explicit", "entries": [[2.7, 2.2, 0, 0.2]]},
         ],
     )
     def test_bad_specs(self, spec):

@@ -14,7 +14,9 @@ from contagion_control.experiments import (
     normalize_policy_spec,
     run_study,
     samples_csv,
+    spec_policy,
     stats_csv,
+    table_spec,
     theory_limits,
 )
 
@@ -43,6 +45,22 @@ class TestPolicySpecs:
             normalize_policy_spec("bogus")
         with pytest.raises(ParameterError):
             normalize_policy_spec({"lo": 1})
+        with pytest.raises(ParameterError, match="integers"):
+            normalize_policy_spec({"kind": "degree_range", "lo": 1.7, "hi": 2.2})
+
+    def test_band_named_by_its_parsed_bounds(self):
+        spec = normalize_policy_spec({"kind": "degree_range", "lo": 2.0, "hi": "3"})
+        assert spec["name"] == "degree_2_3"
+
+    @pytest.mark.parametrize("fixture,cost", [
+        ("quadratic_dist", 1.5),  # a singular entry
+        ("quadratic_dist", 10.0),  # an empty table
+        ("experiment_dist", 0.5),
+    ])
+    def test_table_spec_round_trip(self, fixture, cost, request):
+        p = request.getfixturevalue(fixture)
+        policy = extract_policy(solve_op(p, cost), p, cost)
+        assert spec_policy(table_spec(policy)) == policy
 
 
 class TestTheoryLimits:
@@ -122,9 +140,20 @@ class TestRunStudy:
         for cost in (float("nan"), float("inf"), 0.0):
             with pytest.raises(ParameterError):
                 StudyConfig(distribution=quadratic_dist, cost=cost)
-        with pytest.raises(ParameterError):
-            StudyConfig.from_json({"distribution": {"kind": "explicit",
-                                                    "entries": [[1, 1, 0, 1.0]]}, "runs": "x"})
+        dist = {"kind": "explicit", "entries": [[1, 1, 0, 1.0]]}
+        for field, value in (("runs", "x"), ("runs", 2.9), ("sizes", [100.5, 200]),
+                             ("seed", 7.5)):
+            with pytest.raises(ParameterError):
+                StudyConfig.from_json({"distribution": dist, field: value})
+
+    def test_json_omitted_fields_keep_the_defaults(self):
+        cfg = StudyConfig.from_json({"distribution": {"kind": "explicit",
+                                                      "entries": [[1, 1, 0, 1.0]]}})
+        assert cfg == StudyConfig(distribution=cfg.distribution)
+        cfg = StudyConfig.from_json({"distribution": {"kind": "explicit",
+                                                      "entries": [[1, 1, 0, 1.0]]},
+                                     "sizes": [10.0, 20], "runs": "3", "seed": 4})
+        assert (cfg.sizes, cfg.runs, cfg.master_seed) == ((10, 20), 3, 4)
 
 
 class TestExplicitTable:
@@ -134,12 +163,7 @@ class TestExplicitTable:
     ])
     def test_solved_table_has_the_optimal_limits(self, fixture, cost, sizes, request):
         p = request.getfixturevalue(fixture)
-        policy = extract_policy(solve_op(p, cost), p, cost)
-        table = {
-            "kind": "threshold_table",
-            "thresholds": {",".join(map(str, k)): x for k, x in policy.thresholds.items()},
-            "singular": {",".join(map(str, k)): z for k, z in policy.singular.items()},
-        }
+        table = table_spec(extract_policy(solve_op(p, cost), p, cost))
         cfg = StudyConfig(distribution=p, sizes=sizes, runs=2,
                           policies=("optimal", table), cost=cost, master_seed=4)
         res = run_study(cfg)

@@ -188,6 +188,21 @@ class TestPrediction:
         defaults, _aid, horizon = asymptotic_prediction(sol, one_regular_dist, 50.0)
         assert defaults == 1.0 and horizon == 1.0
 
+    def test_aided_sink_survives_at_y_equal_one(self):
+        # every link is revealed (y = 1), yet the vulnerable sink is aided at
+        # its only loss: half the nodes default, not all of them
+        p = JointDistribution({(0, 1, 0): 0.5, (1, 0, 1): 0.5})
+        sol = solve_op(p, 0.5)
+        assert sol.branch == "boundary:y=1"
+        prediction = asymptotic_prediction(sol, p, 0.5)
+        assert prediction == pytest.approx((0.5, 0.5, 1.0), abs=1e-12)
+        policy = extract_policy(sol, p, 0.5)
+        y, _stable, defaults, aid = forced_policy_limits(p, policy)
+        assert (defaults, aid, y) == pytest.approx(prediction, abs=1e-12)
+        pop = instantiate(empirical_counts(p, 1000))
+        out = run(pop, policy, make_rng(902, 0))
+        assert (out.defaults, out.interventions, out.T) == (500, 500, 500)
+
     def test_unstable_refusal(self, quadratic_dist):
         sol = solve_op(quadratic_dist, 0.5)
         broken = OPSolution(**{**sol.__dict__, "stable": False, "end_fraction": 0.5})
