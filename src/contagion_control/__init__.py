@@ -4,7 +4,8 @@ The package has three layers:
 
 - finite networks: class distributions, empirical counts, node populations and
   uniform stub matching (`distribution`, `network`);
-- the contagion chain plus an exact brute-force oracle for tiny instances
+- the contagion chain, run as each node's first passage over the run's
+  in-stub draw order, plus an exact brute-force oracle for tiny instances
   (`cascade`), and `InterventionPolicy`, the one policy type: every policy
   is a per-class table of scaled aid start times, read through
   `policy.start(i, j, c)` by the simulators and the limits alike;
@@ -15,12 +16,10 @@ The package has three layers:
 """
 
 from .cascade import (
-    ContagionState,
     InterventionPolicy,
     RunOutcome,
     exact_expectation,
     run,
-    step,
 )
 from .distribution import (
     EmpiricalCounts,
@@ -53,7 +52,6 @@ from .asymptotics import (
     trajectory_at,
 )
 from .network import (
-    InStubPool,
     NodePopulation,
     enumerate_matchings,
     instantiate,
@@ -77,7 +75,7 @@ from .experiments import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ContagionState", "InterventionPolicy", "RunOutcome", "exact_expectation", "run", "step",
+    "InterventionPolicy", "RunOutcome", "exact_expectation", "run",
     "EmpiricalCounts", "JointDistribution", "build_zipf_copula", "distribution_from_spec",
     "empirical_counts", "truncation_index",
     "ConstructionError", "ContagionControlError", "EnumerationLimitError", "ParameterError",
@@ -85,7 +83,7 @@ __all__ = [
     "default_outflow", "default_outflow_controlled", "forced_policy_limits", "integrate_rk4",
     "intervention_start", "intervention_volume", "propagate", "smallest_fixed_point",
     "terminal_hamiltonian", "trajectory_at",
-    "InStubPool", "NodePopulation", "enumerate_matchings", "instantiate",
+    "NodePopulation", "enumerate_matchings", "instantiate",
     "OPSolution", "asymptotic_prediction", "extract_policy", "solve_op", "solve_stage_a",
     "solve_stage_b",
     "StudyConfig", "StudyResult", "compare_policies", "powerlaw_fit", "run_study",

@@ -1,11 +1,18 @@
-"""The embedded discrete-time contagion chain with pluggable interventions.
+"""The contagion chain with pluggable interventions, and its exact oracle.
 
-One step = one hidden out-link of the default set is revealed.  The revealed
-link's target is drawn uniformly over all remaining in-stubs.  The target's
-revealed-link count l rises by one; if it was one loss away from default
-(equity-plus-aid c minus old l equal to 1), the policy decides whether to
-inject one unit of equity.  Without aid the node defaults and its out-links
-join the hidden pool.  The process stops when the pool empties.
+One step reveals one hidden out-link of the default set.  Its target is drawn
+uniformly over all remaining in-stubs; the target's revealed-link count l
+rises by one, and if it was one loss from default (equity-plus-aid c minus
+old l equal to 1) the policy decides whether to inject one unit of equity.
+Without aid the node defaults and its out-links join the hidden pool.  The
+process stops when the pool empties.
+
+`run` is the one runner.  The draw ignores the state, so the run fixes the
+whole in-stub draw order first.  Each node's fate is then a first passage over
+its own loss steps: at cushion c0 it meets losses r = c0, c0 + 1, ... one loss
+from default, is aided while the step has reached the cut of (i, j, r), and
+defaults at the first loss that is not (the reveal-order argument of Janson &
+Luczak 2007 and of Amini, Cont & Minca 2016).
 
 Time is step count k; scaled time is k/n.  Continuous-time clocks are not
 simulated: the embedded chain has the same law for everything the outcome
@@ -15,6 +22,8 @@ depends on.
 from __future__ import annotations
 
 import math
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
@@ -22,7 +31,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import EnumerationLimitError, ParameterError
-from .network import InStubPool, NodePopulation, enumerate_matchings
+from .network import NodePopulation, enumerate_matchings
 
 _EXACT_MAX_M = 10
 
@@ -113,71 +122,6 @@ def _cutoffs(policy: InterventionPolicy, pop: NodePopulation) -> dict[tuple[int,
     return cutoffs
 
 
-class ContagionState:
-    """Mutable chain state: per-node (c, l), default set, pool size, counters."""
-
-    __slots__ = (
-        "pop", "policy", "_cutoffs", "pool", "c", "l", "dead",
-        "k", "interventions", "defaults", "hidden_out",
-    )
-
-    def __init__(self, pop: NodePopulation, policy: InterventionPolicy):
-        self.pop = pop
-        self.policy = policy
-        self._cutoffs = _cutoffs(policy, pop)
-        self.pool = InStubPool(pop.in_degrees())
-        self.c = list(pop.equities())
-        self.l = [0] * pop.n
-        self.dead = bytearray(pop.n)
-        self.k = 0
-        self.interventions = 0
-        self.defaults = 0
-        self.hidden_out = 0
-        outs = pop.out_degrees()
-        for v, c0 in enumerate(self.c):
-            if c0 == 0:
-                self.dead[v] = 1
-                self.defaults += 1
-                self.hidden_out += outs[v]
-
-    @property
-    def done(self) -> bool:
-        return self.hidden_out == 0
-
-    def advance(self, node: int) -> None:
-        """Apply one revelation to `node` (its in-stub was already consumed)."""
-        lw = self.l[node]
-        self.l[node] = lw + 1
-        if not self.dead[node]:
-            if self.c[node] - lw == 1:
-                # one loss from default; the policy sees the pre-reveal state
-                i, j, _c0 = self.pop.nodes[node]
-                cut = self._cutoffs.get((i, j, self.c[node]))
-                if cut is not None and self.k >= cut:
-                    self.c[node] += 1
-                    self.interventions += 1
-                else:
-                    self.dead[node] = 1
-                    self.defaults += 1
-                    self.hidden_out += j
-        self.hidden_out -= 1
-        self.k += 1
-
-    def aggregate(self) -> Aggregate:
-        """Counts over states (i, j, c, l) of initially vulnerable, live nodes."""
-        agg: Aggregate = {}
-        for v, (i, j, c0) in enumerate(self.pop.nodes):
-            if 0 < c0 <= i and not self.dead[v]:
-                key = (i, j, self.c[v], self.l[v])
-                agg[key] = agg.get(key, 0) + 1
-        return agg
-
-    def hidden_out_recomputed(self) -> int:
-        """Pool size from scratch: out-stubs of the default set minus steps taken."""
-        outs = self.pop.out_degrees()
-        return sum(outs[v] for v in range(self.pop.n) if self.dead[v]) - self.k
-
-
 @dataclass(frozen=True)
 class RunOutcome:
     """Terminal step count, interventions, defaults, and optional snapshots."""
@@ -194,13 +138,57 @@ class RunOutcome:
         return cost * self.interventions / self.n + self.defaults / self.n
 
 
-def step(state: ContagionState, rng: np.random.Generator) -> ContagionState:
-    """One transition of the chain; errors if the hidden pool is empty."""
-    if state.done:
-        raise ParameterError("step called on a terminated process (empty hidden pool)")
-    node = state.pool.draw(rng)
-    state.advance(node)
-    return state
+def _draw_order(owners: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The node each of the m reveals hits, in step order (int32).
+
+    Step k takes entry floor(u * (m - k)) of the m - k in-stubs left, with u
+    from blocks of `rng.random(4096)`, and swaps it to the end of the live
+    prefix, so the array ends as the draw order reversed.
+    """
+    m = len(owners)
+    left = array("i", [0]) * m
+    np.frombuffer(left, dtype=np.int32)[:] = owners
+    for start in range(m, 0, -4096):
+        stop = max(start - 4096, 0)
+        picks = (rng.random(4096)[: start - stop] * np.arange(start, stop, -1)).astype(np.intp)
+        for idx, last in zip(picks.tolist(), range(start - 1, stop - 1, -1)):
+            left[idx], left[last] = left[last], left[idx]
+    return np.frombuffer(left, dtype=np.int32)[::-1]
+
+
+def _first_passage(keys, cls, ins, eqs, order, cutoffs):
+    """Each node's default step (m = never) and the (node, step) of each aid
+    unit, over all m steps of `order`; the caller keeps those before T.
+
+    `keys` holds the rows (i, j, c) of the class runs and `cls` each node's
+    run; `ins` and `eqs` are the nodes' in-degrees and equities.
+    """
+    n, m = len(ins), len(order)
+    # only vulnerable nodes (1 <= c0 <= i) meet a loss one loss from default
+    checked = np.where((eqs > 0) & (eqs <= ins), ins - eqs + 1, 0)
+    owned = np.where(checked > 0, ins, 0)
+    # the steps that hit a vulnerable node, sorted by node, then by step
+    when = np.flatnonzero((checked > 0)[order])
+    when += order[when] * np.int64(m)
+    when.sort()
+    when %= m
+    # losses r = c0..i of each vulnerable node; loss r is entry base + r - 1
+    node = np.repeat(np.arange(n, dtype=np.int32), checked)
+    nth = np.arange(len(node)) - np.repeat(np.cumsum(checked) - checked, checked)
+    rank = eqs[node] + nth
+    step = when[(np.cumsum(owned) - owned + eqs - 1)[node] + nth]
+    # k >= cut iff k >= ceil(cut); m stands for never
+    table = np.full((len(keys), int(keys[:, 0].max()) + 1), m)
+    for k, (i, j, _c) in enumerate(keys.tolist()):
+        for r in range(1, i + 1):
+            cut = cutoffs.get((i, j, r))
+            if cut is not None:
+                table[k, r] = math.ceil(cut)
+    aided = step >= table[cls[node], rank]
+    fall = np.full(n, m)
+    np.minimum.at(fall, node[~aided], step[~aided])
+    aided &= step < fall[node]
+    return fall, node[aided], step[aided]
 
 
 def run(
@@ -212,68 +200,57 @@ def run(
 ) -> RunOutcome:
     """Run the chain to termination.
 
-    Snapshots of the state aggregate are recorded at scaled times tau via step
-    index floor(tau * n), no interpolation.  The hot loop consumes uniforms in
-    blocks and maps u -> floor(u * remaining); the bias versus exact bounded
-    integers is ~2^-53 * remaining, far below anything observable here.
+    No draw is made when no node starts defaulted.  Snapshots of the state
+    aggregate are taken at step floor(tau * n), clamped to [0, T], with no
+    interpolation.  The draws map u -> floor(u * remaining); the bias versus
+    exact bounded integers is ~2^-53 * remaining, far below anything
+    observable here.  The generator is left after all ceil(m / 4096) blocks
+    of the draw order, even when the run ends earlier.
     """
-    # a run owns its state exclusively; runs with independently seeded
-    # generators can execute in parallel and be reduced in run-index order
-    state = ContagionState(pop, policy)
-    snaps = sorted(set(snapshot_times))
-    snap_steps = [(int(math.floor(t * pop.n)), t) for t in snaps]
-    snap_steps.sort()
-    out_snaps: dict[float, Aggregate] = {}
-    rows: list[tuple[int, int, int, int]] = []
+    keys, counts = pop._classes
+    ins, outs, eqs, cls = (np.repeat(col, counts) for col in (*keys.T, np.arange(len(keys))))
+    n, m = pop.n, pop.m
+    hidden0 = int(outs[eqs == 0].sum())
+    if hidden0:
+        order = _draw_order(np.repeat(np.arange(n, dtype=np.int32), ins), rng)
+        fall, aid_node, aid_step = _first_passage(keys, cls, ins, eqs, order, _cutoffs(policy, pop))
+    else:  # nothing is ever revealed
+        order = aid_node = aid_step = np.empty(0, np.int32)
+        fall = np.full(n, m)
+    # while q nodes have defaulted (in step order) the pool after k steps is
+    # budget[q] - k; T is the first k at which it is empty
+    fallen = np.flatnonzero(fall < m)
+    fallen = fallen[np.argsort(fall[fallen])]
+    fell_at = fall[fallen]
+    budget = hidden0 + np.cumsum(np.concatenate(([0], outs[fallen])))
+    T = int(budget[np.argmax(budget <= np.concatenate((fell_at, [m])))])
+    initial = int(np.count_nonzero(eqs == 0))
 
-    si = 0
-    while si < len(snap_steps) and snap_steps[si][0] <= 0:
-        out_snaps[snap_steps[si][1]] = state.aggregate()
-        si += 1
+    def aggregate(k: int) -> Aggregate:
+        """Counts over states (i, j, c, l) of initially vulnerable nodes live after k steps."""
+        loss = np.bincount(order[:k], minlength=n)
+        cushion = eqs + np.bincount(aid_node[aid_step < k], minlength=n)
+        v = np.flatnonzero((eqs > 0) & (eqs <= ins) & (fall >= k))
+        return dict(Counter(zip(*(col[v].tolist() for col in (ins, outs, cushion, loss)))))
 
-    block = np.empty(0)
-    bi = 0
-    pool = state.pool
-    advance = state.advance
-    while state.hidden_out > 0:
-        if bi >= block.size:
-            block = rng.random(4096)
-            bi = 0
-        node = pool.draw_at(int(block[bi] * pool.remaining))
-        bi += 1
-        advance(node)
-        if trace:
-            rows.append((state.k, state.defaults, state.interventions, state.hidden_out))
-        while si < len(snap_steps) and snap_steps[si][0] <= state.k:
-            out_snaps[snap_steps[si][1]] = state.aggregate()
-            si += 1
-
-    # late snapshot times fall on the terminal state
-    while si < len(snap_steps):
-        out_snaps[snap_steps[si][1]] = state.aggregate()
-        si += 1
-
+    snapshots = {
+        tau: aggregate(min(max(int(math.floor(tau * n)), 0), T))
+        for tau in sorted(set(snapshot_times))
+    }
+    rows = []
+    if trace:  # (k, defaults, aid units, hidden pool) after each step k
+        steps = np.arange(1, T + 1)
+        q = np.searchsorted(fell_at, steps)
+        aid = np.searchsorted(np.sort(aid_step), steps)
+        rows = list(zip(*(col.tolist() for col in (steps, initial + q, aid, budget[q] - steps))))
     return RunOutcome(
-        T=state.k,
-        interventions=state.interventions,
-        defaults=state.defaults,
-        n=pop.n,
-        m=pop.m,
-        snapshots=out_snaps,
+        T=T,
+        interventions=int(np.count_nonzero(aid_step < T)),
+        defaults=initial + int(np.searchsorted(fell_at, T)),
+        n=n,
+        m=m,
+        snapshots=snapshots,
         trace=rows,
-    )
-
-
-def run_via_steps(
-    pop: NodePopulation, policy: InterventionPolicy, rng: np.random.Generator
-) -> RunOutcome:
-    """Reference runner built from step(); same law as run(), used for cross-checks."""
-    state = ContagionState(pop, policy)
-    while not state.done:
-        step(state, rng)
-    return RunOutcome(
-        T=state.k, interventions=state.interventions, defaults=state.defaults,
-        n=pop.n, m=pop.m,
     )
 
 
@@ -298,12 +275,9 @@ def exact_expectation(
         weights[key] = weights.get(key, 0) + 1
 
     total = Fraction(math.factorial(pop.m))
-    ins = pop.in_degrees()
-    outs = pop.out_degrees()
-    eqs = pop.equities()
     e_d = e_it = e_t = Fraction(0)
     for links, mult in sorted(weights.items()):
-        d, it, t = _order_tree(links, ins, outs, eqs, pop, cutoffs)
+        d, it, t = _order_tree(links, pop, cutoffs)
         w = Fraction(mult, 1)
         e_d += w * d
         e_it += w * it
@@ -311,14 +285,14 @@ def exact_expectation(
     return e_d / total, e_it / total, e_t / total
 
 
-def _order_tree(links, ins, outs, eqs, pop, cutoffs):
+def _order_tree(links, pop, cutoffs):
     """Expected (defaults, interventions, T) for one matching, all reveal orders.
 
     The memo key carries the revealed-link set and the per-node equity vector:
     under step-indexed policies the equity reached can depend on the order in
     which the same revealed set was built, so the set alone is not a state.
     """
-    n = len(ins)
+    n = pop.n
     memo: dict[tuple[frozenset, tuple], tuple] = {}
 
     def is_dead(cvec, lvec, v):
@@ -358,4 +332,4 @@ def _order_tree(links, ins, outs, eqs, pop, cutoffs):
         memo[key] = (e_d, e_it, e_t)
         return memo[key]
 
-    return rec(frozenset(), tuple(eqs))
+    return rec(frozenset(), tuple(c0 for (_i, _j, c0) in pop.nodes))

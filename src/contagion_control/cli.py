@@ -157,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ParameterError as exc:
+    except (ParameterError, OSError) as exc:  # OSError: an output path we cannot write
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConstructionError as exc:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -40,14 +41,12 @@ class NodePopulation:
         object.__setattr__(self, "n", len(self.nodes))
         object.__setattr__(self, "m", m_in)
 
-    def in_degrees(self) -> list[int]:
-        return [i for (i, _j, _c) in self.nodes]
-
-    def out_degrees(self) -> list[int]:
-        return [j for (_i, j, _c) in self.nodes]
-
-    def equities(self) -> list[int]:
-        return [c for (_i, _j, c) in self.nodes]
+    @cached_property
+    def _classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The runs of equal classes in node order, built once: int32 rows
+        (i, j, c) and each run's node count."""
+        runs = [(key, len(list(group))) for key, group in itertools.groupby(self.nodes)]
+        return np.array([key for key, _ in runs], np.int32), np.array([count for _, count in runs])
 
 
 def instantiate(counts: EmpiricalCounts) -> NodePopulation:
@@ -56,47 +55,6 @@ def instantiate(counts: EmpiricalCounts) -> NodePopulation:
     for key in sorted(counts.counts):
         nodes.extend([key] * counts.counts[key])
     return NodePopulation(nodes=tuple(nodes))
-
-
-class InStubPool:
-    """Remaining in-stubs as a flat owner array with O(1) uniform draws.
-
-    Each entry is the owning node of one unmatched in-stub; drawing uniformly
-    from the array selects node w with probability (d_in(w) - l(w)) / remaining,
-    which is the selected-node law of the sequential construction.  Draws
-    swap-remove, so stub identities within a node are interchangeable.
-    """
-
-    __slots__ = ("owners", "remaining")
-
-    def __init__(self, in_degrees: list[int]):
-        owners = []
-        for node, deg in enumerate(in_degrees):
-            owners.extend([node] * deg)
-        self.owners = owners
-        self.remaining = len(owners)
-
-    def draw_at(self, idx: int) -> int:
-        last = self.remaining - 1
-        owners = self.owners
-        node = owners[idx]
-        owners[idx] = owners[last]
-        self.remaining = last
-        return node
-
-    def draw(self, rng: np.random.Generator) -> int:
-        """Consume one in-stub uniformly at random; returns the owning node."""
-        if self.remaining <= 0:
-            raise ParameterError("no in-stubs left to draw")
-        return self.draw_at(int(rng.integers(self.remaining)))
-
-
-def out_stub_owners(pop: NodePopulation) -> list[int]:
-    """Fixed out-stub order: node index repeated by its out-degree."""
-    owners = []
-    for node, (_i, j, _c) in enumerate(pop.nodes):
-        owners.extend([node] * j)
-    return owners
 
 
 def enumerate_matchings(pop: NodePopulation) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -108,9 +66,7 @@ def enumerate_matchings(pop: NodePopulation) -> Iterator[tuple[tuple[int, int], 
         raise EnumerationLimitError(
             f"refusing to enumerate {pop.m}! matchings (limit m <= {_ENUMERATION_MAX_M})"
         )
-    sources = out_stub_owners(pop)
-    in_owners = []
-    for node, (i, _j, _c) in enumerate(pop.nodes):
-        in_owners.extend([node] * i)
+    sources = [node for node, (_i, j, _c) in enumerate(pop.nodes) for _ in range(j)]
+    in_owners = [node for node, (i, _j, _c) in enumerate(pop.nodes) for _ in range(i)]
     for perm in itertools.permutations(in_owners):
         yield tuple(zip(sources, perm))

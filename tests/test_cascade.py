@@ -3,21 +3,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from contagion_control import (
-    ContagionState,
     EmpiricalCounts,
     EnumerationLimitError,
     InterventionPolicy,
+    NodePopulation,
     ParameterError,
     exact_expectation,
     instantiate,
     run,
-    step,
 )
-from contagion_control.cascade import run_via_steps
 
 from conftest import make_rng
+from step_chain import run_steps
 
 
 def pop_of(counts: dict, n=None) -> "NodePopulation":
@@ -31,57 +31,48 @@ def cycle3():
     return pop_of({(1, 1, 0): 1, (1, 1, 1): 2})
 
 
+def every_step(pop):
+    """Snapshot times that land on steps 0..m, one each."""
+    return [(k + 0.5) / pop.n for k in range(pop.m + 1)]
+
+
 class TestStep:
     def test_defaulted_target_only_advances_counters(self):
         # two initially defaulted 1-regular nodes: every reveal hits a dead node
         pop = pop_of({(1, 1, 0): 2})
-        state = ContagionState(pop, InterventionPolicy.none())
-        agg0 = state.aggregate()
-        step(state, make_rng(0))
-        assert state.k == 1
-        assert sum(state.l) == 1
-        assert state.defaults == 2
-        assert state.aggregate() == agg0
+        out = run(pop, InterventionPolicy.none(), make_rng(0), every_step(pop), trace=True)
+        assert out.trace == [(1, 2, 0, 1), (2, 2, 0, 0)]
+        assert all(agg == {} for agg in out.snapshots.values())
 
     def test_distance_two_target_moves_one_level(self):
-        # the only live node has two units of equity: first reveal cannot kill it
-        pop = pop_of({(2, 2, 0) : 1, (2, 2, 2): 1})
-        state = ContagionState(pop, InterventionPolicy.none())
-        while True:
-            state_before = dict(state.aggregate())
-            step(state, make_rng(state.k))
-            if state.l[1] == 1:
-                break
-            if state.done:
-                pytest.skip("cascade died on self-loops before touching the live node")
-        assert state.c[1] == 2 and not state.dead[1]
-        assert state.aggregate()[(2, 2, 2, 1)] == 1
-        assert state_before.get((2, 2, 2, 0), 0) == 1
+        # the only live node has two units of equity: its first loss cannot kill it
+        pop = pop_of({(2, 2, 0): 1, (2, 2, 2): 1})
+        touched = 0
+        for seed in range(10):
+            out = run(pop, InterventionPolicy.none(), make_rng(seed), every_step(pop))
+            aggs = [out.snapshots[t] for t in sorted(out.snapshots)]
+            hit = [k for k, agg in enumerate(aggs) if agg.get((2, 2, 2, 1))]
+            if hit:
+                touched += 1
+                assert aggs[hit[0]] == {(2, 2, 2, 1): 1}
+                assert aggs[hit[0] - 1] == {(2, 2, 2, 0): 1}
+        assert touched > 0
 
     def test_intervention_rescues_to_invulnerable(self):
         # c = i node at distance one: aid moves it to (i, j, i+1, i)
         pop = pop_of({(1, 1, 0): 1, (1, 1, 1): 2})
-        state = ContagionState(pop, InterventionPolicy.complete())
-        rng = make_rng(3)
-        while not state.done:
-            step(state, rng)
-        assert state.defaults == 1
-        rescued = state.aggregate().get((1, 1, 2, 1), 0)
-        assert rescued == state.interventions
-
-    def test_step_after_termination_errors(self):
-        pop = pop_of({(1, 1, 1): 2})
-        state = ContagionState(pop, InterventionPolicy.none())
-        assert state.done
-        with pytest.raises(ParameterError):
-            step(state, make_rng(0))
+        out = run(pop, InterventionPolicy.complete(), make_rng(3), snapshot_times=(10.0,))
+        assert out.defaults == 1
+        assert out.snapshots[10.0].get((1, 1, 2, 1), 0) == out.interventions
 
 
 class TestRun:
     def test_no_initial_defaults(self):
         pop = pop_of({(2, 2, 1): 4, (1, 1, 2): 2})
-        out = run(pop, InterventionPolicy.none(), make_rng(0))
+        rng = make_rng(0)
+        out = run(pop, InterventionPolicy.none(), rng)
         assert (out.T, out.interventions, out.defaults) == (0, 0, 0)
+        assert rng.random() == make_rng(0).random()  # no draw was made
 
     def test_cycle_mean(self, cycle3):
         # defaults = cycle length through the dead node; exact mean is 2
@@ -148,25 +139,95 @@ class TestInvariants:
     ])
     def test_stepwise_invariants(self, policy):
         pop = pop_of({(2, 2, 0): 2, (2, 2, 1): 3, (2, 2, 2): 3, (1, 1, 1): 4, (1, 1, 0): 2})
-        vulnerable0 = sum(1 for (i, _j, c) in pop.nodes if 0 < c <= i)
-        state = ContagionState(pop, policy)
-        rng = make_rng(11)
-        prev_defaults, prev_aid = state.defaults, 0
-        while not state.done:
-            step(state, rng)
-            agg = state.aggregate()
-            dead_vulnerable = sum(
-                1 for v, (i, _j, c0) in enumerate(pop.nodes)
-                if 0 < c0 <= i and state.dead[v]
-            )
-            assert sum(agg.values()) + dead_vulnerable == vulnerable0
-            assert state.hidden_out == state.hidden_out_recomputed()
-            assert sum(state.l) == state.k
-            assert state.defaults >= prev_defaults
-            assert state.interventions >= prev_aid
-            assert state.interventions <= state.k
-            prev_defaults, prev_aid = state.defaults, state.interventions
-        assert state.k <= pop.m
+        vulnerable = [(i, j) for (i, j, c) in pop.nodes if 0 < c <= i]
+        initial = sum(1 for (_i, _j, c) in pop.nodes if c == 0)
+        out_stubs0 = sum(j for (_i, j, c) in pop.nodes if c == 0)
+        out = run(pop, policy, make_rng(11), every_step(pop), trace=True)
+        aggs = [out.snapshots[t] for t in sorted(out.snapshots)]
+        prev_defaults, prev_aid = initial, 0
+        for k, defaults, aid, hidden in out.trace:
+            agg = aggs[k]
+            # vulnerable nodes are live or defaulted
+            assert sum(agg.values()) + defaults - initial == len(vulnerable)
+            # the hidden pool is the defaulted out-stubs minus the steps taken
+            live_out = sum(j * v for (_i, j, _c, _l), v in agg.items())
+            assert hidden == out_stubs0 + sum(j for (_i, j) in vulnerable) - live_out - k
+            # a live node's losses are below its cushion and sum to at most k
+            assert all(l < c for (_i, _j, c, l) in agg)
+            assert sum(l * v for (_i, _j, _c, l), v in agg.items()) <= k
+            assert defaults >= prev_defaults and aid >= prev_aid
+            assert aid <= k
+            prev_defaults, prev_aid = defaults, aid
+        assert out.T <= pop.m
+
+
+@st.composite
+def populations(draw):
+    """Small balanced populations with a defaulted class (mostly with out-links);
+    classes may repeat apart, be invulnerable (c > i) or have out-degree zero."""
+    seed = st.tuples(st.integers(0, 3), st.integers(0, 3), st.just(0), st.integers(1, 3))
+    other = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 4), st.integers(1, 4))
+    classes = draw(st.permutations([draw(seed), *draw(st.lists(other, max_size=5))]))
+    nodes = [(i, j, c) for i, j, c, count in classes for _ in range(count)]
+    gap = sum(i for i, _j, _c in nodes) - sum(j for _i, j, _c in nodes)
+    if gap:
+        nodes.append((max(-gap, 0), max(gap, 0), draw(st.integers(0, 3))))
+    return NodePopulation(nodes=tuple(nodes))
+
+
+@st.composite
+def policies(draw, pop):
+    """Any policy kind; table start times lie anywhere in [0, 1], often on a
+    grid of half steps, so that cuts fall both on and between steps."""
+    kind = draw(st.sampled_from(["none", "complete", "degree_range", "threshold_table"]))
+    if kind == "none":
+        return InterventionPolicy.none()
+    if kind == "complete":
+        return InterventionPolicy.complete()
+    if kind == "degree_range":
+        lo = draw(st.integers(0, 3))
+        return InterventionPolicy.degree_range(lo, draw(st.integers(lo, 4)))
+    keys = sorted({(i, j, c) for (i, j, _c) in pop.nodes for c in range(1, i + 1)})
+    pairs = sorted({(i, j) for (i, j, _c) in keys})
+    grid = 2 * max(pop.m, 1)
+    starts = st.one_of(st.floats(0.0, 1.0), st.integers(0, grid).map(lambda h: h / grid))
+    return InterventionPolicy.table(
+        draw(st.dictionaries(st.sampled_from(keys), starts) if keys else st.just({})),
+        draw(st.dictionaries(st.sampled_from(pairs), starts) if pairs else st.just({})),
+    )
+
+
+class TestOneRunner:
+    """`run` reproduces the per-step chain driven by an identically seeded generator."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_run_equals_the_step_chain(self, data):
+        pop = data.draw(populations())
+        policy = data.draw(policies(pop))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        times = [-1.0, *every_step(pop), 1e3]
+        rng_a, rng_b = make_rng(seed), make_rng(seed)
+        out = run(pop, policy, rng_a, times, trace=True)
+        assert out == run_steps(pop, policy, rng_b, times, trace=True)
+        assert rng_a.random() == rng_b.random()  # m <= 4096: the same blocks drawn
+        # terminal defaults plus live nodes, vulnerable or not, make up the population
+        invulnerable = sum(1 for (i, _j, c) in pop.nodes if c > i)
+        assert out.defaults + sum(out.snapshots[1e3].values()) + invulnerable == pop.n
+
+    @pytest.mark.parametrize("name", ["none", "complete", "alternative", "optimal"])
+    def test_across_draw_blocks(self, experiment_dist, name):
+        from contagion_control import empirical_counts
+        from contagion_control.experiments import normalize_policy_spec, simulation_policy
+
+        counts = empirical_counts(experiment_dist, 10_000)
+        pop = instantiate(counts)
+        assert pop.m > 4096 * 9
+        policy = simulation_policy(counts.to_distribution(), normalize_policy_spec(name), 0.5)
+        times = (0.0, 0.3, 1.0, 2.5, 100.0)
+        for seed in range(3):
+            out = run(pop, policy, make_rng(81, seed), times, trace=True)
+            assert out == run_steps(pop, policy, make_rng(81, seed), times, trace=True)
 
 
 class TestExactExpectation:
@@ -215,7 +276,7 @@ class TestExactExpectation:
 
     def test_step_runner_agrees_with_oracle(self, cycle3):
         rng = make_rng(123)
-        vals = [run_via_steps(cycle3, InterventionPolicy.none(), rng).defaults
+        vals = [run_steps(cycle3, InterventionPolicy.none(), rng).defaults
                 for _ in range(4000)]
         se = np.std(vals, ddof=1) / math.sqrt(len(vals))
         assert abs(np.mean(vals) - 2.0) < 3 * se + 1e-12

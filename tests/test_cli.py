@@ -176,6 +176,13 @@ QUAD = {"kind": "explicit", "entries": [[2, 2, 0, 0.2], [2, 2, 2, 0.8]]}
     ("fractional sizes", QUAD, ["study", {"sizes": [100.5, 200]}], None),
     ("fractional degree_range", QUAD, ["simulate", "--n", "50"],
      {"kind": "degree_range", "lo": 1.7, "hi": 2.2}),
+    # output paths that cannot be written; {tmp} is the test's directory
+    ("trace into a missing directory", QUAD,
+     ["simulate", "--n", "50", "--trace", "{tmp}/missing/trace.csv"], None),
+    ("solve output into a missing directory", QUAD,
+     ["solve", "--cost", "0.5", "--output", "{tmp}/missing/sol.json"], None),
+    ("study outdir under a regular file", QUAD, ["study", {}, "--outdir", "{tmp}/dist.json/out"],
+     None),
 ])
 def test_bad_input_is_a_one_line_config_error(case, distribution, extra, policy, tmp_path, capsys):
     dist = tmp_path / "dist.json"
@@ -185,11 +192,12 @@ def test_bad_input_is_a_one_line_config_error(case, distribution, extra, policy,
         cfg = tmp_path / "study.json"
         cfg.write_text(json.dumps({"distribution": distribution, "sizes": [50, 100], "runs": 2,
                                    "policies": ["none", "complete"], **extra[1]}))
-        argv = [extra[0], "--config", str(cfg), "--outdir", str(tmp_path / "out")]
+        argv = [extra[0], "--config", str(cfg), "--outdir", str(tmp_path / "out"), *extra[2:]]
     if policy is not None:
         pol = tmp_path / "policy.json"
         pol.write_text(json.dumps(policy))
         argv += ["--policy", str(pol)]
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     assert main(argv) == 2, case
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), (case, err)

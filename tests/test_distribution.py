@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from contagion_control import (
     ConstructionError,
@@ -136,6 +137,33 @@ class TestEmpiricalCounts:
     def test_n_validation(self, quadratic_dist):
         with pytest.raises(ParameterError):
             empirical_counts(quadratic_dist, 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        classes=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 5),
+                                   st.floats(0.01, 1.0)), min_size=1, max_size=6),
+        n=st.integers(1, 400),
+    )
+    def test_sums_to_n_and_balances_or_refuses(self, classes, n):
+        """Random balanced distributions: the counts sum to n with equal stub
+        totals, or the construction is refused with ConstructionError."""
+        weights = {}
+        for i, j, c, w in classes:
+            weights[(i, j, c)] = weights.get((i, j, c), 0.0) + w
+        gap = sum((i - j) * w for (i, j, _c), w in weights.items())
+        if gap:  # one in- or out-degree-one class evens the means
+            key = (0, 1, 0) if gap > 0 else (1, 0, 0)
+            weights[key] = weights.get(key, 0.0) + abs(gap)
+        total = sum(weights.values())
+        p = JointDistribution({key: w / total for key, w in weights.items()})
+        try:
+            counts = empirical_counts(p, n)
+        except ConstructionError:
+            return
+        assert sum(counts.counts.values()) == n
+        assert all(v > 0 for v in counts.counts.values())
+        m_in = sum(i * v for (i, _j, _c), v in counts.counts.items())
+        assert m_in == sum(j * v for (_i, j, _c), v in counts.counts.items())
 
 
 class TestTruncationIndex:

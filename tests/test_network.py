@@ -1,18 +1,19 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from scipy.stats import chi2
 
 from contagion_control import (
     EmpiricalCounts,
     EnumerationLimitError,
-    InStubPool,
     NodePopulation,
     ParameterError,
     enumerate_matchings,
     instantiate,
 )
+from contagion_control.cascade import _draw_order
 
 from conftest import make_rng
 
@@ -36,38 +37,35 @@ class TestInstantiate:
         assert instantiate(counts).nodes == instantiate(counts).nodes
 
 
+def owners_of(in_degrees):
+    """The node-ordered in-stub owners of nodes with these in-degrees."""
+    return np.repeat(np.arange(len(in_degrees), dtype=np.int32), in_degrees)
+
+
 class TestDrawInStub:
     def test_single_stub_certain(self):
-        pool = InStubPool([0, 1])  # node 1 has the only stub
-        assert pool.draw(make_rng(0)) == 1
-        assert pool.remaining == 0
+        order = _draw_order(owners_of([0, 1]), make_rng(0))  # node 1 has the only stub
+        assert order.tolist() == [1]
 
     def test_weighted_law(self):
-        # node 0 keeps 2 stubs, node 1 keeps 1: P(node 0) = 2/3
+        # the first target: node 0 owns 2 stubs, node 1 owns 1, so P(node 0) = 2/3
         rng = make_rng(5)
+        owners = owners_of([2, 1])
         hits = 0
         trials = 100_000
         for _ in range(trials):
-            pool = InStubPool([2, 1])
-            if pool.draw(rng) == 0:
+            if _draw_order(owners, rng)[0] == 0:
                 hits += 1
         p_hat = hits / trials
         se = math.sqrt((2 / 3) * (1 / 3) / trials)
         assert abs(p_hat - 2 / 3) < 3 * se
 
     def test_conservation(self):
-        pool = InStubPool([3, 2, 1])
-        rng = make_rng(1)
-        for k in range(6):
-            assert pool.remaining == 6 - k
-            pool.draw(rng)
-        assert pool.remaining == 0
-
-    def test_empty_pool_errors(self):
-        pool = InStubPool([1])
-        pool.draw(make_rng(2))
-        with pytest.raises(ParameterError):
-            pool.draw(make_rng(2))
+        # every in-stub is drawn exactly once
+        owners = owners_of([3, 2, 1])
+        order = _draw_order(owners, make_rng(1))
+        assert len(order) == 6
+        assert Counter(order.tolist()) == Counter(owners.tolist())
 
 
 class TestEnumerateMatchings:
@@ -112,15 +110,14 @@ class TestEnumerateMatchings:
 
 class TestSequentialEquivalence:
     def test_full_reveal_matches_uniform_matching(self):
-        """Revealing all links with uniform in-stub draws hits every bijection
-        equally often (chi-square over the 3! = 6 outcomes)."""
+        """The draw order of three one-stub nodes hits every bijection equally
+        often (chi-square over the 3! = 6 outcomes)."""
         rng = make_rng(17)
+        owners = owners_of([1, 1, 1])
         counts = Counter()
         trials = 60_000
         for _ in range(trials):
-            pool = InStubPool([1, 1, 1])
-            perm = tuple(pool.draw(rng) for _ in range(3))
-            counts[perm] += 1
+            counts[tuple(_draw_order(owners, rng).tolist())] += 1
         assert len(counts) == 6
         expected = trials / 6
         stat = sum((obs - expected) ** 2 / expected for obs in counts.values())
