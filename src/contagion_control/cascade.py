@@ -14,6 +14,15 @@ from default, is aided while the step has reached the cut of (i, j, r), and
 defaults at the first loss that is not (the reveal-order argument of Janson &
 Luczak 2007 and of Amini, Cont & Minca 2016).
 
+The draw order is the swap-remove of the per-step chain (index floor(u *
+remaining) over the node-ordered owner list, u from blocks of
+`rng.random(4096)`), replayed one 4096-step block at a time with array
+operations: a sort of the block's (position, step) keys gives each read the
+last earlier write to its position, and pointer doubling follows the writes
+that carried a swapped-out value back to the entry that held it before the
+block.  The order and the generator's state afterwards are the swap loop's;
+only one block's temporaries are held beyond the owner array.
+
 Time is step count k; scaled time is k/n.  Continuous-time clocks are not
 simulated: the embedded chain has the same law for everything the outcome
 depends on.
@@ -22,7 +31,6 @@ depends on.
 from __future__ import annotations
 
 import math
-from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -34,6 +42,7 @@ from .errors import EnumerationLimitError, ParameterError
 from .network import NodePopulation, enumerate_matchings
 
 _EXACT_MAX_M = 10
+_FAR = 1 << 62  # a draw-order key no position reaches
 
 Aggregate = dict[tuple[int, int, int, int], int]  # (i, j, c, l) -> node count
 
@@ -113,8 +122,9 @@ def _cutoffs(policy: InterventionPolicy, pop: NodePopulation) -> dict[tuple[int,
     A node is one loss from default only at cushions 1..i, so those are the
     only classes the chain ever looks up.
     """
+    keys, _counts = pop._classes
     cutoffs = {}
-    for i, j in {(i, j) for (i, j, _c) in set(pop.nodes)}:
+    for i, j in dict.fromkeys((i, j) for i, j, _c in keys.tolist()):
         for c in range(1, i + 1):
             start = policy.start(i, j, c)
             if start is not None:
@@ -144,16 +154,59 @@ def _draw_order(owners: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     Step k takes entry floor(u * (m - k)) of the m - k in-stubs left, with u
     from blocks of `rng.random(4096)`, and swaps it to the end of the live
     prefix, so the array ends as the draw order reversed.
+
+    Each block of b <= 4096 steps over the live prefix [0, start) is replayed
+    with array operations, not swap by swap.  Step t reads entry idx_t and
+    swaps it with the live end r_t = start - 1 - t, which no later step of the
+    block touches.  Sorting the block's (position, step) keys gives every read
+    the last earlier write to its position:
+
+    - the draw of step t is the value that write carried, else the entry
+      idx_t held before the block;
+    - the write of step t carries what stood at r_t: the value of the last
+      earlier write to r_t, else the entry r_t held before the block.  Each
+      such link points to an earlier step, so following the links (by pointer
+      doubling) ends at a pre-block entry.
+
+    The last write to each position below the block's tail is scattered back
+    and the draws fill the tail [start - b, start), reversed.  The block draws
+    the same uniforms and indices as the swap loop, so the order and the
+    generator's state afterwards are the same as the loop's.
     """
-    m = len(owners)
-    left = array("i", [0]) * m
-    np.frombuffer(left, dtype=np.int32)[:] = owners
-    for start in range(m, 0, -4096):
+    left = np.array(owners, dtype=np.int32)
+    for start in range(len(left), 0, -4096):
         stop = max(start - 4096, 0)
-        picks = (rng.random(4096)[: start - stop] * np.arange(start, stop, -1)).astype(np.intp)
-        for idx, last in zip(picks.tolist(), range(start - 1, stop - 1, -1)):
-            left[idx], left[last] = left[last], left[idx]
-    return np.frombuffer(left, dtype=np.int32)[::-1]
+        b = start - stop
+        idx = (rng.random(4096)[:b] * np.arange(start, stop, -1)).astype(np.intp)
+        # the writes as keys position << 12 | step, sorted, between two
+        # sentinels that share no position with any key
+        key = np.empty(b + 2, np.int64)
+        key[0] = key[-1] = _FAR
+        writes = key[1:-1]
+        np.left_shift(idx, 12, out=writes)
+        writes |= np.arange(b)
+        writes.sort()
+        pos, low = writes >> 12, key & 4095
+        step = low[1:-1]
+        paired = (key[:-1] ^ key[1:]) < 4096  # key k and key k + 1 share a position
+        # step t swaps position r_t, whose key (r_t, t) is ask[b - 1 - t];
+        # before that swap r_t held what the last earlier write to it carried,
+        # found as the key just below
+        ask = np.arange((stop << 12) + b - 1, ((start - 1) << 12) + 1, 4095)
+        below = writes.searchsorted(ask)
+        linked = (key[below] ^ ask) < 4096  # else no earlier write: step t itself
+        link = np.where(linked, low[below], np.arange(b - 1, -1, -1))[::-1]
+        # a chain has no more links than there are linked steps, so
+        # ceil(log2(links)) doublings take every step to its chain's end
+        for _ in range(max(int(np.count_nonzero(linked)) - 1, 0).bit_length()):
+            link = link[link]
+        carried = (start - 1) - link  # pre-block position of what step t's write carries
+        draw = left[np.where(paired[:-1], carried[low[:-2]], pos)]
+        if stop:  # the final block has nothing below its tail
+            last = ~paired[1:]
+            left[pos[last]] = left[carried[step[last]]]
+        left[stop:start][::-1][step] = draw
+    return left[::-1]
 
 
 def _first_passage(keys, cls, ins, eqs, order, cutoffs):

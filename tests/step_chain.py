@@ -1,4 +1,5 @@
-"""The per-step contagion chain, kept as the oracle that `cascade.run` must match.
+"""The per-step contagion chain and the in-stub swap loop, kept as the oracles
+that `cascade.run` and `cascade._draw_order` must match.
 
 Each step reveals one hidden out-link of the default set.  Its target owns the
 in-stub at index floor(u * remaining) of the node-ordered owner list, with u
@@ -6,12 +7,29 @@ from blocks of `rng.random(4096)`, and that stub is swap-removed.  A live
 target one loss from default is aided once the step has reached its class's
 cut (`cascade._cutoffs`), else it defaults and its out-links join the hidden
 pool.  From an identically seeded generator it gives `run`'s T, aid, defaults,
-snapshots and trace.
+snapshots and trace; `swap_order` gives `_draw_order`'s order and leaves the
+generator where it leaves it.
 """
 
 import math
+from array import array
+
+import numpy as np
 
 from contagion_control.cascade import RunOutcome, _cutoffs
+
+
+def swap_order(owners, rng):
+    """The draw order of `owners` (int32), one in-place swap per step."""
+    m = len(owners)
+    left = array("i", [0]) * m
+    np.frombuffer(left, dtype=np.int32)[:] = owners
+    for start in range(m, 0, -4096):
+        stop = max(start - 4096, 0)
+        picks = (rng.random(4096)[: start - stop] * np.arange(start, stop, -1)).astype(np.intp)
+        for idx, last in zip(picks.tolist(), range(start - 1, stop - 1, -1)):
+            left[idx], left[last] = left[last], left[idx]
+    return np.frombuffer(left, dtype=np.int32)[::-1]
 
 
 def run_steps(pop, policy, rng, snapshot_times=(), trace=False) -> RunOutcome:

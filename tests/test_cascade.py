@@ -15,6 +15,7 @@ from contagion_control import (
     instantiate,
     run,
 )
+from contagion_control.cascade import _cutoffs
 
 from conftest import make_rng
 from step_chain import run_steps
@@ -214,6 +215,20 @@ class TestOneRunner:
         # terminal defaults plus live nodes, vulnerable or not, make up the population
         invulnerable = sum(1 for (i, _j, c) in pop.nodes if c > i)
         assert out.defaults + sum(out.snapshots[1e3].values()) + invulnerable == pop.n
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_cutoffs_over_every_node(self, data):
+        # the class runs give the cuts that every node's own class gives
+        pop = data.draw(populations())
+        policy = data.draw(policies(pop))
+        every = {
+            (i, j, c): policy.start(i, j, c) * pop.m
+            for (i, j, _c0) in pop.nodes
+            for c in range(1, i + 1)
+            if policy.start(i, j, c) is not None
+        }
+        assert _cutoffs(policy, pop) == every
 
     @pytest.mark.parametrize("name", ["none", "complete", "alternative", "optimal"])
     def test_across_draw_blocks(self, experiment_dist, name):

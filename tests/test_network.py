@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import chi2
 
 from contagion_control import (
@@ -16,6 +18,7 @@ from contagion_control import (
 from contagion_control.cascade import _draw_order
 
 from conftest import make_rng
+from step_chain import swap_order
 
 
 class TestInstantiate:
@@ -66,6 +69,39 @@ class TestDrawInStub:
         order = _draw_order(owners, make_rng(1))
         assert len(order) == 6
         assert Counter(order.tolist()) == Counter(owners.tolist())
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        m=st.integers(1, 3 * 4096 + 17),
+        values=st.lists(st.integers(-2**31, 2**31 - 1), min_size=1, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(m=4095, values=[0, 1], seed=0)
+    @example(m=4096, values=[7], seed=1)
+    @example(m=4097, values=[-3, 5, 5], seed=2)
+    @example(m=8192, values=[0, 2**31 - 1, -2**31], seed=3)
+    @example(m=8193, values=[1, 2, 3, 4], seed=4)
+    def test_equals_the_swap_loop(self, m, values, seed):
+        # int32 owners with repeats, over one to four draw blocks
+        owners = make_rng(seed).choice(np.array(values, np.int32), m)
+        rng_a, rng_b = make_rng(seed, 1), make_rng(seed, 1)
+        order = _draw_order(owners, rng_a)
+        assert order.dtype == np.int32
+        assert np.array_equal(order, swap_order(owners, rng_b))
+        assert rng_a.random() == rng_b.random()
+
+    def test_memory_stays_one_block_deep(self):
+        # the blocks are replayed one at a time: beyond the copy of the owners,
+        # a draw order of m = 380375 holds only one block's temporaries
+        owners = np.arange(380375, dtype=np.int32) % 100_000
+        rng = make_rng(3)
+        tracemalloc.start()
+        try:
+            _draw_order(owners, rng)
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= owners.nbytes + 2**20
 
 
 class TestEnumerateMatchings:
