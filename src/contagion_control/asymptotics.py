@@ -345,7 +345,8 @@ def singular_rows(i, j, c, cost: float, v, singular_j: int | None):
     A class is singular when c = i and its aid coefficient vanishes,
     |j v - 1 + cost| <= 1e-12, or when its out-degree is `singular_j` (stage B
     pins v = (1 - cost) / j, where the rounded coefficient may miss zero).
-    Arguments broadcast elementwise.
+    Arguments broadcast elementwise, `singular_j` too (a per-point array in
+    stage B's batch); None or NaN marks no singular out-degree.
     """
     sing = np.abs(j * v - 1.0 + cost) <= _SINGULAR_TOL
     if singular_j is not None:
@@ -502,7 +503,7 @@ class _ClassPack:
 
     def residuals(self, cost: float, y: np.ndarray, v, z,
                   singular_j: int | None) -> tuple[np.ndarray, np.ndarray]:
-        """Both residuals at the points y; v and z are floats or arrays like y."""
+        """Both residuals at the points y; v, z and singular_j are numbers or arrays like y."""
         tail_x, ham_x = self.x_sums(self.starts(cost, v, y, z, singular_j))
         ham = self.hamiltonian(cost, v, y, ham_x)
         return (1.0 - y) * (ham - self.lam * v), self._flow(tail_x) - y
@@ -632,13 +633,17 @@ def program_residuals(
     """((1-y)(H - lam v), controlled outflow - y): the two program equations.
 
     The solver's only evaluation of both equations.  Takes scalar or array
-    inputs: y, v and z are floats or equal-length 1-D arrays (a float
-    broadcasts against arrays).  Floats give a pair of floats, arrays a pair
-    of arrays, evaluated in chunks of _RESIDUAL_BATCH points.
+    inputs: y, v, z and `singular_j` are numbers (None for no singular
+    out-degree) or equal-length 1-D arrays (a number broadcasts against
+    arrays), so each point can carry its own singular out-degree.  Numbers
+    give a pair of floats, arrays a pair of arrays, evaluated in chunks of
+    _RESIDUAL_BATCH points.
     """
     pk = _pack(p)
+    # NaN matches no out-degree: the None of `singular_rows` as a number to chunk
+    sj = np.nan if singular_j is None else singular_j
     return _over_points(
-        lambda y, v, z: pk.residuals(cost, y, v, z, singular_j), y, v, z)
+        lambda y, v, z, sj: pk.residuals(cost, y, v, z, sj), y, v, z, sj)
 
 
 # ---------------------------------------------------------------------------

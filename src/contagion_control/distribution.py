@@ -31,6 +31,9 @@ _BALANCE_TOL = 1e-12
 _MASS_SLACK = 1e-9
 # Standard-normal mass beyond +-8.5 is ~1e-17; quantile rectangles are clipped there.
 _NORMAL_CLIP = 8.5
+# The copula's quadrature grid has about (12 max_deg)^2 points: at 200 a build
+# takes about half a second and 170 MB, and the grid grows with the square.
+MAX_COPULA_DEGREE = 200
 
 
 @dataclass(frozen=True)
@@ -183,7 +186,8 @@ def build_zipf_copula(
     1..max_deg.  The remaining liquid mass gets a joint (degree, equity) law on
     {1..max_deg}^2 from a Gaussian copula with correlation rho over two Zipf
     marginals with exponents a1 (degree) and a2 (equity).  Equity above the
-    degree is retained as invulnerable mass.
+    degree is retained as invulnerable mass.  max_deg is capped at
+    MAX_COPULA_DEGREE (200), checked before anything is allocated.
     """
     if not 0.0 <= xi < 1.0:
         raise ParameterError(f"initial default fraction must be in [0, 1), got {xi}")
@@ -191,8 +195,10 @@ def build_zipf_copula(
         raise ParameterError(f"Zipf exponents must be positive and finite, got ({a1}, {a2})")
     if not -1.0 < rho < 1.0:
         raise ParameterError(f"correlation must lie in (-1, 1), got {rho}")
-    if max_deg < 1:
-        raise ParameterError(f"max degree must be >= 1, got {max_deg}")
+    if not 1 <= max_deg <= MAX_COPULA_DEGREE:
+        raise ParameterError(
+            f"max degree must be in [1, {MAX_COPULA_DEGREE}] (the copula grid grows "
+            f"with its square), got {max_deg}")
 
     cells = gaussian_copula_cells(zipf_weights(a1, max_deg), zipf_weights(a2, max_deg), rho)
     entries: dict[ClassKey, float] = {}
@@ -334,6 +340,7 @@ def distribution_from_spec(spec: dict) -> JointDistribution:
     Schemas:
       {"kind": "zipf_copula", "xi":, "a1":, "a2":, "rho":, "max_deg":}
       {"kind": "explicit", "entries": [[i, j, c, mass], ...]}
+    A zipf_copula max_deg above MAX_COPULA_DEGREE (200) is a ParameterError.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ParameterError("distribution spec must be an object with a 'kind' field")

@@ -8,11 +8,14 @@ start times x(y, v) pinned by the three-branch formula and 0 <= z <= y <= 1.
 Solving is staged: stage A sets z = y (no singular class) and solves for
 (y, v); stage B fixes v = (1 - cost) / j for every out-degree j in the support,
 making that degree's cushion-equals-in-degree class singular, and solves for
-(y, z).  The reported solution is the feasible candidate with the smallest
-objective; boundary candidates y = 0 (nothing to reveal) and y = 1 (everything
-burns) join the comparison when feasible.  Every candidate passes one builder,
-`_candidates`, and is stable by `asymptotics.is_stable`; the singular classes,
-in the equations and in `extract_policy`, are `asymptotics.singular_rows`.
+(y, z).  Each stage is one lockstep Newton batch (`_lockstep_newton`): stage
+B's starts of every out-degree run together, each point carrying its own v
+and singular out-degree into `program_residuals`.  The reported solution is
+the feasible candidate with the smallest objective; boundary candidates y = 0
+(nothing to reveal) and y = 1 (everything burns) join the comparison when
+feasible.  Every candidate passes one builder, `_candidates`, and is stable by
+`asymptotics.is_stable`; the singular classes, in the equations and in
+`extract_policy`, are `asymptotics.singular_rows`.
 """
 
 from __future__ import annotations
@@ -103,10 +106,14 @@ def _solve_2x2(a, b, c, d, r0, r1):
 def _lockstep_newton(fun, starts, max_iter=80, tol=1e-12):
     """Damped Newton from every start at once; (S, 2) roots, NaN where a start fails.
 
-    `fun(a, b)` evaluates both residuals at equal-length arrays of points.
-    Each start follows the scalar rules: stop below `tol`; central-difference
-    Jacobian with h = 1e-6 * max(1, |x|); full step, else the first of 44
-    halvings that strictly lowers the max-norm; a start that cannot improve
+    `fun(a, b, k)` evaluates both residuals at equal-length arrays of points;
+    k holds the index in `starts` of each point's start, so per-start
+    constants (stage B's pinned v and singular out-degree) come along with
+    the points, and stage A ignores it.  Starts never mix, so a start's path
+    does not depend on the others in the batch.  Each start follows the
+    scalar rules: stop below `tol`; central-difference Jacobian with h = 1e-6
+    * max(1, |x|); full step, else the first of 44 halvings that strictly
+    lowers the max-norm; a start that cannot improve
     (or whose step is singular or non-finite) ends there, as a root only if
     its norm is below 1e-9, as after `max_iter` iterations.  The residual
     pieces are smooth between start-time branch switches but only continuous
@@ -114,12 +121,12 @@ def _lockstep_newton(fun, starts, max_iter=80, tol=1e-12):
     One iteration makes one batched call for all Jacobian points, one for all
     full steps and, when some full step fails, one for all their halvings.
     """
-    def residuals(pts):
-        r0, r1 = fun(pts[:, 0], pts[:, 1])
+    def residuals(pts, k):
+        r0, r1 = fun(pts[:, 0], pts[:, 1], k)
         return np.stack([r0, r1], axis=1)
 
     x = np.array(starts, dtype=float)
-    f = residuals(x)
+    f = residuals(x, np.arange(len(x)))
     roots = np.full_like(x, np.nan)
     active = np.flatnonzero(np.isfinite(f).all(axis=1))
     halvings = 0.5 ** np.arange(1, 45)
@@ -144,7 +151,7 @@ def _lockstep_newton(fun, starts, max_iter=80, tol=1e-12):
         pts[1, :, 0] -= h[:, 0]
         pts[2, :, 1] += h[:, 1]
         pts[3, :, 1] -= h[:, 1]
-        fp = residuals(pts.reshape(4 * n, 2)).reshape(4, n, 2)
+        fp = residuals(pts.reshape(4 * n, 2), np.tile(active, 4)).reshape(4, n, 2)
         d0 = (fp[0] - fp[1]) / (2.0 * h[:, :1])
         d1 = (fp[2] - fp[3]) / (2.0 * h[:, 1:])
         dx = np.stack(_solve_2x2(d0[:, 0], d1[:, 0], d0[:, 1], d1[:, 1],
@@ -154,14 +161,14 @@ def _lockstep_newton(fun, starts, max_iter=80, tol=1e-12):
         if not active.size:
             break
         xn = xa + dx
-        fn = residuals(xn)
+        fn = residuals(xn, active)
         better = np.isfinite(fn).all(axis=1) & (np.abs(fn).max(axis=1) < norm)
         x[active[better]], f[active[better]] = xn[better], fn[better]
         miss = ~better
         if miss.any():
             sub, norm_sub = active[miss], norm[miss]
             xs = xa[miss][:, None, :] + halvings[None, :, None] * dx[miss][:, None, :]
-            fs = residuals(xs.reshape(-1, 2)).reshape(xs.shape)
+            fs = residuals(xs.reshape(-1, 2), np.repeat(sub, len(halvings))).reshape(xs.shape)
             good = np.isfinite(fs).all(axis=2) & (np.abs(fs).max(axis=2) < norm_sub[:, None])
             found = good.any(axis=1)
             k = good.argmax(axis=1)[found]
@@ -210,21 +217,37 @@ def _root_candidates(p, cost, roots, branch, singular_j=None) -> list[OPSolution
 def solve_stage_a(p: JointDistribution, cost: float) -> list[OPSolution]:
     """Roots of the two terminal equations with z = y, from a grid of starts."""
     _check_cost(cost)
-    roots = _lockstep_newton(lambda y, v: program_residuals(p, cost, y, v, y), _STAGE_A_STARTS)
+    roots = _lockstep_newton(lambda y, v, _k: program_residuals(p, cost, y, v, y),
+                             _STAGE_A_STARTS)
     return _root_candidates(p, cost, roots[:, [0, 1, 0]], "stage_a")
 
 
-def solve_stage_b(p: JointDistribution, cost: float, j: int) -> list[OPSolution]:
-    """Roots with v pinned to (1 - cost) / j, unknowns (y, z), same equations."""
+def solve_stage_b(p: JointDistribution, cost: float, j: int | None = None) -> list[OPSolution]:
+    """Roots with v pinned to (1 - cost) / j, unknowns (y, z), same equations.
+
+    `j = None` takes every out-degree j > 0 of the support, an int j that
+    one.  The 15 starts of every out-degree run as one lockstep batch, each
+    carrying its own v and singular out-degree; the roots split back by
+    out-degree, and the candidates come in ascending j, as one call per
+    out-degree would give them.
+    """
     _check_cost(cost)
-    if j <= 0:
-        raise ParameterError(f"singular out-degree must be positive, got {j}")
-    if j not in {jj for (_i, jj, _c) in p.entries}:
-        raise ParameterError(f"out-degree {j} not in the support")
-    v = (1.0 - cost) / j
-    roots = _lockstep_newton(lambda y, z: program_residuals(p, cost, y, v, z, j),
-                             _STAGE_B_STARTS)
-    return _root_candidates(p, cost, np.insert(roots, 1, v, axis=1), f"stage_b:j={j}", j)
+    support = sorted({jj for (_i, jj, _c) in p.entries if jj > 0})
+    if j is not None:
+        if j <= 0:
+            raise ParameterError(f"singular out-degree must be positive, got {j}")
+        if j not in support:
+            raise ParameterError(f"out-degree {j} not in the support")
+        support = [j]
+    if not support:
+        return []
+    sj = np.repeat(support, len(_STAGE_B_STARTS))
+    v = (1.0 - cost) / sj
+    roots = _lockstep_newton(lambda y, z, k: program_residuals(p, cost, y, v[k], z, sj[k]),
+                             _STAGE_B_STARTS * len(support))
+    per_j = np.split(np.insert(roots, 1, v, axis=1), len(support))
+    return [sol for jj, r in zip(support, per_j)
+            for sol in _root_candidates(p, cost, r, f"stage_b:j={jj}", jj)]
 
 
 def _solve_multiplier_at(p, cost, y, v_lo=-8.0, v_hi=8.0, grid=400):
@@ -282,9 +305,7 @@ def solve_op(p: JointDistribution, cost: float) -> OPSolution:
     warning notes that the asymptotic guarantees do not apply.
     """
     _check_cost(cost)
-    candidates = list(solve_stage_a(p, cost))
-    for j in sorted({j for (_i, j, _c) in p.entries if j > 0}):
-        candidates.extend(solve_stage_b(p, cost, j))
+    candidates = solve_stage_a(p, cost) + solve_stage_b(p, cost)
     candidates.extend(_boundary_candidates(p, cost))
     if not candidates:
         raise ConstructionError("no feasible candidate found for the program")

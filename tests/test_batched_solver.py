@@ -4,12 +4,17 @@ The lockstep Newton, the array residuals and the blocked fixed-point scan
 must reproduce what one-point-at-a-time code finds.  The references below are
 the scalar forms: a damped Newton run per start, scalar residual calls, the
 class-by-class limits of `scalar_limits`, and a point-by-point grid scan.
+Stage B's one batch over all out-degrees must give exactly the candidates of
+one call per out-degree.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contagion_control import JointDistribution, default_outflow, smallest_fixed_point
 from contagion_control.asymptotics import program_residuals
@@ -17,6 +22,7 @@ from contagion_control import optimizer as opt
 
 import scalar_limits as scalar
 from conftest import make_rng
+from test_class_pack import _out_degrees, distributions
 
 SINK = {(2, 0, 1): 0.3, (0, 2, 0): 0.3, (1, 1, 1): 0.4}
 NO_INITIAL_DEFAULTS = {(2, 2, 2): 0.7, (1, 1, 1): 0.3}
@@ -122,6 +128,15 @@ def _dist(name, request):
     return request.getfixturevalue(name)
 
 
+def _assert_stage_b_batch_is_the_concatenation(p, cost):
+    batch = opt.solve_stage_b(p, cost)
+    one_by_one = [sol for j in _out_degrees(p) for sol in opt.solve_stage_b(p, cost, j)]
+    assert len(batch) == len(one_by_one)
+    for a, b in zip(batch, one_by_one):
+        for field in dataclasses.fields(opt.OPSolution):
+            assert repr(getattr(a, field.name)) == repr(getattr(b, field.name)), field.name
+
+
 def _assert_same_candidates(got, want, fields):
     assert len(got) == len(want)
     for a, b in zip(got, want):
@@ -140,7 +155,7 @@ def test_lockstep_candidates_match_scalar_newton(name, cost, request):
                             opt._root_candidates(p, cost, ref_a[:, [0, 1, 0]], "stage_a"),
                             fields)
 
-    for j in sorted({j for (_i, j, _c) in p.entries if j > 0}):
+    for j in _out_degrees(p):
         v = (1.0 - cost) / j
         ref_b = _scalar_roots(
             lambda x: program_residuals(p, cost, x[0], v, x[1], j), opt._STAGE_B_STARTS)
@@ -148,6 +163,47 @@ def test_lockstep_candidates_match_scalar_newton(name, cost, request):
             opt.solve_stage_b(p, cost, j),
             opt._root_candidates(p, cost, np.insert(ref_b, 1, v, axis=1), f"stage_b:j={j}", j),
             fields)
+
+
+@pytest.mark.parametrize("name,cost", OPTIMIZER_CASES)
+def test_stage_b_batch_equals_per_out_degree_calls(name, cost, request, monkeypatch):
+    roots = []
+    newton = opt._lockstep_newton
+
+    def recording(fun, starts):
+        roots.append(newton(fun, starts))
+        return roots[-1]
+
+    monkeypatch.setattr(opt, "_lockstep_newton", recording)
+    _assert_stage_b_batch_is_the_concatenation(_dist(name, request), cost)
+    # every start ends where its own out-degree's batch leaves it, kept as a candidate or not
+    batch, *one_by_one = roots
+    assert np.array_equal(batch, np.concatenate(one_by_one), equal_nan=True)
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=distributions(), cost=st.floats(0.05, 3.0))
+def test_stage_b_batch_equals_per_out_degree_calls_on_drawn_distributions(p, cost):
+    _assert_stage_b_batch_is_the_concatenation(p, cost)
+
+
+def test_per_point_singular_out_degrees_equal_scalar_calls(experiment_dist):
+    rng = make_rng(79)
+    count, cost = 700, 0.5  # more than one evaluation batch
+    y = rng.uniform(0.0, 1.0, count)
+    z = y * rng.uniform(0.0, 1.0, count)
+    sj = rng.integers(1, 11, count)
+    # stage B's points: v on the singular plane of the point's own out-degree,
+    # and a few off every plane
+    v = (1.0 - cost) / sj
+    v[:50] = rng.uniform(-3.0, 3.0, 50)
+    r1, r2 = program_residuals(experiment_dist, cost, y, v, z, sj)
+    assert r1.shape == r2.shape == (count,)
+    for k in range(count):
+        s1, s2 = program_residuals(experiment_dist, cost, y[k], v[k], z[k], int(sj[k]))
+        assert abs(r1[k] - s1) <= 1e-13 and abs(r2[k] - s2) <= 1e-13
+    f1, f2 = program_residuals(experiment_dist, cost, y, v, z, sj.astype(float))
+    assert r1.tobytes() == f1.tobytes() and r2.tobytes() == f2.tobytes()
 
 
 @pytest.mark.parametrize("singular_j", [None, 1, 4, 10])

@@ -183,6 +183,7 @@ QUAD = {"kind": "explicit", "entries": [[2, 2, 0, 0.2], [2, 2, 2, 0.8]]}
      ["solve", "--cost", "0.5", "--output", "{tmp}/missing/sol.json"], None),
     ("study outdir under a regular file", QUAD, ["study", {}, "--outdir", "{tmp}/dist.json/out"],
      None),
+    ("max_deg above the cap", {**ZIPF, "max_deg": 201}, ["solve", "--cost", "0.5"], None),
 ])
 def test_bad_input_is_a_one_line_config_error(case, distribution, extra, policy, tmp_path, capsys):
     dist = tmp_path / "dist.json"

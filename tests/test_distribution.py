@@ -12,7 +12,7 @@ from contagion_control import (
     empirical_counts,
     truncation_index,
 )
-from contagion_control.distribution import sample_zipf_copula, zipf_weights
+from contagion_control.distribution import MAX_COPULA_DEGREE, sample_zipf_copula, zipf_weights
 
 from conftest import make_rng
 
@@ -54,6 +54,8 @@ class TestBuildZipfCopula:
         [
             dict(xi=1.0), dict(xi=-0.1), dict(a1=0.0), dict(a2=-1.0),
             dict(rho=1.0), dict(rho=-1.0), dict(max_deg=0),
+            # just above the cap: refused before the copula grid is allocated
+            dict(max_deg=MAX_COPULA_DEGREE + 1),
         ],
     )
     def test_parameter_validation(self, kwargs):

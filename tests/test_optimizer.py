@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contagion_control import (
     InterventionPolicy,
@@ -23,6 +26,7 @@ from contagion_control.asymptotics import forced_policy_limits
 from contagion_control.optimizer import OPSolution
 
 from conftest import make_rng
+from test_class_pack import distributions
 
 
 def no_aid_objective(p):
@@ -30,9 +34,15 @@ def no_aid_objective(p):
     return default_fraction(p, y)
 
 
-def full_aid_objective(p, cost):
-    _y, _stable, defaults, aid = forced_policy_limits(p, InterventionPolicy.complete())
+def forced_objective(p, cost, policy):
+    _y, _stable, defaults, aid = forced_policy_limits(p, policy)
     return cost * aid + defaults
+
+
+def quiet_solve(p, cost):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # unstable minimizers are fine here
+        return solve_op(p, cost)
 
 
 class TestStageA:
@@ -118,10 +128,17 @@ class TestSolveOp:
             sol = solve_op(p, cost)
             assert max(abs(r) for r in sol.residuals) < 1e-9
             assert sol.objective <= no_aid_objective(p) + 1e-9
-            assert sol.objective <= full_aid_objective(p, cost) + 1e-9
+            assert sol.objective <= forced_objective(p, cost, InterventionPolicy.complete()) + 1e-9
             assert sol.objective == pytest.approx(
                 cost * sol.interventions + sol.defaults, abs=1e-12
             )
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=distributions(), cost=st.floats(0.05, 3.0))
+    def test_no_worse_than_no_aid_or_full_aid_on_drawn_distributions(self, p, cost):
+        fixed = min(forced_objective(p, cost, policy)
+                    for policy in (InterventionPolicy.none(), InterventionPolicy.complete()))
+        assert quiet_solve(p, cost).objective <= fixed + 1e-9
 
     def test_total_default_boundary(self, one_regular_dist):
         sol = solve_op(one_regular_dist, 50.0)
@@ -175,6 +192,15 @@ class TestExtractPolicy:
                 if not ((i, j) in policy.singular and c == i)
             ]
             assert all(a >= b - 1e-12 for a, b in zip(xs, xs[1:]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=distributions(), cost=st.floats(0.05, 3.0))
+    def test_starts_do_not_rise_with_the_cushion_on_drawn_distributions(self, p, cost):
+        policy = extract_policy(quiet_solve(p, cost), p, cost)
+        for i, j in p.vulnerable_pairs():
+            starts = [policy.start(i, j, c) for c in range(1, i + 1)]
+            starts = [math.inf if x is None else x for x in starts]  # None: never aided
+            assert all(later <= x for x, later in zip(starts, starts[1:])), (i, j, starts)
 
 
 class TestPrediction:
