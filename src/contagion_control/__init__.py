@@ -27,7 +27,6 @@ from .distribution import (
     build_zipf_copula,
     distribution_from_spec,
     empirical_counts,
-    truncation_index,
 )
 from .errors import (
     ConstructionError,
@@ -77,7 +76,7 @@ __version__ = "0.1.0"
 __all__ = [
     "InterventionPolicy", "RunOutcome", "exact_expectation", "run",
     "EmpiricalCounts", "JointDistribution", "build_zipf_copula", "distribution_from_spec",
-    "empirical_counts", "truncation_index",
+    "empirical_counts",
     "ConstructionError", "ContagionControlError", "EnumerationLimitError", "ParameterError",
     "Trajectory", "controlled_limits", "default_fraction", "default_fraction_controlled",
     "default_outflow", "default_outflow_controlled", "forced_policy_limits", "integrate_rk4",

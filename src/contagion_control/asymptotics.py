@@ -233,19 +233,6 @@ def integrate_rk4(
     return Trajectory(tau=tau, lam=lam, s={key: float(vec[idx[key]]) for key in states})
 
 
-def default_fraction_at(traj: Trajectory, p: JointDistribution) -> float:
-    """Scaled defaulted count implied by the trajectory."""
-    vulnerable = sum(m for (i, _j, c), m in p.entries.items() if c <= i)
-    return vulnerable - sum(traj.s.values())
-
-
-def hidden_pool_scaled(traj: Trajectory, p: JointDistribution) -> float:
-    """Scaled unrevealed out-links of the default set; termination is its first zero."""
-    total = sum(j * m for (i, j, c), m in p.entries.items() if c <= i)
-    live = sum(j * v for (i, j, _c, _l), v in traj.s.items())
-    return total - live - traj.tau
-
-
 # ---------------------------------------------------------------------------
 # fixed points
 # ---------------------------------------------------------------------------

@@ -35,10 +35,14 @@ import numpy as np
 
 
 def _load_json(path: str) -> dict:
+    """The JSON object in a file; every file the CLI reads holds one."""
     try:
-        return json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ParameterError(f"cannot read JSON from {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParameterError(f"{path} must hold a JSON object, not {type(doc).__name__}")
+    return doc
 
 
 def _cmd_solve(args) -> int:

@@ -21,7 +21,7 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtri
 
 from .errors import ConstructionError, ParameterError
 
@@ -211,33 +211,6 @@ def build_zipf_copula(
     return JointDistribution(entries)
 
 
-def sample_zipf_copula(
-    xi: float, a1: float, a2: float, rho: float, max_deg: int, size: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo draws of (degree, equity) from the same construction.
-
-    Sampling route (normal draws mapped through the marginal quantiles), kept
-    independent of the quadrature in gaussian_copula_cells so the two can
-    cross-check each other.
-    """
-    defaults = rng.random(size) < xi
-    deg = np.empty(size, dtype=int)
-    eq = np.zeros(size, dtype=int)
-    n_def = int(defaults.sum())
-    deg[defaults] = rng.integers(1, max_deg + 1, size=n_def)
-    n_liq = size - n_def
-    cov = [[1.0, rho], [rho, 1.0]]
-    zz = rng.multivariate_normal([0.0, 0.0], cov, size=n_liq)
-    u, v = ndtr(zz[:, 0]), ndtr(zz[:, 1])
-    cum1 = np.cumsum(zipf_weights(a1, max_deg))
-    cum2 = np.cumsum(zipf_weights(a2, max_deg))
-    deg[~defaults] = np.searchsorted(cum1, u, side="right") + 1
-    eq[~defaults] = np.searchsorted(cum2, v, side="right") + 1
-    np.clip(deg, 1, max_deg, out=deg)
-    np.clip(eq, 0, max_deg, out=eq)
-    return deg, eq
-
-
 def empirical_counts(p: JointDistribution, n: int) -> EmpiricalCounts:
     """Round n*p to integer node counts, repaired so the counts sum to n.
 
@@ -306,18 +279,6 @@ def _rebalance_stubs(counts: dict[ClassKey, int], imbalance: int) -> dict[ClassK
     raise ConstructionError(
         f"cannot balance stub totals: residual in-out deficit of {imbalance} stubs"
     )
-
-
-def truncation_index(p: JointDistribution, eps: float) -> int:
-    """Smallest M with both degree-weighted tail masses over {max(i,j) >= M} below eps."""
-    if eps <= 0:
-        raise ParameterError(f"tolerance must be positive, got {eps}")
-    for m_cut in range(0, p.max_degree + 2):
-        tail_i = sum(i * m for (i, j, _c), m in p.entries.items() if max(i, j) >= m_cut)
-        tail_j = sum(j * m for (i, j, _c), m in p.entries.items() if max(i, j) >= m_cut)
-        if tail_i < eps and tail_j < eps:
-            return m_cut
-    return p.max_degree + 1
 
 
 def parse_int(value, what: str) -> int:

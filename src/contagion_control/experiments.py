@@ -120,6 +120,8 @@ class StudyConfig:
     outdir: Path | None = None
 
     def __post_init__(self):
+        if not self.sizes:
+            raise ParameterError("sizes must not be empty")
         if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
             raise ParameterError("sizes must be strictly increasing")
         if self.runs < 2:

@@ -6,16 +6,20 @@ fixed-point equation "controlled outflow at y equals y", with the per-class
 start times x(y, v) pinned by the three-branch formula and 0 <= z <= y <= 1.
 
 Solving is staged: stage A sets z = y (no singular class) and solves for
-(y, v); stage B fixes v = (1 - cost) / j for every out-degree j in the support,
-making that degree's cushion-equals-in-degree class singular, and solves for
-(y, z).  Each stage is one lockstep Newton batch (`_lockstep_newton`): stage
-B's starts of every out-degree run together, each point carrying its own v
-and singular out-degree into `program_residuals`.  The reported solution is
-the feasible candidate with the smallest objective; boundary candidates y = 0
-(nothing to reveal) and y = 1 (everything burns) join the comparison when
-feasible.  Every candidate passes one builder, `_candidates`, and is stable by
-`asymptotics.is_stable`; the singular classes, in the equations and in
-`extract_policy`, are `asymptotics.singular_rows`.
+(y, v) by one lockstep Newton batch (`_lockstep_newton`).  Stage B fixes v =
+(1 - cost) / j for every out-degree j in the support, making that degree's
+cushion-equals-in-degree class singular with free start z.  The singular
+classes have c = i, where tail(i - 1, x, i) = 0 whatever their start x, so
+H(y, v) does not involve z: stationarity fixes y alone, and the outflow
+equation, which involves z only through the singular classes' z^i terms,
+rises with z.  Stage B is therefore a scan for y and then a monotone solve for
+z in [0, y], both by `_scan_roots` over every out-degree at once.  The
+reported solution is the feasible candidate with the smallest objective;
+boundary candidates y = 0 (nothing to reveal) and y = 1 (everything burns)
+join the comparison when feasible.  Every candidate passes one builder,
+`_candidates`, and is stable by `asymptotics.is_stable`; the singular
+classes, in the equations and in `extract_policy`, are
+`asymptotics.singular_rows`.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .asymptotics import (
     program_residuals,
     singular_rows,
     smallest_fixed_point,
-    terminal_hamiltonian,  # noqa: F401  (re-exported: looked up as optimizer.terminal_hamiltonian)
+    terminal_hamiltonian,
 )
 from .cascade import InterventionPolicy
 from .distribution import JointDistribution
@@ -47,10 +51,12 @@ _DEDUP_TOL = 1e-8
 
 _STAGE_A_Y_STARTS = [round(0.05 + 0.1 * k, 2) for k in range(10)]
 _STAGE_A_V_STARTS = [0.0, 1e-3, -1e-3, 1e-2, -1e-2, 0.1, -0.1, 0.3, -0.3, 1.0, -1.0, 3.0, -3.0]
+# stage B's former Newton grid, 5 end fractions x 3 shares of y for z per
+# out-degree: the benchmark self-test checks the tracer's start count against
+# it, and the tests run it as the scalar Newton reference of `solve_stage_b`
 _STAGE_B_Y_STARTS = [0.1, 0.3, 0.5, 0.7, 0.9]
 _STAGE_B_Z_SHARES = [0.05, 0.5, 0.95]
 _STAGE_A_STARTS = [(y0, v0) for y0 in _STAGE_A_Y_STARTS for v0 in _STAGE_A_V_STARTS]
-_STAGE_B_STARTS = [(y0, share * y0) for y0 in _STAGE_B_Y_STARTS for share in _STAGE_B_Z_SHARES]
 
 
 @dataclass(frozen=True)
@@ -106,11 +112,9 @@ def _solve_2x2(a, b, c, d, r0, r1):
 def _lockstep_newton(fun, starts, max_iter=80, tol=1e-12):
     """Damped Newton from every start at once; (S, 2) roots, NaN where a start fails.
 
-    `fun(a, b, k)` evaluates both residuals at equal-length arrays of points;
-    k holds the index in `starts` of each point's start, so per-start
-    constants (stage B's pinned v and singular out-degree) come along with
-    the points, and stage A ignores it.  Starts never mix, so a start's path
-    does not depend on the others in the batch.  Each start follows the
+    `fun(a, b)` evaluates both residuals at equal-length arrays of points
+    (stage A's (y, v)).  Starts never mix, so a start's path does not depend
+    on the others in the batch.  Each start follows the
     scalar rules: stop below `tol`; central-difference Jacobian with h = 1e-6
     * max(1, |x|); full step, else the first of 44 halvings that strictly
     lowers the max-norm; a start that cannot improve
@@ -121,12 +125,12 @@ def _lockstep_newton(fun, starts, max_iter=80, tol=1e-12):
     One iteration makes one batched call for all Jacobian points, one for all
     full steps and, when some full step fails, one for all their halvings.
     """
-    def residuals(pts, k):
-        r0, r1 = fun(pts[:, 0], pts[:, 1], k)
+    def residuals(pts):
+        r0, r1 = fun(pts[:, 0], pts[:, 1])
         return np.stack([r0, r1], axis=1)
 
     x = np.array(starts, dtype=float)
-    f = residuals(x, np.arange(len(x)))
+    f = residuals(x)
     roots = np.full_like(x, np.nan)
     active = np.flatnonzero(np.isfinite(f).all(axis=1))
     halvings = 0.5 ** np.arange(1, 45)
@@ -151,7 +155,7 @@ def _lockstep_newton(fun, starts, max_iter=80, tol=1e-12):
         pts[1, :, 0] -= h[:, 0]
         pts[2, :, 1] += h[:, 1]
         pts[3, :, 1] -= h[:, 1]
-        fp = residuals(pts.reshape(4 * n, 2), np.tile(active, 4)).reshape(4, n, 2)
+        fp = residuals(pts.reshape(4 * n, 2)).reshape(4, n, 2)
         d0 = (fp[0] - fp[1]) / (2.0 * h[:, :1])
         d1 = (fp[2] - fp[3]) / (2.0 * h[:, 1:])
         dx = np.stack(_solve_2x2(d0[:, 0], d1[:, 0], d0[:, 1], d1[:, 1],
@@ -161,14 +165,14 @@ def _lockstep_newton(fun, starts, max_iter=80, tol=1e-12):
         if not active.size:
             break
         xn = xa + dx
-        fn = residuals(xn, active)
+        fn = residuals(xn)
         better = np.isfinite(fn).all(axis=1) & (np.abs(fn).max(axis=1) < norm)
         x[active[better]], f[active[better]] = xn[better], fn[better]
         miss = ~better
         if miss.any():
             sub, norm_sub = active[miss], norm[miss]
             xs = xa[miss][:, None, :] + halvings[None, :, None] * dx[miss][:, None, :]
-            fs = residuals(xs.reshape(-1, 2), np.repeat(sub, len(halvings))).reshape(xs.shape)
+            fs = residuals(xs.reshape(-1, 2)).reshape(xs.shape)
             good = np.isfinite(fs).all(axis=2) & (np.abs(fs).max(axis=2) < norm_sub[:, None])
             found = good.any(axis=1)
             k = good.argmax(axis=1)[found]
@@ -217,62 +221,76 @@ def _root_candidates(p, cost, roots, branch, singular_j=None) -> list[OPSolution
 def solve_stage_a(p: JointDistribution, cost: float) -> list[OPSolution]:
     """Roots of the two terminal equations with z = y, from a grid of starts."""
     _check_cost(cost)
-    roots = _lockstep_newton(lambda y, v, _k: program_residuals(p, cost, y, v, y),
+    roots = _lockstep_newton(lambda y, v: program_residuals(p, cost, y, v, y),
                              _STAGE_A_STARTS)
     return _root_candidates(p, cost, roots[:, [0, 1, 0]], "stage_a")
 
 
-def solve_stage_b(p: JointDistribution, cost: float, j: int | None = None) -> list[OPSolution]:
-    """Roots with v pinned to (1 - cost) / j, unknowns (y, z), same equations.
+def _scan_roots(g, lo, hi, grid=400):
+    """Every root of g on each row's [lo, hi]: (rows, roots), sorted by row,
+    then root.
 
-    `j = None` takes every out-degree j > 0 of the support, an int j that
-    one.  The 15 starts of every out-degree run as one lockstep batch, each
-    carrying its own v and singular out-degree; the roots split back by
-    out-degree, and the candidates come in ascending j, as one call per
-    out-degree would give them.
+    `g(rows, xs)` evaluates each row's function at equal-length arrays in one
+    batch; lo and hi broadcast to one entry per row.  A scan of grid + 1
+    evenly spaced points takes every exact zero and brackets every cell whose
+    ends have strictly opposite signs; all brackets then bisect together for
+    80 halvings, and the root is the last midpoint.
+    """
+    lo, hi = np.broadcast_arrays(np.atleast_1d(lo), hi)
+    xs = np.linspace(lo, hi, grid + 1, axis=1)
+    rows = np.repeat(np.arange(len(lo)), grid + 1)
+    vals = g(rows, xs.ravel()).reshape(xs.shape)
+    roots = np.where(vals == 0.0, xs, np.nan)
+    r, k = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
+    a, b, g_a = xs[r, k], xs[r, k + 1], vals[r, k]
+    for _ in range(80 if r.size else 0):
+        mid = 0.5 * (a + b)
+        g_mid = g(r, mid)
+        left = g_a * g_mid <= 0.0
+        b = np.where(left, mid, b)
+        a, g_a = np.where(left, a, mid), np.where(left, g_a, g_mid)
+    roots[r, k] = 0.5 * (a + b)
+    r, k = np.nonzero(~np.isnan(roots))
+    return r, roots[r, k]
+
+
+def solve_stage_b(p: JointDistribution, cost: float) -> list[OPSolution]:
+    """The singular branch: v = (1 - cost) / j for every out-degree j > 0 of
+    the support, unknowns (y, z), same equations; candidates in ascending j.
+
+    H does not involve z, so y solves H(y, v_j) = lam v_j alone: a scan over
+    y in [0, 1] (not of the (1 - y)-scaled residual, which vanishes at the
+    grid point y = 1 and would hide a root in the last cell).  The outflow
+    rises with z, so each y < 1 - 1e-9 has one z in [0, y] or none (outflow
+    above y at z = 0, or below it at z = y); where z moves nothing, z = 0.
     """
     _check_cost(cost)
-    support = sorted({jj for (_i, jj, _c) in p.entries if jj > 0})
-    if j is not None:
-        if j <= 0:
-            raise ParameterError(f"singular out-degree must be positive, got {j}")
-        if j not in support:
-            raise ParameterError(f"out-degree {j} not in the support")
-        support = [j]
-    if not support:
+    support = np.array(sorted({j for (_i, j, _c) in p.entries if j > 0}), dtype=int)
+    if not support.size:
         return []
-    sj = np.repeat(support, len(_STAGE_B_STARTS))
-    v = (1.0 - cost) / sj
-    roots = _lockstep_newton(lambda y, z, k: program_residuals(p, cost, y, v[k], z, sj[k]),
-                             _STAGE_B_STARTS * len(support))
-    per_j = np.split(np.insert(roots, 1, v, axis=1), len(support))
-    return [sol for jj, r in zip(support, per_j)
-            for sol in _root_candidates(p, cost, r, f"stage_b:j={jj}", jj)]
+    v = (1.0 - cost) / support
+    row, y = _scan_roots(lambda r, ys: terminal_hamiltonian(p, cost, ys, v[r]) - p.lam * v[r],
+                         np.zeros(len(support)), 1.0)
+    row, y = row[y < 1.0 - 1e-9], y[y < 1.0 - 1e-9]
+    at, z = _scan_roots(
+        lambda r, zs: program_residuals(p, cost, y[r], v[row[r]], zs, support[row[r]])[1],
+        0.0, y, grid=1)
+    # both ends of [0, y] are roots only where z moves nothing: keep z = 0
+    at, first = np.unique(at, return_index=True)
+    row = row[at]
+    roots = np.stack([y[at], v[row], z[first]], axis=1)
+    return [sol for k, j in enumerate(support.tolist())
+            for sol in _root_candidates(p, cost, roots[row == k], f"stage_b:j={j}", j)]
 
 
-def _solve_multiplier_at(p, cost, y, v_lo=-8.0, v_hi=8.0, grid=400):
-    """All v with H(y, v) = lam * v for a fixed y < 1, by scan plus bisection.
+def _solve_multiplier_at(p, cost, y):
+    """All v in [-8, 8] with H(y, v) = lam * v for a fixed y < 1.
 
     The sign of H - lam v is that of the first program residual, (1 - y)
-    times it; the grid is one batched call and the brackets bisect together.
+    times it, which `_scan_roots` scans and bisects.
     """
-    def g(vs):
-        return program_residuals(p, cost, y, vs, y)[0]
-
-    vs = np.linspace(v_lo, v_hi, grid + 1)
-    vals = g(vs)
-    exact = np.flatnonzero(vals[:-1] == 0.0)
-    brackets = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
-    lo, hi, g_lo = vs[brackets], vs[brackets + 1], vals[brackets]
-    for _ in range(80 if brackets.size else 0):
-        mid = 0.5 * (lo + hi)
-        g_mid = g(mid)
-        left = g_lo * g_mid <= 0.0
-        hi = np.where(left, mid, hi)
-        lo, g_lo = np.where(left, lo, mid), np.where(left, g_lo, g_mid)
-    found = dict(zip(exact.tolist(), vs[exact].tolist()))
-    found.update(zip(brackets.tolist(), (0.5 * (lo + hi)).tolist()))
-    return [found[k] for k in sorted(found)]
+    return _scan_roots(lambda _r, vs: program_residuals(p, cost, y, vs, y)[0],
+                       -8.0, 8.0)[1].tolist()
 
 
 def _boundary_candidates(p: JointDistribution, cost: float) -> list[OPSolution]:

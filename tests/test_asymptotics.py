@@ -20,9 +20,7 @@ from contagion_control import (
     trajectory_at,
 )
 from contagion_control.asymptotics import (
-    default_fraction_at,
     forced_policy_limits,
-    hidden_pool_scaled,
     initial_trajectory,
     program_residuals,
 )
@@ -30,6 +28,7 @@ from contagion_control.optimizer import _make_solution, extract_policy, solve_op
 
 import scalar_limits as scalar
 from conftest import make_rng
+from helpers import default_fraction_at, hidden_pool_scaled
 
 
 def random_fixture(rng, max_deg=5):

@@ -4,11 +4,11 @@ The lockstep Newton, the array residuals and the blocked fixed-point scan
 must reproduce what one-point-at-a-time code finds.  The references below are
 the scalar forms: a damped Newton run per start, scalar residual calls, the
 class-by-class limits of `scalar_limits`, and a point-by-point grid scan.
-Stage B's one batch over all out-degrees must give exactly the candidates of
-one call per out-degree.
+Stage B's scan for y and solve for z must find the candidates of the former
+method, a scalar Newton in (y, z) from a grid of starts per out-degree; it
+rests on the first residual not involving z.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -128,63 +128,76 @@ def _dist(name, request):
     return request.getfixturevalue(name)
 
 
-def _assert_stage_b_batch_is_the_concatenation(p, cost):
-    batch = opt.solve_stage_b(p, cost)
-    one_by_one = [sol for j in _out_degrees(p) for sol in opt.solve_stage_b(p, cost, j)]
-    assert len(batch) == len(one_by_one)
-    for a, b in zip(batch, one_by_one):
-        for field in dataclasses.fields(opt.OPSolution):
-            assert repr(getattr(a, field.name)) == repr(getattr(b, field.name)), field.name
-
-
 def _assert_same_candidates(got, want, fields):
     assert len(got) == len(want)
     for a, b in zip(got, want):
+        assert a.branch == b.branch
         for name in fields:
             assert getattr(a, name) == pytest.approx(getattr(b, name), abs=1e-10), name
+
+
+def _newton_stage_b(p, cost):
+    """Stage B by scalar Newton in (y, z), with v = (1 - cost) / j pinned,
+    from 5 end fractions x 3 shares of y for z per out-degree j; the
+    candidates of each j in turn, in ascending j."""
+    starts = [(y0, share * y0) for y0 in opt._STAGE_B_Y_STARTS for share in opt._STAGE_B_Z_SHARES]
+    out = []
+    for j in _out_degrees(p):
+        v = (1.0 - cost) / j
+        roots = _scalar_roots(lambda x: program_residuals(p, cost, x[0], v, x[1], j), starts)
+        out += opt._root_candidates(p, cost, np.insert(roots, 1, v, axis=1), f"stage_b:j={j}", j)
+    return out
+
+
+_FIELDS = ("end_fraction", "multiplier", "singular_start", "objective")
 
 
 @pytest.mark.parametrize("name,cost", OPTIMIZER_CASES)
 def test_lockstep_candidates_match_scalar_newton(name, cost, request):
     p = _dist(name, request)
-    fields = ("end_fraction", "multiplier", "singular_start", "objective")
-
     ref_a = _scalar_roots(
         lambda x: program_residuals(p, cost, x[0], x[1], x[0]), opt._STAGE_A_STARTS)
     _assert_same_candidates(opt.solve_stage_a(p, cost),
                             opt._root_candidates(p, cost, ref_a[:, [0, 1, 0]], "stage_a"),
-                            fields)
-
-    for j in _out_degrees(p):
-        v = (1.0 - cost) / j
-        ref_b = _scalar_roots(
-            lambda x: program_residuals(p, cost, x[0], v, x[1], j), opt._STAGE_B_STARTS)
-        _assert_same_candidates(
-            opt.solve_stage_b(p, cost, j),
-            opt._root_candidates(p, cost, np.insert(ref_b, 1, v, axis=1), f"stage_b:j={j}", j),
-            fields)
+                            _FIELDS)
 
 
+# stage B solves every out-degree at once; the reference solves them one by one
 @pytest.mark.parametrize("name,cost", OPTIMIZER_CASES)
-def test_stage_b_batch_equals_per_out_degree_calls(name, cost, request, monkeypatch):
-    roots = []
-    newton = opt._lockstep_newton
+def test_stage_b_batch_equals_per_out_degree_calls(name, cost, request):
+    p = _dist(name, request)
+    _assert_same_candidates(opt.solve_stage_b(p, cost), _newton_stage_b(p, cost), _FIELDS)
 
-    def recording(fun, starts):
-        roots.append(newton(fun, starts))
-        return roots[-1]
 
-    monkeypatch.setattr(opt, "_lockstep_newton", recording)
-    _assert_stage_b_batch_is_the_concatenation(_dist(name, request), cost)
-    # every start ends where its own out-degree's batch leaves it, kept as a candidate or not
-    batch, *one_by_one = roots
-    assert np.array_equal(batch, np.concatenate(one_by_one), equal_nan=True)
+@settings(max_examples=15, deadline=None)
+@given(p=distributions(), cost=st.floats(0.05, 3.0))
+def test_stage_b_batch_equals_per_out_degree_calls_on_drawn_distributions(p, cost):
+    _assert_same_candidates(opt.solve_stage_b(p, cost), _newton_stage_b(p, cost), _FIELDS)
+
+
+def _assert_first_residual_ignores_z(p, cost, rng, count=64):
+    y = rng.uniform(0.0, 1.0, count)
+    v = rng.uniform(-3.0, 3.0, count)
+    degrees = _out_degrees(p)
+    # half the points on the singular plane of an out-degree of p
+    v[count // 2:] = (1.0 - cost) / rng.choice(degrees, count - count // 2)
+    want = program_residuals(p, cost, y, v, y)[0].tobytes()
+    for sj in [None, *degrees, rng.choice(degrees, count)]:
+        for z in (np.zeros(count), y * rng.uniform(0.0, 1.0, count), y):
+            assert program_residuals(p, cost, y, v, z, sj)[0].tobytes() == want, sj
+
+
+def test_first_residual_ignores_z_and_singular_out_degree(experiment_dist):
+    # stage B scans y alone: the singular rows have c = i, where tail(i-1, x, c) = 0
+    for cost in (0.05, 0.5, 1.5):
+        _assert_first_residual_ignores_z(experiment_dist, cost, make_rng(80, int(100 * cost)))
 
 
 @settings(max_examples=25, deadline=None)
-@given(p=distributions(), cost=st.floats(0.05, 3.0))
-def test_stage_b_batch_equals_per_out_degree_calls_on_drawn_distributions(p, cost):
-    _assert_stage_b_batch_is_the_concatenation(p, cost)
+@given(p=distributions(), cost=st.floats(0.05, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_first_residual_ignores_z_on_drawn_distributions(p, cost, seed):
+    if _out_degrees(p):
+        _assert_first_residual_ignores_z(p, cost, make_rng(81, seed))
 
 
 def test_per_point_singular_out_degrees_equal_scalar_calls(experiment_dist):

@@ -184,6 +184,11 @@ QUAD = {"kind": "explicit", "entries": [[2, 2, 0, 0.2], [2, 2, 2, 0.8]]}
     ("study outdir under a regular file", QUAD, ["study", {}, "--outdir", "{tmp}/dist.json/out"],
      None),
     ("max_deg above the cap", {**ZIPF, "max_deg": 201}, ["solve", "--cost", "0.5"], None),
+    ("study with no sizes", QUAD, ["study", {"sizes": []}], None),
+    ("compare with no sizes", QUAD, ["compare", {"sizes": []}], None),
+    # a config that is not a JSON object: `extra` holds the whole document
+    ("study config that is a JSON array", QUAD, ["study", [QUAD]], None),
+    ("compare config that is a JSON array", QUAD, ["compare", [QUAD]], None),
 ])
 def test_bad_input_is_a_one_line_config_error(case, distribution, extra, policy, tmp_path, capsys):
     dist = tmp_path / "dist.json"
@@ -191,8 +196,11 @@ def test_bad_input_is_a_one_line_config_error(case, distribution, extra, policy,
     argv = [extra[0], "--distribution", str(dist), *extra[1:]]
     if extra[0] in ("study", "compare"):
         cfg = tmp_path / "study.json"
-        cfg.write_text(json.dumps({"distribution": distribution, "sizes": [50, 100], "runs": 2,
-                                   "policies": ["none", "complete"], **extra[1]}))
+        doc = extra[1]
+        if isinstance(doc, dict):
+            doc = {"distribution": distribution, "sizes": [50, 100], "runs": 2,
+                   "policies": ["none", "complete"], **doc}
+        cfg.write_text(json.dumps(doc))
         argv = [extra[0], "--config", str(cfg), "--outdir", str(tmp_path / "out"), *extra[2:]]
     if policy is not None:
         pol = tmp_path / "policy.json"

@@ -10,11 +10,11 @@ from contagion_control import (
     build_zipf_copula,
     distribution_from_spec,
     empirical_counts,
-    truncation_index,
 )
-from contagion_control.distribution import MAX_COPULA_DEGREE, sample_zipf_copula, zipf_weights
+from contagion_control.distribution import MAX_COPULA_DEGREE, zipf_weights
 
 from conftest import make_rng
+from helpers import sample_zipf_copula, truncation_index
 
 
 class TestBuildZipfCopula:

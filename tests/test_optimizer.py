@@ -68,11 +68,16 @@ class TestStageA:
             assert 0.0 <= sol.end_fraction <= 1.0
 
 
+def stage_b_roots(p, cost, j):
+    """The stage-B candidates of singular out-degree j."""
+    return [sol for sol in solve_stage_b(p, cost) if sol.branch == f"stage_b:j={j}"]
+
+
 class TestStageB:
     def test_quadratic_singular_root_exact(self, quadratic_dist):
         # worked by hand: H(y, v) = lam v gives y = (K-1)/(1.6 K); the outflow
         # equation then pins z through 0.2 + 0.8 z^2 = y
-        roots = solve_stage_b(quadratic_dist, 1.5, 2)
+        roots = stage_b_roots(quadratic_dist, 1.5, 2)
         assert roots
         sol = roots[0]
         assert sol.end_fraction == pytest.approx(5 / 24, abs=1e-10)
@@ -83,26 +88,19 @@ class TestStageB:
 
     def test_bounds_and_residuals(self, quadratic_dist, experiment_dist):
         for p, cost in ((quadratic_dist, 1.5), (experiment_dist, 0.5)):
-            for j in sorted({j for (_i, j, _c) in p.entries if j > 0}):
-                for sol in solve_stage_b(p, cost, j):
-                    assert 0.0 <= sol.singular_start <= sol.end_fraction <= 1.0
-                    assert max(abs(r) for r in sol.residuals) < 1e-9
+            for sol in solve_stage_b(p, cost):
+                assert 0.0 <= sol.singular_start <= sol.end_fraction <= 1.0
+                assert max(abs(r) for r in sol.residuals) < 1e-9
 
     def test_boundary_cost_collapses_to_uncontrolled(self, quadratic_dist):
         # at cost 5/3 the singular start meets the horizon at the uncontrolled
         # fixed point: z = y = 1/4
-        roots = solve_stage_b(quadratic_dist, 5 / 3, 2)
+        roots = stage_b_roots(quadratic_dist, 5 / 3, 2)
         assert roots
         sol = roots[0]
         assert sol.end_fraction == pytest.approx(0.25, abs=1e-8)
         assert sol.singular_start == pytest.approx(0.25, abs=1e-8)
         assert sol.objective == pytest.approx(0.25, abs=1e-9)
-
-    def test_bad_degree_rejected(self, quadratic_dist):
-        with pytest.raises(ParameterError):
-            solve_stage_b(quadratic_dist, 0.5, 3)
-        with pytest.raises(ParameterError):
-            solve_stage_b(quadratic_dist, 0.5, 0)
 
 
 class TestSolveOp:
