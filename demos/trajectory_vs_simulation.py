@@ -12,7 +12,6 @@ from contagion_control import (
     build_zipf_copula,
     empirical_counts,
     instantiate,
-    integrate_rk4,
     run,
     trajectory_at,
 )
@@ -38,10 +37,3 @@ for tau in taus:
     for key in rows:
         print(f"  {str(key):>18} {agg.get(key, 0) / n:>12.5f} {exact.s[key]:>12.5f}")
     print()
-
-# the RK4 integrator is a pure cross-check of the closed form
-tau = 0.5 * p.lam
-exact = trajectory_at(p, policy, tau)
-numeric = integrate_rk4(p, policy, tau, h=1e-3 * p.lam)
-sup = max(abs(exact.s[k] - numeric.s[k]) for k in exact.s)
-print(f"closed form vs fixed-step RK4 at tau={tau:.3f}: sup-difference {sup:.2e}")

@@ -42,7 +42,6 @@ from .asymptotics import (
     default_outflow,
     default_outflow_controlled,
     forced_policy_limits,
-    integrate_rk4,
     intervention_start,
     intervention_volume,
     propagate,
@@ -79,7 +78,7 @@ __all__ = [
     "empirical_counts",
     "ConstructionError", "ContagionControlError", "EnumerationLimitError", "ParameterError",
     "Trajectory", "controlled_limits", "default_fraction", "default_fraction_controlled",
-    "default_outflow", "default_outflow_controlled", "forced_policy_limits", "integrate_rk4",
+    "default_outflow", "default_outflow_controlled", "forced_policy_limits",
     "intervention_start", "intervention_volume", "propagate", "smallest_fixed_point",
     "terminal_hamiltonian", "trajectory_at",
     "NodePopulation", "enumerate_matchings", "instantiate",

@@ -5,8 +5,8 @@ that started vulnerable and currently sit at equity-plus-aid c with l revealed
 in-links.  The index set per (i, j) is {0 <= l < c <= i} plus the rescued state
 (i+1, i).  On any interval where the control vector is constant the system of
 ODEs has an explicit solution (mixtures of binomial terms in the elapsed-time
-variable), which `propagate` evaluates; `integrate_rk4` integrates the same
-ODEs numerically and exists purely as a cross-check oracle.
+variable), which `propagate` evaluates; the test suite integrates the same
+ODEs numerically as a cross-check oracle.
 
 Every terminal limit is a sum over the network classes (i, j, c) of binomial
 tails at the class's aid start time x, a fraction of the links revealed.  Only
@@ -33,7 +33,6 @@ scalar forms of these sums are kept in the test suite
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from math import comb
 from typing import Callable
@@ -181,58 +180,6 @@ def trajectory_at(p: JointDistribution, policy: InterventionPolicy, tau: float) 
     return traj
 
 
-def integrate_rk4(
-    p: JointDistribution, policy: InterventionPolicy, tau: float, h: float
-) -> Trajectory:
-    """Fixed-step RK4 integration of the state ODEs; numerical oracle only.
-
-    Restarts at every control switch so each leg has constant controls.  The
-    blow-up at tau = lam caps the domain at 0.95 * lam.
-    """
-    lam = p.lam
-    if tau > 0.95 * lam + 1e-12:
-        raise ParameterError(f"time {tau} too close to the singular point lam={lam}")
-    if h > 1e-3 * lam * (1 + 1e-9):
-        raise ParameterError(f"step {h} too coarse; need h <= 1e-3 * lam")
-    starts = _starts(policy, _control_keys(p))
-    states = state_space(p)
-    idx = {key: r for r, key in enumerate(states)}
-    vec = np.zeros(len(states))
-    for key, val in initial_trajectory(p).s.items():
-        vec[idx[key]] = val
-
-    def matrix(controls: dict[ClassKey, int]) -> np.ndarray:
-        mat = np.zeros((len(states), len(states)))
-        for (i, j, c, l) in states:
-            row = idx[(i, j, c, l)]
-            mat[row, row] -= i - l
-            src = (i, j, c, l - 1)
-            if l >= 1 and src in idx:
-                mat[row, idx[src]] += i - l + 1
-            if l == c - 1 and c >= 2 and controls.get((i, j, c - 1), 0):
-                mat[row, idx[(i, j, c - 1, c - 2)]] += i - l + 1
-        return mat
-
-    prev = 0.0
-    for t_next in _switch_times(starts, lam, tau) + [tau]:
-        if t_next <= prev:
-            continue
-        mat = matrix(_controls_at(starts, prev, lam))
-        n_steps = max(1, int(math.ceil((t_next - prev) / h)))
-        hh = (t_next - prev) / n_steps
-        t = prev
-        for _ in range(n_steps):
-            k1 = mat @ vec / (lam - t)
-            k2 = mat @ (vec + 0.5 * hh * k1) / (lam - (t + 0.5 * hh))
-            k3 = mat @ (vec + 0.5 * hh * k2) / (lam - (t + 0.5 * hh))
-            k4 = mat @ (vec + hh * k3) / (lam - (t + hh))
-            vec = vec + (hh / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            t += hh
-        prev = t_next
-
-    return Trajectory(tau=tau, lam=lam, s={key: float(vec[idx[key]]) for key in states})
-
-
 # ---------------------------------------------------------------------------
 # fixed points
 # ---------------------------------------------------------------------------
@@ -363,10 +310,15 @@ class _ClassPack:
         tail(i, x, c)   = tail(i-1, x, c) + C(i-1, c-1) x^c (1-x)^n
 
     The y-bracket tail(i-1, y, c-1) shares y across classes: one table of
-    Bernstein terms per in-degree, summed from the top.
+    Bernstein terms per in-degree, summed from the top.  Every limit divides
+    by the mean degree lam, so a distribution with lam <= 0 (no links) is a
+    ParameterError here.
     """
 
     def __init__(self, p: JointDistribution):
+        if not p.lam > 0.0:
+            raise ParameterError(f"mean degree must be positive, got {p.lam}: "
+                                 f"a network without links has no contagion limits")
         rows = sorted((r for r in p.vulnerable_items() if r[2] >= 1),
                       key=lambda r: r[0] - r[2])
         self.lam = p.lam

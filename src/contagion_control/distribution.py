@@ -19,9 +19,9 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ConstructionError, ParameterError
 
@@ -31,6 +31,7 @@ _BALANCE_TOL = 1e-12
 _MASS_SLACK = 1e-9
 # Standard-normal mass beyond +-8.5 is ~1e-17; quantile rectangles are clipped there.
 _NORMAL_CLIP = 8.5
+_NORMAL_QUANTILE = NormalDist().inv_cdf
 # The copula's quadrature grid has about (12 max_deg)^2 points: at 200 a build
 # takes about half a second and 170 MB, and the grid grows with the square.
 MAX_COPULA_DEGREE = 200
@@ -143,6 +144,16 @@ def _gauss_legendre_panels(edges: np.ndarray, max_width: float = 0.5, order: int
     return np.concatenate(nodes), np.concatenate(weights), np.concatenate(seg_ids)
 
 
+def copula_cuts(marg: np.ndarray) -> np.ndarray:
+    """Cut points of one copula axis: standard-normal quantiles of 0 and of the
+    cumulative masses of `marg` (the last set to 1), clipped to +-_NORMAL_CLIP."""
+    cum = np.concatenate([[0.0], np.cumsum(marg)])
+    cum[-1] = 1.0
+    return np.array([-_NORMAL_CLIP if q <= 0.0 else _NORMAL_CLIP if q >= 1.0
+                     else min(max(_NORMAL_QUANTILE(q), -_NORMAL_CLIP), _NORMAL_CLIP)
+                     for q in cum.tolist()])
+
+
 def gaussian_copula_cells(marg_row: np.ndarray, marg_col: np.ndarray, rho: float) -> np.ndarray:
     """Cell masses of a Gaussian copula over two discrete marginals.
 
@@ -151,17 +162,15 @@ def gaussian_copula_cells(marg_row: np.ndarray, marg_col: np.ndarray, rho: float
     normal density with correlation rho is integrated over each rectangle by
     composite Gauss-Legendre quadrature (accurate well beyond 1e-9).
     Rows and columns reproduce the marginals up to the quadrature error.
+    The quantile is the standard library's `NormalDist().inv_cdf` (Wichura's
+    AS241, accurate to about 1e-16); cut points are clipped to +-8.5, and
+    cumulative masses p <= 0 and p >= 1, where the quantile is infinite, map
+    straight to -8.5 and +8.5.
     """
     if not -1.0 < rho < 1.0:
         raise ParameterError(f"copula correlation must lie in (-1, 1), got {rho}")
 
-    def thresholds(marg):
-        cum = np.concatenate([[0.0], np.cumsum(marg)])
-        cum[-1] = 1.0
-        t = ndtri(np.clip(cum, 1e-300, 1.0))
-        return np.clip(t, -_NORMAL_CLIP, _NORMAL_CLIP)
-
-    tr, tc = thresholds(marg_row), thresholds(marg_col)
+    tr, tc = copula_cuts(marg_row), copula_cuts(marg_col)
     xs, wx, seg_x = _gauss_legendre_panels(tr)
     ys, wy, seg_y = _gauss_legendre_panels(tc)
 

@@ -2,16 +2,20 @@
 
 Trajectory bookkeeping (the defaulted share and the hidden pool implied by
 the closed-form state masses), an independent Monte Carlo route to the Zipf
-copula, and the degree truncation index of a distribution.  Nothing in the
-package calls them.
+copula, the Zipf copula built with scipy's `ndtri` as its quantile, and the
+degree truncation index of a distribution.  Nothing in the package calls
+them.
 """
 
 from __future__ import annotations
 
-import numpy as np
-from scipy.special import ndtr
+from unittest import mock
 
-from contagion_control import JointDistribution, ParameterError
+import numpy as np
+from scipy.special import ndtr, ndtri
+
+from contagion_control import JointDistribution, ParameterError, build_zipf_copula
+from contagion_control import distribution
 from contagion_control.asymptotics import Trajectory
 from contagion_control.distribution import zipf_weights
 
@@ -55,6 +59,21 @@ def sample_zipf_copula(
     np.clip(deg, 1, max_deg, out=deg)
     np.clip(eq, 0, max_deg, out=eq)
     return deg, eq
+
+
+def ndtri_cuts(marg: np.ndarray) -> np.ndarray:
+    """Copula cut points of one axis from scipy's `ndtri`, clipped to +-8.5."""
+    cum = np.concatenate([[0.0], np.cumsum(marg)])
+    cum[-1] = 1.0
+    return np.clip(ndtri(np.clip(cum, 1e-300, 1.0)), -8.5, 8.5)
+
+
+def build_zipf_copula_ndtri(
+    xi: float, a1: float, a2: float, rho: float, max_deg: int
+) -> JointDistribution:
+    """`build_zipf_copula` with `ndtri_cuts` in place of `copula_cuts`."""
+    with mock.patch.object(distribution, "copula_cuts", ndtri_cuts):
+        return build_zipf_copula(xi, a1, a2, rho, max_deg)
 
 
 def truncation_index(p: JointDistribution, eps: float) -> int:

@@ -8,19 +8,31 @@ sum over the links revealed before and inside [x, y], and the singular
 classes as an explicit correction p(i,j,i) * (y^i - z^i) on top of the
 regular start times, which come from the scalar three-regime formula.  The
 singular out-degrees are detected here too, so of the package only
-`smallest_fixed_point` is shared.  Tests compare the package against them;
-nothing in the package calls them.
+`smallest_fixed_point` is shared.  `integrate_rk4` integrates the state ODEs
+numerically, an oracle for the closed-form trajectories.  Tests compare the
+package against them; nothing in the package calls them.
 """
 
 from __future__ import annotations
 
+import math
 from math import comb
 
 import numpy as np
 
-from contagion_control.asymptotics import smallest_fixed_point
+from contagion_control.asymptotics import (
+    Trajectory,
+    _control_keys,
+    _controls_at,
+    _starts,
+    _switch_times,
+    initial_trajectory,
+    smallest_fixed_point,
+    state_space,
+)
 from contagion_control.cascade import InterventionPolicy
-from contagion_control.distribution import JointDistribution
+from contagion_control.distribution import ClassKey, JointDistribution
+from contagion_control.errors import ParameterError
 
 
 _COMB_ROWS: dict[int, tuple[int, ...]] = {}
@@ -238,3 +250,55 @@ def forced_policy_limits(
     """
     y_star, stable = smallest_fixed_point(lambda y: forced_outflow(p, policy, y))
     return (y_star, stable, *forced_limits_at(p, policy, y_star))
+
+
+def integrate_rk4(
+    p: JointDistribution, policy: InterventionPolicy, tau: float, h: float
+) -> Trajectory:
+    """Fixed-step RK4 integration of the state ODEs; numerical oracle only.
+
+    Restarts at every control switch so each leg has constant controls.  The
+    blow-up at tau = lam caps the domain at 0.95 * lam.
+    """
+    lam = p.lam
+    if tau > 0.95 * lam + 1e-12:
+        raise ParameterError(f"time {tau} too close to the singular point lam={lam}")
+    if h > 1e-3 * lam * (1 + 1e-9):
+        raise ParameterError(f"step {h} too coarse; need h <= 1e-3 * lam")
+    starts = _starts(policy, _control_keys(p))
+    states = state_space(p)
+    idx = {key: r for r, key in enumerate(states)}
+    vec = np.zeros(len(states))
+    for key, val in initial_trajectory(p).s.items():
+        vec[idx[key]] = val
+
+    def matrix(controls: dict[ClassKey, int]) -> np.ndarray:
+        mat = np.zeros((len(states), len(states)))
+        for (i, j, c, l) in states:
+            row = idx[(i, j, c, l)]
+            mat[row, row] -= i - l
+            src = (i, j, c, l - 1)
+            if l >= 1 and src in idx:
+                mat[row, idx[src]] += i - l + 1
+            if l == c - 1 and c >= 2 and controls.get((i, j, c - 1), 0):
+                mat[row, idx[(i, j, c - 1, c - 2)]] += i - l + 1
+        return mat
+
+    prev = 0.0
+    for t_next in _switch_times(starts, lam, tau) + [tau]:
+        if t_next <= prev:
+            continue
+        mat = matrix(_controls_at(starts, prev, lam))
+        n_steps = max(1, int(math.ceil((t_next - prev) / h)))
+        hh = (t_next - prev) / n_steps
+        t = prev
+        for _ in range(n_steps):
+            k1 = mat @ vec / (lam - t)
+            k2 = mat @ (vec + 0.5 * hh * k1) / (lam - (t + 0.5 * hh))
+            k3 = mat @ (vec + 0.5 * hh * k2) / (lam - (t + 0.5 * hh))
+            k4 = mat @ (vec + hh * k3) / (lam - (t + hh))
+            vec = vec + (hh / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            t += hh
+        prev = t_next
+
+    return Trajectory(tau=tau, lam=lam, s={key: float(vec[idx[key]]) for key in states})

@@ -21,7 +21,6 @@ from contagion_control import (
     exact_expectation,
     extract_policy,
     instantiate,
-    integrate_rk4,
     run,
     smallest_fixed_point,
     solve_op,
@@ -58,7 +57,7 @@ def test_criterion_1_ode_equivalence():
         p, policy = random_fixture(rng, max_deg=5)
         tau = float(rng.uniform(0.2, 0.95)) * p.lam
         exact = trajectory_at(p, policy, tau)
-        numeric = integrate_rk4(p, policy, tau, h=1e-3 * p.lam)
+        numeric = scalar.integrate_rk4(p, policy, tau, h=1e-3 * p.lam)
         worst = max(worst, max(abs(exact.s[k] - numeric.s[k]) for k in exact.s))
     elapsed = time.time() - t0
     _report(

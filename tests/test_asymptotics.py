@@ -11,7 +11,6 @@ from contagion_control import (
     default_fraction_controlled,
     default_outflow,
     default_outflow_controlled,
-    integrate_rk4,
     intervention_start,
     intervention_volume,
     propagate,
@@ -96,7 +95,7 @@ class TestRk4Oracle:
             p, policy = random_fixture(rng)
             tau = float(rng.uniform(0.3, 0.95)) * p.lam
             exact = trajectory_at(p, policy, tau)
-            numeric = integrate_rk4(p, policy, tau, h=1e-3 * p.lam)
+            numeric = scalar.integrate_rk4(p, policy, tau, h=1e-3 * p.lam)
             sup = max(abs(exact.s[k] - numeric.s[k]) for k in exact.s)
             assert sup < 1e-8
 
@@ -106,7 +105,7 @@ class TestRk4Oracle:
         exact = trajectory_at(quadratic_dist, policy, tau)
 
         def err(h):
-            num = integrate_rk4(quadratic_dist, policy, tau, h)
+            num = scalar.integrate_rk4(quadratic_dist, policy, tau, h)
             return max(abs(exact.s[k] - num.s[k]) for k in exact.s)
 
         e1, e2 = err(2e-3), err(1e-3)
@@ -115,9 +114,9 @@ class TestRk4Oracle:
     def test_domain_guards(self, quadratic_dist):
         policy = InterventionPolicy.none()
         with pytest.raises(ParameterError):
-            integrate_rk4(quadratic_dist, policy, 0.99 * quadratic_dist.lam, 1e-3)
+            scalar.integrate_rk4(quadratic_dist, policy, 0.99 * quadratic_dist.lam, 1e-3)
         with pytest.raises(ParameterError):
-            integrate_rk4(quadratic_dist, policy, 1.0, h=0.1)
+            scalar.integrate_rk4(quadratic_dist, policy, 1.0, h=0.1)
 
 
 class TestUncontrolledLimits:

@@ -130,6 +130,7 @@ class TestStudyAndCompare:
 
 ZIPF = {"kind": "zipf_copula", "xi": 0.5, "a1": 0.8, "a2": 0.7, "rho": 0.9, "max_deg": 4}
 QUAD = {"kind": "explicit", "entries": [[2, 2, 0, 0.2], [2, 2, 2, 0.8]]}
+NO_LINKS = {"kind": "explicit", "entries": [[0, 0, 0, 1.0]]}
 
 
 @pytest.mark.parametrize("case,distribution,extra,policy", [
@@ -189,6 +190,14 @@ QUAD = {"kind": "explicit", "entries": [[2, 2, 0, 0.2], [2, 2, 2, 0.8]]}
     # a config that is not a JSON object: `extra` holds the whole document
     ("study config that is a JSON array", QUAD, ["study", [QUAD]], None),
     ("compare config that is a JSON array", QUAD, ["compare", [QUAD]], None),
+    # mean degree 0: no links, so no limits to solve or compare
+    ("mean degree 0 from a zero mass", {"kind": "explicit", "entries": [[2, 2, 0, 0.0]]},
+     ["solve", "--cost", "0.5"], None),
+    ("mean degree 0 from no entries", {"kind": "explicit", "entries": []},
+     ["solve", "--cost", "0.5"], None),
+    ("mean degree 0 from degree-0 nodes", NO_LINKS, ["solve", "--cost", "0.5"], None),
+    ("study with mean degree 0", NO_LINKS, ["study", {}], None),
+    ("compare with mean degree 0", NO_LINKS, ["compare", {}], None),
 ])
 def test_bad_input_is_a_one_line_config_error(case, distribution, extra, policy, tmp_path, capsys):
     dist = tmp_path / "dist.json"

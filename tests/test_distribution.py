@@ -1,7 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import contagion_control
 
 from contagion_control import (
     ConstructionError,
@@ -11,10 +19,10 @@ from contagion_control import (
     distribution_from_spec,
     empirical_counts,
 )
-from contagion_control.distribution import MAX_COPULA_DEGREE, zipf_weights
+from contagion_control.distribution import MAX_COPULA_DEGREE, copula_cuts, zipf_weights
 
 from conftest import make_rng
-from helpers import sample_zipf_copula, truncation_index
+from helpers import build_zipf_copula_ndtri, ndtri_cuts, sample_zipf_copula, truncation_index
 
 
 class TestBuildZipfCopula:
@@ -63,6 +71,50 @@ class TestBuildZipfCopula:
         args.update(kwargs)
         with pytest.raises(ParameterError):
             build_zipf_copula(**args)
+
+
+class TestStdlibQuantile:
+    """The copula's cut points come from the standard library's inverse normal
+    CDF; scipy's `ndtri` is the reference."""
+
+    @pytest.mark.parametrize("max_deg", [1, 2, 10, 200])
+    def test_cut_points_match_ndtri(self, max_deg):
+        for exponent in np.linspace(0.05, 3.0, 30):
+            w = zipf_weights(float(exponent), max_deg)
+            np.testing.assert_allclose(copula_cuts(w), ndtri_cuts(w), rtol=2e-15, atol=0)
+
+    def test_masses_match_ndtri_build(self):
+        p = build_zipf_copula(0.5, 0.8, 0.7, 0.9, 10)
+        ref = build_zipf_copula_ndtri(0.5, 0.8, 0.7, 0.9, 10)
+        assert p.entries.keys() == ref.entries.keys()
+        for key, mass in ref.entries.items():
+            assert p.entries[key] == pytest.approx(mass, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n", [625, 3125, 10**4, 10**5])
+    def test_counts_match_ndtri_build(self, n):
+        p = build_zipf_copula(0.5, 0.8, 0.7, 0.9, 10)
+        ref = build_zipf_copula_ndtri(0.5, 0.8, 0.7, 0.9, 10)
+        assert empirical_counts(p, n).counts == empirical_counts(ref, n).counts
+
+    def test_package_runs_without_scipy(self):
+        script = textwrap.dedent("""
+            import sys
+            sys.modules["scipy"] = None  # any scipy import now raises ImportError
+            import contagion_control
+            import contagion_control.cli
+            from contagion_control import build_zipf_copula, solve_op
+            sol = solve_op(build_zipf_copula(0.5, 0.8, 0.7, 0.9, 10), 0.5)
+            assert sol.branch, sol
+            loaded = [m for m, mod in sys.modules.items()
+                      if m.split(".")[0] == "scipy" and mod is not None]
+            assert not loaded, loaded
+        """)
+        src = str(Path(contagion_control.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestMeanDegree:
