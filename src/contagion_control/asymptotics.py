@@ -26,9 +26,9 @@ x depends on the policy:
 `_ClassPack` is the only code that sums over classes: for a start array it
 gives the default outflow, the defaulted share and the aid volume, and the
 Hamiltonian H(y, v) of the terminal stationarity equation H = lam * v.
-`is_stable` is the one stability test of a fixed point.  The class-by-class
-scalar forms of these sums are kept in the test suite
-(`tests/scalar_limits.py`) as independent oracles.
+`is_stable` is the one stability test of a fixed point, and `bisect` the one
+bisection.  The class-by-class scalar forms of these sums are kept in the test
+suite (`tests/scalar_limits.py`) as independent oracles.
 """
 
 from __future__ import annotations
@@ -51,6 +51,8 @@ _SINGULAR_TOL = 1e-12
 # both bound the temporaries to a few MB
 _SCAN_BLOCK = 512
 _RESIDUAL_BATCH = 512
+# most points per call of the function that `bisect` bisects
+_BISECT_POINTS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -190,19 +192,18 @@ def smallest_fixed_point(
     """Smallest y in [0, 1] with f(y) = y, and whether f `is_stable` there.
 
     Scans the grid k / grid for the first sign change of f(y) - y, then
-    bisects.  `f` must accept an ndarray of points (and a float): the scan
-    evaluates it on blocks of up to _SCAN_BLOCK grid points per call and stops
-    at the first block that crosses zero.  Assumes f continuous and increasing
-    with f(1) <= 1, so y = 1 is always a fallback fixed point.
+    bisects it with `bisect` until the bracket is at most `tol` wide.  `f` must
+    accept an ndarray of points (and a float): the scan evaluates it on blocks
+    of up to _SCAN_BLOCK grid points per call and stops at the first block
+    that crosses zero, and the bisection evaluates several levels per call.
+    Assumes f continuous and increasing with f(1) <= 1, so y = 1 is always a
+    fallback fixed point.
     """
-    def g(y: float) -> float:
-        return f(y) - y
-
     y_star = None
-    if g(0.0) <= 0.0:
+    if f(0.0) <= 0.0:
         y_star = 0.0
     else:
-        lo = 0.0  # the last grid point seen with g > 0
+        lo = 0.0  # the last grid point seen with f(y) - y > 0
         for k0 in range(1, grid + 1, _SCAN_BLOCK):
             ys = np.arange(k0, min(k0 + _SCAN_BLOCK, grid + 1)) / grid
             gs = np.asarray(f(ys), dtype=float) - ys
@@ -216,17 +217,65 @@ def smallest_fixed_point(
             hi = float(ys[k])
             if gs[k] == 0.0:
                 lo = hi
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                if g(mid) > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            y_star = hi
+            _lo, hi, _g = bisect(lambda _b, mid: f(mid) - mid, [lo], [hi], [np.nan],
+                                 keep_left=lambda _g_lo, g_mid: ~(g_mid > 0.0),
+                                 settled=lambda lo, hi, _mid: hi - lo <= tol)
+            y_star = float(hi[0])
             break
         if y_star is None:
             y_star = 1.0
     return y_star, is_stable(f, y_star)
+
+
+def bisect(g, lo, hi, g_lo, keep_left, settled, levels=np.inf):
+    """Bisect the brackets [lo, hi] together, several levels per call of g.
+
+    The one bisection of the package, for `smallest_fixed_point` and the
+    solver's root scans.  A bracket halves as a one-midpoint loop would: at
+    mid = 0.5 * (lo + hi) it stops for good if `settled(lo, hi, mid)`, else it
+    keeps [lo, mid] if `keep_left(g_lo, g(mid))` and otherwise [mid, hi],
+    with g_lo = g(mid); at most `levels` halvings in all.  Each call
+    `g(brackets, points)` evaluates the 2^d - 1 midpoints of the next d levels
+    of every unsettled bracket's bisection tree, each computed as the loop
+    would compute it, with d the largest depth that keeps brackets * (2^d - 1)
+    <= _BISECT_POINTS, and at least 1.  The walk through those levels then
+    takes each bracket's own path.  So (lo, hi, g_lo), returned as arrays,
+    are the loop's, provided g's value at a point does not depend on the
+    batch it is evaluated in.
+    """
+    lo, hi, g_lo = (np.array(x, dtype=float) for x in (lo, hi, g_lo))
+    live = np.arange(len(lo))
+    done = 0
+    while done < levels:
+        live = live[~settled(lo[live], hi[live], 0.5 * (lo[live] + hi[live]))]
+        if not live.size:
+            break
+        d = min(max((_BISECT_POINTS // live.size + 1).bit_length() - 1, 1), levels - done)
+        # the tree in breadth-first order: level l holds 2^l midpoints
+        a, b, tree = lo[live, None], hi[live, None], []
+        for _ in range(d):
+            mid = 0.5 * (a + b)
+            tree.append(mid)
+            a = np.stack((a, mid), axis=2).reshape(len(live), -1)
+            b = np.stack((mid, b), axis=2).reshape(len(live), -1)
+        tree = np.concatenate(tree, axis=1)
+        vals = np.asarray(g(np.repeat(live, tree.shape[1]), tree.ravel()),
+                          dtype=float).reshape(tree.shape)
+        rows, node = np.arange(len(live)), np.zeros(len(live), dtype=int)
+        a, b, g_a = lo[live], hi[live], g_lo[live]
+        walking = np.ones(len(live), dtype=bool)
+        for level in range(d):
+            col = (1 << level) - 1 + node
+            mid, g_mid = tree[rows, col], vals[rows, col]
+            walking &= ~settled(a, b, mid)
+            left = keep_left(g_a, g_mid)
+            right = walking & ~left
+            b = np.where(walking & left, mid, b)
+            a, g_a = np.where(right, mid, a), np.where(right, g_mid, g_a)
+            node = 2 * node + ~left
+        lo[live], hi[live], g_lo[live] = a, b, g_a
+        done += d
+    return lo, hi, g_lo
 
 
 def is_stable(f: Callable[[float], float], y: float, h: float = 1e-6) -> bool:

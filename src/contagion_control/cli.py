@@ -69,6 +69,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.seed < 0:
+        raise ParameterError(f"seed must be nonnegative, got {args.seed}")
     dist = distribution_from_spec(_load_json(args.distribution))
     counts = empirical_counts(dist, args.n)
     pop = instantiate(counts)

@@ -230,6 +230,10 @@ def empirical_counts(p: JointDistribution, n: int) -> EmpiricalCounts:
     """
     if n < 1:
         raise ParameterError(f"population size must be >= 1, got {n}")
+    total = sum(p.entries.values())
+    if total < 1.0 - _MASS_SLACK:
+        raise ParameterError(f"total mass {total} is below 1: a population needs a "
+                             f"distribution of all its nodes")
     keys = sorted(p.entries)
     targets = {k: n * p.entries[k] for k in keys}
     counts = {k: int(round(targets[k])) for k in keys}

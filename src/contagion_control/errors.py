@@ -12,6 +12,3 @@ class ParameterError(ContagionControlError, ValueError):
 class ConstructionError(ContagionControlError, RuntimeError):
     """A requested finite construction is infeasible (e.g. stub totals cannot balance)."""
 
-
-class EnumerationLimitError(ContagionControlError, ValueError):
-    """A brute-force enumeration was refused because it would blow up factorially."""

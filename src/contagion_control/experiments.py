@@ -128,6 +128,8 @@ class StudyConfig:
             raise ParameterError("need at least 2 runs per cell")
         if not (math.isfinite(self.cost) and self.cost > 0):
             raise ParameterError(f"cost must be positive and finite, got {self.cost}")
+        if self.master_seed < 0:
+            raise ParameterError(f"seed must be nonnegative, got {self.master_seed}")
         policies = tuple(normalize_policy_spec(s) for s in self.policies)
         names = [spec["name"] for spec in policies]
         repeated = sorted({name for name in names if names.count(name) > 1}, key=str)

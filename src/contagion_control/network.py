@@ -13,14 +13,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator
 
 import numpy as np
 
 from .distribution import EmpiricalCounts
-from .errors import EnumerationLimitError, ParameterError
-
-_ENUMERATION_MAX_M = 10
+from .errors import ParameterError
 
 
 @dataclass(frozen=True)
@@ -55,18 +52,3 @@ def instantiate(counts: EmpiricalCounts) -> NodePopulation:
     for key in sorted(counts.counts):
         nodes.extend([key] * counts.counts[key])
     return NodePopulation(nodes=tuple(nodes))
-
-
-def enumerate_matchings(pop: NodePopulation) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All m! stub matchings, as orderings of in-stubs against the fixed out-stub order.
-
-    Each matching is a tuple of (source, target) node pairs, one per link.
-    """
-    if pop.m > _ENUMERATION_MAX_M:
-        raise EnumerationLimitError(
-            f"refusing to enumerate {pop.m}! matchings (limit m <= {_ENUMERATION_MAX_M})"
-        )
-    sources = [node for node, (_i, j, _c) in enumerate(pop.nodes) for _ in range(j)]
-    in_owners = [node for node, (i, _j, _c) in enumerate(pop.nodes) for _ in range(i)]
-    for perm in itertools.permutations(in_owners):
-        yield tuple(zip(sources, perm))

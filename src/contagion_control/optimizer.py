@@ -13,13 +13,17 @@ classes have c = i, where tail(i - 1, x, i) = 0 whatever their start x, so
 H(y, v) does not involve z: stationarity fixes y alone, and the outflow
 equation, which involves z only through the singular classes' z^i terms,
 rises with z.  Stage B is therefore a scan for y and then a monotone solve for
-z in [0, y], both by `_scan_roots` over every out-degree at once.  The
+z in [0, y], both by `_scan_roots` over every out-degree at once; its brackets
+go to `asymptotics.bisect`, which evaluates several bisection levels per
+residual call and finds the roots of the one-midpoint loop.  The
 reported solution is the feasible candidate with the smallest objective;
 boundary candidates y = 0 (nothing to reveal) and y = 1 (everything burns)
 join the comparison when feasible.  Every candidate passes one builder,
 `_candidates`, and is stable by `asymptotics.is_stable`; the singular
 classes, in the equations and in `extract_policy`, are
-`asymptotics.singular_rows`.
+`asymptotics.singular_rows`.  `solve_op` stores its solution on the
+distribution object, one per cost, so a study that needs the limits and the
+table of one realized distribution solves it once.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import numpy as np
 from .asymptotics import (
     _control_keys,
     _optimal_starts,
+    bisect,
     controlled_limits,
     default_outflow,
     default_outflow_controlled,
@@ -233,8 +238,12 @@ def _scan_roots(g, lo, hi, grid=400):
     `g(rows, xs)` evaluates each row's function at equal-length arrays in one
     batch; lo and hi broadcast to one entry per row.  A scan of grid + 1
     evenly spaced points takes every exact zero and brackets every cell whose
-    ends have strictly opposite signs; all brackets then bisect together for
-    80 halvings, and the root is the last midpoint.
+    ends have strictly opposite signs.  All brackets then go to `bisect`, which
+    evaluates several levels per call of g: at most 80 halvings, each keeping
+    [lo, mid] where g(lo) g(mid) <= 0 and [mid, hi] otherwise, and the root is
+    the last midpoint.  A bracket stops once its midpoint equals one of its
+    ends, as every further halving leaves that midpoint in place; that is
+    after about 50 halvings.
     """
     lo, hi = np.broadcast_arrays(np.atleast_1d(lo), hi)
     xs = np.linspace(lo, hi, grid + 1, axis=1)
@@ -242,13 +251,9 @@ def _scan_roots(g, lo, hi, grid=400):
     vals = g(rows, xs.ravel()).reshape(xs.shape)
     roots = np.where(vals == 0.0, xs, np.nan)
     r, k = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
-    a, b, g_a = xs[r, k], xs[r, k + 1], vals[r, k]
-    for _ in range(80 if r.size else 0):
-        mid = 0.5 * (a + b)
-        g_mid = g(r, mid)
-        left = g_a * g_mid <= 0.0
-        b = np.where(left, mid, b)
-        a, g_a = np.where(left, a, mid), np.where(left, g_a, g_mid)
+    a, b, _g_a = bisect(lambda at, mid: g(r[at], mid), xs[r, k], xs[r, k + 1], vals[r, k],
+                        keep_left=lambda g_a, g_mid: g_a * g_mid <= 0.0,
+                        settled=lambda a, b, mid: (mid == a) | (mid == b), levels=80)
     roots[r, k] = 0.5 * (a + b)
     r, k = np.nonzero(~np.isnan(roots))
     return r, roots[r, k]
@@ -320,17 +325,23 @@ def solve_op(p: JointDistribution, cost: float) -> OPSolution:
     Ties within 1e-9 of the minimum objective prefer stable candidates, then
     the smallest y (mirroring the smallest-fixed-point convention).  If every
     candidate is unstable with y < 1, the minimizer is still returned but a
-    warning notes that the asymptotic guarantees do not apply.
+    warning notes that the asymptotic guarantees do not apply.  The solution
+    is stored on p by float(cost), as the class pack is: a repeat call returns
+    the same object (and warns again), and a failed solve stores nothing.
     """
     _check_cost(cost)
-    candidates = solve_stage_a(p, cost) + solve_stage_b(p, cost)
-    candidates.extend(_boundary_candidates(p, cost))
-    if not candidates:
-        raise ConstructionError("no feasible candidate found for the program")
-    best_obj = min(c.objective for c in candidates)
-    near = [c for c in candidates if c.objective <= best_obj + 1e-9]
-    near.sort(key=lambda c: (not c.stable, c.end_fraction))
-    best = near[0]
+    if "_solutions" not in p.__dict__:
+        object.__setattr__(p, "_solutions", {})
+    best = p._solutions.get(float(cost))  # type: ignore[attr-defined]
+    if best is None:
+        candidates = solve_stage_a(p, cost) + solve_stage_b(p, cost)
+        candidates.extend(_boundary_candidates(p, cost))
+        if not candidates:
+            raise ConstructionError("no feasible candidate found for the program")
+        best_obj = min(c.objective for c in candidates)
+        near = [c for c in candidates if c.objective <= best_obj + 1e-9]
+        near.sort(key=lambda c: (not c.stable, c.end_fraction))
+        best = p._solutions[float(cost)] = near[0]  # type: ignore[attr-defined]
     if not best.stable and best.end_fraction < 1.0:
         warnings.warn(
             "program minimizer is an unstable fixed point; asymptotic "

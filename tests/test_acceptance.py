@@ -18,7 +18,6 @@ from contagion_control import (
     default_fraction,
     default_outflow,
     empirical_counts,
-    exact_expectation,
     extract_policy,
     instantiate,
     run,
@@ -32,6 +31,7 @@ from contagion_control.optimizer import asymptotic_prediction
 
 import scalar_limits as scalar
 from conftest import make_rng
+from exact_oracle import exact_expectation
 from test_asymptotics import random_fixture
 
 

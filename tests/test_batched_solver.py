@@ -3,7 +3,8 @@
 The lockstep Newton, the array residuals and the blocked fixed-point scan
 must reproduce what one-point-at-a-time code finds.  The references below are
 the scalar forms: a damped Newton run per start, scalar residual calls, the
-class-by-class limits of `scalar_limits`, and a point-by-point grid scan.
+class-by-class limits of `scalar_limits`, and a point-by-point grid scan
+(`bisection_reference`).
 Stage B's scan for y and solve for z must find the candidates of the former
 method, a scalar Newton in (y, z) from a grid of starts per out-degree; it
 rests on the first residual not involving z.
@@ -21,6 +22,7 @@ from contagion_control.asymptotics import program_residuals
 from contagion_control import optimizer as opt
 
 import scalar_limits as scalar
+from bisection_reference import scalar_fixed_point
 from conftest import make_rng
 from test_class_pack import _out_degrees, distributions
 
@@ -85,39 +87,6 @@ def _scalar_roots(fun, starts):
         if sol is not None:
             out[k] = sol
     return out
-
-
-def _scalar_scan(f, grid=4096, tol=1e-12):
-    """Point-by-point form of the smallest_fixed_point scan and slope test."""
-    def g(y):
-        return f(y) - y
-
-    y_star = None
-    if g(0.0) <= 0.0:
-        y_star = 0.0
-    else:
-        prev_y = 0.0
-        for k in range(1, grid + 1):
-            y = k / grid
-            gy = g(y)
-            if gy <= 0.0:
-                lo, hi = prev_y, y
-                if gy == 0.0:
-                    lo = hi
-                while hi - lo > tol:
-                    mid = 0.5 * (lo + hi)
-                    if g(mid) > 0.0:
-                        lo = mid
-                    else:
-                        hi = mid
-                y_star = hi
-                break
-            prev_y = y
-        if y_star is None:
-            y_star = 1.0
-    lo_pt, hi_pt = max(0.0, y_star - 1e-6), min(1.0, y_star + 1e-6)
-    deriv = (f(hi_pt) - f(lo_pt)) / (hi_pt - lo_pt) if hi_pt > lo_pt else float("inf")
-    return y_star, bool(deriv < 1.0 - 1e-9)
 
 
 def _dist(name, request):
@@ -272,7 +241,7 @@ def test_blocked_scan_equals_scalar_scan(case, quadratic_dist, experiment_dist):
         "none": lambda y: 0.5 + 0.5 * y * y + 1e-3,
     }[case]
     got = smallest_fixed_point(f)
-    want = _scalar_scan(f)
+    want = scalar_fixed_point(f)
     assert got == want
     if case == "none":
         assert got[0] == 1.0

@@ -7,17 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from contagion_control import (
     EmpiricalCounts,
-    EnumerationLimitError,
     InterventionPolicy,
     NodePopulation,
     ParameterError,
-    exact_expectation,
     instantiate,
     run,
 )
 from contagion_control.cascade import _cutoffs
 
 from conftest import make_rng
+from exact_oracle import EnumerationLimitError, exact_expectation
 from step_chain import run_steps
 
 

@@ -131,6 +131,7 @@ class TestStudyAndCompare:
 ZIPF = {"kind": "zipf_copula", "xi": 0.5, "a1": 0.8, "a2": 0.7, "rho": 0.9, "max_deg": 4}
 QUAD = {"kind": "explicit", "entries": [[2, 2, 0, 0.2], [2, 2, 2, 0.8]]}
 NO_LINKS = {"kind": "explicit", "entries": [[0, 0, 0, 1.0]]}
+HALF_MASS = {"kind": "explicit", "entries": [[2, 2, 0, 0.1], [2, 2, 2, 0.4]]}
 
 
 @pytest.mark.parametrize("case,distribution,extra,policy", [
@@ -198,6 +199,14 @@ NO_LINKS = {"kind": "explicit", "entries": [[0, 0, 0, 1.0]]}
     ("mean degree 0 from degree-0 nodes", NO_LINKS, ["solve", "--cost", "0.5"], None),
     ("study with mean degree 0", NO_LINKS, ["study", {}], None),
     ("compare with mean degree 0", NO_LINKS, ["compare", {}], None),
+    # numpy's SeedSequence takes no negative seed
+    ("negative seed under simulate", QUAD, ["simulate", "--n", "50", "--seed", "-1"], None),
+    ("negative seed under study", QUAD, ["study", {"seed": -1}], None),
+    ("negative seed under compare", QUAD, ["compare", {"seed": -1}], None),
+    # a population needs the masses of all its nodes
+    ("total mass 0 under simulate", {"kind": "explicit", "entries": [[2, 2, 0, 0.0]]},
+     ["simulate", "--n", "50"], None),
+    ("total mass one half under simulate", HALF_MASS, ["simulate", "--n", "100"], None),
 ])
 def test_bad_input_is_a_one_line_config_error(case, distribution, extra, policy, tmp_path, capsys):
     dist = tmp_path / "dist.json"
@@ -219,3 +228,12 @@ def test_bad_input_is_a_one_line_config_error(case, distribution, extra, policy,
     assert main(argv) == 2, case
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), (case, err)
+
+
+@pytest.mark.parametrize("entries,mass", [([[2, 2, 0, 0.0]], "0.0"),
+                                          (HALF_MASS["entries"], "0.5")])
+def test_sub_unit_mass_names_the_total(entries, mass, tmp_path, capsys):
+    dist = tmp_path / "dist.json"
+    dist.write_text(json.dumps({"kind": "explicit", "entries": entries}))
+    assert main(["simulate", "--distribution", str(dist), "--n", "100"]) == 2
+    assert f"error: total mass {mass} is below 1" in capsys.readouterr().err

@@ -192,6 +192,14 @@ class TestEmpiricalCounts:
         with pytest.raises(ParameterError):
             empirical_counts(quadratic_dist, 0)
 
+    def test_total_mass_below_one_is_named(self):
+        # the limits accept a sub-unit mass; a population of n nodes does not
+        p = JointDistribution({(2, 2, 0): 0.1, (2, 2, 2): 0.4})
+        with pytest.raises(ParameterError, match="total mass 0.5"):
+            empirical_counts(p, 100)
+        counts = empirical_counts(JointDistribution({(2, 2, 0): 0.2, (2, 2, 2): 0.8 - 5e-10}), 10)
+        assert counts.counts == {(2, 2, 0): 2, (2, 2, 2): 8}
+
     @settings(max_examples=300, deadline=None)
     @given(
         classes=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 5),

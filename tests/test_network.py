@@ -9,15 +9,14 @@ from scipy.stats import chi2
 
 from contagion_control import (
     EmpiricalCounts,
-    EnumerationLimitError,
     NodePopulation,
     ParameterError,
-    enumerate_matchings,
     instantiate,
 )
 from contagion_control.cascade import _draw_order
 
 from conftest import make_rng
+from exact_oracle import EnumerationLimitError, enumerate_matchings
 from step_chain import swap_order
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contagion_control import (
+    ConstructionError,
     InterventionPolicy,
     JointDistribution,
     ParameterError,
@@ -157,6 +158,100 @@ class TestSolveOp:
         monkeypatch.setattr(opt, "_make_solution", unstable)
         with pytest.warns(RuntimeWarning, match="unstable"):
             opt.solve_op(p, 10.0)
+
+
+class TestSolveCache:
+    """solve_op stores its solution on the distribution object, by float(cost)."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """The (distribution, cost) of every solve that reached stage A."""
+        import contagion_control.optimizer as opt
+
+        seen, real = [], opt.solve_stage_a
+
+        def counted(p, cost):
+            seen.append((p, cost))
+            return real(p, cost)
+
+        monkeypatch.setattr(opt, "solve_stage_a", counted)
+        return seen
+
+    def test_repeat_returns_the_stored_solution(self, quadratic_dist, solves):
+        sol = solve_op(quadratic_dist, 1.5)
+        assert solve_op(quadratic_dist, 1.5) is sol
+        assert solve_op(quadratic_dist, np.float64(1.5)) is sol
+        assert len(solves) == 1
+
+    def test_another_cost_or_object_solves_afresh(self, quadratic_dist, solves):
+        sol = solve_op(quadratic_dist, 1.5)
+        other_cost = solve_op(quadratic_dist, 0.5)
+        twin = JointDistribution(dict(quadratic_dist.entries))
+        other_object = solve_op(twin, 1.5)
+        assert len(solves) == 3 and other_cost is not sol and other_object is not sol
+        assert other_object == sol
+
+    def test_unstable_stored_minimizer_warns_again(self, monkeypatch, solves):
+        import contagion_control.optimizer as opt
+
+        real = opt._make_solution
+        monkeypatch.setattr(opt, "_make_solution", lambda *args: OPSolution(
+            **{**real(*args).__dict__, "stable": False}))
+        p = JointDistribution({(2, 2, 0): 0.2, (2, 2, 2): 0.8})
+        with pytest.warns(RuntimeWarning, match="unstable"):
+            sol = opt.solve_op(p, 10.0)
+        with pytest.warns(RuntimeWarning, match="unstable"):
+            assert opt.solve_op(p, 10.0) is sol
+        assert len(solves) == 1
+
+    def test_a_failure_is_not_stored(self, quadratic_dist, monkeypatch):
+        import contagion_control.optimizer as opt
+
+        for name in ("solve_stage_a", "solve_stage_b", "_boundary_candidates"):
+            monkeypatch.setattr(opt, name, lambda p, cost: [])
+        with pytest.raises(ConstructionError, match="no feasible candidate"):
+            opt.solve_op(quadratic_dist, 1.5)
+        monkeypatch.undo()
+        assert opt.solve_op(quadratic_dist, 1.5).branch == "stage_b:j=2"
+
+
+# about 30 costs from cheap aid to aid that never pays, across the branch switches
+COSTS = np.linspace(0.05, 3.0, 30).tolist()
+
+
+@pytest.fixture(scope="module", params=["experiment", "quadratic"])
+def cost_sweep(request):
+    """(p, costs, solutions): each fixture solved once at every cost."""
+    if request.param == "experiment":
+        p = request.getfixturevalue("experiment_dist")
+    else:
+        p = JointDistribution({(2, 2, 0): 0.2, (2, 2, 2): 0.8})
+    return p, COSTS, [quiet_solve(p, cost) for cost in COSTS]
+
+
+class TestCostMonotonicity:
+    """The paper's structural claim: the optimal policy is monotone in the cost."""
+
+    def test_no_start_time_falls_as_the_cost_rises(self, cost_sweep):
+        p, costs, sols = cost_sweep
+        keys = [(i, j, c) for i, j in p.vulnerable_pairs() for c in range(1, i + 1)]
+        starts = []
+        for cost, sol in zip(costs, sols):
+            policy = extract_policy(sol, p, cost)
+            starts.append([math.inf if (x := policy.start(*key)) is None else x for key in keys])
+        for cost, before, after in zip(costs[1:], starts, starts[1:]):
+            fell = [key for key, x, later in zip(keys, before, after) if later < x]
+            assert not fell, (cost, fell)
+
+    def test_value_is_nondecreasing_and_concave_in_the_cost(self, cost_sweep):
+        # V(cost) is a minimum over policies of functions affine in the cost
+        _p, costs, sols = cost_sweep
+        values = [sol.objective for sol in sols]
+        for a, b in zip(values, values[1:]):
+            assert b >= a - 1e-12
+        for (c0, c1, c2), (v0, v1, v2) in zip(zip(costs, costs[1:], costs[2:]),
+                                              zip(values, values[1:], values[2:])):
+            assert v1 >= ((c2 - c1) * v0 + (c1 - c0) * v2) / (c2 - c0) - 1e-12, c1
 
 
 class TestExtractPolicy:
