@@ -7,21 +7,24 @@ old l equal to 1) the policy decides whether to inject one unit of equity.
 Without aid the node defaults and its out-links join the hidden pool.  The
 process stops when the pool empties.
 
-`run` is the one runner.  The draw ignores the state, so the run fixes the
-whole in-stub draw order first.  Each node's fate is then a first passage over
-its own loss steps: at cushion c0 it meets losses r = c0, c0 + 1, ... one loss
+`run` is the one runner.  The draw ignores the state, so the in-stub draw
+order can be fixed first.  Each node's fate is then a first passage over its
+own loss steps: at cushion c0 it meets losses r = c0, c0 + 1, ... one loss
 from default, is aided while the step has reached the cut of (i, j, r), and
 defaults at the first loss that is not (the reveal-order argument of Janson &
 Luczak 2007 and of Amini, Cont & Minca 2016).
 
 The draw order is the swap-remove of the per-step chain (index floor(u *
 remaining) over the node-ordered owner list, u from blocks of
-`rng.random(4096)`), replayed one 4096-step block at a time with array
-operations: a sort of the block's (position, step) keys gives each read the
-last earlier write to its position, and pointer doubling follows the writes
-that carried a swapped-out value back to the entry that held it before the
-block.  The order and the generator's state afterwards are the swap loop's;
-only one block's temporaries are held beyond the owner array.
+`rng.random(4096)`).  `_replay` replays it one 4096-step block at a time, in
+step order: one sort of the block's (position, step) keys, a gather of the
+draws, and fix-ups on the few steps that re-read a position or write into the
+block's tail.  `run` advances the first passage over the replayed prefix as
+it grows.  The pool falls by at most one per step, so once the passage covers
+K steps, T >= K + pool(K): `run` replays up to that bound before it looks
+again, and once the pool is empty it replays no further block.  It draws the
+skipped blocks' uniforms instead, so the generator ends where the swap loop
+over all m steps leaves it.
 
 Time is step count k; scaled time is k/n.  Continuous-time clocks are not
 simulated: the embedded chain has the same law for everything the outcome
@@ -39,8 +42,6 @@ import numpy as np
 
 from .errors import ParameterError
 from .network import NodePopulation
-
-_FAR = 1 << 62  # a draw-order key no position reaches
 
 Aggregate = dict[tuple[int, int, int, int], int]  # (i, j, c, l) -> node count
 
@@ -146,100 +147,156 @@ class RunOutcome:
         return cost * self.interventions / self.n + self.defaults / self.n
 
 
+_STEPS = np.arange(4096)
+_SPAN = 1 << 16  # steps per pass of the first passage, which bounds its temporaries
+
+
+def _replay(left: np.ndarray, rng: np.random.Generator):
+    """Replay the swap-remove draw order of `left` in place, one 4096-step
+    block at a time in step order, and yield the count of steps replayed
+    after each block; the array ends as the draw order reversed.
+
+    Step t of a block over the live prefix [0, start) reads entry idx_t and
+    swaps it with the live end r_t = start - 1 - t, which no later step of the
+    block touches.  The block's (position, step) keys are sorted once.  The
+    draws are then the gather left[idx], and the write of step t carries the
+    entry r_t of the tail [stop, start), except on small sets of fix-ups:
+
+    - a key that re-reads a position draws what the previous write to it
+      carried;
+    - a write into the tail at r_t by a step s < t hands step t what step s
+      carried; the last such write counts, and pointer doubling over these
+      links only takes each to the tail entry its chain starts from;
+    - a position below the tail written more than once keeps its last write.
+
+    The writes below the tail are scattered back and the tail takes the
+    draws, reversed.  Re-reads and tail writes are rare while the live prefix
+    is much longer than the block; the last block, where the prefix is the
+    block itself, is the dense case.  Each block draws its 4096 uniforms
+    whatever its length, as the swap loop does.
+    """
+    m = len(left)
+    for start in range(m, 0, -4096):
+        stop = max(start - 4096, 0)
+        b = start - stop
+        idx = (rng.random(4096)[:b] * np.arange(start, stop, -1.0)).astype(np.intp)
+        key = idx << 12  # the writes as keys position << 12 | step, sorted
+        key |= _STEPS[:b]
+        key.sort()
+        pos, step = key >> 12, key & 4095
+        last = pos[1:] != pos[:-1]  # key k (< b - 1) is the last write to its position
+        tail = left[stop:start][::-1]  # tail[t] is entry r_t
+        draw = left.take(idx)
+        # keys from h on write into the tail; the one a step t keeps is the
+        # last write to r_t before its own step (the self-swap idx_t = r_t)
+        h = int(pos.searchsorted(stop)) if stop else 0
+        t = (start - 1) - pos[h:]
+        own = step[h:] == t
+        linked = ~own
+        linked[:-1] &= last[h:] | own[1:]
+        target, root = t[linked], step[h:][linked]
+        up = _STEPS[:b]  # the write of step t carries tail[up[t]]
+        if len(target):
+            up = up.copy()
+            up[target] = root
+            while True:  # doubling, until every link reaches a step without one
+                nxt = up[root]
+                if not np.count_nonzero(nxt != root):
+                    break
+                up[target] = root = nxt
+        carried = tail[up]
+        again = (~last).nonzero()[0]  # key k + 1 re-reads the position of key k
+        draw[step[1:][again]] = carried[step[again]]
+        if h:  # the last write to each position below the tail stays
+            left[pos[:h]] = carried.take(step[:h])
+            # a position written twice or more keeps its last write, the key
+            # k + 1 of `again` whose next key does not re-read it
+            ends = again + 1
+            ends = ends[(np.append(again[1:], b) != ends) & (ends < h)]
+            left[pos[ends]] = carried[step[ends]]
+        tail[:] = draw
+        yield m - stop
+
+
 def _draw_order(owners: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """The node each of the m reveals hits, in step order (int32).
 
     Step k takes entry floor(u * (m - k)) of the m - k in-stubs left, with u
     from blocks of `rng.random(4096)`, and swaps it to the end of the live
-    prefix, so the array ends as the draw order reversed.
-
-    Each block of b <= 4096 steps over the live prefix [0, start) is replayed
-    with array operations, not swap by swap.  Step t reads entry idx_t and
-    swaps it with the live end r_t = start - 1 - t, which no later step of the
-    block touches.  Sorting the block's (position, step) keys gives every read
-    the last earlier write to its position:
-
-    - the draw of step t is the value that write carried, else the entry
-      idx_t held before the block;
-    - the write of step t carries what stood at r_t: the value of the last
-      earlier write to r_t, else the entry r_t held before the block.  Each
-      such link points to an earlier step, so following the links (by pointer
-      doubling) ends at a pre-block entry.
-
-    The last write to each position below the block's tail is scattered back
-    and the draws fill the tail [start - b, start), reversed.  The block draws
-    the same uniforms and indices as the swap loop, so the order and the
-    generator's state afterwards are the same as the loop's.
+    prefix, so the array ends as the draw order reversed.  This is `_replay`
+    run to the end: the order and the generator's state afterwards are the
+    swap loop's, and only one block's temporaries are held beyond the owner
+    array.
     """
     left = np.array(owners, dtype=np.int32)
-    for start in range(len(left), 0, -4096):
-        stop = max(start - 4096, 0)
-        b = start - stop
-        idx = (rng.random(4096)[:b] * np.arange(start, stop, -1)).astype(np.intp)
-        # the writes as keys position << 12 | step, sorted, between two
-        # sentinels that share no position with any key
-        key = np.empty(b + 2, np.int64)
-        key[0] = key[-1] = _FAR
-        writes = key[1:-1]
-        np.left_shift(idx, 12, out=writes)
-        writes |= np.arange(b)
-        writes.sort()
-        pos, low = writes >> 12, key & 4095
-        step = low[1:-1]
-        paired = (key[:-1] ^ key[1:]) < 4096  # key k and key k + 1 share a position
-        # step t swaps position r_t, whose key (r_t, t) is ask[b - 1 - t];
-        # before that swap r_t held what the last earlier write to it carried,
-        # found as the key just below
-        ask = np.arange((stop << 12) + b - 1, ((start - 1) << 12) + 1, 4095)
-        below = writes.searchsorted(ask)
-        linked = (key[below] ^ ask) < 4096  # else no earlier write: step t itself
-        link = np.where(linked, low[below], np.arange(b - 1, -1, -1))[::-1]
-        # a chain has no more links than there are linked steps, so
-        # ceil(log2(links)) doublings take every step to its chain's end
-        for _ in range(max(int(np.count_nonzero(linked)) - 1, 0).bit_length()):
-            link = link[link]
-        carried = (start - 1) - link  # pre-block position of what step t's write carries
-        draw = left[np.where(paired[:-1], carried[low[:-2]], pos)]
-        if stop:  # the final block has nothing below its tail
-            last = ~paired[1:]
-            left[pos[last]] = left[carried[step[last]]]
-        left[stop:start][::-1][step] = draw
+    for _ in _replay(left, rng):
+        pass
     return left[::-1]
 
 
-def _first_passage(keys, cls, ins, eqs, order, cutoffs):
-    """Each node's default step (m = never) and the (node, step) of each aid
-    unit, over all m steps of `order`; the caller keeps those before T.
+class _Passage:
+    """Each node's first passage over a growing prefix of the draw order.
 
-    `keys` holds the rows (i, j, c) of the class runs and `cls` each node's
-    run; `ins` and `eqs` are the nodes' in-degrees and equities.
+    A vulnerable node (1 <= c0 <= i) meets losses 1, 2, ... at its hits.  From
+    loss c0 on it is one loss from default, at cushion r on loss r, and is
+    aided while the step has reached the cut of (i, j, r); at the first loss
+    that is not, it defaults.  The passage carries each node's place in the
+    cut table (its class row plus the losses met so far) and its fall step
+    (m while it stands).
     """
-    n, m = len(ins), len(order)
-    # only vulnerable nodes (1 <= c0 <= i) meet a loss one loss from default
-    checked = np.where((eqs > 0) & (eqs <= ins), ins - eqs + 1, 0)
-    owned = np.where(checked > 0, ins, 0)
-    # the steps that hit a vulnerable node, sorted by node, then by step
-    when = np.flatnonzero((checked > 0)[order])
-    when += order[when] * np.int64(m)
-    when.sort()
-    when %= m
-    # losses r = c0..i of each vulnerable node; loss r is entry base + r - 1
-    node = np.repeat(np.arange(n, dtype=np.int32), checked)
-    nth = np.arange(len(node)) - np.repeat(np.cumsum(checked) - checked, checked)
-    rank = eqs[node] + nth
-    step = when[(np.cumsum(owned) - owned + eqs - 1)[node] + nth]
-    # k >= cut iff k >= ceil(cut); m stands for never
-    table = np.full((len(keys), int(keys[:, 0].max()) + 1), m)
-    for k, (i, j, _c) in enumerate(keys.tolist()):
-        for r in range(1, i + 1):
-            cut = cutoffs.get((i, j, r))
-            if cut is not None:
-                table[k, r] = math.ceil(cut)
-    aided = step >= table[cls[node], rank]
-    fall = np.full(n, m)
-    np.minimum.at(fall, node[~aided], step[~aided])
-    aided &= step < fall[node]
-    return fall, node[aided], step[aided]
+
+    def __init__(self, keys, counts, ins, eqs, cutoffs, m):
+        # row k, column r: the first step at which loss r of a node of class
+        # run k is aided (a step is >= cut iff it is >= ceil(cut)); m means
+        # never, and -1 marks the losses r < c0, which need no aid
+        width = int(keys[:, 0].max()) + 1
+        table = np.full((len(keys), width), m)
+        for k, (i, j, c) in enumerate(keys.tolist()):
+            table[k, :c] = -1
+            for r in range(c, i + 1):
+                cut = cutoffs.get((i, j, r))
+                if cut is not None:
+                    table[k, r] = math.ceil(cut)
+        self.table = table.ravel()
+        # each node's table entry of loss 0, then of the last loss it met
+        self.place = np.repeat(np.arange(0, len(keys) * width, width, dtype=np.int32), counts)
+        self.live = (eqs > 0) & (eqs <= ins)  # vulnerable and not fallen
+        self.fall = np.full(len(ins), m)
+        self.aid_node, self.aid_step = [], []
+
+    def advance(self, nodes: np.ndarray, first: int) -> np.ndarray:
+        """Pass over `nodes`, the targets of steps first, first + 1, ...;
+        return the nodes that fall there."""
+        # the hits on live vulnerable nodes, by node, then by step
+        hit = self.live.take(nodes).nonzero()[0]
+        key = nodes.take(hit).astype(np.int64) << 32
+        key |= hit
+        key.sort()
+        node, step = key >> 32, (key & 0xFFFFFFFF) + first
+        # a hit's loss is the node's losses so far plus its rank among the
+        # node's hits here
+        new = np.empty(len(node), bool)
+        new[:1] = True
+        np.not_equal(node[1:], node[:-1], out=new[1:])
+        head = new.nonzero()[0]
+        owner = node.take(head)
+        base = self.place.take(owner) + 1 - head
+        self.place[owner] = base + np.append(head[1:], len(node)) - 1
+        cut = self.table.take(np.append(0, base).take(np.cumsum(new)) + np.arange(len(node)))
+        # a node falls at its first loss below the cut
+        fails = (step < cut).nonzero()[0]
+        who = node.take(fails)
+        falls = fails[np.append(True, who[1:] != who[:-1])] if len(fails) else fails
+        fallen = node.take(falls)
+        self.fall[fallen] = step.take(falls)
+        self.live[fallen] = False
+        aided = step >= cut
+        aided &= cut >= 0
+        aided &= step < self.fall.take(node)
+        aided = aided.nonzero()[0]
+        self.aid_node.append(node.take(aided))
+        self.aid_step.append(step.take(aided))
+        return fallen
 
 
 def run(
@@ -251,30 +308,47 @@ def run(
 ) -> RunOutcome:
     """Run the chain to termination.
 
-    No draw is made when no node starts defaulted.  Snapshots of the state
-    aggregate are taken at step floor(tau * n), clamped to [0, T], with no
-    interpolation.  The draws map u -> floor(u * remaining); the bias versus
-    exact bounded integers is ~2^-53 * remaining, far below anything
-    observable here.  The generator is left after all ceil(m / 4096) blocks
-    of the draw order, even when the run ends earlier.
+    The draw order is replayed block by block only until the first passage
+    shows the pool empty at T; the generator is still left after all
+    ceil(m / 4096) blocks of the draw order, the later blocks' uniforms drawn
+    and not replayed.  No draw is made when no node starts defaulted.
+    Snapshots of the state aggregate are taken at step floor(tau * n),
+    clamped to [0, T], with no interpolation.  The draws map u -> floor(u *
+    remaining); the bias versus exact bounded integers is ~2^-53 *
+    remaining, far below anything observable here.
     """
     keys, counts = pop._classes
-    ins, outs, eqs, cls = (np.repeat(col, counts) for col in (*keys.T, np.arange(len(keys))))
+    ins, outs, eqs = (np.repeat(col, counts) for col in keys.T)
     n, m = pop.n, pop.m
     hidden0 = int(outs[eqs == 0].sum())
+    left = np.repeat(np.arange(n, dtype=np.int32), ins)
+    order = left[::-1]
+    passage = _Passage(keys, counts, ins, eqs, _cutoffs(policy, pop), m)
+    # the pool after k steps is hidden0 plus the out-degrees of the nodes
+    # fallen before k, minus k.  It falls by at most one per step, so T is at
+    # least `reach`, that sum over the falls in the steps the passage has
+    # covered: replay up to it before looking again
+    done, reach = 0, hidden0
     if hidden0:
-        order = _draw_order(np.repeat(np.arange(n, dtype=np.int32), ins), rng)
-        fall, aid_node, aid_step = _first_passage(keys, cls, ins, eqs, order, _cutoffs(policy, pop))
-    else:  # nothing is ever revealed
-        order = aid_node = aid_step = np.empty(0, np.int32)
-        fall = np.full(n, m)
+        blocks = _replay(left, rng)
+        while done < reach:
+            end = done
+            while end < min(reach, done + _SPAN):
+                end = next(blocks)
+            reach += int(outs[passage.advance(order[done:end], done)].sum())
+            done = end
+        for _ in range(-(-(m - done) // 4096)):  # the skipped blocks' uniforms
+            rng.random(4096)
+    fall = passage.fall
+    aid_node = np.concatenate([np.empty(0, np.int64), *passage.aid_node])
+    aid_step = np.concatenate([np.empty(0, np.int64), *passage.aid_step])
     # while q nodes have defaulted (in step order) the pool after k steps is
     # budget[q] - k; T is the first k at which it is empty
     fallen = np.flatnonzero(fall < m)
     fallen = fallen[np.argsort(fall[fallen])]
     fell_at = fall[fallen]
     budget = hidden0 + np.cumsum(np.concatenate(([0], outs[fallen])))
-    T = int(budget[np.argmax(budget <= np.concatenate((fell_at, [m])))])
+    T = int(budget[np.argmax(budget <= np.concatenate((fell_at, [done])))])
     initial = int(np.count_nonzero(eqs == 0))
 
     def aggregate(k: int) -> Aggregate:

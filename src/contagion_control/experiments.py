@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,7 @@ from .cascade import InterventionPolicy, RunOutcome, run
 from .distribution import JointDistribution, distribution_from_spec, empirical_counts, parse_int
 from .errors import ParameterError
 from .network import instantiate
-from .optimizer import asymptotic_prediction, extract_policy, solve_op
+from .optimizer import _check_cost, asymptotic_prediction, extract_policy, solve_op
 
 VARIABLES = ("intervention_fraction", "default_fraction", "time_fraction")
 
@@ -212,38 +212,45 @@ def theory_limits(dist: JointDistribution, spec: PolicySpec, cost: float) -> dic
 def simulation_policy(
     dist: JointDistribution, spec: PolicySpec, cost: float
 ) -> InterventionPolicy:
+    """The policy to simulate; the cost is checked under every kind, not only
+    where the program is solved."""
+    _check_cost(cost)
     if spec["kind"] == "optimal":
         return extract_policy(solve_op(dist, cost), dist, cost)
     return spec_policy(spec)
 
 
+def _simulate_size(cfg: StudyConfig, si: int, result: StudyResult) -> None:
+    """The cells of size index `si`: every policy's runs on one population,
+    seeded by the spawn keys (si, policy index, run index)."""
+    n = cfg.sizes[si]
+    counts = empirical_counts(cfg.distribution, n)
+    pop = instantiate(counts)
+    pn = counts.to_distribution()
+    for pi, spec in enumerate(cfg.policies):
+        name = spec["name"]
+        # limits recomputed from the realized counts: removes rounding error
+        result.theory_pn[(n, name)] = theory_limits(pn, spec, cfg.cost)
+        # the simulated policy is derived from the same realized counts
+        policy = simulation_policy(pn, spec, cfg.cost)
+        rows = {var: [] for var in VARIABLES}
+        for ri in range(cfg.runs):
+            seq = np.random.SeedSequence(cfg.master_seed, spawn_key=(si, pi, ri))
+            rng = np.random.Generator(np.random.PCG64(seq))
+            out: RunOutcome = run(pop, policy, rng)
+            rows["intervention_fraction"].append(out.interventions / n)
+            rows["default_fraction"].append(out.defaults / n)
+            rows["time_fraction"].append(out.T / pop.m)
+        result.stats[(n, name)] = {var: Summary.of(rows[var]) for var in VARIABLES}
+
+
 def run_study(cfg: StudyConfig) -> StudyResult:
     """Full study: simulations, summaries, theory twice, dispersion fits, files."""
     result = StudyResult(config=cfg)
-    p = cfg.distribution
-
     for spec in cfg.policies:
-        result.theory_p[spec["name"]] = theory_limits(p, spec, cfg.cost)
-
-    for si, n in enumerate(cfg.sizes):
-        counts = empirical_counts(p, n)
-        pop = instantiate(counts)
-        pn = counts.to_distribution()
-        for pi, spec in enumerate(cfg.policies):
-            name = spec["name"]
-            # limits recomputed from the realized counts: removes rounding error
-            result.theory_pn[(n, name)] = theory_limits(pn, spec, cfg.cost)
-            # the simulated policy is derived from the same realized counts
-            policy = simulation_policy(pn, spec, cfg.cost)
-            rows = {var: [] for var in VARIABLES}
-            for ri in range(cfg.runs):
-                seq = np.random.SeedSequence(cfg.master_seed, spawn_key=(si, pi, ri))
-                rng = np.random.Generator(np.random.PCG64(seq))
-                out: RunOutcome = run(pop, policy, rng)
-                rows["intervention_fraction"].append(out.interventions / n)
-                rows["default_fraction"].append(out.defaults / n)
-                rows["time_fraction"].append(out.T / pop.m)
-            result.stats[(n, name)] = {var: Summary.of(rows[var]) for var in VARIABLES}
+        result.theory_p[spec["name"]] = theory_limits(cfg.distribution, spec, cfg.cost)
+    for si in range(len(cfg.sizes)):
+        _simulate_size(cfg, si, result)
 
     if len(cfg.sizes) >= 2:
         for spec in cfg.policies:
@@ -376,22 +383,24 @@ def compare_policies(cfg: StudyConfig, study: StudyResult | None = None) -> list
     """Tabulate per-policy limits against the no-intervention baseline.
 
     `defaults_prevented` is the drop in the asymptotic default fraction versus
-    letting the cascade run; `aid_cost` is cost * aid volume.  When a study
-    result is supplied (or an outdir-less study is run here), the empirical
-    means at the largest size are attached.  Writes comparison.csv and a bar
-    chart when the config carries an output directory.
+    letting the cascade run; `aid_cost` is cost * aid volume.  The empirical
+    means at the largest size are attached: from `study` when one is
+    supplied, else from that size's cells alone, run here with the study's
+    seeds.  Writes comparison.csv and a bar chart when the config carries an
+    output directory.
     """
     if len(cfg.policies) < 2:
         raise ParameterError("compare_policies needs at least two policies")
     p = cfg.distribution
     base_defaults = theory_limits(p, {"kind": "none", "name": "none"}, cfg.cost)["default_fraction"]
     if study is None:
-        study = run_study(replace(cfg, outdir=None))
+        study = StudyResult(config=cfg)
+        _simulate_size(cfg, len(cfg.sizes) - 1, study)
     n_big = max(cfg.sizes)
     rows = []
     for spec in cfg.policies:
         name = spec["name"]
-        limits = study.theory_p[name]
+        limits = theory_limits(p, spec, cfg.cost)
         cell = study.stats.get((n_big, name))
         rows.append(PolicyComparison(
             policy=name,

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from contagion_control import (
     EmpiricalCounts,
@@ -29,6 +29,15 @@ def pop_of(counts: dict, n=None) -> "NodePopulation":
 def cycle3():
     """One defaulted node, two one-loss survivors, all 1-regular."""
     return pop_of({(1, 1, 0): 1, (1, 1, 1): 2})
+
+
+def full_replay_state(pop, rng):
+    """The state of `rng` after every block of the population's draw order:
+    where `run` leaves it, whenever its run stops."""
+    if any(j for (_i, j, c) in pop.nodes if c == 0):
+        for _ in range(-(-pop.m // 4096)):
+            rng.random(4096)
+    return rng.bit_generator.state
 
 
 def every_step(pop):
@@ -162,12 +171,19 @@ class TestInvariants:
 
 
 @st.composite
-def populations(draw):
+def populations(draw, stubs=None):
     """Small balanced populations with a defaulted class (mostly with out-links);
-    classes may repeat apart, be invulnerable (c > i) or have out-degree zero."""
+    classes may repeat apart, be invulnerable (c > i) or have out-degree zero.
+    Given `stubs`, a strategy for a stub count, every class count is scaled
+    so that the population has at most that many in- and out-stubs."""
     seed = st.tuples(st.integers(0, 3), st.integers(0, 3), st.just(0), st.integers(1, 3))
     other = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 4), st.integers(1, 4))
     classes = draw(st.permutations([draw(seed), *draw(st.lists(other, max_size=5))]))
+    if stubs is not None:
+        most = max(sum(i * count for i, _j, _c, count in classes),
+                   sum(j * count for _i, j, _c, count in classes), 1)
+        scale = max(draw(stubs) // most, 1)
+        classes = [(i, j, c, count * scale) for i, j, c, count in classes]
     nodes = [(i, j, c) for i, j, c, count in classes for _ in range(count)]
     gap = sum(i for i, _j, _c in nodes) - sum(j for _i, j, _c in nodes)
     if gap:
@@ -229,6 +245,42 @@ class TestOneRunner:
         }
         assert _cutoffs(policy, pop) == every
 
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_run_over_several_draw_blocks(self, data):
+        # two or three blocks of the draw order, so the run stops at T inside
+        # the order and leaves the generator after all of its blocks
+        pop = data.draw(populations(stubs=st.integers(4096 + 100, 3 * 4096)))
+        assume(4096 < pop.m <= 3 * 4096)
+        policy = data.draw(policies(pop))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        times = (-1.0, 0.0, 0.5, 1.0, 1.7, 1e3)
+        rng = make_rng(seed)
+        out = run(pop, policy, rng, times, trace=True)
+        assert out == run_steps(pop, policy, make_rng(seed), times, trace=True)
+        assert rng.bit_generator.state == full_replay_state(pop, make_rng(seed))
+
+    @pytest.mark.parametrize("policy,seed,T", [
+        # a stored table whose runs end near the first block's end
+        ("table", 42, 4094), ("table", 214, 4095), ("table", 221, 4096),
+        ("table", 103, 4097), ("table", 248, 4098),
+        # complete aid: T is the out-degree of the initial defaults
+        ("complete", 0, 4095), ("complete", 0, 4096), ("complete", 0, 8192),
+    ])
+    def test_stop_at_a_block_end(self, policy, seed, T):
+        if policy == "table":
+            pop = pop_of({(2, 2, 0): 500, (2, 2, 1): 1000, (3, 3, 2): 1000, (2, 2, 2): 1000})
+            policy = InterventionPolicy.table({(2, 2, 1): 0.3, (3, 3, 2): 0.5, (3, 3, 3): 0.2})
+        else:
+            pop = pop_of({(1, 1, 0): T, (1, 1, 1): 3000})
+            policy = InterventionPolicy.complete()
+        times = (0.0, 1.0, 1e3)
+        rng = make_rng(seed)
+        out = run(pop, policy, rng, times, trace=True)
+        assert out.T == T
+        assert out == run_steps(pop, policy, make_rng(seed), times, trace=True)
+        assert rng.bit_generator.state == full_replay_state(pop, make_rng(seed))
+
     @pytest.mark.parametrize("name", ["none", "complete", "alternative", "optimal"])
     def test_across_draw_blocks(self, experiment_dist, name):
         from contagion_control import empirical_counts
@@ -240,8 +292,10 @@ class TestOneRunner:
         policy = simulation_policy(counts.to_distribution(), normalize_policy_spec(name), 0.5)
         times = (0.0, 0.3, 1.0, 2.5, 100.0)
         for seed in range(3):
-            out = run(pop, policy, make_rng(81, seed), times, trace=True)
+            rng = make_rng(81, seed)
+            out = run(pop, policy, rng, times, trace=True)
             assert out == run_steps(pop, policy, make_rng(81, seed), times, trace=True)
+            assert rng.bit_generator.state == full_replay_state(pop, make_rng(81, seed))
 
 
 class TestExactExpectation:

@@ -218,6 +218,24 @@ class TestComparePolicies:
         with pytest.raises(ParameterError):
             compare_policies(cfg)
 
+    def test_largest_size_alone_gives_the_full_study_rows(self, quadratic_dist, monkeypatch):
+        from contagion_control import experiments
+
+        cfg = StudyConfig(distribution=quadratic_dist, sizes=(50, 100, 150), runs=5,
+                          policies=("none", "optimal", "complete"), cost=0.5, master_seed=9)
+        want = compare_policies(cfg, run_study(cfg))
+        calls = []
+        real = experiments.run
+
+        def counted(pop, *args, **kwargs):
+            calls.append(pop.n)
+            return real(pop, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run", counted)
+        assert compare_policies(cfg) == want
+        # only the largest size's cells are run, once per (policy, run)
+        assert calls == [150] * (cfg.runs * len(cfg.policies))
+
     def test_writes_reports(self, quadratic_dist, tmp_path):
         cfg = StudyConfig(distribution=quadratic_dist, sizes=(50,), runs=4,
                           policies=("none", "complete"), cost=0.5, master_seed=3,

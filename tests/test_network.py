@@ -13,7 +13,7 @@ from contagion_control import (
     ParameterError,
     instantiate,
 )
-from contagion_control.cascade import _draw_order
+from contagion_control.cascade import _draw_order, _replay
 
 from conftest import make_rng
 from exact_oracle import EnumerationLimitError, enumerate_matchings
@@ -88,6 +88,33 @@ class TestDrawInStub:
         assert order.dtype == np.int32
         assert np.array_equal(order, swap_order(owners, rng_b))
         assert rng_a.random() == rng_b.random()
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox,
+                                               np.random.MT19937, np.random.SFC64])
+    @pytest.mark.parametrize("m", [1, 4095, 4096, 4097, 8192, 8193])
+    def test_every_bit_generator_ends_where_the_swap_loop_does(self, bit_generator, m):
+        owners = (np.arange(m, dtype=np.int32) * 7) % 1000
+        rng_a, rng_b = np.random.Generator(bit_generator(m)), np.random.Generator(bit_generator(m))
+        assert np.array_equal(_draw_order(owners, rng_a), swap_order(owners, rng_b))
+        np.testing.assert_equal(rng_a.bit_generator.state, rng_b.bit_generator.state)
+
+    def test_a_block_that_re_reads_no_position(self):
+        # with 2^21 stubs live, this seed's first block picks 4096 distinct
+        # positions (five in its own tail): only the scatter below the tail
+        # and the tail links are left to fix up
+        m = 1 << 21
+        picks = (make_rng(21).random(4096) * np.arange(m, m - 4096, -1)).astype(np.intp)
+        assert len(set(picks.tolist())) == 4096
+        # the swap loop over that block, as changes to the identity
+        moved = {}
+        for idx, end in zip(picks.tolist(), range(m - 1, m - 4097, -1)):
+            moved[idx], moved[end] = moved.get(end, end), moved.get(idx, idx)
+        left = np.arange(m, dtype=np.int32)
+        assert next(_replay(left, make_rng(21))) == 4096
+        where = np.array(list(moved))
+        assert np.array_equal(left[where], [moved[p] for p in where.tolist()])
+        left[where] = where
+        assert np.array_equal(left, np.arange(m))
 
     def test_memory_stays_one_block_deep(self):
         # the blocks are replayed one at a time: beyond the copy of the owners,
