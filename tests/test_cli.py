@@ -203,14 +203,14 @@ HALF_MASS = {"kind": "explicit", "entries": [[2, 2, 0, 0.1], [2, 2, 2, 0.4]]}
     ("negative seed under simulate", QUAD, ["simulate", "--n", "50", "--seed", "-1"], None),
     ("negative seed under study", QUAD, ["study", {"seed": -1}], None),
     ("negative seed under compare", QUAD, ["compare", {"seed": -1}], None),
-    # simulate checks the cost under every policy, not only where it solves
-    *[(f"simulate {policy} cost {cost}", QUAD,
-       ["simulate", "--n", "50", "--policy", policy, "--cost", cost], None)
-      for policy in ("none", "complete") for cost in ("-1", "0", "nan", "inf")],
     # a population needs the masses of all its nodes
     ("total mass 0 under simulate", {"kind": "explicit", "entries": [[2, 2, 0, 0.0]]},
      ["simulate", "--n", "50"], None),
     ("total mass one half under simulate", HALF_MASS, ["simulate", "--n", "100"], None),
+    # simulate checks the cost under every policy, not only where it solves
+    *[(f"simulate {policy} cost {cost}", QUAD,
+       ["simulate", "--n", "50", "--policy", policy, "--cost", cost], None)
+      for policy in ("none", "complete") for cost in ("-1", "0", "nan", "inf")],
 ])
 def test_bad_input_is_a_one_line_config_error(case, distribution, extra, policy, tmp_path, capsys):
     dist = tmp_path / "dist.json"
