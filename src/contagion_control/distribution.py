@@ -296,11 +296,12 @@ def _rebalance_stubs(counts: dict[ClassKey, int], imbalance: int) -> dict[ClassK
 
 def parse_int(value, what: str) -> int:
     """The one integer parser of JSON inputs: ints, integral floats and integer
-    strings pass; a fraction such as 4.9 raises instead of becoming 4."""
+    strings pass; a fraction such as 4.9 raises instead of becoming 4, and a
+    boolean raises instead of becoming 0 or 1."""
     if isinstance(value, float):
         if value.is_integer():
             return int(value)
-    else:
+    elif not isinstance(value, bool):
         try:
             return int(value) if isinstance(value, str) else operator.index(value)
         except (TypeError, ValueError):
@@ -329,8 +330,11 @@ def distribution_from_spec(spec: dict) -> JointDistribution:
             raise ParameterError(f"zipf_copula spec has a bad field: {exc}") from exc
         return build_zipf_copula(**args)
     if kind == "explicit":
+        rows = spec.get("entries", [])
+        if not isinstance(rows, (list, tuple)):
+            raise ParameterError(f"explicit entries must be an array, got {rows!r}")
         entries = {}
-        for row in spec.get("entries", []):
+        for row in rows:
             try:
                 i, j, c, mass = row
                 i, j, c = (parse_int(k, "degree or equity") for k in (i, j, c))

@@ -140,10 +140,16 @@ class StudyConfig:
     @staticmethod
     def from_json(doc: dict) -> "StudyConfig":
         """The config of a JSON document; a field the document omits keeps its default."""
+        def array(value, key):
+            if not isinstance(value, (list, tuple)):
+                raise ParameterError(f"study config field {key!r} must be an array, "
+                                     f"got {value!r}")
+            return tuple(value)
+
         parsers = {  # JSON key -> (field, parse)
-            "sizes": ("sizes", lambda v: tuple(parse_int(n, "size") for n in v)),
+            "sizes": ("sizes", lambda v: tuple(parse_int(n, "size") for n in array(v, "sizes"))),
             "runs": ("runs", lambda v: parse_int(v, "runs")),
-            "policies": ("policies", tuple),
+            "policies": ("policies", lambda v: array(v, "policies")),
             "cost": ("cost", float),
             "seed": ("master_seed", lambda v: parse_int(v, "seed")),
             "outdir": ("outdir", lambda v: Path(v) if v else None),

@@ -5,8 +5,9 @@ terminal stationarity equation (1 - y) * H(y, v) = lam * v * (1 - y) and the
 fixed-point equation "controlled outflow at y equals y", with the per-class
 start times x(y, v) pinned by the three-branch formula and 0 <= z <= y <= 1.
 
-Solving is staged: stage A sets z = y (no singular class) and solves for
-(y, v) by one lockstep Newton batch (`_lockstep_newton`).  Stage B fixes v =
+Solving is staged, and no stage takes a derivative.  Stage A sets z = y (no
+singular class) and finds (y, v) by sign-change subdivision of a (y, v) box,
+one batched residual call per level.  Stage B fixes v =
 (1 - cost) / j for every out-degree j in the support, making that degree's
 cushion-equals-in-degree class singular with free start z.  The singular
 classes have c = i, where tail(i - 1, x, i) = 0 whatever their start x, so
@@ -17,8 +18,9 @@ z in [0, y], both by `_scan_roots` over every out-degree at once; its brackets
 go to `asymptotics.bisect`, which evaluates several bisection levels per
 residual call and finds the roots of the one-midpoint loop.  The
 reported solution is the feasible candidate with the smallest objective;
-boundary candidates y = 0 (nothing to reveal) and y = 1 (everything burns)
-join the comparison when feasible.  Every candidate passes one builder,
+stage A's candidates include y = 0 (nothing to reveal), and the boundary
+candidate y = 1 (everything burns) joins the comparison when feasible.
+Every candidate passes one builder,
 `_candidates`, and is stable by `asymptotics.is_stable`; the singular
 classes, in the equations and in `extract_policy`, are
 `asymptotics.singular_rows`.  `solve_op` stores its solution on the
@@ -54,6 +56,13 @@ from .errors import ConstructionError, ParameterError
 _RESIDUAL_TOL = 1e-9
 _DEDUP_TOL = 1e-8
 
+# stage A: corners in y and in u of the first grid (v = tan(pi u / 2)), and the
+# width in y and in v at which a subdivided cell is a root
+_STAGE_A_GRID = (21, 81)
+_STAGE_A_WIDTH = 1e-13
+# stage A's former Newton grid, 10 end fractions x 13 multipliers: the
+# benchmark self-test checks the tracer's start count against it, and the
+# tests run it as the scalar Newton reference of `solve_stage_a`
 _STAGE_A_Y_STARTS = [round(0.05 + 0.1 * k, 2) for k in range(10)]
 _STAGE_A_V_STARTS = [0.0, 1e-3, -1e-3, 1e-2, -1e-2, 0.1, -0.1, 0.3, -0.3, 1.0, -1.0, 3.0, -3.0]
 # stage B's former Newton grid, 5 end fractions x 3 shares of y for z per
@@ -61,7 +70,6 @@ _STAGE_A_V_STARTS = [0.0, 1e-3, -1e-3, 1e-2, -1e-2, 0.1, -0.1, 0.3, -0.3, 1.0, -
 # it, and the tests run it as the scalar Newton reference of `solve_stage_b`
 _STAGE_B_Y_STARTS = [0.1, 0.3, 0.5, 0.7, 0.9]
 _STAGE_B_Z_SHARES = [0.05, 0.5, 0.95]
-_STAGE_A_STARTS = [(y0, v0) for y0 in _STAGE_A_Y_STARTS for v0 in _STAGE_A_V_STARTS]
 
 
 @dataclass(frozen=True)
@@ -96,100 +104,6 @@ def _make_solution(p, cost, y, v, z, branch, singular_j) -> OPSolution:
     )
 
 
-def _solve_2x2(a, b, c, d, r0, r1):
-    """Solutions of [[a, b], [c, d]] x = (r0, r1), by LU with partial pivoting.
-
-    The closed form of a 2x2 `np.linalg.solve`, batched; rows whose pivot
-    vanishes (an exactly singular system) come back as NaN.
-    """
-    swap = np.abs(c) > np.abs(a)
-    p, q, rp = np.where(swap, c, a), np.where(swap, d, b), np.where(swap, r1, r0)
-    s, t, rs = np.where(swap, a, c), np.where(swap, b, d), np.where(swap, r0, r1)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        l = s / p
-        u = t - l * q
-        x1 = (rs - l * rp) / u
-        x0 = (rp - q * x1) / p
-    singular = (p == 0.0) | (u == 0.0)
-    return np.where(singular, np.nan, x0), np.where(singular, np.nan, x1)
-
-
-def _lockstep_newton(fun, starts, max_iter=80, tol=1e-12):
-    """Damped Newton from every start at once; (S, 2) roots, NaN where a start fails.
-
-    `fun(a, b)` evaluates both residuals at equal-length arrays of points
-    (stage A's (y, v)).  Starts never mix, so a start's path does not depend
-    on the others in the batch.  Each start follows the
-    scalar rules: stop below `tol`; central-difference Jacobian with h = 1e-6
-    * max(1, |x|); full step, else the first of 44 halvings that strictly
-    lowers the max-norm; a start that cannot improve
-    (or whose step is singular or non-finite) ends there, as a root only if
-    its norm is below 1e-9, as after `max_iter` iterations.  The residual
-    pieces are smooth between start-time branch switches but only continuous
-    across them, so numerical differencing plus backtracking is robust here.
-    One iteration makes one batched call for all Jacobian points, one for all
-    full steps and, when some full step fails, one for all their halvings.
-    """
-    def residuals(pts):
-        r0, r1 = fun(pts[:, 0], pts[:, 1])
-        return np.stack([r0, r1], axis=1)
-
-    x = np.array(starts, dtype=float)
-    f = residuals(x)
-    roots = np.full_like(x, np.nan)
-    active = np.flatnonzero(np.isfinite(f).all(axis=1))
-    halvings = 0.5 ** np.arange(1, 45)
-
-    def settle(idx, norm):
-        # a start that stops short of `tol` counts only below 1e-9
-        ok = norm < 1e-9
-        roots[idx[ok]] = x[idx[ok]]
-
-    for _ in range(max_iter):
-        norm = np.abs(f[active]).max(axis=1)
-        done = norm < tol
-        roots[active[done]] = x[active[done]]
-        active, norm = active[~done], norm[~done]
-        if not active.size:
-            break
-        xa, fa = x[active], f[active]
-        h = 1e-6 * np.maximum(1.0, np.abs(xa))
-        n = len(active)
-        pts = np.repeat(xa[None], 4, axis=0)
-        pts[0, :, 0] += h[:, 0]
-        pts[1, :, 0] -= h[:, 0]
-        pts[2, :, 1] += h[:, 1]
-        pts[3, :, 1] -= h[:, 1]
-        fp = residuals(pts.reshape(4 * n, 2)).reshape(4, n, 2)
-        d0 = (fp[0] - fp[1]) / (2.0 * h[:, :1])
-        d1 = (fp[2] - fp[3]) / (2.0 * h[:, 1:])
-        dx = np.stack(_solve_2x2(d0[:, 0], d1[:, 0], d0[:, 1], d1[:, 1],
-                                 -fa[:, 0], -fa[:, 1]), axis=1)
-        ok = np.isfinite(dx).all(axis=1)
-        active, xa, dx, norm = active[ok], xa[ok], dx[ok], norm[ok]
-        if not active.size:
-            break
-        xn = xa + dx
-        fn = residuals(xn)
-        better = np.isfinite(fn).all(axis=1) & (np.abs(fn).max(axis=1) < norm)
-        x[active[better]], f[active[better]] = xn[better], fn[better]
-        miss = ~better
-        if miss.any():
-            sub, norm_sub = active[miss], norm[miss]
-            xs = xa[miss][:, None, :] + halvings[None, :, None] * dx[miss][:, None, :]
-            fs = residuals(xs.reshape(-1, 2)).reshape(xs.shape)
-            good = np.isfinite(fs).all(axis=2) & (np.abs(fs).max(axis=2) < norm_sub[:, None])
-            found = good.any(axis=1)
-            k = good.argmax(axis=1)[found]
-            x[sub[found]], f[sub[found]] = xs[found, k], fs[found, k]
-            # no halving helps: the start ends where it stands
-            settle(sub[~found], norm_sub[~found])
-            active = np.setdiff1d(active, sub[~found])
-    else:  # max_iter iterations without emptying `active`
-        settle(active, np.abs(f[active]).max(axis=1))
-    return roots
-
-
 def _check_cost(cost: float) -> None:
     if not (math.isfinite(cost) and cost > 0):
         raise ParameterError(f"intervention cost must be positive and finite, got {cost}")
@@ -198,15 +112,15 @@ def _check_cost(cost: float) -> None:
 def _candidates(p, cost, points, branch, singular_j=None) -> list[OPSolution]:
     """The candidate builder: solutions at the points (y, v, z) that solve both
     program equations, with a finite objective (a NaN one would empty
-    solve_op's tie set).  Newton roots and boundary points all pass here."""
+    solve_op's tie set).  The stages' roots and boundary points all pass here."""
     sols = (_make_solution(p, cost, y, v, z, branch, singular_j) for y, v, z in points)
     return [s for s in sols if s.feasible and math.isfinite(s.objective)]
 
 
 def _root_candidates(p, cost, roots, branch, singular_j=None) -> list[OPSolution]:
-    """The candidates at Newton roots, rows (y, v, z), sorted by (y, v, z).
+    """The candidates at roots, rows (y, v, z), sorted by (y, v, z).
 
-    Failed starts (NaN) are dropped and repeats skipped in start order.  y ~ 1
+    NaN rows are dropped and repeats skipped in row order.  y ~ 1
     makes the first equation vacuous, so a root counts only in 0 <= z <= y <=
     1 - 1e-9 (1e-9 of slack at 0 and y), clamped into it; y = 1 is a boundary.
     """
@@ -223,11 +137,71 @@ def _root_candidates(p, cost, roots, branch, singular_j=None) -> list[OPSolution
                   key=lambda s: (s.end_fraction, s.multiplier, s.singular_start))
 
 
+def _straddles(corners):
+    """Cells where each residual is <= 0 at one corner and >= 0 at another;
+    corners is (..., 4, 2), and a NaN corner keeps nothing."""
+    return ((corners.min(axis=-2) <= 0.0) & (corners.max(axis=-2) >= 0.0)).all(axis=-1)
+
+
 def solve_stage_a(p: JointDistribution, cost: float) -> list[OPSolution]:
-    """Roots of the two terminal equations with z = y, from a grid of starts."""
+    """Roots of the two terminal equations with z = y, by sign-change subdivision.
+
+    Both residuals are evaluated on a corner grid of 21 values of y in
+    [0, 1 - 1e-9] by 81 multipliers v = tan(pi u / 2), u in [-(1 - 1e-6),
+    1 - 1e-6].  The cells that `_straddles` keeps are split into four, with one
+    batched call per level on each cell's 3 x 3 lattice, until each side is
+    1e-13 wide; a side too narrow to halve in floating point stays whole.  A
+    finished cell reports its corner of smallest max-norm residual.  A level
+    keeps at most as many cells as the first grid has, those nearest a root by
+    their corners: more only arise where the roots are not isolated, as along
+    a jump of the outflow on which the first residual vanishes.  The corner
+    test misses a root whose residual contour enters and leaves a coarse cell
+    through the same edge.
+
+    y = 0 belongs to stage A alone: where no out-links start hidden
+    (default_outflow(p, 0) <= 1e-14), its candidates are the multipliers of
+    `_solve_multiplier_at`, and the subdivision's roots within 1e-9 of y = 0
+    are dropped.
+    """
     _check_cost(cost)
-    roots = _lockstep_newton(lambda y, v: program_residuals(p, cost, y, v, y),
-                             _STAGE_A_STARTS)
+
+    def residuals(y, v):
+        r = program_residuals(p, cost, y.ravel(), v.ravel(), y.ravel())
+        return np.stack(r, axis=-1).reshape(*y.shape, 2)
+
+    ys = np.linspace(0.0, 1.0 - 1e-9, _STAGE_A_GRID[0])
+    vs = np.tan(0.5 * np.pi * np.linspace(-(1.0 - 1e-6), 1.0 - 1e-6, _STAGE_A_GRID[1]))
+    f = residuals(*np.meshgrid(ys, vs, indexing="ij"))
+    r, c = np.nonzero(_straddles(np.stack([f[:-1, :-1], f[:-1, 1:], f[1:, :-1], f[1:, 1:]],
+                                          axis=2)))
+    cells, found = (ys[r], ys[r + 1], vs[c], vs[c + 1]), [np.empty((0, 2))]
+    cap = (len(ys) - 1) * (len(vs) - 1)
+    while cells[0].size:
+        ly, lv = (np.stack([lo, 0.5 * (lo + hi), hi], axis=1)
+                  for lo, hi in (cells[:2], cells[2:]))
+        f = residuals(*np.broadcast_arrays(ly[:, :, None], lv[:, None, :]))
+        sy, sv = ((l[:, 2] - l[:, 0] > _STAGE_A_WIDTH) & (l[:, 0] < l[:, 1]) & (l[:, 1] < l[:, 2])
+                  for l in (ly, lv))
+        k = np.arange(len(ly))
+        done = k[~sy & ~sv]
+        best = np.abs(f[done, ::2, ::2]).max(axis=-1).reshape(-1, 4).argmin(axis=1)
+        found.append(np.stack([ly[done, best // 2 * 2], lv[done, best % 2 * 2]], axis=1))
+        children = []
+        for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            y0, y1 = np.where(sy, a, 0), np.where(sy, a + 1, 2)
+            v0, v1 = np.where(sv, b, 0), np.where(sv, b + 1, 2)
+            corners = np.stack([f[k, y0, v0], f[k, y0, v1], f[k, y1, v0], f[k, y1, v1]], axis=1)
+            keep = (sy | sv) & (sy | (a == 0)) & (sv | (b == 0)) & _straddles(corners)
+            children.append((ly[k, y0][keep], ly[k, y1][keep], lv[k, v0][keep], lv[k, v1][keep],
+                             np.abs(corners[keep]).max(axis=-1).min(axis=-1)))
+        *cells, nearness = (np.concatenate(side) for side in zip(*children))
+        if len(nearness) > cap:
+            cells = [side[np.argsort(nearness, kind="stable")[:cap]] for side in cells]
+    roots = np.concatenate(found)
+    roots = roots[roots[:, 0] > 1e-9]
+    if default_outflow(p, 0.0) <= 1e-14:
+        at_zero = [(0.0, v) for v in _solve_multiplier_at(p, cost, 0.0)]
+        roots = np.concatenate([np.reshape(at_zero, (-1, 2)), roots])
     return _root_candidates(p, cost, roots[:, [0, 1, 0]], "stage_a")
 
 
@@ -300,11 +274,6 @@ def _solve_multiplier_at(p, cost, y):
 
 def _boundary_candidates(p: JointDistribution, cost: float) -> list[OPSolution]:
     out = []
-    # y = 0 is feasible only when no out-links start hidden (no defaulted mass
-    # flows); the first multiplier that solves the program is enough
-    if default_outflow(p, 0.0) <= 1e-14:
-        points = [(0.0, v, 0.0) for v in _solve_multiplier_at(p, cost, 0.0)]
-        out += _candidates(p, cost, points, "boundary:y=0")[:1]
     # y = 1 is feasible only when all out-degree mass is vulnerable-or-defaulted
     out_mass = sum(j * m for (i, j, c), m in p.entries.items() if c <= i)
     support_j = sorted({j for (_i, j, _c) in p.entries if j > 0})

@@ -1,10 +1,10 @@
 """The batched solver against scalar references.
 
-The lockstep Newton, the array residuals and the blocked fixed-point scan
-must reproduce what one-point-at-a-time code finds.  The references below are
-the scalar forms: a damped Newton run per start, scalar residual calls, the
-class-by-class limits of `scalar_limits`, and a point-by-point grid scan
-(`bisection_reference`).
+Stage A's sign-change subdivision, the array residuals and the blocked
+fixed-point scan must reproduce what one-point-at-a-time code finds.  The
+references below are the scalar forms: a damped Newton run per start (stage
+A's former method), scalar residual calls, the class-by-class limits of
+`scalar_limits`, and a point-by-point grid scan (`bisection_reference`).
 Stage B's scan for y and solve for z must find the candidates of the former
 method, a scalar Newton in (y, z) from a grid of starts per out-degree; it
 rests on the first residual not involving z.
@@ -80,7 +80,7 @@ def _newton(fun, x0, max_iter=80, tol=1e-12):
 
 
 def _scalar_roots(fun, starts):
-    """Newton from each start in turn, as the (S, 2) array the lockstep solver returns."""
+    """Newton from each start in turn, as an (S, 2) array, NaN where a start fails."""
     out = np.full((len(starts), 2), np.nan)
     for k, x0 in enumerate(starts):
         sol = _newton(fun, x0)
@@ -121,14 +121,22 @@ def _newton_stage_b(p, cost):
 _FIELDS = ("end_fraction", "multiplier", "singular_start", "objective")
 
 
+# where the outflow jumps at a root (quadratic at 5/3: v = -1/3, where
+# cost + 2 v - 1 = 0), the Newton stops short of it; the exact root instead
+_EXACT_STAGE_A = {("quadratic_dist", 5 / 3): (0.25, -1 / 3, 0.25)}
+
+
+# stage A's candidates against the Newton it replaced, a scalar Newton from
+# 10 end fractions x 13 multipliers (the test keeps its former name)
 @pytest.mark.parametrize("name,cost", OPTIMIZER_CASES)
 def test_lockstep_candidates_match_scalar_newton(name, cost, request):
     p = _dist(name, request)
-    ref_a = _scalar_roots(
-        lambda x: program_residuals(p, cost, x[0], x[1], x[0]), opt._STAGE_A_STARTS)
-    _assert_same_candidates(opt.solve_stage_a(p, cost),
-                            opt._root_candidates(p, cost, ref_a[:, [0, 1, 0]], "stage_a"),
-                            _FIELDS)
+    starts = [(y0, v0) for y0 in opt._STAGE_A_Y_STARTS for v0 in opt._STAGE_A_V_STARTS]
+    ref_a = _scalar_roots(lambda x: program_residuals(p, cost, x[0], x[1], x[0]), starts)
+    want = [sol if max(map(abs, sol.residuals)) <= 1e-12
+            else opt._candidates(p, cost, [_EXACT_STAGE_A[name, cost]], "stage_a")[0]
+            for sol in opt._root_candidates(p, cost, ref_a[:, [0, 1, 0]], "stage_a")]
+    _assert_same_candidates(opt.solve_stage_a(p, cost), want, _FIELDS)
 
 
 # stage B solves every out-degree at once; the reference solves them one by one

@@ -211,6 +211,14 @@ HALF_MASS = {"kind": "explicit", "entries": [[2, 2, 0, 0.1], [2, 2, 2, 0.4]]}
     *[(f"simulate {policy} cost {cost}", QUAD,
        ["simulate", "--n", "50", "--policy", policy, "--cost", cost], None)
       for policy in ("none", "complete") for cost in ("-1", "0", "nan", "inf")],
+    # a JSON array field given a scalar or a string is not iterated
+    ("explicit entries that are not an array", {"kind": "explicit", "entries": 5},
+     ["simulate", "--n", "50"], None),
+    ("study policies that are a string", QUAD, ["study", {"policies": "optimal"}], None),
+    ("study sizes that are a string", QUAD, ["study", {"sizes": "abc"}], None),
+    # a JSON boolean is not an integer
+    ("boolean degree_range bound", QUAD, ["simulate", "--n", "50"],
+     {"kind": "degree_range", "lo": True, "hi": 3}),
 ])
 def test_bad_input_is_a_one_line_config_error(case, distribution, extra, policy, tmp_path, capsys):
     dist = tmp_path / "dist.json"

@@ -283,6 +283,9 @@ class TestJsonSpecs:
             # fractions are not truncated to integers
             {"kind": "zipf_copula", "xi": 0.5, "a1": 0.8, "a2": 0.7, "rho": 0.9, "max_deg": 4.9},
             {"kind": "explicit", "entries": [[2.7, 2.2, 0, 0.2]]},
+            # entries must be an array, and a boolean is not an integer
+            {"kind": "explicit", "entries": 5},
+            {"kind": "explicit", "entries": [[True, 1, 0, 1.0]]},
         ],
     )
     def test_bad_specs(self, spec):

@@ -145,6 +145,10 @@ class TestRunStudy:
                              ("seed", 7.5)):
             with pytest.raises(ParameterError):
                 StudyConfig.from_json({"distribution": dist, field: value})
+        # a string or a number is not iterated as an array
+        for field, value in (("policies", "optimal"), ("sizes", "abc"), ("sizes", 100)):
+            with pytest.raises(ParameterError, match=f"'{field}' must be an array"):
+                StudyConfig.from_json({"distribution": dist, field: value})
 
     def test_json_omitted_fields_keep_the_defaults(self):
         cfg = StudyConfig.from_json({"distribution": {"kind": "explicit",

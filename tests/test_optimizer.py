@@ -63,6 +63,31 @@ class TestStageA:
         zero = min(roots, key=lambda r: r.end_fraction)
         assert zero.objective == pytest.approx(0.0, abs=1e-12)
 
+    def test_finds_a_multiplier_above_eight(self):
+        # the former Newton found this root; a [-8, 8] box of v would miss it
+        p = JointDistribution({(1, 4, 1): 0.2774117539825786, (4, 1, 3): 0.2774117539825786,
+                               (2, 3, 1): 0.2225882460174214, (3, 2, 3): 0.2225882460174214})
+        roots = solve_stage_a(p, 0.8515710569418187)
+        assert any(r.end_fraction == pytest.approx(0.9384458353811467, abs=1e-10)
+                   and r.multiplier == pytest.approx(22.135868540426856, abs=1e-10)
+                   for r in roots)
+
+    def test_cells_along_a_jump_stay_bounded(self, monkeypatch):
+        # at cost 2 the outflow jumps across v = -1, where the first residual
+        # vanishes for every y: each cell on that line straddles both residuals,
+        # and without a bound their number would double at every level
+        import contagion_control.optimizer as opt
+
+        sizes, real = [], opt.program_residuals
+
+        def counted(p, cost, y, *args):
+            sizes.append(np.size(y))
+            return real(p, cost, y, *args)
+
+        monkeypatch.setattr(opt, "program_residuals", counted)
+        opt.solve_stage_a(JointDistribution({(1, 1, 1): 0.5, (1, 1, 0): 0.5}), 2.0)
+        assert max(sizes) <= 9 * 20 * 80 and len(sizes) < 100
+
     def test_all_roots_feasible(self, experiment_dist):
         for sol in solve_stage_a(experiment_dist, 0.5):
             assert max(abs(r) for r in sol.residuals) < 1e-9
