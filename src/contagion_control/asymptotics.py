@@ -25,7 +25,8 @@ x depends on the policy:
 
 `_ClassPack` is the only code that sums over classes: for a start array it
 gives the default outflow, the defaulted share and the aid volume, and the
-Hamiltonian H(y, v) of the terminal stationarity equation H = lam * v.
+Hamiltonian H(y, v) of the terminal stationarity equation H = lam * v, with
+its range over y.
 `is_stable` is the one stability test of a fixed point, and `bisect` the one
 bisection.  The class-by-class scalar forms of these sums are kept in the test
 suite (`tests/scalar_limits.py`) as independent oracles.
@@ -384,6 +385,7 @@ class _ClassPack:
         self.imass = self.i * self.mass
         # start column of the no-aid policy: every class waits for the horizon
         self.never = np.full_like(self.c, np.inf)
+        self.fixed_points: dict[bytes, tuple[float, bool]] = {}
         n = [i - c for (i, _j, c, _m) in rows]
         self.max_n = max(n, default=0)
         self.first = np.searchsorted(n, np.arange(self.max_n + 2), side="left")
@@ -484,10 +486,18 @@ class _ClassPack:
         defaults = _class_sum(self.mass * tail_x) + self.defaulted_mass
         return self._flow(tail_x), defaults, _class_sum(self.mass * window)
 
+    def _coef(self, cost: float, v) -> np.ndarray:
+        return np.maximum(-cost, self.j * v - 1.0) * self.imass
+
     def hamiltonian(self, cost: float, v, y: np.ndarray, ham_x: np.ndarray) -> np.ndarray:
         """H(y, v) per point, from tail(i-1, x, c) at the optimal starts x."""
-        coef = np.maximum(-cost, self.j * v - 1.0) * self.imass
-        return _class_sum(coef * (self.y_sums(y) - ham_x))
+        return _class_sum(self._coef(cost, v) * (self.y_sums(y) - ham_x))
+
+    def hamiltonian_range(self, cost: float, v) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds on H(y, v) over every y, per multiplier v: each class's bracket
+        tail(i-1, y, c-1) - tail(i-1, x, c) lies in [0, 1] for 0 <= x <= y."""
+        coef = self._coef(cost, v)
+        return _class_sum(np.minimum(coef, 0.0)), _class_sum(np.maximum(coef, 0.0))
 
     def residuals(self, cost: float, y: np.ndarray, v, z,
                   singular_j: int | None) -> tuple[np.ndarray, np.ndarray]:
@@ -543,6 +553,15 @@ def _fixed_outflow(pk: _ClassPack, first: np.ndarray, y):
     """Outflow at y for start times x = min(first, y); first is a start column
     that does not depend on y (inf where a class is never aided)."""
     return _over_points(lambda y: (pk.outflow(np.minimum(first, y)),), y)[0]
+
+
+def _fixed_point(pk: _ClassPack, first: np.ndarray) -> tuple[float, bool]:
+    """`smallest_fixed_point` of the outflow at x = min(first, y), stored on the
+    pack by column: the solver and the no-aid policy share the no-aid one."""
+    key = first.tobytes()
+    if key not in pk.fixed_points:
+        pk.fixed_points[key] = smallest_fixed_point(lambda y: _fixed_outflow(pk, first, y))
+    return pk.fixed_points[key]
 
 
 def _fixed_limits(pk: _ClassPack, first: np.ndarray, y):
@@ -675,6 +694,6 @@ def forced_policy_limits(
     _check_keeps_aiding(p, policy)
     pk = _pack(p)
     first = pk.start_column(policy)
-    y_star, stable = smallest_fixed_point(lambda y: _fixed_outflow(pk, first, y))
+    y_star, stable = _fixed_point(pk, first)
     _flow, defaults, aid = _fixed_limits(pk, first, y_star)
     return y_star, stable, defaults, aid

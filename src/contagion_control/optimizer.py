@@ -7,25 +7,25 @@ start times x(y, v) pinned by the three-branch formula and 0 <= z <= y <= 1.
 
 Solving is staged, and no stage takes a derivative.  Stage A sets z = y (no
 singular class) and finds (y, v) by sign-change subdivision of a (y, v) box,
-one batched residual call per level.  Stage B fixes v =
+one batched residual call per two levels.  Stage B fixes v =
 (1 - cost) / j for every out-degree j in the support, making that degree's
 cushion-equals-in-degree class singular with free start z.  The singular
 classes have c = i, where tail(i - 1, x, i) = 0 whatever their start x, so
 H(y, v) does not involve z: stationarity fixes y alone, and the outflow
 equation, which involves z only through the singular classes' z^i terms,
 rises with z.  Stage B is therefore a scan for y and then a monotone solve for
-z in [0, y], both by `_scan_roots` over every out-degree at once; its brackets
-go to `asymptotics.bisect`, which evaluates several bisection levels per
-residual call and finds the roots of the one-midpoint loop.  The
-reported solution is the feasible candidate with the smallest objective;
-stage A's candidates include y = 0 (nothing to reveal), and the boundary
-candidate y = 1 (everything burns) joins the comparison when feasible.
-Every candidate passes one builder,
-`_candidates`, and is stable by `asymptotics.is_stable`; the singular
-classes, in the equations and in `extract_policy`, are
-`asymptotics.singular_rows`.  `solve_op` stores its solution on the
-distribution object, one per cost, so a study that needs the limits and the
-table of one realized distribution solves it once.
+z in [0, y], both by `_scan_roots` over every out-degree where lam v lies in
+the range of H; its brackets go to `asymptotics.bisect`, which evaluates
+several bisection levels per residual call and finds the roots of the
+one-midpoint loop.  The reported solution is the feasible candidate with
+the smallest objective; stage A's candidates include y = 0 (nothing to
+reveal), and the boundary candidate y = 1 (everything burns) joins the
+comparison when feasible.  Every candidate passes one builder, `_candidates`,
+and is stable by `asymptotics.is_stable`; the singular classes, in the
+equations and in `extract_policy`, are `asymptotics.singular_rows`.
+`solve_op` stores its solution on the distribution object, one per cost, so
+a study that needs the limits and the table of one realized distribution
+solves it once.
 """
 
 from __future__ import annotations
@@ -38,7 +38,9 @@ import numpy as np
 
 from .asymptotics import (
     _control_keys,
+    _fixed_point,
     _optimal_starts,
+    _pack,
     bisect,
     controlled_limits,
     default_outflow,
@@ -46,7 +48,7 @@ from .asymptotics import (
     is_stable,
     program_residuals,
     singular_rows,
-    smallest_fixed_point,
+    smallest_fixed_point,  # noqa: F401  (the benchmark's tracer wraps this name)
     terminal_hamiltonian,
 )
 from .cascade import InterventionPolicy
@@ -56,10 +58,11 @@ from .errors import ConstructionError, ParameterError
 _RESIDUAL_TOL = 1e-9
 _DEDUP_TOL = 1e-8
 
-# stage A: corners in y and in u of the first grid (v = tan(pi u / 2)), and the
-# width in y and in v at which a subdivided cell is a root
+# stage A: the first grid's corners in y and in u (v = tan(pi u / 2)), the width
+# of a finished cell, and the most cells one call subdivides (25 points each)
 _STAGE_A_GRID = (21, 81)
 _STAGE_A_WIDTH = 1e-13
+_STAGE_A_CAP = 9 * 20 * 80 // 25
 # stage A's former Newton grid, 10 end fractions x 13 multipliers: the
 # benchmark self-test checks the tracer's start count against it, and the
 # tests run it as the scalar Newton reference of `solve_stage_a`
@@ -143,20 +146,38 @@ def _straddles(corners):
     return ((corners.min(axis=-2) <= 0.0) & (corners.max(axis=-2) >= 0.0)).all(axis=-1)
 
 
+def _corners(f):
+    """The (..., 4, 2) corners of every cell of a (..., rows, columns, 2) grid."""
+    return np.stack([f[..., :-1, :-1, :], f[..., :-1, 1:, :], f[..., 1:, :-1, :],
+                     f[..., 1:, 1:, :]], axis=-2)
+
+
+def _quarters(lo, hi):
+    """Two levels of halving of each side [lo, hi]: a (sides, 5) lattice, sub-side
+    k from lattice[k] to lattice[k + 1].  A side halves while wider than
+    _STAGE_A_WIDTH with its midpoint strictly inside, else the midpoint is hi."""
+    def halve(lo, hi):
+        mid = 0.5 * (lo + hi)
+        return np.where((hi - lo > _STAGE_A_WIDTH) & (lo < mid) & (mid < hi), mid, hi)
+
+    mid = halve(lo, hi)
+    return np.stack([lo, halve(lo, mid), mid, halve(mid, hi), hi], axis=1)
+
+
 def solve_stage_a(p: JointDistribution, cost: float) -> list[OPSolution]:
     """Roots of the two terminal equations with z = y, by sign-change subdivision.
 
     Both residuals are evaluated on a corner grid of 21 values of y in
     [0, 1 - 1e-9] by 81 multipliers v = tan(pi u / 2), u in [-(1 - 1e-6),
-    1 - 1e-6].  The cells that `_straddles` keeps are split into four, with one
-    batched call per level on each cell's 3 x 3 lattice, until each side is
-    1e-13 wide; a side too narrow to halve in floating point stays whole.  A
-    finished cell reports its corner of smallest max-norm residual.  A level
-    keeps at most as many cells as the first grid has, those nearest a root by
-    their corners: more only arise where the roots are not isolated, as along
-    a jump of the outflow on which the first residual vanishes.  The corner
-    test misses a root whose residual contour enters and leaves a coarse cell
-    through the same edge.
+    1 - 1e-6].  Each cell that `_straddles` keeps gets a 5 x 5 lattice, two
+    levels of halving, all in one batched call; the 4 x 4 sub-cells that
+    straddle are the next call's cells, until each side is 1e-13 wide; a
+    side too narrow to halve in floating point stays whole.  A finished cell
+    reports its corner of smallest max-norm residual.  A call subdivides at
+    most _STAGE_A_CAP cells, those nearest a root by their corners: more only
+    arise where the roots are not isolated, as along a jump of the outflow on
+    which the first residual vanishes.  The corner test misses a root whose
+    residual contour enters and leaves a cell through the same edge.
 
     y = 0 belongs to stage A alone: where no out-links start hidden
     (default_outflow(p, 0) <= 1e-14), its candidates are the multipliers of
@@ -171,33 +192,26 @@ def solve_stage_a(p: JointDistribution, cost: float) -> list[OPSolution]:
 
     ys = np.linspace(0.0, 1.0 - 1e-9, _STAGE_A_GRID[0])
     vs = np.tan(0.5 * np.pi * np.linspace(-(1.0 - 1e-6), 1.0 - 1e-6, _STAGE_A_GRID[1]))
-    f = residuals(*np.meshgrid(ys, vs, indexing="ij"))
-    r, c = np.nonzero(_straddles(np.stack([f[:-1, :-1], f[:-1, 1:], f[1:, :-1], f[1:, 1:]],
-                                          axis=2)))
-    cells, found = (ys[r], ys[r + 1], vs[c], vs[c + 1]), [np.empty((0, 2))]
-    cap = (len(ys) - 1) * (len(vs) - 1)
-    while cells[0].size:
-        ly, lv = (np.stack([lo, 0.5 * (lo + hi), hi], axis=1)
-                  for lo, hi in (cells[:2], cells[2:]))
+    corners = _corners(residuals(*np.meshgrid(ys, vs, indexing="ij")))
+    r, c = np.nonzero(_straddles(corners))
+    cells, held, found = (ys[r], ys[r + 1], vs[c], vs[c + 1]), corners[r, c], []
+    while len(held) > 0:
+        if len(held) > _STAGE_A_CAP:  # keep the cells nearest a root
+            near = np.abs(held).max(axis=-1).min(axis=-1)
+            cells = [side[np.argsort(near, kind="stable")[:_STAGE_A_CAP]] for side in cells]
+        ly, lv = _quarters(*cells[:2]), _quarters(*cells[2:])
         f = residuals(*np.broadcast_arrays(ly[:, :, None], lv[:, None, :]))
-        sy, sv = ((l[:, 2] - l[:, 0] > _STAGE_A_WIDTH) & (l[:, 0] < l[:, 1]) & (l[:, 1] < l[:, 2])
-                  for l in (ly, lv))
-        k = np.arange(len(ly))
-        done = k[~sy & ~sv]
-        best = np.abs(f[done, ::2, ::2]).max(axis=-1).reshape(-1, 4).argmin(axis=1)
-        found.append(np.stack([ly[done, best // 2 * 2], lv[done, best % 2 * 2]], axis=1))
-        children = []
-        for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            y0, y1 = np.where(sy, a, 0), np.where(sy, a + 1, 2)
-            v0, v1 = np.where(sv, b, 0), np.where(sv, b + 1, 2)
-            corners = np.stack([f[k, y0, v0], f[k, y0, v1], f[k, y1, v0], f[k, y1, v1]], axis=1)
-            keep = (sy | sv) & (sy | (a == 0)) & (sv | (b == 0)) & _straddles(corners)
-            children.append((ly[k, y0][keep], ly[k, y1][keep], lv[k, v0][keep], lv[k, v1][keep],
-                             np.abs(corners[keep]).max(axis=-1).min(axis=-1)))
-        *cells, nearness = (np.concatenate(side) for side in zip(*children))
-        if len(nearness) > cap:
-            cells = [side[np.argsort(nearness, kind="stable")[:cap]] for side in cells]
-    roots = np.concatenate(found)
+        done = (ly[:, 1] == ly[:, 4]) & (lv[:, 1] == lv[:, 4])
+        best = np.abs(f[done, ::4, ::4]).max(axis=-1).reshape(-1, 4).argmin(axis=1)
+        found.append(np.stack([ly[done, best // 2 * 4], lv[done, best % 2 * 4]], axis=1))
+        corners = _corners(f)
+        keep = (~done[:, None, None] & (ly[:, 1:] > ly[:, :-1])[:, :, None]
+                & (lv[:, 1:] > lv[:, :-1])[:, None, :] & _straddles(corners))
+        # in the order of two one-level passes: second child, first child, cell
+        a2, b2, a1, b1, k = np.nonzero(keep.reshape(-1, 2, 2, 2, 2).transpose(2, 4, 1, 3, 0))
+        a, b = 2 * a1 + a2, 2 * b1 + b2
+        cells, held = (ly[k, a], ly[k, a + 1], lv[k, b], lv[k, b + 1]), corners[k, a, b]
+    roots = np.concatenate([np.empty((0, 2))] + found)
     roots = roots[roots[:, 0] > 1e-9]
     if default_outflow(p, 0.0) <= 1e-14:
         at_zero = [(0.0, v) for v in _solve_multiplier_at(p, cost, 0.0)]
@@ -242,12 +256,16 @@ def solve_stage_b(p: JointDistribution, cost: float) -> list[OPSolution]:
     grid point y = 1 and would hide a root in the last cell).  The outflow
     rises with z, so each y < 1 - 1e-9 has one z in [0, y] or none (outflow
     above y at z = 0, or below it at z = y); where z moves nothing, z = 0.
+    An out-degree whose lam v_j lies more than 1e-9 outside the range of
+    H(., v_j) (`hamiltonian_range`) has no root and is not scanned.
     """
     _check_cost(cost)
     support = np.array(sorted({j for (_i, j, _c) in p.entries if j > 0}), dtype=int)
+    v = (1.0 - cost) / support
+    lo, hi = _pack(p).hamiltonian_range(cost, v)
+    support, v = (a[(lo - 1e-9 <= p.lam * v) & (p.lam * v <= hi + 1e-9)] for a in (support, v))
     if not support.size:
         return []
-    v = (1.0 - cost) / support
     row, y = _scan_roots(lambda r, ys: terminal_hamiltonian(p, cost, ys, v[r]) - p.lam * v[r],
                          np.zeros(len(support)), 1.0)
     row, y = row[y < 1.0 - 1e-9], y[y < 1.0 - 1e-9]
@@ -263,13 +281,15 @@ def solve_stage_b(p: JointDistribution, cost: float) -> list[OPSolution]:
 
 
 def _solve_multiplier_at(p, cost, y):
-    """All v in [-8, 8] with H(y, v) = lam * v for a fixed y < 1.
+    """All v with H(y, v) = lam * v for a fixed y < 1, scanned as v = tan(pi u / 2)
+    over 401 points u in [-(1 - 1e-6), 1 - 1e-6], the first grid's map of stage A.
 
     The sign of H - lam v is that of the first program residual, (1 - y)
-    times it, which `_scan_roots` scans and bisects.
+    times it, which `_scan_roots` scans and bisects in u.
     """
-    return _scan_roots(lambda _r, vs: program_residuals(p, cost, y, vs, y)[0],
-                       -8.0, 8.0)[1].tolist()
+    us = _scan_roots(lambda _r, u: program_residuals(p, cost, y, np.tan(0.5 * np.pi * u), y)[0],
+                     -(1.0 - 1e-6), 1.0 - 1e-6)[1]
+    return np.tan(0.5 * np.pi * us).tolist()
 
 
 def _boundary_candidates(p: JointDistribution, cost: float) -> list[OPSolution]:
@@ -281,7 +301,8 @@ def _boundary_candidates(p: JointDistribution, cost: float) -> list[OPSolution]:
         v_b = (1.0 - cost) / support_j[0] if cost < 1.0 else 0.0
         out += _candidates(p, cost, [(1.0, v_b, 1.0)], "boundary:y=1")
     # no-intervention polish: the uncontrolled fixed point with its multiplier
-    y_ni, _stable = smallest_fixed_point(lambda y: default_outflow(p, y))
+    pk = _pack(p)
+    y_ni, _stable = _fixed_point(pk, pk.never)
     if y_ni < 1.0:
         points = [(y_ni, v, y_ni) for v in _solve_multiplier_at(p, cost, y_ni)]
         out += _candidates(p, cost, points, "stage_a")

@@ -29,6 +29,7 @@ from contagion_control import (
     solve_op,
     terminal_hamiltonian,
 )
+from contagion_control.asymptotics import _pack
 
 import scalar_limits as scalar
 
@@ -74,6 +75,17 @@ def test_optimal_starts_match_the_oracle(p, cost, y, v, share, data):
         assert aid == pytest.approx(scalar.intervention_volume(p, cost, y, v, z, sj), abs=TOL)
         assert terminal_hamiltonian(p, cost, y, v) == pytest.approx(
             scalar.terminal_hamiltonian(p, cost, y, v), abs=TOL)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=distributions(), cost=st.floats(0.05, 3.0), y=st.floats(0.0, 1.0),
+       v=st.floats(-10.0, 10.0))
+def test_hamiltonian_stays_in_its_range(p, cost, y, v):
+    # stage B skips an out-degree j whose lam v_j lies outside H(., v_j)'s range
+    vs = np.array([v] + [(1.0 - cost) / j for j in _out_degrees(p)])
+    lo, hi = _pack(p).hamiltonian_range(cost, vs)
+    ham = terminal_hamiltonian(p, cost, np.full(len(vs), y), vs)
+    assert np.all(lo - TOL <= ham) and np.all(ham <= hi + TOL)
 
 
 def _tangent(p, policy, y):

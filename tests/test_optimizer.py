@@ -88,6 +88,25 @@ class TestStageA:
         opt.solve_stage_a(JointDistribution({(1, 1, 1): 0.5, (1, 1, 0): 0.5}), 2.0)
         assert max(sizes) <= 9 * 20 * 80 and len(sizes) < 100
 
+    def test_two_levels_per_residual_call(self, experiment_dist, monkeypatch):
+        import contagion_control.optimizer as opt
+
+        calls, real = [], opt.program_residuals
+        monkeypatch.setattr(opt, "program_residuals",
+                            lambda *args: calls.append(1) or real(*args))
+        assert opt.solve_stage_a(experiment_dist, 0.5)
+        assert len(calls) <= 25  # one level per call took 42
+
+    @pytest.mark.parametrize("cost", [9.0, 20.0])
+    def test_zero_root_with_a_multiplier_beyond_eight(self, cost):
+        # no node starts defaulted, so y = 0 is feasible, with v = -cost:
+        # H(0, v) - lam v = max(-cost, v - 1) - v
+        sol = solve_op(JointDistribution({(1, 1, 1): 1.0}), cost)
+        assert sol.branch == "stage_a"
+        assert sol.end_fraction == 0.0 and sol.objective == 0.0
+        assert sol.multiplier == pytest.approx(-cost, abs=1e-10)
+        assert max(abs(r) for r in sol.residuals) <= 1e-12
+
     def test_all_roots_feasible(self, experiment_dist):
         for sol in solve_stage_a(experiment_dist, 0.5):
             assert max(abs(r) for r in sol.residuals) < 1e-9
@@ -117,6 +136,15 @@ class TestStageB:
             for sol in solve_stage_b(p, cost):
                 assert 0.0 <= sol.singular_start <= sol.end_fraction <= 1.0
                 assert max(abs(r) for r in sol.residuals) < 1e-9
+
+    def test_out_degrees_without_a_root_are_not_scanned(self, experiment_dist, monkeypatch):
+        # lam v_j lies outside the range of H(., v_j) for every out-degree
+        import contagion_control.optimizer as opt
+
+        calls, real = [], opt.terminal_hamiltonian
+        monkeypatch.setattr(opt, "terminal_hamiltonian",
+                            lambda *args: calls.append(1) or real(*args))
+        assert opt.solve_stage_b(experiment_dist, 0.5) == [] and not calls
 
     def test_boundary_cost_collapses_to_uncontrolled(self, quadratic_dist):
         # at cost 5/3 the singular start meets the horizon at the uncontrolled
@@ -228,6 +256,23 @@ class TestSolveCache:
         with pytest.warns(RuntimeWarning, match="unstable"):
             assert opt.solve_op(p, 10.0) is sol
         assert len(solves) == 1
+
+    def test_no_aid_fixed_point_is_found_once_per_object(self, quadratic_dist, monkeypatch):
+        # the no-aid policy's limits and the solver's no-intervention candidate
+        # share the fixed point of the all-inf start column
+        import contagion_control.asymptotics as asy
+        from contagion_control.experiments import normalize_policy_spec, theory_limits
+
+        calls, real = [], asy.smallest_fixed_point
+        monkeypatch.setattr(asy, "smallest_fixed_point",
+                            lambda f: calls.append(1) or real(f))
+        twin = JointDistribution(dict(quadratic_dist.entries))
+        theory_limits(quadratic_dist, normalize_policy_spec("none"), 0.5)
+        for cost in (0.5, 1.5, 5.0):
+            solve_op(quadratic_dist, cost)
+        assert len(calls) == 1
+        solve_op(twin, 1.5)
+        assert len(calls) == 2
 
     def test_a_failure_is_not_stored(self, quadratic_dist, monkeypatch):
         import contagion_control.optimizer as opt
