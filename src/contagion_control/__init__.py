@@ -35,12 +35,9 @@ from .asymptotics import (
     Trajectory,
     controlled_limits,
     default_fraction,
-    default_fraction_controlled,
     default_outflow,
     default_outflow_controlled,
     forced_policy_limits,
-    intervention_start,
-    intervention_volume,
     propagate,
     smallest_fixed_point,
     terminal_hamiltonian,
@@ -73,9 +70,8 @@ __all__ = [
     "EmpiricalCounts", "JointDistribution", "build_zipf_copula", "distribution_from_spec",
     "empirical_counts",
     "ConstructionError", "ContagionControlError", "ParameterError",
-    "Trajectory", "controlled_limits", "default_fraction", "default_fraction_controlled",
-    "default_outflow", "default_outflow_controlled", "forced_policy_limits",
-    "intervention_start", "intervention_volume", "propagate", "smallest_fixed_point",
+    "Trajectory", "controlled_limits", "default_fraction", "default_outflow",
+    "default_outflow_controlled", "forced_policy_limits", "propagate", "smallest_fixed_point",
     "terminal_hamiltonian", "trajectory_at",
     "NodePopulation", "instantiate",
     "OPSolution", "asymptotic_prediction", "extract_policy", "solve_op", "solve_stage_a",

@@ -15,11 +15,11 @@ x depends on the policy:
 - no aid: x = y, the terminal revealed-link fraction (`default_outflow`,
   `default_fraction`); the process ends at the smallest fixed point of the
   outflow;
-- the optimal threshold policy: x = `intervention_start`(cost, v, y), and x = z
+- the optimal threshold policy: x = `_optimal_starts`(cost, v, y), and x = z
   on the singular classes (`singular_rows`: c = i with a vanishing aid
-  coefficient), whose start is a free variable (`controlled_limits`, the
-  `*_controlled`, `intervention_volume` and `terminal_hamiltonian` functions,
-  and `program_residuals`, the solver's two equations);
+  coefficient), whose start is a free variable (`controlled_limits`,
+  `default_outflow_controlled`, `terminal_hamiltonian` and
+  `program_residuals`, the solver's two equations);
 - fixed start times: x = min(policy.start(i, j, c), y), or y where the policy
   never aids (`forced_policy_limits`).
 
@@ -48,9 +48,9 @@ StateKey = tuple[int, int, int, int]  # (i, j, c, l)
 ClassKey = tuple[int, int, int]
 
 _SINGULAR_TOL = 1e-12
-# grid points per call of the fixed-point scan, and points per residual batch;
-# both bound the temporaries to a few MB
-_SCAN_BLOCK = 512
+# grid points per block of the fixed-point scan, and points per residual
+# batch, which bounds the temporaries to a few MB
+_SCAN_BLOCK = 64
 _RESIDUAL_BATCH = 512
 # most points per call of the function that `bisect` bisects
 _BISECT_POINTS = 64
@@ -193,38 +193,31 @@ def smallest_fixed_point(
     """Smallest y in [0, 1] with f(y) = y, and whether f `is_stable` there.
 
     Scans the grid k / grid for the first sign change of f(y) - y, then
-    bisects it with `bisect` until the bracket is at most `tol` wide.  `f` must
-    accept an ndarray of points (and a float): the scan evaluates it on blocks
-    of up to _SCAN_BLOCK grid points per call and stops at the first block
-    that crosses zero, and the bisection evaluates several levels per call.
-    Assumes f continuous and increasing with f(1) <= 1, so y = 1 is always a
-    fallback fixed point.
+    bisects it with `bisect` until the bracket is at most `tol` wide.  Assumes
+    f continuous and increasing with f(1) <= 1, so y = 1 is always a fallback
+    fixed point; f must accept an ndarray.  The grid runs in blocks (a, b] of
+    _SCAN_BLOCK points, and one call evaluates f at every a, y = 0 among them.
+    As f increases, a block with f(a) - b > 1e-12 cannot hold the crossing;
+    the scan evaluates the others in order, one call each, until one crosses.
     """
-    y_star = None
-    if f(0.0) <= 0.0:
-        y_star = 0.0
-    else:
-        lo = 0.0  # the last grid point seen with f(y) - y > 0
-        for k0 in range(1, grid + 1, _SCAN_BLOCK):
-            ys = np.arange(k0, min(k0 + _SCAN_BLOCK, grid + 1)) / grid
-            gs = np.asarray(f(ys), dtype=float) - ys
-            below = np.flatnonzero(gs <= 0.0)
-            if below.size == 0:
-                lo = float(ys[-1])
-                continue
+    starts = np.arange(0, grid, _SCAN_BLOCK)
+    ends = np.minimum(starts + _SCAN_BLOCK, grid)
+    f_a = np.asarray(f(starts / grid), dtype=float)
+    y_star = 0.0 if f_a[0] <= 0.0 else 1.0
+    crossing = ~(f_a - ends / grid > 1e-12) & (f_a[0] > 0.0)
+    for a, b in zip(starts[crossing].tolist(), ends[crossing].tolist()):
+        ys = np.arange(a + 1, b + 1) / grid
+        gs = np.asarray(f(ys), dtype=float) - ys
+        below = np.flatnonzero(gs <= 0.0)
+        if below.size:
             k = below[0]
-            if k > 0:
-                lo = float(ys[k - 1])
             hi = float(ys[k])
-            if gs[k] == 0.0:
-                lo = hi
+            lo = hi if gs[k] == 0.0 else (a + k) / grid  # the last point with g > 0
             _lo, hi, _g = bisect(lambda _b, mid: f(mid) - mid, [lo], [hi], [np.nan],
                                  keep_left=lambda _g_lo, g_mid: ~(g_mid > 0.0),
                                  settled=lambda lo, hi, _mid: hi - lo <= tol)
             y_star = float(hi[0])
             break
-        if y_star is None:
-            y_star = 1.0
     return y_star, is_stable(f, y_star)
 
 
@@ -279,33 +272,33 @@ def bisect(g, lo, hi, g_lo, keep_left, settled, levels=np.inf):
     return lo, hi, g_lo
 
 
-def is_stable(f: Callable[[float], float], y: float, h: float = 1e-6) -> bool:
+def _slope_probes(y, h: float = 1e-6) -> np.ndarray:
+    """`is_stable`'s points: every y - h, then every y + h, clamped to [0, 1]."""
+    y = np.ravel(y).astype(float)
+    return np.concatenate([np.maximum(0.0, y - h), np.minimum(1.0, y + h)])
+
+
+def is_stable(f: Callable[[np.ndarray], np.ndarray], y, h: float = 1e-6):
     """Whether the fixed point y of f is stable: the central slope of f over
     [y - h, y + h], clamped to [0, 1], is below 1 - 1e-9.
 
-    The one stability test, for `smallest_fixed_point` and for the solver's
-    candidates.
+    The one stability test, for `smallest_fixed_point` and the solver's
+    candidates.  y is a number (a bool out) or a 1-D array (a bool per point);
+    f is called once, at the array `_slope_probes(y, h)`.
     """
-    lo, hi = max(0.0, y - h), min(1.0, y + h)
-    slope = (f(hi) - f(lo)) / (hi - lo) if hi > lo else float("inf")
-    return bool(slope < 1.0 - 1e-9)
+    probes = _slope_probes(y, h)
+    (lo, hi), (f_lo, f_hi) = np.split(probes, 2), np.split(np.asarray(f(probes), float), 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stable = np.where(hi > lo, (f_hi - f_lo) / (hi - lo), np.inf) < 1.0 - 1e-9
+    return bool(stable[0]) if np.ndim(y) == 0 else stable
 
 
 # ---------------------------------------------------------------------------
 # start times of the optimal policy
 # ---------------------------------------------------------------------------
 
-def intervention_start(
-    i: int, j: int, c: int, cost: float, multiplier: float, end_fraction: float
-) -> float:
-    """Scaled start time of aid for class (i, j, c); equals the horizon when aid never pays."""
-    if c == 0:
-        return end_fraction
-    return float(_optimal_starts(i, j, c, cost, multiplier, end_fraction))
-
-
 def _optimal_starts(i, j, c, cost: float, v, y):
-    """`intervention_start` elementwise, for 1 <= c <= i; arrays broadcast.
+    """Scaled aid start of classes (i, j, c), 1 <= c <= i, at (v, y); arrays broadcast.
 
     Three regimes: the class is not worth aiding (start = end), aid starts
     mid-process (interior formula), or aid starts immediately (start = 0).
@@ -418,8 +411,8 @@ class _ClassPack:
     def starts(self, cost: float, v, y: np.ndarray, z, singular_j: int | None) -> np.ndarray:
         """Start times x (classes x points) of the optimal policy.
 
-        `intervention_start` on every row, except that the `singular_rows`
-        start at z.
+        `_optimal_starts` on every row, except that the `singular_rows` start
+        at z.
         """
         x = _optimal_starts(self.i, self.j, self.c, cost, v, y)
         # the classes with c = i lead the rows (n = 0)
@@ -430,7 +423,10 @@ class _ClassPack:
         return x
 
     def x_sums(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(tail(i, x, c), tail(i-1, x, c)) per class and point, by nested Horner steps."""
+        """(tail(i, x, c), tail(i-1, x, c)) per class and point, by nested Horner
+        steps.  numpy picks its routine for x ** c by the operands' layout: with
+        c a whole array, not broadcast along the points, it is the same for
+        any batch."""
         first, s = self.first, 1.0 - x
         acc = np.zeros_like(x)
         edge = np.ones_like(x)  # becomes (1-x)^n
@@ -442,7 +438,7 @@ class _ClassPack:
             acc[lo:] += self.window[a] * power
             acc[first[a + 2]:] *= s[first[a + 2]:]
             edge[lo:] *= s[lo:]
-        xc = x ** self.c
+        xc = x ** np.broadcast_to(self.c, x.shape).copy()
         ham = xc * acc
         return ham + xc * self.edge * edge, ham
 
@@ -556,8 +552,7 @@ def _fixed_outflow(pk: _ClassPack, first: np.ndarray, y):
 
 
 def _fixed_point(pk: _ClassPack, first: np.ndarray) -> tuple[float, bool]:
-    """`smallest_fixed_point` of the outflow at x = min(first, y), stored on the
-    pack by column: the solver and the no-aid policy share the no-aid one."""
+    """`smallest_fixed_point` of the outflow at x = min(first, y), kept per column."""
     key = first.tobytes()
     if key not in pk.fixed_points:
         pk.fixed_points[key] = smallest_fixed_point(lambda y: _fixed_outflow(pk, first, y))
@@ -607,20 +602,6 @@ def default_outflow_controlled(
 ):
     """Out-link flow of the default set under the threshold policy."""
     return controlled_limits(p, cost, y, v, z, singular_j)[0]
-
-
-def default_fraction_controlled(
-    p: JointDistribution, cost: float, y, v, z, singular_j: int | None = None,
-):
-    """Defaulted node share under the threshold policy."""
-    return controlled_limits(p, cost, y, v, z, singular_j)[1]
-
-
-def intervention_volume(
-    p: JointDistribution, cost: float, y, v, z, singular_j: int | None = None,
-):
-    """Scaled count of aid units under the threshold policy."""
-    return controlled_limits(p, cost, y, v, z, singular_j)[2]
 
 
 def terminal_hamiltonian(p: JointDistribution, cost: float, y, v):

@@ -5,27 +5,25 @@ terminal stationarity equation (1 - y) * H(y, v) = lam * v * (1 - y) and the
 fixed-point equation "controlled outflow at y equals y", with the per-class
 start times x(y, v) pinned by the three-branch formula and 0 <= z <= y <= 1.
 
-Solving is staged, and no stage takes a derivative.  Stage A sets z = y (no
-singular class) and finds (y, v) by sign-change subdivision of a (y, v) box,
-one batched residual call per two levels.  Stage B fixes v =
-(1 - cost) / j for every out-degree j in the support, making that degree's
-cushion-equals-in-degree class singular with free start z.  The singular
-classes have c = i, where tail(i - 1, x, i) = 0 whatever their start x, so
-H(y, v) does not involve z: stationarity fixes y alone, and the outflow
-equation, which involves z only through the singular classes' z^i terms,
-rises with z.  Stage B is therefore a scan for y and then a monotone solve for
-z in [0, y], both by `_scan_roots` over every out-degree where lam v lies in
-the range of H; its brackets go to `asymptotics.bisect`, which evaluates
-several bisection levels per residual call and finds the roots of the
-one-midpoint loop.  The reported solution is the feasible candidate with
-the smallest objective; stage A's candidates include y = 0 (nothing to
-reveal), and the boundary candidate y = 1 (everything burns) joins the
-comparison when feasible.  Every candidate passes one builder, `_candidates`,
-and is stable by `asymptotics.is_stable`; the singular classes, in the
-equations and in `extract_policy`, are `asymptotics.singular_rows`.
-`solve_op` stores its solution on the distribution object, one per cost, so
-a study that needs the limits and the table of one realized distribution
-solves it once.
+Solving is staged, no stage takes a derivative, and each evaluates the
+program only where a root can be.  Stage A sets z = y (no singular class) and
+finds (y, v) by sign-change subdivision of a (y, v) box, one batched residual
+call per two levels, in the multiplier columns where lam v meets the range of
+H.  Stage B fixes v = (1 - cost) / j for every out-degree j in the support,
+making that degree's cushion-equals-in-degree class singular with free start
+z.  The singular classes have c = i, where tail(i - 1, x, i) = 0 whatever
+their start x, so H(y, v) does not involve z: stationarity fixes y alone, and
+the outflow equation, which involves z only through the singular classes' z^i
+terms, rises with z.  Stage B is therefore a scan for y and then a monotone
+solve for z in [0, y], both by `_scan_roots` over every out-degree where lam v
+lies in the range of H; its brackets go to `asymptotics.bisect`.  The
+candidates are stage A's (y = 0, nothing to reveal, among them), stage B's
+and the boundary y = 1 (everything burns) when feasible; the no-aid fixed
+point is a stage-A root.  They all pass one builder, `_candidates`, and are
+stable by `asymptotics.is_stable`; the singular classes, in the equations and
+in `extract_policy`, are `asymptotics.singular_rows`.  `solve_op` keeps the
+best and stores it on the distribution object, one per cost, so a study that
+needs the limits and the table of one realized distribution solves it once.
 """
 
 from __future__ import annotations
@@ -38,13 +36,13 @@ import numpy as np
 
 from .asymptotics import (
     _control_keys,
-    _fixed_point,
     _optimal_starts,
     _pack,
+    _slope_probes,
     bisect,
     controlled_limits,
     default_outflow,
-    default_outflow_controlled,
+    default_outflow_controlled,  # noqa: F401  (the benchmark's tracer wraps this name)
     is_stable,
     program_residuals,
     singular_rows,
@@ -57,20 +55,21 @@ from .errors import ConstructionError, ParameterError
 
 _RESIDUAL_TOL = 1e-9
 _DEDUP_TOL = 1e-8
+# the branch a tie goes to, first to last: the boundary's y is exact, stage B
+# bisects y to adjacent floats, stage A stops at cells 1e-13 wide
+_BRANCH_ORDER = ("boundary", "stage_b", "stage_a")
 
 # stage A: the first grid's corners in y and in u (v = tan(pi u / 2)), the width
 # of a finished cell, and the most cells one call subdivides (25 points each)
 _STAGE_A_GRID = (21, 81)
 _STAGE_A_WIDTH = 1e-13
 _STAGE_A_CAP = 9 * 20 * 80 // 25
-# stage A's former Newton grid, 10 end fractions x 13 multipliers: the
-# benchmark self-test checks the tracer's start count against it, and the
-# tests run it as the scalar Newton reference of `solve_stage_a`
+# the stages' former Newton grids, stage A's 10 end fractions x 13 multipliers
+# and stage B's 5 end fractions x 3 shares of y for z per out-degree: the
+# benchmark self-test checks the tracer's start counts against them, and the
+# tests run them as the scalar Newton references of both stages
 _STAGE_A_Y_STARTS = [round(0.05 + 0.1 * k, 2) for k in range(10)]
 _STAGE_A_V_STARTS = [0.0, 1e-3, -1e-3, 1e-2, -1e-2, 0.1, -0.1, 0.3, -0.3, 1.0, -1.0, 3.0, -3.0]
-# stage B's former Newton grid, 5 end fractions x 3 shares of y for z per
-# out-degree: the benchmark self-test checks the tracer's start count against
-# it, and the tests run it as the scalar Newton reference of `solve_stage_b`
 _STAGE_B_Y_STARTS = [0.1, 0.3, 0.5, 0.7, 0.9]
 _STAGE_B_Z_SHARES = [0.05, 0.5, 0.95]
 
@@ -95,15 +94,11 @@ class OPSolution:
         return max(abs(self.residuals[0]), abs(self.residuals[1])) < _RESIDUAL_TOL
 
 
-def _make_solution(p, cost, y, v, z, branch, singular_j) -> OPSolution:
-    res = program_residuals(p, cost, y, v, z, singular_j)
-    _flow, dflt, aid = controlled_limits(p, cost, y, v, z, singular_j)
-    stable = (is_stable(lambda y: default_outflow_controlled(p, cost, y, v, z, singular_j), y)
-              or y >= 1.0 - 1e-12)
+def _make_solution(cost, branch, singular_j, y, v, z, residuals, defaults, aid, stable):
     return OPSolution(
         end_fraction=y, multiplier=v, singular_start=z,
-        objective=cost * aid + dflt, interventions=aid, defaults=dflt,
-        stable=stable, branch=branch, residuals=res, singular_j=singular_j,
+        objective=cost * aid + defaults, interventions=aid, defaults=defaults,
+        stable=stable, branch=branch, residuals=residuals, singular_j=singular_j,
     )
 
 
@@ -115,8 +110,22 @@ def _check_cost(cost: float) -> None:
 def _candidates(p, cost, points, branch, singular_j=None) -> list[OPSolution]:
     """The candidate builder: solutions at the points (y, v, z) that solve both
     program equations, with a finite objective (a NaN one would empty
-    solve_op's tie set).  The stages' roots and boundary points all pass here."""
-    sols = (_make_solution(p, cost, y, v, z, branch, singular_j) for y, v, z in points)
+    solve_op's tie set).  The stages' roots and boundary points all pass here.
+    One `program_residuals` call evaluates every point, and one
+    `controlled_limits` call every point and its two `is_stable` probes: a
+    point's values do not depend on its batch."""
+    if not points:
+        return []
+    points = np.array(points, dtype=float)
+    y, v, z = points.T
+    res = np.stack(program_residuals(p, cost, y, v, z, singular_j), axis=1)
+    flow, dflt, aid = controlled_limits(p, cost, np.concatenate([y, _slope_probes(y)]),
+                                        np.tile(v, 3), np.tile(z, 3), singular_j)
+    n = len(y)
+    stable = is_stable(lambda _probes: flow[n:], y) | (y >= 1.0 - 1e-12)
+    sols = (_make_solution(cost, branch, singular_j, *point, tuple(r), d, a, s)
+            for point, r, d, a, s in zip(points.tolist(), res.tolist(), dflt[:n].tolist(),
+                                         aid[:n].tolist(), stable.tolist()))
     return [s for s in sols if s.feasible and math.isfinite(s.objective)]
 
 
@@ -169,15 +178,20 @@ def solve_stage_a(p: JointDistribution, cost: float) -> list[OPSolution]:
 
     Both residuals are evaluated on a corner grid of 21 values of y in
     [0, 1 - 1e-9] by 81 multipliers v = tan(pi u / 2), u in [-(1 - 1e-6),
-    1 - 1e-6].  Each cell that `_straddles` keeps gets a 5 x 5 lattice, two
-    levels of halving, all in one batched call; the 4 x 4 sub-cells that
-    straddle are the next call's cells, until each side is 1e-13 wide; a
-    side too narrow to halve in floating point stays whole.  A finished cell
-    reports its corner of smallest max-norm residual.  A call subdivides at
-    most _STAGE_A_CAP cells, those nearest a root by their corners: more only
-    arise where the roots are not isolated, as along a jump of the outflow on
-    which the first residual vanishes.  The corner test misses a root whose
-    residual contour enters and leaves a cell through the same edge.
+    1 - 1e-6], except where no cell can hold a root: the bounds of H over y
+    (`hamiltonian_range`) rise with v, as lam v does, so no column [v, v']
+    with lam v' below the lower bound at v, or lam v above the upper bound at
+    v', by more than stage B's 1e-9, solves the first equation.  Its corners
+    stay NaN, which `_straddles` never keeps.  Each kept cell gets a 5 x 5
+    lattice, two levels of halving, all in one batched call; the 4 x 4
+    sub-cells that straddle are the next call's cells, until each side is
+    1e-13 wide; a side too narrow to halve in floating point stays whole.  A
+    finished cell reports its corner of smallest max-norm residual, as the
+    call that made it evaluated them.  A call subdivides at most _STAGE_A_CAP
+    cells, those nearest a root by their corners: more only arise where the
+    roots are not isolated, as along a jump of the outflow on which the first
+    residual vanishes.  The corner test misses a root whose residual contour
+    enters and leaves a cell through the same edge.
 
     y = 0 belongs to stage A alone: where no out-links start hidden
     (default_outflow(p, 0) <= 1e-14), its candidates are the multipliers of
@@ -192,21 +206,28 @@ def solve_stage_a(p: JointDistribution, cost: float) -> list[OPSolution]:
 
     ys = np.linspace(0.0, 1.0 - 1e-9, _STAGE_A_GRID[0])
     vs = np.tan(0.5 * np.pi * np.linspace(-(1.0 - 1e-6), 1.0 - 1e-6, _STAGE_A_GRID[1]))
-    corners = _corners(residuals(*np.meshgrid(ys, vs, indexing="ij")))
+    lo, hi = _pack(p).hamiltonian_range(cost, vs)
+    live = (p.lam * vs[1:] >= lo[:-1] - 1e-9) & (p.lam * vs[:-1] <= hi[1:] + 1e-9)
+    cols = np.append(live, False) | np.insert(live, 0, False)
+    grid = np.full((len(ys), len(vs), 2), np.nan)
+    grid[:, cols] = residuals(*np.meshgrid(ys, vs[cols], indexing="ij"))
+    corners = _corners(grid)
     r, c = np.nonzero(_straddles(corners))
     cells, held, found = (ys[r], ys[r + 1], vs[c], vs[c + 1]), corners[r, c], []
     while len(held) > 0:
         if len(held) > _STAGE_A_CAP:  # keep the cells nearest a root
-            near = np.abs(held).max(axis=-1).min(axis=-1)
-            cells = [side[np.argsort(near, kind="stable")[:_STAGE_A_CAP]] for side in cells]
+            near = np.argsort(np.abs(held).max(axis=-1).min(axis=-1), kind="stable")
+            cells, held = [side[near[:_STAGE_A_CAP]] for side in cells], held[near[:_STAGE_A_CAP]]
         ly, lv = _quarters(*cells[:2]), _quarters(*cells[2:])
-        f = residuals(*np.broadcast_arrays(ly[:, :, None], lv[:, None, :]))
         done = (ly[:, 1] == ly[:, 4]) & (lv[:, 1] == lv[:, 4])
-        best = np.abs(f[done, ::4, ::4]).max(axis=-1).reshape(-1, 4).argmin(axis=1)
+        best = np.abs(held[done]).max(axis=-1).argmin(axis=1)
         found.append(np.stack([ly[done, best // 2 * 4], lv[done, best % 2 * 4]], axis=1))
-        corners = _corners(f)
-        keep = (~done[:, None, None] & (ly[:, 1:] > ly[:, :-1])[:, :, None]
-                & (lv[:, 1:] > lv[:, :-1])[:, None, :] & _straddles(corners))
+        ly, lv = ly[~done], lv[~done]
+        if not len(ly):
+            break
+        corners = _corners(residuals(*np.broadcast_arrays(ly[:, :, None], lv[:, None, :])))
+        keep = ((ly[:, 1:] > ly[:, :-1])[:, :, None] & (lv[:, 1:] > lv[:, :-1])[:, None, :]
+                & _straddles(corners))
         # in the order of two one-level passes: second child, first child, cell
         a2, b2, a1, b1, k = np.nonzero(keep.reshape(-1, 2, 2, 2, 2).transpose(2, 4, 1, 3, 0))
         a, b = 2 * a1 + a2, 2 * b1 + b2
@@ -293,29 +314,24 @@ def _solve_multiplier_at(p, cost, y):
 
 
 def _boundary_candidates(p: JointDistribution, cost: float) -> list[OPSolution]:
-    out = []
-    # y = 1 is feasible only when all out-degree mass is vulnerable-or-defaulted
+    """y = 1, feasible only when all out-degree mass is vulnerable-or-defaulted."""
     out_mass = sum(j * m for (i, j, c), m in p.entries.items() if c <= i)
     support_j = sorted({j for (_i, j, _c) in p.entries if j > 0})
-    if abs(out_mass - p.lam) <= 1e-12 and support_j:
-        v_b = (1.0 - cost) / support_j[0] if cost < 1.0 else 0.0
-        out += _candidates(p, cost, [(1.0, v_b, 1.0)], "boundary:y=1")
-    # no-intervention polish: the uncontrolled fixed point with its multiplier
-    pk = _pack(p)
-    y_ni, _stable = _fixed_point(pk, pk.never)
-    if y_ni < 1.0:
-        points = [(y_ni, v, y_ni) for v in _solve_multiplier_at(p, cost, y_ni)]
-        out += _candidates(p, cost, points, "stage_a")
-    return out
+    if abs(out_mass - p.lam) > 1e-12 or not support_j:
+        return []
+    v_b = (1.0 - cost) / support_j[0] if cost < 1.0 else 0.0
+    return _candidates(p, cost, [(1.0, v_b, 1.0)], "boundary:y=1")
 
 
 def solve_op(p: JointDistribution, cost: float) -> OPSolution:
     """Best feasible candidate across both stages and the boundaries.
 
     Ties within 1e-9 of the minimum objective prefer stable candidates, then
-    the smallest y (mirroring the smallest-fixed-point convention).  If every
-    candidate is unstable with y < 1, the minimizer is still returned but a
-    warning notes that the asymptotic guarantees do not apply.  The solution
+    the smallest y (mirroring the smallest-fixed-point convention), with y
+    within _DEDUP_TOL a tie broken by _BRANCH_ORDER: one point found by two
+    branches gets one label.  If every candidate is unstable with y < 1, the
+    minimizer is still returned but a warning notes that the asymptotic
+    guarantees do not apply.  The solution
     is stored on p by float(cost), as the class pack is: a repeat call returns
     the same object (and warns again), and a failed solve stores nothing.
     """
@@ -331,7 +347,10 @@ def solve_op(p: JointDistribution, cost: float) -> OPSolution:
         best_obj = min(c.objective for c in candidates)
         near = [c for c in candidates if c.objective <= best_obj + 1e-9]
         near.sort(key=lambda c: (not c.stable, c.end_fraction))
-        best = p._solutions[float(cost)] = near[0]  # type: ignore[attr-defined]
+        ties = [c for c in near if c.stable == near[0].stable
+                and c.end_fraction <= near[0].end_fraction + _DEDUP_TOL]
+        best = p._solutions[float(cost)] = min(  # type: ignore[attr-defined]
+            ties, key=lambda c: _BRANCH_ORDER.index(c.branch.split(":")[0]))
     if not best.stable and best.end_fraction < 1.0:
         warnings.warn(
             "program minimizer is an unstable fixed point; asymptotic "

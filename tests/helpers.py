@@ -1,10 +1,10 @@
 """Helpers that only the tests call.
 
 Trajectory bookkeeping (the defaulted share and the hidden pool implied by
-the closed-form state masses), an independent Monte Carlo route to the Zipf
-copula, the Zipf copula built with scipy's `ndtri` as its quantile, and the
-degree truncation index of a distribution.  Nothing in the package calls
-them.
+the closed-form state masses), single limits of the optimal policy read from
+the package's kernels, an independent Monte Carlo route to the Zipf copula,
+the Zipf copula built with scipy's `ndtri` as its quantile, and the degree
+truncation index of a distribution.  Nothing in the package calls them.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from scipy.special import ndtr, ndtri
 
 from contagion_control import JointDistribution, ParameterError, build_zipf_copula
 from contagion_control import distribution
-from contagion_control.asymptotics import Trajectory
+from contagion_control.asymptotics import Trajectory, _optimal_starts, controlled_limits
 from contagion_control.distribution import zipf_weights
 
 
@@ -31,6 +31,24 @@ def hidden_pool_scaled(traj: Trajectory, p: JointDistribution) -> float:
     total = sum(j * m for (i, j, c), m in p.entries.items() if c <= i)
     live = sum(j * v for (i, j, _c, _l), v in traj.s.items())
     return total - live - traj.tau
+
+
+def intervention_start(i, j, c, cost, multiplier, end_fraction):
+    """Scaled start time of aid for class (i, j, c) under the optimal policy;
+    the horizon when aid never pays, and for a defaulted class (c = 0)."""
+    if c == 0:
+        return end_fraction
+    return float(_optimal_starts(i, j, c, cost, multiplier, end_fraction))
+
+
+def default_fraction_controlled(p, cost, y, v, z, singular_j=None):
+    """Defaulted node share under the optimal policy at (y, v, z)."""
+    return controlled_limits(p, cost, y, v, z, singular_j)[1]
+
+
+def intervention_volume(p, cost, y, v, z, singular_j=None):
+    """Scaled count of aid units under the optimal policy at (y, v, z)."""
+    return controlled_limits(p, cost, y, v, z, singular_j)[2]
 
 
 def sample_zipf_copula(

@@ -8,11 +8,8 @@ from contagion_control import (
     JointDistribution,
     ParameterError,
     default_fraction,
-    default_fraction_controlled,
     default_outflow,
     default_outflow_controlled,
-    intervention_start,
-    intervention_volume,
     propagate,
     smallest_fixed_point,
     terminal_hamiltonian,
@@ -23,11 +20,17 @@ from contagion_control.asymptotics import (
     initial_trajectory,
     program_residuals,
 )
-from contagion_control.optimizer import _make_solution, extract_policy, solve_op
+from contagion_control.optimizer import _candidates, extract_policy, solve_op
 
 import scalar_limits as scalar
 from conftest import make_rng
-from helpers import default_fraction_at, hidden_pool_scaled
+from helpers import (
+    default_fraction_at,
+    default_fraction_controlled,
+    hidden_pool_scaled,
+    intervention_start,
+    intervention_volume,
+)
 
 
 def random_fixture(rng, max_deg=5):
@@ -301,7 +304,7 @@ class TestSingularAidVolume:
         v = (1 - cost) / 2
         formula = intervention_volume(quadratic_dist, cost, y, v, z, singular_j=2)
 
-        candidate = _make_solution(quadratic_dist, cost, y, v, z, "stage_b:j=2", 2)
+        candidate, = _candidates(quadratic_dist, cost, [(y, v, z)], "stage_b:j=2", 2)
         policy = extract_policy(candidate, quadratic_dist, cost)
         lam = quadratic_dist.lam
         tau_end = lam * y

@@ -1,13 +1,16 @@
 """The batched solver against scalar references.
 
-Stage A's sign-change subdivision, the array residuals and the blocked
-fixed-point scan must reproduce what one-point-at-a-time code finds.  The
-references below are the scalar forms: a damped Newton run per start (stage
-A's former method), scalar residual calls, the class-by-class limits of
-`scalar_limits`, and a point-by-point grid scan (`bisection_reference`).
-Stage B's scan for y and solve for z must find the candidates of the former
-method, a scalar Newton in (y, z) from a grid of starts per out-degree; it
-rests on the first residual not involving z.
+Stage A's sign-change subdivision, the array residuals, the candidate
+builder and the blocked fixed-point scan must reproduce what
+one-point-at-a-time code finds.  The references below are the scalar forms:
+a damped Newton run per start (stage A's former method), scalar residual
+calls, candidates built from one kernel call per value, the class-by-class
+limits of `scalar_limits`, and a point-by-point grid scan
+(`bisection_reference`).  Stage B's scan for y and solve for z must find the
+candidates of the former method, a scalar Newton in (y, z) from a grid of
+starts per out-degree; it rests on the first residual not involving z.  What
+the solver skips by a bound (stage A's root-free multiplier columns, the
+fixed-point scan's cleared blocks) must change nothing, bit for bit.
 """
 
 import math
@@ -17,8 +20,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contagion_control import JointDistribution, default_outflow, smallest_fixed_point
-from contagion_control.asymptotics import program_residuals
+from contagion_control import (
+    InterventionPolicy,
+    JointDistribution,
+    controlled_limits,
+    default_outflow,
+    default_outflow_controlled,
+    smallest_fixed_point,
+)
+from contagion_control.asymptotics import _ClassPack, _fixed_outflow, _pack, program_residuals
 from contagion_control import optimizer as opt
 
 import scalar_limits as scalar
@@ -264,3 +274,92 @@ def test_multiplier_scan_finds_the_quadratic_root(quadratic_dist):
     lam = quadratic_dist.lam
     for v in roots:
         assert abs(scalar.terminal_hamiltonian(quadratic_dist, 10.0, 0.25, v) - lam * v) < 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=distributions(), cost=st.floats(0.05, 3.0))
+def test_stage_a_skips_only_columns_without_a_root(p, cost):
+    # with the range of H unbounded, the first grid evaluates every column
+    got = opt.solve_stage_a(p, cost)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_ClassPack, "hamiltonian_range",
+                   lambda self, cost, v: (np.full(len(v), -np.inf), np.full(len(v), np.inf)))
+        want = opt.solve_stage_a(p, cost)
+    assert repr(got) == repr(want)
+
+
+@settings(max_examples=10, deadline=None)
+@given(p=distributions(), band_lo=st.integers(0, 4), band_width=st.integers(0, 4))
+def test_fixed_point_with_cleared_blocks_equals_the_scalar_scan(p, band_lo, band_width):
+    pk = _pack(p)
+    for policy in (InterventionPolicy.none(), InterventionPolicy.complete(),
+                   InterventionPolicy.degree_range(band_lo, band_lo + band_width)):
+        first = pk.start_column(policy)
+        f = lambda y: _fixed_outflow(pk, first, y)  # noqa: E731
+        assert smallest_fixed_point(f) == scalar_fixed_point(f)
+
+
+def test_fixed_point_scan_skips_cleared_blocks(quadratic_dist):
+    # the 64 block ends, the one block (0.234375, 0.25] that can cross, where
+    # f(1/4) = 1/4 exactly, and the two slope probes
+    sizes = []
+
+    def f(y):
+        sizes.append(np.size(y))
+        return default_outflow(quadratic_dist, y)
+
+    assert smallest_fixed_point(f) == (0.25, True)
+    assert sizes == [64, 64, 2]
+
+
+@pytest.mark.parametrize("entries", [{(3, 3, 2): 1.0}, {(2, 2, 2): 0.5, (2, 2, 1): 0.5}])
+def test_few_class_values_do_not_depend_on_the_batch(entries):
+    # with one or two vulnerable classes, numpy rounded x ** c by one routine
+    # for a point alone and by another for several; both residuals and the
+    # limits differed in the last place
+    p = JointDistribution(entries)
+    y = np.array([0.6465164817403619, 0.6843481270337324, 0.3])
+    v = np.array([1.4747417730027044, -0.896327256974051, -0.2])
+    z = 0.5 * y
+    batch = controlled_limits(p, 0.7, y, v, z) + program_residuals(p, 0.7, y, v, z)
+    for k in range(len(y)):
+        at = (0.7, y[k], v[k], z[k])
+        assert [float(b[k]) for b in batch] == list(controlled_limits(p, *at)
+                                                    + program_residuals(p, *at))
+
+
+def _per_point_candidate(p, cost, y, v, z, branch, singular_j):
+    """The candidate at one point, one kernel call per value and per slope
+    probe, unfiltered."""
+    res = program_residuals(p, cost, y, v, z, singular_j)
+    _flow, dflt, aid = controlled_limits(p, cost, y, v, z, singular_j)
+    lo, hi = max(0.0, y - 1e-6), min(1.0, y + 1e-6)
+    slope = (default_outflow_controlled(p, cost, hi, v, z, singular_j)
+             - default_outflow_controlled(p, cost, lo, v, z, singular_j)) / (hi - lo)
+    return opt.OPSolution(
+        end_fraction=y, multiplier=v, singular_start=z, objective=cost * aid + dflt,
+        interventions=aid, defaults=dflt, stable=bool(slope < 1.0 - 1e-9) or y >= 1.0 - 1e-12,
+        branch=branch, residuals=res, singular_j=singular_j)
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=distributions(), cost=st.floats(0.05, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_candidate_builder_equals_per_point_candidates(p, cost, seed):
+    rng = make_rng(82, seed)
+    count = 12
+    y = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, count - 2)])
+    v = rng.uniform(-3.0, 3.0, count)
+    z = y * rng.uniform(0.0, 1.0, count)
+    degrees = _out_degrees(p)
+    cases = [(None, v, "stage_a")]
+    if degrees:  # stage B's points: v on the singular plane of one out-degree
+        j = int(rng.choice(degrees))
+        cases.append((j, np.full(count, (1.0 - cost) / j), f"stage_b:j={j}"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(opt, "_RESIDUAL_TOL", np.inf)  # every point with finite residuals counts
+        for sj, vs, branch in cases:
+            points = list(zip(y.tolist(), vs.tolist(), z.tolist()))
+            want = [sol for sol in (_per_point_candidate(p, cost, *point, branch, sj)
+                                    for point in points)
+                    if sol.feasible and math.isfinite(sol.objective)]
+            assert repr(opt._candidates(p, cost, points, branch, sj)) == repr(want)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -97,6 +98,23 @@ class TestStageA:
         assert opt.solve_stage_a(experiment_dist, 0.5)
         assert len(calls) <= 25  # one level per call took 42
 
+    def test_residual_calls_of_a_solve(self, experiment_dist, monkeypatch):
+        # the first grid in the 9 of 80 multiplier columns that can hold a root
+        # of the first equation, 20 lattice calls, each finished cell read from
+        # the call that evaluated its corners, and one call of the candidate
+        # builder; stage B skips every out-degree, and y = 1 is infeasible
+        import contagion_control.optimizer as opt
+
+        sizes, real = [], opt.program_residuals
+
+        def counted(p, cost, y, *args):
+            sizes.append(np.size(y))
+            return real(p, cost, y, *args)
+
+        monkeypatch.setattr(opt, "program_residuals", counted)
+        opt.solve_op(JointDistribution(dict(experiment_dist.entries)), 0.5)
+        assert (len(sizes), sizes[0], sum(sizes), sizes[-1]) == (22, 21 * 9, 815, 1)
+
     @pytest.mark.parametrize("cost", [9.0, 20.0])
     def test_zero_root_with_a_multiplier_beyond_eight(self, cost):
         # no node starts defaulted, so y = 0 is feasible, with v = -cost:
@@ -192,6 +210,29 @@ class TestSolveOp:
                     for policy in (InterventionPolicy.none(), InterventionPolicy.complete()))
         assert quiet_solve(p, cost).objective <= fixed + 1e-9
 
+    def test_tie_label_does_not_depend_on_stage_a_order(self, monkeypatch):
+        # at cost 5/3 stage A and stage B both find (1/4, -1/3); which of stage
+        # A's duplicate roots, 7e-14 below or 2e-14 above y = 1/4, it keeps
+        # depends on the order of its roots, and the tie goes to stage B's
+        # exact root whatever that order
+        import contagion_control.optimizer as opt
+
+        real, kept = opt._root_candidates, set()
+
+        def permuted(p, cost, roots, branch, singular_j=None):
+            if branch != "stage_a":
+                return real(p, cost, roots, branch, singular_j)
+            out = real(p, cost, roots[list(order)], branch, singular_j)
+            kept.update(sol.end_fraction for sol in out)
+            return out
+
+        monkeypatch.setattr(opt, "_root_candidates", permuted)
+        for order in itertools.permutations(range(3)):
+            sol = opt.solve_op(JointDistribution({(2, 2, 0): 0.2, (2, 2, 2): 0.8}), 5 / 3)
+            assert (sol.branch, sol.end_fraction, sol.multiplier) == (
+                "stage_b:j=2", 0.25, (1 - 5 / 3) / 2)
+        assert len(kept) == 2
+
     def test_total_default_boundary(self, one_regular_dist):
         sol = solve_op(one_regular_dist, 50.0)
         assert sol.end_fraction == 1.0
@@ -258,8 +299,8 @@ class TestSolveCache:
         assert len(solves) == 1
 
     def test_no_aid_fixed_point_is_found_once_per_object(self, quadratic_dist, monkeypatch):
-        # the no-aid policy's limits and the solver's no-intervention candidate
-        # share the fixed point of the all-inf start column
+        # the solver finds no fixed point: the no-aid one is a stage-A root;
+        # the no-aid policy's limits find theirs once per distribution object
         import contagion_control.asymptotics as asy
         from contagion_control.experiments import normalize_policy_spec, theory_limits
 
@@ -267,11 +308,12 @@ class TestSolveCache:
         monkeypatch.setattr(asy, "smallest_fixed_point",
                             lambda f: calls.append(1) or real(f))
         twin = JointDistribution(dict(quadratic_dist.entries))
-        theory_limits(quadratic_dist, normalize_policy_spec("none"), 0.5)
         for cost in (0.5, 1.5, 5.0):
             solve_op(quadratic_dist, cost)
-        assert len(calls) == 1
         solve_op(twin, 1.5)
+        assert not calls
+        for p in (quadratic_dist, quadratic_dist, twin):
+            theory_limits(p, normalize_policy_spec("none"), 0.5)
         assert len(calls) == 2
 
     def test_a_failure_is_not_stored(self, quadratic_dist, monkeypatch):
