@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import io
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -132,7 +133,9 @@ class StudyConfig:
             raise ParameterError(f"seed must be nonnegative, got {self.master_seed}")
         policies = tuple(normalize_policy_spec(s) for s in self.policies)
         names = [spec["name"] for spec in policies]
-        repeated = sorted({name for name in names if names.count(name) > 1}, key=str)
+        if not all(isinstance(n, str) and re.fullmatch(r"[A-Za-z0-9_.-]+", n) for n in names):
+            raise ParameterError(f"policy names must be words of [A-Za-z0-9_.-], got {names}")
+        repeated = sorted({name for name in names if names.count(name) > 1})
         if repeated:
             raise ParameterError(f"policy names must be distinct, repeated: {repeated}")
         object.__setattr__(self, "policies", policies)

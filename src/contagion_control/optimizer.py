@@ -5,14 +5,14 @@ terminal stationarity equation (1 - y) * H(y, v) = lam * v * (1 - y) and the
 fixed-point equation "controlled outflow at y equals y", with the per-class
 start times x(y, v) pinned by the three-branch formula and 0 <= z <= y <= 1.
 
-Solving is staged, no stage takes a derivative, and each evaluates the
+Solving is staged, no stage evaluates a derivative, and each evaluates the
 program only where a root can be.  Stage A sets z = y (no singular class) and
-finds (y, v) by sign-change subdivision of a (y, v) box, one batched residual
-call per two levels, in the multiplier columns where lam v meets the range of
-H.  Stage B fixes v = (1 - cost) / j for every out-degree j in the support,
-making that degree's cushion-equals-in-degree class singular with free start
-z.  The singular classes have c = i, where tail(i - 1, x, i) = 0 whatever
-their start x, so H(y, v) does not involve z: stationarity fixes y alone, and
+finds (y, v) by sign-change subdivision of a (y, v) box that zooms on isolated
+roots, in the multiplier columns where lam v meets the range of H.  Stage B
+fixes v = (1 - cost) / j for every out-degree j in the support, making that
+degree's cushion-equals-in-degree class singular with free start z.  The
+singular classes have c = i, where tail(i - 1, x, i) = 0 whatever their
+start x, so H(y, v) does not involve z: stationarity fixes y alone, and
 the outflow equation, which involves z only through the singular classes' z^i
 terms, rises with z.  Stage B is therefore a scan for y and then a monotone
 solve for z in [0, y], both by `_scan_roots` over every out-degree where lam v
@@ -64,6 +64,7 @@ _BRANCH_ORDER = ("boundary", "stage_b", "stage_a")
 _STAGE_A_GRID = (21, 81)
 _STAGE_A_WIDTH = 1e-13
 _STAGE_A_CAP = 9 * 20 * 80 // 25
+_STAGE_A_ZOOM, _STAGE_A_CONDITION = 2.0, 4.0  # see solve_stage_a
 # the stages' former Newton grids, stage A's 10 end fractions x 13 multipliers
 # and stage B's 5 end fractions x 3 shares of y for z per out-degree: the
 # benchmark self-test checks the tracer's start counts against them, and the
@@ -152,7 +153,9 @@ def _root_candidates(p, cost, roots, branch, singular_j=None) -> list[OPSolution
 def _straddles(corners):
     """Cells where each residual is <= 0 at one corner and >= 0 at another;
     corners is (..., 4, 2), and a NaN corner keeps nothing."""
-    return ((corners.min(axis=-2) <= 0.0) & (corners.max(axis=-2) >= 0.0)).all(axis=-1)
+    a, b, c, d = np.moveaxis(corners, -2, 0)  # pairwise: a min over that axis is 10x slower
+    lo, hi = np.minimum(np.minimum(a, b), np.minimum(c, d)), np.maximum(np.maximum(a, b), c)
+    return ((lo <= 0.0) & (np.maximum(hi, d) >= 0.0)).all(axis=-1)
 
 
 def _corners(f):
@@ -162,7 +165,7 @@ def _corners(f):
 
 
 def _quarters(lo, hi):
-    """Two levels of halving of each side [lo, hi]: a (sides, 5) lattice, sub-side
+    """Two levels of halving of each side [lo, hi]: a (..., 5) lattice, sub-side
     k from lattice[k] to lattice[k + 1].  A side halves while wider than
     _STAGE_A_WIDTH with its midpoint strictly inside, else the midpoint is hi."""
     def halve(lo, hi):
@@ -170,28 +173,57 @@ def _quarters(lo, hi):
         return np.where((hi - lo > _STAGE_A_WIDTH) & (lo < mid) & (mid < hi), mid, hi)
 
     mid = halve(lo, hi)
-    return np.stack([lo, halve(lo, mid), mid, halve(mid, hi), hi], axis=1)
+    return np.stack([lo, halve(lo, mid), mid, halve(mid, hi), hi], axis=-1)
+
+
+def _zoom_box(ly, lv, f, sub):
+    """Each cell's zoom box (y, y', v, v') in its straddling sub-cell sub, from its
+    lattice (ly, lv) and values f, as `solve_stage_a` says; sub where none."""
+    with np.errstate(all="ignore"):
+        centre = np.stack([ly.mean(axis=1), lv.mean(axis=1)], axis=1)
+        dy, dv = ly - centre[:, :1], lv - centre[:, 1:]
+        x = np.stack(np.broadcast_arrays(1.0, dy[:, :, None], dv[:, None, :]), 3).reshape(-1, 25, 3)
+        xt, f = x.transpose(0, 2, 1), f.reshape(-1, 25, 2)
+        coef = xt @ f / (xt * xt).sum(axis=2)[:, :, None]  # (cells, 3, 2), the columns orthogonal
+        misfit = np.abs(x @ coef - f).max(axis=1)
+        (m0, m1), (a0, a1), (b0, b1) = coef.transpose(1, 2, 0)
+        inv = np.array([[b1, -b0], [-a1, a0]]) / (a0 * b1 - a1 * b0)  # (2, 2, cells)
+        cond = np.abs(inv[:, 0]) * (abs(a0) + abs(b0)) + np.abs(inv[:, 1]) * (abs(a1) + abs(b1))
+        root = centre - (inv[:, 0] * m0 + inv[:, 1] * m1).T
+        w = _STAGE_A_ZOOM * (np.abs(inv[:, 0]) * misfit[:, 0] + np.abs(inv[:, 1]) * misfit[:, 1]).T
+        w = np.maximum(w, np.maximum(1e-2 * w.max(axis=1, keepdims=True), _STAGE_A_WIDTH))
+        lo, hi = sub[:, 0::2], sub[:, 1::2]
+        mid = np.minimum(np.maximum(root, lo + w), hi - w)
+        box = np.stack([np.maximum(mid - w, lo), np.minimum(mid + w, hi)], axis=-1).reshape(-1, 4)
+        ok = (cond.max(axis=0) <= _STAGE_A_CONDITION) & (box[:, 1::2] > box[:, 0::2]).all(axis=1)
+    return np.where(ok[:, None], box, sub)
 
 
 def solve_stage_a(p: JointDistribution, cost: float) -> list[OPSolution]:
     """Roots of the two terminal equations with z = y, by sign-change subdivision.
 
     Both residuals are evaluated on a corner grid of 21 values of y in
-    [0, 1 - 1e-9] by 81 multipliers v = tan(pi u / 2), u in [-(1 - 1e-6),
-    1 - 1e-6], except where no cell can hold a root: the bounds of H over y
-    (`hamiltonian_range`) rise with v, as lam v does, so no column [v, v']
-    with lam v' below the lower bound at v, or lam v above the upper bound at
-    v', by more than stage B's 1e-9, solves the first equation.  Its corners
-    stay NaN, which `_straddles` never keeps.  Each kept cell gets a 5 x 5
-    lattice, two levels of halving, all in one batched call; the 4 x 4
-    sub-cells that straddle are the next call's cells, until each side is
-    1e-13 wide; a side too narrow to halve in floating point stays whole.  A
-    finished cell reports its corner of smallest max-norm residual, as the
-    call that made it evaluated them.  A call subdivides at most _STAGE_A_CAP
-    cells, those nearest a root by their corners: more only arise where the
-    roots are not isolated, as along a jump of the outflow on which the first
-    residual vanishes.  The corner test misses a root whose residual contour
-    enters and leaves a cell through the same edge.
+    [0, 1 - 1e-9] by 81 multipliers v = tan(pi u / 2), u in
+    [-(1 - 1e-6), 1 - 1e-6], except in the columns [v, v'] where lam v' lies
+    below the lower bound of H (`hamiltonian_range`, rising with v as lam v
+    does) at v, or lam v above its upper bound at v', by more than stage B's
+    1e-9: their corners stay NaN, which `_straddles` never keeps.  Each kept
+    cell gets a 5 x 5 lattice, two levels of halving, all in one batched call;
+    the 4 x 4 sub-cells that straddle are the next call's cells, until each
+    side is 1e-13 wide; a side too narrow to halve in floating point stays
+    whole.  A finished cell reports its corner of smallest max-norm residual,
+    as the call that made it evaluated them.  A call subdivides at most
+    _STAGE_A_CAP cells, those nearest a root by their corners: more only arise
+    where the roots are not isolated, as along a jump of the outflow on which
+    the first residual vanishes.  The corner test misses a root whose residual
+    contour enters and leaves a cell through the same edge.  Where exactly one
+    sub-cell straddles, the next call zooms: it evaluates a box in it centred
+    on the root of the residuals' least-squares planes, with half-widths
+    _STAGE_A_ZOOM times the planes' misfit carried through their inverse, at
+    least 1e-13 and 1e-2 of the other side; a box that holds no straddling
+    sub-cell returns to that sub-cell, which then only halves.  Planes whose
+    condition, the row sums of |inverse| |slopes|, exceeds _STAGE_A_CONDITION
+    do not zoom: a 1e-13 cell pins no such root.
 
     y = 0 belongs to stage A alone: where no out-links start hidden
     (default_outflow(p, 0) <= 1e-14), its candidates are the multipliers of
@@ -213,25 +245,35 @@ def solve_stage_a(p: JointDistribution, cost: float) -> list[OPSolution]:
     grid[:, cols] = residuals(*np.meshgrid(ys, vs[cols], indexing="ij"))
     corners = _corners(grid)
     r, c = np.nonzero(_straddles(corners))
-    cells, held, found = (ys[r], ys[r + 1], vs[c], vs[c + 1]), corners[r, c], []
-    while len(held) > 0:
-        if len(held) > _STAGE_A_CAP:  # keep the cells nearest a root
-            near = np.argsort(np.abs(held).max(axis=-1).min(axis=-1), kind="stable")
-            cells, held = [side[near[:_STAGE_A_CAP]] for side in cells], held[near[:_STAGE_A_CAP]]
-        ly, lv = _quarters(*cells[:2]), _quarters(*cells[2:])
+    # per cell: sides, the sub-cell of a zoom box (else the cell), its corners, only halves
+    cells = back = np.stack([ys[r], ys[r + 1], vs[c], vs[c + 1]], axis=1)
+    held, plain, found = corners[r, c], np.zeros(len(r), bool), []
+    while len(cells):
+        if len(cells) > _STAGE_A_CAP:  # keep the cells nearest a root
+            near = np.argsort(np.abs(held).max(-1).min(-1), kind="stable")[:_STAGE_A_CAP]
+            cells, back, held, plain = cells[near], back[near], held[near], plain[near]
+        ly, lv = _quarters(cells[:, 0::2], cells[:, 1::2]).transpose(1, 0, 2)
         done = (ly[:, 1] == ly[:, 4]) & (lv[:, 1] == lv[:, 4])
         best = np.abs(held[done]).max(axis=-1).argmin(axis=1)
         found.append(np.stack([ly[done, best // 2 * 4], lv[done, best % 2 * 4]], axis=1))
-        ly, lv = ly[~done], lv[~done]
+        cells, back, held, plain, ly, lv = (a[~done] for a in (cells, back, held, plain, ly, lv))
         if not len(ly):
             break
-        corners = _corners(residuals(*np.broadcast_arrays(ly[:, :, None], lv[:, None, :])))
+        f = residuals(*np.broadcast_arrays(ly[:, :, None], lv[:, None, :]))
+        corners = _corners(f)
         keep = ((ly[:, 1:] > ly[:, :-1])[:, :, None] & (lv[:, 1:] > lv[:, :-1])[:, None, :]
                 & _straddles(corners))
         # in the order of two one-level passes: second child, first child, cell
         a2, b2, a1, b1, k = np.nonzero(keep.reshape(-1, 2, 2, 2, 2).transpose(2, 4, 1, 3, 0))
         a, b = 2 * a1 + a2, 2 * b1 + b2
-        cells, held = (ly[k, a], ly[k, a + 1], lv[k, b], lv[k, b + 1]), corners[k, a, b]
+        sub = np.stack([ly[k, a], ly[k, a + 1], lv[k, b], lv[k, b + 1]], axis=1)
+        one, nxt = np.flatnonzero(((keep.sum(axis=(1, 2)) == 1) & ~plain)[k]), sub.copy()
+        if len(one):
+            nxt[one] = _zoom_box(ly[k[one]], lv[k[one]], f[k[one]], sub[one])
+        miss = (cells != back).any(axis=1) & ~keep.any(axis=(1, 2))  # zoom boxes that missed
+        cells, back, held, plain = (np.concatenate(pair) for pair in zip(
+            (nxt, sub, corners[k, a, b], plain[k]),
+            (back[miss], back[miss], held[miss], np.ones(miss.sum(), bool))))
     roots = np.concatenate([np.empty((0, 2))] + found)
     roots = roots[roots[:, 0] > 1e-9]
     if default_outflow(p, 0.0) <= 1e-14:

@@ -8,8 +8,9 @@ calls, candidates built from one kernel call per value, the class-by-class
 limits of `scalar_limits`, and a point-by-point grid scan
 (`bisection_reference`).  Stage B's scan for y and solve for z must find the
 candidates of the former method, a scalar Newton in (y, z) from a grid of
-starts per out-degree; it rests on the first residual not involving z.  What
-the solver skips by a bound (stage A's root-free multiplier columns, the
+starts per out-degree; it rests on the first residual not involving z.  Stage
+A's zoom on an isolated root must find what pure subdivision
+(`subdivision_reference`) finds, to 1e-12.  What the solver skips by a bound (stage A's root-free multiplier columns, the
 fixed-point scan's cleared blocks) must change nothing, bit for bit.
 """
 
@@ -33,6 +34,7 @@ from contagion_control import optimizer as opt
 
 import scalar_limits as scalar
 from bisection_reference import scalar_fixed_point
+from subdivision_reference import solve_stage_a as subdivision_stage_a
 from conftest import make_rng
 from test_class_pack import _out_degrees, distributions
 
@@ -147,6 +149,42 @@ def test_lockstep_candidates_match_scalar_newton(name, cost, request):
             else opt._candidates(p, cost, [_EXACT_STAGE_A[name, cost]], "stage_a")[0]
             for sol in opt._root_candidates(p, cost, ref_a[:, [0, 1, 0]], "stage_a")]
     _assert_same_candidates(opt.solve_stage_a(p, cost), want, _FIELDS)
+
+
+def _assert_near_candidates(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.branch == b.branch
+        for name in ("end_fraction", "multiplier", "objective"):
+            assert abs(getattr(a, name) - getattr(b, name)) <= 1e-12, name
+
+
+# the zoom on an isolated root finds what pure subdivision, halving every
+# kept cell to 1e-13, finds
+@pytest.mark.parametrize("name,cost", OPTIMIZER_CASES)
+def test_zoom_candidates_match_pure_subdivision(name, cost, request):
+    p = _dist(name, request)
+    _assert_near_candidates(opt.solve_stage_a(p, cost), subdivision_stage_a(p, cost))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=distributions(), cost=st.floats(0.05, 3.0))
+def test_zoom_candidates_match_pure_subdivision_on_drawn_distributions(p, cost):
+    _assert_near_candidates(opt.solve_stage_a(p, cost), subdivision_stage_a(p, cost))
+
+
+def test_a_missed_zoom_box_returns_to_halving(experiment_dist, monkeypatch):
+    # boxes 2e-13 wide around the planes' root miss the root: each cell then
+    # halves from its straddling sub-cell on, as pure subdivision does
+    calls, real = [], opt.program_residuals
+    monkeypatch.setattr(opt, "program_residuals", lambda *args: calls.append(1) or real(*args))
+    monkeypatch.setattr(opt, "_STAGE_A_ZOOM", 0.0)
+    for cost in (0.05, 0.5, 1.5):
+        calls.clear()
+        got = opt.solve_stage_a(experiment_dist, cost)
+        # pure subdivision's 22 calls and one on the missed box
+        assert len(calls) == 23
+        assert repr(got) == repr(subdivision_stage_a(experiment_dist, cost))
 
 
 # stage B solves every out-degree at once; the reference solves them one by one

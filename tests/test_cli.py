@@ -219,6 +219,17 @@ HALF_MASS = {"kind": "explicit", "entries": [[2, 2, 0, 0.1], [2, 2, 2, 0.4]]}
     # a JSON boolean is not an integer
     ("boolean degree_range bound", QUAD, ["simulate", "--n", "50"],
      {"kind": "degree_range", "lo": True, "hi": 3}),
+    # a policy name is a CSV cell and part of a file name: refused before any run
+    ("study policy name that is a number", QUAD,
+     ["study", {"policies": ["none", {"kind": "none", "name": 5}]}], None),
+    ("study policy name with a comma", QUAD,
+     ["study", {"policies": ["none", {"kind": "complete", "name": "a,b"}]}], None),
+    ("study policy name with a slash", QUAD,
+     ["study", {"policies": ["none", {"kind": "complete", "name": "a/b"}]}], None),
+    ("study policy name that is empty", QUAD,
+     ["study", {"policies": ["none", {"kind": "complete", "name": ""}]}], None),
+    ("compare policy name that is a number", QUAD,
+     ["compare", {"policies": ["none", {"kind": "none", "name": 5}]}], None),
 ])
 def test_bad_input_is_a_one_line_config_error(case, distribution, extra, policy, tmp_path, capsys):
     dist = tmp_path / "dist.json"

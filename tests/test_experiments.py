@@ -150,6 +150,21 @@ class TestRunStudy:
             with pytest.raises(ParameterError, match=f"'{field}' must be an array"):
                 StudyConfig.from_json({"distribution": dist, field: value})
 
+    def test_policy_names_are_safe_file_and_csv_words(self, quadratic_dist):
+        # every built-in name passes
+        table = {"kind": "threshold_table", "thresholds": {"2,2,2": 0.1}}
+        cfg = StudyConfig(distribution=quadratic_dist, policies=(
+            "none", "complete", "optimal", "alternative", {"kind": "degree_range", "lo": 1,
+                                                          "hi": 2}, table))
+        assert [spec["name"] for spec in cfg.policies] == [
+            "none", "complete", "optimal", "alternative", "degree_1_2", "table"]
+        StudyConfig(distribution=quadratic_dist, policies=({"kind": "none", "name": "a-1.b_C"},))
+        # a number, a comma (a CSV column), a slash (a path) or nothing is refused
+        for name in (5, None, "a,b", "a/b", "", "a b"):
+            with pytest.raises(ParameterError, match="policy names must be words"):
+                StudyConfig(distribution=quadratic_dist,
+                            policies=("none", {"kind": "complete", "name": name}))
+
     def test_json_omitted_fields_keep_the_defaults(self):
         cfg = StudyConfig.from_json({"distribution": {"kind": "explicit",
                                                       "entries": [[1, 1, 0, 1.0]]}})

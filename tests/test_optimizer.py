@@ -73,6 +73,20 @@ class TestStageA:
                    and r.multiplier == pytest.approx(22.135868540426856, abs=1e-10)
                    for r in roots)
 
+    def test_candidate_at_a_jump_of_the_outflow(self, quadratic_dist):
+        # at cost 5/3 the outflow jumps at the root (1/4, -1/3), where
+        # cost + 2 v - 1 = 0: no plane fits the lattice there, so its cells
+        # only halve, as pure subdivision does.  The first of the three
+        # finished cells, whose best corner stage A keeps, lies beside the jump,
+        # 1.27e-13 from it in v
+        from subdivision_reference import solve_stage_a as subdivision_stage_a
+
+        (sol,) = solve_stage_a(quadratic_dist, 5 / 3)
+        assert repr(sol) == repr(subdivision_stage_a(quadratic_dist, 5 / 3)[0])
+        assert abs(sol.end_fraction - 0.25) <= 1e-13
+        assert abs(sol.multiplier + 1 / 3) <= 1.3e-13
+        assert max(map(abs, sol.residuals)) <= 1e-13
+
     def test_cells_along_a_jump_stay_bounded(self, monkeypatch):
         # at cost 2 the outflow jumps across v = -1, where the first residual
         # vanishes for every y: each cell on that line straddles both residuals,
@@ -100,8 +114,10 @@ class TestStageA:
 
     def test_residual_calls_of_a_solve(self, experiment_dist, monkeypatch):
         # the first grid in the 9 of 80 multiplier columns that can hold a root
-        # of the first equation, 20 lattice calls, each finished cell read from
-        # the call that evaluated its corners, and one call of the candidate
+        # of the first equation, 6 lattice calls (the kept cell, a zoom box
+        # with two straddling sub-cells, those two, and 3 more zoom boxes; 20
+        # lattice calls of halving alone), the finished cells read from the
+        # call that evaluated their corners, and one call of the candidate
         # builder; stage B skips every out-degree, and y = 1 is infeasible
         import contagion_control.optimizer as opt
 
@@ -113,7 +129,7 @@ class TestStageA:
 
         monkeypatch.setattr(opt, "program_residuals", counted)
         opt.solve_op(JointDistribution(dict(experiment_dist.entries)), 0.5)
-        assert (len(sizes), sizes[0], sum(sizes), sizes[-1]) == (22, 21 * 9, 815, 1)
+        assert (len(sizes), sizes[0], sum(sizes), sizes[-1]) == (8, 21 * 9, 365, 1)
 
     @pytest.mark.parametrize("cost", [9.0, 20.0])
     def test_zero_root_with_a_multiplier_beyond_eight(self, cost):
