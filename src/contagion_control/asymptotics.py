@@ -48,12 +48,15 @@ StateKey = tuple[int, int, int, int]  # (i, j, c, l)
 ClassKey = tuple[int, int, int]
 
 _SINGULAR_TOL = 1e-12
-# grid points per block of the fixed-point scan, and points per residual
-# batch, which bounds the temporaries to a few MB
+# the fixed-point scan's grid k / _SCAN_GRID, bracket width and block size,
+# and points per residual batch, which bounds the temporaries to a few MB
+_SCAN_GRID = 4096
+_SCAN_TOL = 1e-12
 _SCAN_BLOCK = 64
 _RESIDUAL_BATCH = 512
 # most points per call of the function that `bisect` bisects
 _BISECT_POINTS = 64
+_SLOPE_STEP = 1e-6  # half-width of `is_stable`'s central slope
 
 
 # ---------------------------------------------------------------------------
@@ -187,35 +190,33 @@ def trajectory_at(p: JointDistribution, policy: InterventionPolicy, tau: float) 
 # fixed points
 # ---------------------------------------------------------------------------
 
-def smallest_fixed_point(
-    f: Callable[[np.ndarray], np.ndarray], grid: int = 4096, tol: float = 1e-12
-) -> tuple[float, bool]:
+def smallest_fixed_point(f: Callable[[np.ndarray], np.ndarray]) -> tuple[float, bool]:
     """Smallest y in [0, 1] with f(y) = y, and whether f `is_stable` there.
 
-    Scans the grid k / grid for the first sign change of f(y) - y, then
-    bisects it with `bisect` until the bracket is at most `tol` wide.  Assumes
+    Scans the grid k / _SCAN_GRID for the first sign change of f(y) - y, then
+    bisects it with `bisect` to a bracket at most _SCAN_TOL wide.  Assumes
     f continuous and increasing with f(1) <= 1, so y = 1 is always a fallback
     fixed point; f must accept an ndarray.  The grid runs in blocks (a, b] of
     _SCAN_BLOCK points, and one call evaluates f at every a, y = 0 among them.
     As f increases, a block with f(a) - b > 1e-12 cannot hold the crossing;
     the scan evaluates the others in order, one call each, until one crosses.
     """
-    starts = np.arange(0, grid, _SCAN_BLOCK)
-    ends = np.minimum(starts + _SCAN_BLOCK, grid)
-    f_a = np.asarray(f(starts / grid), dtype=float)
+    starts = np.arange(0, _SCAN_GRID, _SCAN_BLOCK)
+    ends = np.minimum(starts + _SCAN_BLOCK, _SCAN_GRID)
+    f_a = np.asarray(f(starts / _SCAN_GRID), dtype=float)
     y_star = 0.0 if f_a[0] <= 0.0 else 1.0
-    crossing = ~(f_a - ends / grid > 1e-12) & (f_a[0] > 0.0)
+    crossing = ~(f_a - ends / _SCAN_GRID > 1e-12) & (f_a[0] > 0.0)
     for a, b in zip(starts[crossing].tolist(), ends[crossing].tolist()):
-        ys = np.arange(a + 1, b + 1) / grid
+        ys = np.arange(a + 1, b + 1) / _SCAN_GRID
         gs = np.asarray(f(ys), dtype=float) - ys
         below = np.flatnonzero(gs <= 0.0)
         if below.size:
             k = below[0]
             hi = float(ys[k])
-            lo = hi if gs[k] == 0.0 else (a + k) / grid  # the last point with g > 0
+            lo = hi if gs[k] == 0.0 else (a + k) / _SCAN_GRID  # the last point with g > 0
             _lo, hi, _g = bisect(lambda _b, mid: f(mid) - mid, [lo], [hi], [np.nan],
                                  keep_left=lambda _g_lo, g_mid: ~(g_mid > 0.0),
-                                 settled=lambda lo, hi, _mid: hi - lo <= tol)
+                                 settled=lambda lo, hi, _mid: hi - lo <= _SCAN_TOL)
             y_star = float(hi[0])
             break
     return y_star, is_stable(f, y_star)
@@ -272,21 +273,21 @@ def bisect(g, lo, hi, g_lo, keep_left, settled, levels=np.inf):
     return lo, hi, g_lo
 
 
-def _slope_probes(y, h: float = 1e-6) -> np.ndarray:
+def _slope_probes(y) -> np.ndarray:
     """`is_stable`'s points: every y - h, then every y + h, clamped to [0, 1]."""
     y = np.ravel(y).astype(float)
-    return np.concatenate([np.maximum(0.0, y - h), np.minimum(1.0, y + h)])
+    return np.concatenate([np.maximum(0.0, y - _SLOPE_STEP), np.minimum(1.0, y + _SLOPE_STEP)])
 
 
-def is_stable(f: Callable[[np.ndarray], np.ndarray], y, h: float = 1e-6):
+def is_stable(f: Callable[[np.ndarray], np.ndarray], y):
     """Whether the fixed point y of f is stable: the central slope of f over
-    [y - h, y + h], clamped to [0, 1], is below 1 - 1e-9.
+    [y - h, y + h] (h = _SLOPE_STEP), clamped to [0, 1], is below 1 - 1e-9.
 
     The one stability test, for `smallest_fixed_point` and the solver's
     candidates.  y is a number (a bool out) or a 1-D array (a bool per point);
-    f is called once, at the array `_slope_probes(y, h)`.
+    f is called once, at the array `_slope_probes(y)`.
     """
-    probes = _slope_probes(y, h)
+    probes = _slope_probes(y)
     (lo, hi), (f_lo, f_hi) = np.split(probes, 2), np.split(np.asarray(f(probes), float), 2)
     with np.errstate(divide="ignore", invalid="ignore"):
         stable = np.where(hi > lo, (f_hi - f_lo) / (hi - lo), np.inf) < 1.0 - 1e-9

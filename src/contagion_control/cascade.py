@@ -115,22 +115,6 @@ class InterventionPolicy:
         return self.thresholds.get((i, j, c))
 
 
-def _cutoffs(policy: InterventionPolicy, pop: NodePopulation) -> dict[tuple[int, int, int], float]:
-    """(i, j, c) -> first step k at which a one-loss node is aided; absent = never.
-
-    A node is one loss from default only at cushions 1..i, so those are the
-    only classes the chain ever looks up.
-    """
-    keys, _counts = pop._classes
-    cutoffs = {}
-    for i, j in dict.fromkeys((i, j) for i, j, _c in keys.tolist()):
-        for c in range(1, i + 1):
-            start = policy.start(i, j, c)
-            if start is not None:
-                cutoffs[(i, j, c)] = start * pop.m
-    return cutoffs
-
-
 @dataclass(frozen=True)
 class RunOutcome:
     """Terminal step count, interventions, defaults, and optional snapshots."""
@@ -218,45 +202,31 @@ def _replay(left: np.ndarray, rng: np.random.Generator):
         yield m - stop
 
 
-def _draw_order(owners: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """The node each of the m reveals hits, in step order (int32).
-
-    Step k takes entry floor(u * (m - k)) of the m - k in-stubs left, with u
-    from blocks of `rng.random(4096)`, and swaps it to the end of the live
-    prefix, so the array ends as the draw order reversed.  This is `_replay`
-    run to the end: the order and the generator's state afterwards are the
-    swap loop's, and only one block's temporaries are held beyond the owner
-    array.
-    """
-    left = np.array(owners, dtype=np.int32)
-    for _ in _replay(left, rng):
-        pass
-    return left[::-1]
-
-
 class _Passage:
     """Each node's first passage over a growing prefix of the draw order.
 
     A vulnerable node (1 <= c0 <= i) meets losses 1, 2, ... at its hits.  From
     loss c0 on it is one loss from default, at cushion r on loss r, and is
     aided while the step has reached the cut of (i, j, r); at the first loss
-    that is not, it defaults.  The passage carries each node's place in the
-    cut table (its class row plus the losses met so far) and its fall step
+    that is not, it defaults.  The cut table has one row per class run, and
+    the policy is asked once per (i, j) pair.  The passage carries each node's
+    place in it (its class row plus the losses met so far) and its fall step
     (m while it stands).
     """
 
-    def __init__(self, keys, counts, ins, eqs, cutoffs, m):
-        # row k, column r: the first step at which loss r of a node of class
-        # run k is aided (a step is >= cut iff it is >= ceil(cut)); m means
-        # never, and -1 marks the losses r < c0, which need no aid
+    def __init__(self, keys, counts, ins, eqs, policy, m):
+        # row k, column r: the first step ceil(m * start) at which loss r of a
+        # node of class run k is aided; m means never (and at r outside 1..i,
+        # where no node is one loss from default), and -1 marks r < c0
         width = int(keys[:, 0].max()) + 1
-        table = np.full((len(keys), width), m)
-        for k, (i, j, c) in enumerate(keys.tolist()):
-            table[k, :c] = -1
-            for r in range(c, i + 1):
-                cut = cutoffs.get((i, j, r))
-                if cut is not None:
-                    table[k, r] = math.ceil(cut)
+        pairs = keys[:, :2].tolist()
+        rows = {}
+        for i, j in pairs:
+            if (i, j) not in rows:
+                starts = [policy.start(i, j, r) if 1 <= r <= i else None for r in range(width)]
+                rows[i, j] = [m if x is None else math.ceil(m * x) for x in starts]
+        table = np.array([rows[i, j] for i, j in pairs])
+        table[np.arange(width) < keys[:, 2:]] = -1
         self.table = table.ravel()
         # each node's table entry of loss 0, then of the last loss it met
         self.place = np.repeat(np.arange(0, len(keys) * width, width, dtype=np.int32), counts)
@@ -323,7 +293,7 @@ def run(
     hidden0 = int(outs[eqs == 0].sum())
     left = np.repeat(np.arange(n, dtype=np.int32), ins)
     order = left[::-1]
-    passage = _Passage(keys, counts, ins, eqs, _cutoffs(policy, pop), m)
+    passage = _Passage(keys, counts, ins, eqs, policy, m)
     # the pool after k steps is hidden0 plus the out-degrees of the nodes
     # fallen before k, minus k.  It falls by at most one per step, so T is at
     # least `reach`, that sum over the falls in the steps the passage has

@@ -32,6 +32,9 @@ _MASS_SLACK = 1e-9
 # Standard-normal mass beyond +-8.5 is ~1e-17; quantile rectangles are clipped there.
 _NORMAL_CLIP = 8.5
 _NORMAL_QUANTILE = NormalDist().inv_cdf
+# Copula quadrature: Gauss-Legendre panels of at most this width and order.
+_PANEL_WIDTH = 0.5
+_PANEL_ORDER = 12
 # The copula's quadrature grid has about (12 max_deg)^2 points: at 200 a build
 # takes about half a second and 170 MB, and the grid grows with the square.
 MAX_COPULA_DEGREE = 200
@@ -120,27 +123,27 @@ def zipf_weights(exponent: float, max_val: int) -> np.ndarray:
     return w / w.sum()
 
 
-def _gauss_legendre_panels(edges: np.ndarray, max_width: float = 0.5, order: int = 12):
+def _gauss_legendre_panels(edges: np.ndarray):
     """Composite Gauss-Legendre nodes/weights over [edges[0], edges[-1]].
 
-    Each inter-edge segment is split into panels of width <= max_width so the
-    bivariate normal density is resolved to ~1e-14 regardless of segment size.
+    Each inter-edge segment is split into panels of width <= _PANEL_WIDTH so
+    the bivariate normal density is resolved to ~1e-14 regardless of segment size.
     Returns (nodes, weights, segment_of_node).
     """
-    ref_x, ref_w = np.polynomial.legendre.leggauss(order)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(_PANEL_ORDER)
     nodes, weights, seg_ids = [], [], []
     for s in range(len(edges) - 1):
         a, b = edges[s], edges[s + 1]
         if b <= a:
             continue
-        n_panels = max(1, int(math.ceil((b - a) / max_width)))
+        n_panels = max(1, int(math.ceil((b - a) / _PANEL_WIDTH)))
         bounds = np.linspace(a, b, n_panels + 1)
         for q in range(n_panels):
             lo, hi = bounds[q], bounds[q + 1]
             half = 0.5 * (hi - lo)
             nodes.append(0.5 * (hi + lo) + half * ref_x)
             weights.append(half * ref_w)
-            seg_ids.append(np.full(order, s, dtype=int))
+            seg_ids.append(np.full(_PANEL_ORDER, s, dtype=int))
     return np.concatenate(nodes), np.concatenate(weights), np.concatenate(seg_ids)
 
 

@@ -125,10 +125,11 @@ class StudyConfig:
             raise ParameterError("sizes must not be empty")
         if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
             raise ParameterError("sizes must be strictly increasing")
+        if self.sizes[0] < 1:
+            raise ParameterError(f"sizes must be positive, got {list(self.sizes)}")
         if self.runs < 2:
             raise ParameterError("need at least 2 runs per cell")
-        if not (math.isfinite(self.cost) and self.cost > 0):
-            raise ParameterError(f"cost must be positive and finite, got {self.cost}")
+        _check_cost(self.cost)
         if self.master_seed < 0:
             raise ParameterError(f"seed must be nonnegative, got {self.master_seed}")
         policies = tuple(normalize_policy_spec(s) for s in self.policies)

@@ -13,7 +13,8 @@ from fractions import Fraction
 from typing import Iterator
 
 from contagion_control import ContagionControlError, InterventionPolicy, NodePopulation
-from contagion_control.cascade import _cutoffs
+
+from step_chain import cut
 
 _ENUMERATION_MAX_M = 10
 _EXACT_MAX_M = 10
@@ -52,7 +53,6 @@ def exact_expectation(
         raise EnumerationLimitError(
             f"refusing exact enumeration at m={pop.m} (limit m <= {_EXACT_MAX_M})"
         )
-    cutoffs = _cutoffs(policy, pop)
     weights: dict[tuple[tuple[int, int], ...], int] = {}
     for links in enumerate_matchings(pop):
         key = tuple(sorted(links))
@@ -61,7 +61,7 @@ def exact_expectation(
     total = Fraction(math.factorial(pop.m))
     e_d = e_it = e_t = Fraction(0)
     for links, mult in sorted(weights.items()):
-        d, it, t = _order_tree(links, pop, cutoffs)
+        d, it, t = _order_tree(links, pop, policy)
         w = Fraction(mult, 1)
         e_d += w * d
         e_it += w * it
@@ -69,7 +69,7 @@ def exact_expectation(
     return e_d / total, e_it / total, e_t / total
 
 
-def _order_tree(links, pop, cutoffs):
+def _order_tree(links, pop, policy):
     """Expected (defaults, interventions, T) for one matching, all reveal orders.
 
     The memo key carries the revealed-link set and the per-node equity vector:
@@ -105,8 +105,8 @@ def _order_tree(links, pop, cutoffs):
             mu = 0
             if not is_dead(cvec, lvec, w) and cvec[w] - lvec[w] == 1:
                 i, j, _c0 = pop.nodes[w]
-                cut = cutoffs.get((i, j, cvec[w]))
-                if cut is not None and k >= cut:
+                aid_from = cut(policy, pop, i, j, cvec[w])
+                if aid_from is not None and k >= aid_from:
                     mu = 1
                     new_c = cvec[:w] + (cvec[w] + 1,) + cvec[w + 1:]
             d, it, t = rec(revealed | {e}, new_c)

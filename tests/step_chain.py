@@ -1,14 +1,15 @@
 """The per-step contagion chain and the in-stub swap loop, kept as the oracles
-that `cascade.run` and `cascade._draw_order` must match.
+that `cascade.run` and `cascade._replay` must match.
 
 Each step reveals one hidden out-link of the default set.  Its target owns the
 in-stub at index floor(u * remaining) of the node-ordered owner list, with u
 from blocks of `rng.random(4096)`, and that stub is swap-removed.  A live
 target one loss from default is aided once the step has reached its class's
-cut (`cascade._cutoffs`), else it defaults and its out-links join the hidden
-pool.  From an identically seeded generator it gives `run`'s T, aid, defaults,
-snapshots and trace; `swap_order` gives `_draw_order`'s order and leaves the
-generator where it leaves it.
+cut m * start (`cut`, from the policy's start time), else it defaults and its
+out-links join the hidden pool.  From an identically seeded generator it gives
+`run`'s T, aid, defaults, snapshots and trace; `swap_order` gives the order of
+`draw_order` (`_replay` run to the end) and leaves the generator where it
+leaves it.
 """
 
 import math
@@ -16,7 +17,14 @@ from array import array
 
 import numpy as np
 
-from contagion_control.cascade import RunOutcome, _cutoffs
+from contagion_control.cascade import RunOutcome, _replay
+
+
+def cut(policy, pop, i, j, c):
+    """The first step at which a one-loss node of class (i, j, c) is aided,
+    as a real number; None means never."""
+    start = policy.start(i, j, c)
+    return None if start is None else start * pop.m
 
 
 def swap_order(owners, rng):
@@ -32,8 +40,15 @@ def swap_order(owners, rng):
     return np.frombuffer(left, dtype=np.int32)[::-1]
 
 
+def draw_order(owners, rng):
+    """The draw order of `owners` (int32) by `_replay`, run to the end."""
+    left = np.array(owners, dtype=np.int32)
+    for _ in _replay(left, rng):
+        pass
+    return left[::-1]
+
+
 def run_steps(pop, policy, rng, snapshot_times=(), trace=False) -> RunOutcome:
-    cutoffs = _cutoffs(policy, pop)
     owners = [v for v, (i, _j, _c) in enumerate(pop.nodes) for _ in range(i)]
     c = [c0 for (_i, _j, c0) in pop.nodes]
     l = [0] * pop.n
@@ -64,8 +79,8 @@ def run_steps(pop, policy, rng, snapshot_times=(), trace=False) -> RunOutcome:
         owners.pop()
         if not dead[node] and c[node] - l[node] == 1:
             i, j, _c0 = pop.nodes[node]
-            cut = cutoffs.get((i, j, c[node]))
-            if cut is not None and k >= cut:
+            aid_from = cut(policy, pop, i, j, c[node])
+            if aid_from is not None and k >= aid_from:
                 c[node] += 1
                 aid += 1
             else:

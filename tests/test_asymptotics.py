@@ -90,6 +90,12 @@ class TestPropagate:
         with pytest.raises(ParameterError):
             propagate(propagate(traj, 1.0, {}), 0.5, {})
 
+    @pytest.mark.parametrize("tau", [-0.1, 2.0, 2.5])
+    def test_trajectory_at_outside_the_horizon(self, quadratic_dist, tau):
+        # the closed form holds on [0, lam), lam = 2 here
+        with pytest.raises(ParameterError, match="outside"):
+            trajectory_at(quadratic_dist, InterventionPolicy.none(), tau)
+
 
 class TestRk4Oracle:
     def test_agrees_with_closed_form(self):

@@ -13,7 +13,7 @@ from contagion_control import (
     instantiate,
     run,
 )
-from contagion_control.cascade import _cutoffs
+from contagion_control.cascade import _Passage
 
 from conftest import make_rng
 from exact_oracle import EnumerationLimitError, exact_expectation
@@ -234,16 +234,26 @@ class TestOneRunner:
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
     def test_cutoffs_over_every_node(self, data):
-        # the class runs give the cuts that every node's own class gives
+        # each node's row of the cut table, losses r = 0..max i: -1 below its
+        # cushion c0, ceil(m * start) where its class is aided at loss r
+        # (1 <= r <= i), and m, never, elsewhere, so an invulnerable class
+        # (c0 > i) is never aided
         pop = data.draw(populations())
         policy = data.draw(policies(pop))
-        every = {
-            (i, j, c): policy.start(i, j, c) * pop.m
-            for (i, j, _c0) in pop.nodes
-            for c in range(1, i + 1)
-            if policy.start(i, j, c) is not None
-        }
-        assert _cutoffs(policy, pop) == every
+        keys, counts = pop._classes
+        ins, _outs, eqs = (np.repeat(col, counts) for col in keys.T)
+        passage = _Passage(keys, counts, ins, eqs, policy, pop.m)
+        width = max(i for (i, _j, _c) in pop.nodes) + 1
+
+        def cut(i, j, c0, r):
+            if r < c0:
+                return -1
+            start = policy.start(i, j, r) if 1 <= r <= i else None
+            return pop.m if start is None else math.ceil(pop.m * start)
+
+        rows = passage.table[passage.place[:, None] + np.arange(width)]
+        assert rows.tolist() == [[cut(i, j, c0, r) for r in range(width)]
+                                 for (i, j, c0) in pop.nodes]
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())

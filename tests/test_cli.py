@@ -230,6 +230,22 @@ HALF_MASS = {"kind": "explicit", "entries": [[2, 2, 0, 0.1], [2, 2, 2, 0.4]]}
      ["study", {"policies": ["none", {"kind": "complete", "name": ""}]}], None),
     ("compare policy name that is a number", QUAD,
      ["compare", {"policies": ["none", {"kind": "none", "name": 5}]}], None),
+    # sizes below 1 are refused before any solve or run
+    ("compare with a negative size", QUAD, ["compare", {"sizes": [-5, 10]}], None),
+    ("study with a negative size", QUAD, ["study", {"sizes": [-5, 10]}], None),
+    ("study with a size of 0", QUAD, ["study", {"sizes": [0, 10]}], None),
+    ("degree_range with lo above hi", QUAD, ["simulate", "--n", "50"],
+     {"kind": "degree_range", "lo": 3, "hi": 1}),
+    ("degree_range with a negative lo", QUAD, ["simulate", "--n", "50"],
+     {"kind": "degree_range", "lo": -1, "hi": 2}),
+    ("explicit class with a negative index",
+     {"kind": "explicit", "entries": [[2, 2, -1, 0.2], [2, 2, 2, 0.8]]},
+     ["solve", "--cost", "0.5"], None),
+    ("unknown policy kind", QUAD, ["simulate", "--n", "50"], {"kind": "foo"}),
+    ("threshold_table thresholds that are not an object", QUAD, ["simulate", "--n", "50"],
+     {"kind": "threshold_table", "thresholds": [0.1]}),
+    # a field set to None is left out of the config
+    ("study config with no distribution", QUAD, ["study", {"distribution": None}], None),
 ])
 def test_bad_input_is_a_one_line_config_error(case, distribution, extra, policy, tmp_path, capsys):
     dist = tmp_path / "dist.json"
@@ -241,6 +257,7 @@ def test_bad_input_is_a_one_line_config_error(case, distribution, extra, policy,
         if isinstance(doc, dict):
             doc = {"distribution": distribution, "sizes": [50, 100], "runs": 2,
                    "policies": ["none", "complete"], **doc}
+            doc = {key: value for key, value in doc.items() if value is not None}
         cfg.write_text(json.dumps(doc))
         argv = [extra[0], "--config", str(cfg), "--outdir", str(tmp_path / "out"), *extra[2:]]
     if policy is not None:

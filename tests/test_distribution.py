@@ -13,13 +13,19 @@ import contagion_control
 
 from contagion_control import (
     ConstructionError,
+    EmpiricalCounts,
     JointDistribution,
     ParameterError,
     build_zipf_copula,
     distribution_from_spec,
     empirical_counts,
 )
-from contagion_control.distribution import MAX_COPULA_DEGREE, copula_cuts, zipf_weights
+from contagion_control.distribution import (
+    MAX_COPULA_DEGREE,
+    copula_cuts,
+    gaussian_copula_cells,
+    zipf_weights,
+)
 
 from conftest import make_rng
 from helpers import build_zipf_copula_ndtri, ndtri_cuts, sample_zipf_copula, truncation_index
@@ -71,6 +77,13 @@ class TestBuildZipfCopula:
         args.update(kwargs)
         with pytest.raises(ParameterError):
             build_zipf_copula(**args)
+
+    @pytest.mark.parametrize("rho", [1.0, -1.0, 1.5])
+    def test_cells_need_a_correlation_inside_the_unit_interval(self, rho):
+        # `build_zipf_copula` checks rho first; the cells check it again
+        marg = np.array([0.5, 0.5])
+        with pytest.raises(ParameterError, match="copula correlation"):
+            gaussian_copula_cells(marg, marg, rho)
 
 
 class TestStdlibQuantile:
@@ -191,6 +204,14 @@ class TestEmpiricalCounts:
     def test_n_validation(self, quadratic_dist):
         with pytest.raises(ParameterError):
             empirical_counts(quadratic_dist, 0)
+
+    @pytest.mark.parametrize("n,counts,match", [
+        (3, {(1, 1, 0): 1, (1, 1, 1): 1}, "counts sum to 2, expected n=3"),
+        (2, {(2, 1, 0): 1, (1, 1, 1): 1}, "stub totals unbalanced: in=3 out=2"),
+    ])
+    def test_counts_validation(self, n, counts, match):
+        with pytest.raises(ParameterError, match=match):
+            EmpiricalCounts(n=n, counts=counts)
 
     def test_total_mass_below_one_is_named(self):
         # the limits accept a sub-unit mass; a population of n nodes does not

@@ -13,11 +13,11 @@ from contagion_control import (
     ParameterError,
     instantiate,
 )
-from contagion_control.cascade import _draw_order, _replay
+from contagion_control.cascade import _replay
 
 from conftest import make_rng
 from exact_oracle import EnumerationLimitError, enumerate_matchings
-from step_chain import swap_order
+from step_chain import draw_order, swap_order
 
 
 class TestInstantiate:
@@ -34,6 +34,10 @@ class TestInstantiate:
         with pytest.raises(ParameterError, match="empty"):
             NodePopulation(nodes=())
 
+    def test_unbalanced_population(self):
+        with pytest.raises(ParameterError, match="stub totals unbalanced: in=3 out=2"):
+            NodePopulation(nodes=((2, 1, 0), (1, 1, 1)))
+
     def test_deterministic_order(self):
         counts = EmpiricalCounts(n=4, counts={(2, 2, 1): 2, (1, 1, 0): 2})
         assert instantiate(counts).nodes == instantiate(counts).nodes
@@ -46,7 +50,7 @@ def owners_of(in_degrees):
 
 class TestDrawInStub:
     def test_single_stub_certain(self):
-        order = _draw_order(owners_of([0, 1]), make_rng(0))  # node 1 has the only stub
+        order = draw_order(owners_of([0, 1]), make_rng(0))  # node 1 has the only stub
         assert order.tolist() == [1]
 
     def test_weighted_law(self):
@@ -56,7 +60,7 @@ class TestDrawInStub:
         hits = 0
         trials = 100_000
         for _ in range(trials):
-            if _draw_order(owners, rng)[0] == 0:
+            if draw_order(owners, rng)[0] == 0:
                 hits += 1
         p_hat = hits / trials
         se = math.sqrt((2 / 3) * (1 / 3) / trials)
@@ -65,7 +69,7 @@ class TestDrawInStub:
     def test_conservation(self):
         # every in-stub is drawn exactly once
         owners = owners_of([3, 2, 1])
-        order = _draw_order(owners, make_rng(1))
+        order = draw_order(owners, make_rng(1))
         assert len(order) == 6
         assert Counter(order.tolist()) == Counter(owners.tolist())
 
@@ -84,7 +88,7 @@ class TestDrawInStub:
         # int32 owners with repeats, over one to four draw blocks
         owners = make_rng(seed).choice(np.array(values, np.int32), m)
         rng_a, rng_b = make_rng(seed, 1), make_rng(seed, 1)
-        order = _draw_order(owners, rng_a)
+        order = draw_order(owners, rng_a)
         assert order.dtype == np.int32
         assert np.array_equal(order, swap_order(owners, rng_b))
         assert rng_a.random() == rng_b.random()
@@ -95,7 +99,7 @@ class TestDrawInStub:
     def test_every_bit_generator_ends_where_the_swap_loop_does(self, bit_generator, m):
         owners = (np.arange(m, dtype=np.int32) * 7) % 1000
         rng_a, rng_b = np.random.Generator(bit_generator(m)), np.random.Generator(bit_generator(m))
-        assert np.array_equal(_draw_order(owners, rng_a), swap_order(owners, rng_b))
+        assert np.array_equal(draw_order(owners, rng_a), swap_order(owners, rng_b))
         np.testing.assert_equal(rng_a.bit_generator.state, rng_b.bit_generator.state)
 
     def test_a_block_that_re_reads_no_position(self):
@@ -123,7 +127,7 @@ class TestDrawInStub:
         rng = make_rng(3)
         tracemalloc.start()
         try:
-            _draw_order(owners, rng)
+            draw_order(owners, rng)
             _now, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -179,7 +183,7 @@ class TestSequentialEquivalence:
         counts = Counter()
         trials = 60_000
         for _ in range(trials):
-            counts[tuple(_draw_order(owners, rng).tolist())] += 1
+            counts[tuple(draw_order(owners, rng).tolist())] += 1
         assert len(counts) == 6
         expected = trials / 6
         stat = sum((obs - expected) ** 2 / expected for obs in counts.values())
