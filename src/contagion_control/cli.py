@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 infeasible construction.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -48,18 +49,9 @@ def _load_json(path: str) -> dict:
 def _cmd_solve(args) -> int:
     dist = distribution_from_spec(_load_json(args.distribution))
     sol = solve_op(dist, args.cost)
-    doc = {
-        "end_fraction": sol.end_fraction,
-        "multiplier": sol.multiplier,
-        "singular_start": sol.singular_start,
-        "objective": sol.objective,
-        "interventions": sol.interventions,
-        "defaults": sol.defaults,
-        "stable": sol.stable,
-        "branch": sol.branch,
-        "residuals": list(sol.residuals),
-        "policy": table_spec(extract_policy(sol, dist, args.cost)),
-    }
+    doc = dataclasses.asdict(sol)
+    del doc["singular_j"]
+    doc["policy"] = table_spec(extract_policy(sol, dist, args.cost))
     payload = json.dumps(doc, indent=2, sort_keys=True)
     if args.output:
         Path(args.output).write_text(payload + "\n")
@@ -99,25 +91,24 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_study(args) -> int:
+def _study_config(args) -> StudyConfig:
+    """The config in --config, its output directory replaced by --outdir if given."""
     doc = _load_json(args.config)
     if args.outdir:
         doc["outdir"] = args.outdir
-    cfg = StudyConfig.from_json(doc)
+    return StudyConfig.from_json(doc)
+
+
+def _cmd_study(args) -> int:
+    cfg = _study_config(args)
     if cfg.outdir is None:
         raise ParameterError("study needs an output directory (config 'outdir' or --outdir)")
-    result = run_study(cfg)
-    sys.stdout.write(stats_csv(result))
+    sys.stdout.write(stats_csv(run_study(cfg)))
     return 0
 
 
 def _cmd_compare(args) -> int:
-    doc = _load_json(args.config)
-    if args.outdir:
-        doc["outdir"] = args.outdir
-    cfg = StudyConfig.from_json(doc)
-    rows = compare_policies(cfg)
-    for r in rows:
+    for r in compare_policies(_study_config(args)):
         print(f"{r.policy}: defaults={r.defaults_limit:.6f} aid_cost={r.aid_cost:.6f} "
               f"prevented={r.defaults_prevented:.6f} objective={r.objective:.6f}")
     return 0

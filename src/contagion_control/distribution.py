@@ -312,6 +312,14 @@ def parse_int(value, what: str) -> int:
     raise ParameterError(f"{what} must be an integer, got {value!r}")
 
 
+def parse_float(value, what: str) -> float:
+    """The one float parser of JSON inputs: `float(value)`, except that a
+    boolean raises instead of becoming 0.0 or 1.0."""
+    if isinstance(value, bool):
+        raise ParameterError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def distribution_from_spec(spec: dict) -> JointDistribution:
     """Build a distribution from its JSON form.
 
@@ -325,7 +333,7 @@ def distribution_from_spec(spec: dict) -> JointDistribution:
     kind = spec["kind"]
     if kind == "zipf_copula":
         try:
-            args = {name: float(spec[name]) for name in ("xi", "a1", "a2", "rho")}
+            args = {name: parse_float(spec[name], name) for name in ("xi", "a1", "a2", "rho")}
             args["max_deg"] = parse_int(spec["max_deg"], "max_deg")
         except KeyError as exc:
             raise ParameterError(f"zipf_copula spec missing field {exc}") from exc
@@ -341,7 +349,7 @@ def distribution_from_spec(spec: dict) -> JointDistribution:
             try:
                 i, j, c, mass = row
                 i, j, c = (parse_int(k, "degree or equity") for k in (i, j, c))
-                mass = float(mass)
+                mass = parse_float(mass, "mass")
             except (TypeError, ValueError) as exc:
                 raise ParameterError(f"explicit entry must be [i, j, c, mass], got {row}") from exc
             entries[(i, j, c)] = entries.get((i, j, c), 0.0) + mass

@@ -14,10 +14,9 @@ ordered, and output files are byte-stable.
 
 from __future__ import annotations
 
-import io
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +24,9 @@ import numpy as np
 from . import svg
 from .asymptotics import forced_policy_limits
 from .cascade import InterventionPolicy, RunOutcome, run
-from .distribution import JointDistribution, distribution_from_spec, empirical_counts, parse_int
+from .distribution import (
+    JointDistribution, distribution_from_spec, empirical_counts, parse_float, parse_int,
+)
 from .errors import ParameterError
 from .network import instantiate
 from .optimizer import _check_cost, asymptotic_prediction, extract_policy, solve_op
@@ -97,7 +98,7 @@ def _table_entries(spec: PolicySpec) -> tuple[dict, dict]:
         for key, value in table.items():
             try:
                 cls = tuple(int(part) for part in str(key).split(","))
-                start = float(value)
+                start = parse_float(value, "start")
             except (TypeError, ValueError) as exc:
                 raise ParameterError(
                     f"bad threshold_table '{field}' entry {key!r}: {value!r}") from exc
@@ -154,15 +155,15 @@ class StudyConfig:
             "sizes": ("sizes", lambda v: tuple(parse_int(n, "size") for n in array(v, "sizes"))),
             "runs": ("runs", lambda v: parse_int(v, "runs")),
             "policies": ("policies", lambda v: array(v, "policies")),
-            "cost": ("cost", float),
+            "cost": ("cost", lambda v: parse_float(v, "cost")),
             "seed": ("master_seed", lambda v: parse_int(v, "seed")),
             "outdir": ("outdir", lambda v: Path(v) if v else None),
         }
         try:
-            fields = {name: parse(doc[key]) for key, (name, parse) in parsers.items()
-                      if key in doc}
+            given = {name: parse(doc[key]) for key, (name, parse) in parsers.items()
+                     if key in doc}
             return StudyConfig(distribution=distribution_from_spec(doc["distribution"]),
-                               **fields)
+                               **given)
         except ParameterError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
@@ -263,8 +264,7 @@ def run_study(cfg: StudyConfig) -> StudyResult:
         _simulate_size(cfg, si, result)
 
     if len(cfg.sizes) >= 2:
-        for spec in cfg.policies:
-            name = spec["name"]
+        for name in _names(cfg):
             for var in VARIABLES:
                 for measure in ("sd", "iqr"):
                     ys = [getattr(result.stats[(n, name)][var], measure) for n in cfg.sizes]
@@ -292,89 +292,88 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _csv(header: tuple[str, ...], rows) -> str:
+    """A CSV table: the header, then one line per row; a float cell is written
+    by `_fmt`, any other cell by `str`."""
+    lines = [",".join(header)]
+    lines += [",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+_SUMMARY = ("mean", "sd", "q1", "median", "q3", "iqr")
+
+
+def _names(cfg: StudyConfig) -> list[str]:
+    return [spec["name"] for spec in cfg.policies]
+
+
 def stats_csv(result: StudyResult) -> str:
-    buf = io.StringIO()
-    buf.write("n,policy,variable,mean,sd,q1,median,q3,iqr,theory_p,theory_Pn\n")
-    for n in result.config.sizes:
-        for spec in result.config.policies:
-            name = spec["name"]
-            for var in VARIABLES:
-                s = result.stats[(n, name)][var]
-                t_p = result.theory_p[name][var]
-                t_pn = result.theory_pn[(n, name)][var]
-                buf.write(
-                    f"{n},{name},{var},{_fmt(s.mean)},{_fmt(s.sd)},{_fmt(s.q1)},"
-                    f"{_fmt(s.median)},{_fmt(s.q3)},{_fmt(s.iqr)},{_fmt(t_p)},{_fmt(t_pn)}\n"
-                )
-    return buf.getvalue()
+    """One row per (size, policy, variable) cell: its summary and both theory limits."""
+    cfg = result.config
+    return _csv(("n", "policy", "variable", *_SUMMARY, "theory_p", "theory_Pn"), (
+        (n, name, var, *(getattr(result.stats[(n, name)][var], m) for m in _SUMMARY),
+         result.theory_p[name][var], result.theory_pn[(n, name)][var])
+        for n in cfg.sizes for name in _names(cfg) for var in VARIABLES))
 
 
 def samples_csv(result: StudyResult) -> str:
-    buf = io.StringIO()
-    buf.write("n,policy,run,intervention_fraction,default_fraction,time_fraction\n")
-    for n in result.config.sizes:
-        for spec in result.config.policies:
-            name = spec["name"]
-            cell = result.stats[(n, name)]
-            for ri in range(result.config.runs):
-                vals = [cell[var].samples[ri] for var in VARIABLES]
-                buf.write(f"{n},{name},{ri}," + ",".join(_fmt(v) for v in vals) + "\n")
-    return buf.getvalue()
+    """One row per run of each (size, policy) cell: its three variables."""
+    cfg = result.config
+    return _csv(("n", "policy", "run", *VARIABLES), (
+        (n, name, ri, *(result.stats[(n, name)][var].samples[ri] for var in VARIABLES))
+        for n in cfg.sizes for name in _names(cfg) for ri in range(cfg.runs)))
 
 
 def fits_csv(result: StudyResult) -> str:
-    buf = io.StringIO()
-    buf.write("policy,variable,measure,slope,intercept\n")
-    for key in sorted(result.fits):
-        slope, intercept = result.fits[key]
-        buf.write(",".join(key) + f",{_fmt(slope)},{_fmt(intercept)}\n")
-    return buf.getvalue()
+    """One row per fitted (policy, variable, measure): slope and intercept."""
+    return _csv(("policy", "variable", "measure", "slope", "intercept"),
+                ((*key, *result.fits[key]) for key in sorted(result.fits)))
+
+
+def _put(outdir: Path, outputs) -> list[Path]:
+    """Write each (file name, text) pair of `outputs` under `outdir`, made if
+    missing, as the pairs come; the paths written, in order."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for name, text in outputs:
+        path = outdir / name
+        path.write_text(text)
+        paths.append(path)
+    return paths
 
 
 def _write_outputs(result: StudyResult) -> None:
-    outdir = result.config.outdir
-    outdir.mkdir(parents=True, exist_ok=True)
+    """Write the study's three CSV tables and its 9 charts per policy under the
+    config's output directory; `result.files` gets each path written."""
+    result.files += _put(result.config.outdir, _study_outputs(result))
 
-    def put(name: str, payload: str):
-        path = outdir / name
-        path.write_text(payload)
-        result.files.append(path)
 
-    put("study_stats.csv", stats_csv(result))
-    put("study_samples.csv", samples_csv(result))
-    put("dispersion_fits.csv", fits_csv(result))
-
+def _study_outputs(result: StudyResult):
+    """The (file name, text) pairs of a study, each made when it is asked for."""
+    yield "study_stats.csv", stats_csv(result)
+    yield "study_samples.csv", samples_csv(result)
+    yield "dispersion_fits.csv", fits_csv(result)
     sizes = list(result.config.sizes)
     labels = [str(n) for n in sizes]
-    for spec in result.config.policies:
-        name = spec["name"]
+    for name in _names(result.config):
         for var in VARIABLES:
             cells = [result.stats[(n, name)][var] for n in sizes]
             theory_cell = [result.theory_pn[(n, name)][var] for n in sizes]
             theory_line = result.theory_p[name][var]
-            boxes_msd = [
-                (c.min, c.mean - c.sd, c.mean, c.mean + c.sd, c.max) for c in cells
-            ]
-            boxes_q = [
-                (c.q1 - 1.5 * c.iqr, c.q1, c.median, c.q3, c.q3 + 1.5 * c.iqr)
-                for c in cells
-            ]
-            put(f"box_meansd_{name}_{var}.svg",
-                svg.boxplot_svg(f"{var} under {name} (mean/sd)", labels, boxes_msd,
-                                theory_cell, theory_line))
-            put(f"box_quartile_{name}_{var}.svg",
-                svg.boxplot_svg(f"{var} under {name} (quartiles)", labels, boxes_q,
-                                theory_cell, theory_line))
-            series = {
-                "sd": [c.sd for c in cells],
-                "iqr": [c.iqr for c in cells],
-            }
-            fits = {
-                m: result.fits[(name, var, m)]
-                for m in ("sd", "iqr") if (name, var, m) in result.fits
-            }
-            put(f"dispersion_{name}_{var}.svg",
-                svg.loglog_svg(f"dispersion of {var} under {name}", sizes, series, fits))
+            boxes_msd = [(c.min, c.mean - c.sd, c.mean, c.mean + c.sd, c.max) for c in cells]
+            boxes_q = [(c.q1 - 1.5 * c.iqr, c.q1, c.median, c.q3, c.q3 + 1.5 * c.iqr)
+                       for c in cells]
+            yield (f"box_meansd_{name}_{var}.svg",
+                   svg.boxplot_svg(f"{var} under {name} (mean/sd)", labels, boxes_msd,
+                                   theory_cell, theory_line))
+            yield (f"box_quartile_{name}_{var}.svg",
+                   svg.boxplot_svg(f"{var} under {name} (quartiles)", labels, boxes_q,
+                                   theory_cell, theory_line))
+            series = {m: [getattr(c, m) for c in cells] for m in ("sd", "iqr")}
+            fits = {m: result.fits[(name, var, m)]
+                    for m in ("sd", "iqr") if (name, var, m) in result.fits}
+            yield (f"dispersion_{name}_{var}.svg",
+                   svg.loglog_svg(f"dispersion of {var} under {name}", sizes, series, fits))
 
 
 @dataclass(frozen=True)
@@ -424,24 +423,12 @@ def compare_policies(cfg: StudyConfig, study: StudyResult | None = None) -> list
         ))
 
     if cfg.outdir is not None:
-        cfg.outdir.mkdir(parents=True, exist_ok=True)
-        buf = io.StringIO()
-        buf.write("policy,defaults_limit,aid_limit,aid_cost,defaults_prevented,"
-                  "objective,empirical_defaults,empirical_aid\n")
-        for r in rows:
-            emp_d = _fmt(r.empirical_defaults) if r.empirical_defaults is not None else ""
-            emp_a = _fmt(r.empirical_aid) if r.empirical_aid is not None else ""
-            buf.write(f"{r.policy},{_fmt(r.defaults_limit)},{_fmt(r.aid_limit)},"
-                      f"{_fmt(r.aid_cost)},{_fmt(r.defaults_prevented)},"
-                      f"{_fmt(r.objective)},{emp_d},{emp_a}\n")
-        (cfg.outdir / "comparison.csv").write_text(buf.getvalue())
-        chart = svg.bars_svg(
-            "asymptotic comparison", [r.policy for r in rows],
-            {
-                "defaults": [r.defaults_limit for r in rows],
-                "aid cost": [r.aid_cost for r in rows],
-                "prevented": [r.defaults_prevented for r in rows],
-            },
-        )
-        (cfg.outdir / "comparison.svg").write_text(chart)
+        table = _csv(tuple(f.name for f in fields(PolicyComparison)),
+                     (["" if v is None else v for v in astuple(r)] for r in rows))
+        chart = svg.bars_svg("asymptotic comparison", [r.policy for r in rows], {
+            "defaults": [r.defaults_limit for r in rows],
+            "aid cost": [r.aid_cost for r in rows],
+            "prevented": [r.defaults_prevented for r in rows],
+        })
+        _put(cfg.outdir, [("comparison.csv", table), ("comparison.svg", chart)])
     return rows

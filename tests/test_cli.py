@@ -122,6 +122,16 @@ class TestStudyAndCompare:
             assert main([command, "--config", str(path), "--outdir", str(tmp_path / command)]) == 0
         assert "table: defaults=" in capsys.readouterr().out
 
+    def test_single_size_study(self, tmp_path, capsys):
+        cfg = json.loads(open(self._config(tmp_path)).read())
+        cfg["sizes"] = [50]
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(cfg))
+        outdir = tmp_path / "one"
+        assert main(["study", "--config", str(path), "--outdir", str(outdir)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * 3
+        assert len(list(outdir.iterdir())) == 3 + 2 * 3 * 3
+
     def test_garbage_config(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -246,6 +256,14 @@ HALF_MASS = {"kind": "explicit", "entries": [[2, 2, 0, 0.1], [2, 2, 2, 0.4]]}
      {"kind": "threshold_table", "thresholds": [0.1]}),
     # a field set to None is left out of the config
     ("study config with no distribution", QUAD, ["study", {"distribution": None}], None),
+    # a JSON boolean is not a number
+    ("boolean study cost", QUAD, ["study", {"cost": True}], None),
+    ("boolean zipf exponent", {**ZIPF, "a1": True}, ["solve", "--cost", "0.5"], None),
+    ("boolean explicit mass",
+     {"kind": "explicit", "entries": [[2, 2, 0, 0.2], [2, 2, 2, 0.8], [2, 2, 1, False]]},
+     ["solve", "--cost", "0.5"], None),
+    ("boolean threshold", QUAD, ["simulate", "--n", "50"],
+     {"kind": "threshold_table", "thresholds": {"2,2,2": True}}),
 ])
 def test_bad_input_is_a_one_line_config_error(case, distribution, extra, policy, tmp_path, capsys):
     dist = tmp_path / "dist.json"

@@ -122,6 +122,16 @@ class TestRunStudy:
         for f in res.files:
             assert f.exists() and f.stat().st_size > 0
 
+    def test_single_size_writes_every_file(self, quadratic_dist, tmp_path):
+        # no dispersion fit takes one size, but every table and chart is written
+        cfg = StudyConfig(distribution=quadratic_dist, sizes=(50,), runs=4,
+                          policies=("none", "complete"), cost=0.5, master_seed=3,
+                          outdir=tmp_path)
+        res = run_study(cfg)
+        assert res.fits == {}
+        assert len(res.files) == 3 + 2 * 3 * 3  # CSVs + policies * variables * charts
+        assert sorted(f.name for f in tmp_path.iterdir()) == sorted(f.name for f in res.files)
+
     def test_zero_dispersion_cells_dropped_from_fits(self):
         # complete aid on this population is deterministic: sd == 0, no fit
         p = JointDistribution({(1, 1, 0): 0.5, (1, 1, 1): 0.5})
