@@ -48,6 +48,7 @@ StateKey = tuple[int, int, int, int]  # (i, j, c, l)
 ClassKey = tuple[int, int, int]
 
 _SINGULAR_TOL = 1e-12
+MAX_IN_DEGREE = 1030  # above it C(i - 1, k) exceeds the largest float: C(1030, 515) ~ 2.9e308
 # the fixed-point scan's grid k / _SCAN_GRID, bracket width and block size,
 # and points per residual batch, which bounds the temporaries to a few MB
 _SCAN_GRID = 4096
@@ -219,7 +220,7 @@ def smallest_fixed_point(f: Callable[[np.ndarray], np.ndarray]) -> tuple[float, 
                                  settled=lambda lo, hi, _mid: hi - lo <= _SCAN_TOL)
             y_star = float(hi[0])
             break
-    return y_star, is_stable(f, y_star)
+    return y_star, bool(is_stable(f, [y_star])[0])
 
 
 def bisect(g, lo, hi, g_lo, keep_left, settled, levels=np.inf):
@@ -284,14 +285,13 @@ def is_stable(f: Callable[[np.ndarray], np.ndarray], y):
     [y - h, y + h] (h = _SLOPE_STEP), clamped to [0, 1], is below 1 - 1e-9.
 
     The one stability test, for `smallest_fixed_point` and the solver's
-    candidates.  y is a number (a bool out) or a 1-D array (a bool per point);
+    candidates.  y is a 1-D array, and the result a bool array, one per point;
     f is called once, at the array `_slope_probes(y)`.
     """
     probes = _slope_probes(y)
     (lo, hi), (f_lo, f_hi) = np.split(probes, 2), np.split(np.asarray(f(probes), float), 2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        stable = np.where(hi > lo, (f_hi - f_lo) / (hi - lo), np.inf) < 1.0 - 1e-9
-    return bool(stable[0]) if np.ndim(y) == 0 else stable
+        return np.where(hi > lo, (f_hi - f_lo) / (hi - lo), np.inf) < 1.0 - 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +324,9 @@ def singular_rows(i, j, c, cost: float, v, singular_j: int | None):
     |j v - 1 + cost| <= 1e-12, or when its out-degree is `singular_j` (stage B
     pins v = (1 - cost) / j, where the rounded coefficient may miss zero).
     Arguments broadcast elementwise, `singular_j` too (a per-point array in
-    stage B's batch); None or NaN marks no singular out-degree.
+    stage B's batch); None or NaN equals no out-degree, so it marks none.
     """
-    sing = np.abs(j * v - 1.0 + cost) <= _SINGULAR_TOL
-    if singular_j is not None:
-        sing = sing | (j == singular_j)
-    return sing & (c == i)
+    return ((np.abs(j * v - 1.0 + cost) <= _SINGULAR_TOL) | (j == singular_j)) & (c == i)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +353,8 @@ class _ClassPack:
     The y-bracket tail(i-1, y, c-1) shares y across classes: one table of
     Bernstein terms per in-degree, summed from the top.  Every limit divides
     by the mean degree lam, so a distribution with lam <= 0 (no links) is a
-    ParameterError here.
+    ParameterError here, as is a vulnerable class of in-degree above
+    MAX_IN_DEGREE.  `solutions` holds `solve_op`'s solutions of p by cost.
     """
 
     def __init__(self, p: JointDistribution):
@@ -365,6 +363,10 @@ class _ClassPack:
                                  f"a network without links has no contagion limits")
         rows = sorted((r for r in p.vulnerable_items() if r[2] >= 1),
                       key=lambda r: r[0] - r[2])
+        for i, j, c, _m in rows:
+            if i > MAX_IN_DEGREE:
+                raise ParameterError(f"class {(i, j, c)} has in-degree {i}: the limits take "
+                                     f"vulnerable in-degrees up to {MAX_IN_DEGREE}")
         self.lam = p.lam
         self.defaulted_flow = sum(j * mass for (_i, j, c, mass) in p.vulnerable_items()
                                   if c == 0)
@@ -379,7 +381,7 @@ class _ClassPack:
         self.imass = self.i * self.mass
         # start column of the no-aid policy: every class waits for the horizon
         self.never = np.full_like(self.c, np.inf)
-        self.fixed_points: dict[bytes, tuple[float, bool]] = {}
+        self.solutions: dict = {}
         n = [i - c for (i, _j, c, _m) in rows]
         self.max_n = max(n, default=0)
         self.first = np.searchsorted(n, np.arange(self.max_n + 2), side="left")
@@ -552,14 +554,6 @@ def _fixed_outflow(pk: _ClassPack, first: np.ndarray, y):
     return _over_points(lambda y: (pk.outflow(np.minimum(first, y)),), y)[0]
 
 
-def _fixed_point(pk: _ClassPack, first: np.ndarray) -> tuple[float, bool]:
-    """`smallest_fixed_point` of the outflow at x = min(first, y), kept per column."""
-    key = first.tobytes()
-    if key not in pk.fixed_points:
-        pk.fixed_points[key] = smallest_fixed_point(lambda y: _fixed_outflow(pk, first, y))
-    return pk.fixed_points[key]
-
-
 def _fixed_limits(pk: _ClassPack, first: np.ndarray, y):
     """(outflow, defaults, aid) at y for start times x = min(first, y)."""
     return _over_points(lambda y: pk.limits(np.minimum(first, y), y), y)
@@ -629,10 +623,9 @@ def program_residuals(
     _RESIDUAL_BATCH points.
     """
     pk = _pack(p)
-    # NaN matches no out-degree: the None of `singular_rows` as a number to chunk
-    sj = np.nan if singular_j is None else singular_j
+    # a None singular_j chunks as NaN, which `singular_rows` reads as None
     return _over_points(
-        lambda y, v, z, sj: pk.residuals(cost, y, v, z, sj), y, v, z, sj)
+        lambda y, v, z, sj: pk.residuals(cost, y, v, z, sj), y, v, z, singular_j)
 
 
 # ---------------------------------------------------------------------------
@@ -671,11 +664,12 @@ def forced_policy_limits(
     cushion (see `_check_keeps_aiding`).  Covers every policy whose start
     times do not depend on the horizon: the no-aid, full-aid and degree-band
     policies and explicit threshold tables, whose limits follow the same
-    fixed-point structure as the optimal one.
+    fixed-point structure as the optimal one.  Each call searches its fixed
+    point with `smallest_fixed_point`, as nothing keeps one between calls.
     """
     _check_keeps_aiding(p, policy)
     pk = _pack(p)
     first = pk.start_column(policy)
-    y_star, stable = _fixed_point(pk, first)
+    y_star, stable = smallest_fixed_point(lambda y: _fixed_outflow(pk, first, y))
     _flow, defaults, aid = _fixed_limits(pk, first, y_star)
     return y_star, stable, defaults, aid

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .cascade import run
-from .distribution import distribution_from_spec, empirical_counts
+from .distribution import distribution_from_spec, empirical_counts, parse_object
 from .errors import ConstructionError, ParameterError
 from .experiments import (
     StudyConfig,
@@ -39,11 +39,9 @@ def _load_json(path: str) -> dict:
     """The JSON object in a file; every file the CLI reads holds one."""
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8 text
         raise ParameterError(f"cannot read JSON from {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParameterError(f"{path} must hold a JSON object, not {type(doc).__name__}")
-    return doc
+    return parse_object(doc, f"the JSON in {path}")
 
 
 def _cmd_solve(args) -> int:

@@ -16,6 +16,7 @@ Conventions:
 
 from __future__ import annotations
 
+import json
 import math
 import operator
 from dataclasses import dataclass, field
@@ -163,8 +164,9 @@ def gaussian_copula_cells(marg_row: np.ndarray, marg_col: np.ndarray, rho: float
     Cells are quantile rectangles: the standard-normal plane is cut at the
     inverse normal CDF of the marginal cumulative masses, and the bivariate
     normal density with correlation rho is integrated over each rectangle by
-    composite Gauss-Legendre quadrature (accurate well beyond 1e-9).
-    Rows and columns reproduce the marginals up to the quadrature error.
+    composite Gauss-Legendre quadrature.  Near |rho| = 1 the density is too
+    narrow for the panels, so a row or column sum that misses its marginal by
+    more than 1e-9 is a ParameterError naming rho (|rho| <= 0.997 passes).
     The quantile is the standard library's `NormalDist().inv_cdf` (Wichura's
     AS241, accurate to about 1e-16); cut points are clipped to +-8.5, and
     cumulative masses p <= 0 and p >= 1, where the quantile is infinite, map
@@ -186,6 +188,11 @@ def gaussian_copula_cells(marg_row: np.ndarray, marg_col: np.ndarray, rho: float
 
     cells = np.zeros((len(marg_row), len(marg_col)))
     np.add.at(cells, (seg_x[:, None], seg_y[None, :]), contrib)
+    miss = max(np.abs(cells.sum(axis=1) - marg_row).max(),
+               np.abs(cells.sum(axis=0) - marg_col).max())
+    if miss > 1e-9:
+        raise ParameterError(f"copula correlation {rho} is too close to +-1: the quadrature "
+                             f"misses a marginal by {miss:.2g} (above 1e-9)")
     return cells
 
 
@@ -297,10 +304,18 @@ def _rebalance_stubs(counts: dict[ClassKey, int], imbalance: int) -> dict[ClassK
     )
 
 
+def _spell(value) -> str:
+    """A value as JSON writes it (true, null, "x"), or its repr where JSON cannot."""
+    try:
+        return json.dumps(value)
+    except (TypeError, ValueError):
+        return repr(value)
+
+
 def parse_int(value, what: str) -> int:
-    """The one integer parser of JSON inputs: ints, integral floats and integer
-    strings pass; a fraction such as 4.9 raises instead of becoming 4, and a
-    boolean raises instead of becoming 0 or 1."""
+    """The one integer reader of JSON inputs: ints, integral floats and integer
+    strings pass; a fraction such as 4.9 or a boolean is refused, not rounded.
+    Every reader's refusal is a ParameterError naming `what`, value `_spell`ed."""
     if isinstance(value, float):
         if value.is_integer():
             return int(value)
@@ -309,15 +324,37 @@ def parse_int(value, what: str) -> int:
             return int(value) if isinstance(value, str) else operator.index(value)
         except (TypeError, ValueError):
             pass
-    raise ParameterError(f"{what} must be an integer, got {value!r}")
+    raise ParameterError(f"{what} must be an integer, got {_spell(value)}")
 
 
 def parse_float(value, what: str) -> float:
-    """The one float parser of JSON inputs: `float(value)`, except that a
-    boolean raises instead of becoming 0.0 or 1.0."""
-    if isinstance(value, bool):
-        raise ParameterError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    """The one number reader of JSON inputs: `float(value)` of a number or a
+    numeric string ("nan" too); a boolean, null or anything else is refused."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ParameterError(f"{what} must be a number, got {_spell(value)}")
+
+
+def parse_array(value, what: str):
+    """The one array reader of JSON inputs: a list or tuple, returned as it is;
+    a string or a number is refused, not iterated."""
+    if isinstance(value, (list, tuple)):
+        return value
+    raise ParameterError(f"{what} must be an array, got {_spell(value)}")
+
+
+def parse_object(value, what: str, *required: str) -> dict:
+    """The one object reader of JSON inputs: a dict holding every `required`
+    key, returned as it is; else refused, naming the first missing key."""
+    if not isinstance(value, dict):
+        raise ParameterError(f"{what} must be an object, got {_spell(value)}")
+    for key in required:
+        if key not in value:
+            raise ParameterError(f"{what} needs {key!r}: {_spell(value)}")
+    return value
 
 
 def distribution_from_spec(spec: dict) -> JointDistribution:
@@ -328,30 +365,17 @@ def distribution_from_spec(spec: dict) -> JointDistribution:
       {"kind": "explicit", "entries": [[i, j, c, mass], ...]}
     A zipf_copula max_deg above MAX_COPULA_DEGREE (200) is a ParameterError.
     """
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ParameterError("distribution spec must be an object with a 'kind' field")
-    kind = spec["kind"]
+    kind = parse_object(spec, "distribution spec", "kind")["kind"]
     if kind == "zipf_copula":
-        try:
-            args = {name: parse_float(spec[name], name) for name in ("xi", "a1", "a2", "rho")}
-            args["max_deg"] = parse_int(spec["max_deg"], "max_deg")
-        except KeyError as exc:
-            raise ParameterError(f"zipf_copula spec missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(f"zipf_copula spec has a bad field: {exc}") from exc
-        return build_zipf_copula(**args)
+        parse_object(spec, "zipf_copula spec", "xi", "a1", "a2", "rho", "max_deg")
+        return build_zipf_copula(*(parse_float(spec[k], k) for k in ("xi", "a1", "a2", "rho")),
+                                 max_deg=parse_int(spec["max_deg"], "max_deg"))
     if kind == "explicit":
-        rows = spec.get("entries", [])
-        if not isinstance(rows, (list, tuple)):
-            raise ParameterError(f"explicit entries must be an array, got {rows!r}")
         entries = {}
-        for row in rows:
-            try:
-                i, j, c, mass = row
-                i, j, c = (parse_int(k, "degree or equity") for k in (i, j, c))
-                mass = parse_float(mass, "mass")
-            except (TypeError, ValueError) as exc:
-                raise ParameterError(f"explicit entry must be [i, j, c, mass], got {row}") from exc
-            entries[(i, j, c)] = entries.get((i, j, c), 0.0) + mass
+        for row in parse_array(spec.get("entries", []), "explicit entries"):
+            if len(parse_array(row, "explicit entry")) != 4:
+                raise ParameterError(f"explicit entry must be [i, j, c, mass], got {_spell(row)}")
+            key = tuple(parse_int(k, "degree or equity") for k in row[:3])
+            entries[key] = entries.get(key, 0.0) + parse_float(row[3], "mass")
         return JointDistribution(entries)
-    raise ParameterError(f"unknown distribution kind {kind!r}")
+    raise ParameterError(f"unknown distribution kind {_spell(kind)}")

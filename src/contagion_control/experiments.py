@@ -25,7 +25,8 @@ from . import svg
 from .asymptotics import forced_policy_limits
 from .cascade import InterventionPolicy, RunOutcome, run
 from .distribution import (
-    JointDistribution, distribution_from_spec, empirical_counts, parse_float, parse_int,
+    JointDistribution, _spell, distribution_from_spec, empirical_counts, parse_array, parse_float,
+    parse_int, parse_object,
 )
 from .errors import ParameterError
 from .network import instantiate
@@ -47,9 +48,7 @@ def normalize_policy_spec(spec) -> PolicySpec:
         if spec in ("none", "complete", "optimal"):
             return {"kind": spec, "name": spec}
         raise ParameterError(f"unknown policy shorthand {spec!r}")
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ParameterError(f"policy spec must be a name or an object with 'kind': {spec!r}")
-    out = dict(spec)
+    out = dict(parse_object(spec, "policy spec", "kind"))
     kind = out["kind"]
     policy = None if kind == "optimal" else spec_policy(out)
     if kind == "degree_range":
@@ -60,23 +59,17 @@ def normalize_policy_spec(spec) -> PolicySpec:
 
 
 def spec_policy(spec: PolicySpec) -> InterventionPolicy:
-    """The policy of any spec but `optimal`, whose table needs a solve."""
+    """The policy of any spec but `optimal`, whose table needs a solve; an
+    unknown kind is refused by `InterventionPolicy` itself."""
     kind = spec["kind"]
-    if kind == "none":
-        return InterventionPolicy.none()
-    if kind == "complete":
-        return InterventionPolicy.complete()
     if kind == "degree_range":
-        try:
-            lo, hi = parse_int(spec["lo"], "lo"), parse_int(spec["hi"], "hi")
-        except KeyError as exc:
-            raise ParameterError(f"degree_range policy needs {exc}: {spec!r}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(f"degree_range bounds must be integers: {spec!r}") from exc
-        return InterventionPolicy.degree_range(lo, hi)
+        parse_object(spec, "degree_range policy", "lo", "hi")
+        return InterventionPolicy.degree_range(
+            *(parse_int(spec[key], f"degree_range bound {key!r} (degrees are integers)")
+              for key in ("lo", "hi")))
     if kind == "threshold_table":
         return InterventionPolicy.table(*_table_entries(spec))
-    raise ParameterError(f"unknown policy kind {kind!r}")
+    return InterventionPolicy(kind=kind)
 
 
 def table_spec(policy: InterventionPolicy) -> PolicySpec:
@@ -91,21 +84,14 @@ def table_spec(policy: InterventionPolicy) -> PolicySpec:
 def _table_entries(spec: PolicySpec) -> tuple[dict, dict]:
     """(thresholds, singular) of a threshold_table spec, keyed "i,j,c" and "i,j"."""
     def parse(field: str, arity: int) -> dict:
-        table = spec.get(field, {})
-        if not isinstance(table, dict):
-            raise ParameterError(f"threshold_table '{field}' must be an object, got {table!r}")
+        what = f"threshold_table {field!r}"
         out = {}
-        for key, value in table.items():
-            try:
-                cls = tuple(int(part) for part in str(key).split(","))
-                start = parse_float(value, "start")
-            except (TypeError, ValueError) as exc:
-                raise ParameterError(
-                    f"bad threshold_table '{field}' entry {key!r}: {value!r}") from exc
+        for key, value in parse_object(spec.get(field, {}), what).items():
+            cls = tuple(parse_int(part, f"{what} key {_spell(key)}: each part")
+                        for part in str(key).split(","))
             if len(cls) != arity:
-                raise ParameterError(
-                    f"threshold_table '{field}' key {key!r} needs {arity} integers")
-            out[cls] = start
+                raise ParameterError(f"{what} key {_spell(key)} needs {arity} integers")
+            out[cls] = parse_float(value, f"{what} entry {_spell(key)}")
         return out
 
     return parse("thresholds", 3), parse("singular", 2)
@@ -122,8 +108,9 @@ class StudyConfig:
     outdir: Path | None = None
 
     def __post_init__(self):
-        if not self.sizes:
-            raise ParameterError("sizes must not be empty")
+        for name in ("sizes", "policies"):
+            if not getattr(self, name):
+                raise ParameterError(f"{name} must not be empty")
         if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
             raise ParameterError("sizes must be strictly increasing")
         if self.sizes[0] < 1:
@@ -145,29 +132,24 @@ class StudyConfig:
     @staticmethod
     def from_json(doc: dict) -> "StudyConfig":
         """The config of a JSON document; a field the document omits keeps its default."""
-        def array(value, key):
-            if not isinstance(value, (list, tuple)):
-                raise ParameterError(f"study config field {key!r} must be an array, "
-                                     f"got {value!r}")
-            return tuple(value)
+        def outdir(value, what):
+            if value is None or isinstance(value, str):
+                return Path(value) if value else None
+            raise ParameterError(f"{what} must be a string, got {_spell(value)}")
 
         parsers = {  # JSON key -> (field, parse)
-            "sizes": ("sizes", lambda v: tuple(parse_int(n, "size") for n in array(v, "sizes"))),
-            "runs": ("runs", lambda v: parse_int(v, "runs")),
-            "policies": ("policies", lambda v: array(v, "policies")),
-            "cost": ("cost", lambda v: parse_float(v, "cost")),
-            "seed": ("master_seed", lambda v: parse_int(v, "seed")),
-            "outdir": ("outdir", lambda v: Path(v) if v else None),
+            "sizes": ("sizes", lambda v, what: tuple(
+                parse_int(n, f"{what} entry") for n in parse_array(v, what))),
+            "runs": ("runs", parse_int),
+            "policies": ("policies", parse_array),
+            "cost": ("cost", parse_float),
+            "seed": ("master_seed", parse_int),
+            "outdir": ("outdir", outdir),
         }
-        try:
-            given = {name: parse(doc[key]) for key, (name, parse) in parsers.items()
-                     if key in doc}
-            return StudyConfig(distribution=distribution_from_spec(doc["distribution"]),
-                               **given)
-        except ParameterError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParameterError(f"bad study config: {exc}") from exc
+        parse_object(doc, "study config", "distribution")
+        given = {name: parse(doc[key], f"study config field {key!r}")
+                 for key, (name, parse) in parsers.items() if key in doc}
+        return StudyConfig(distribution=distribution_from_spec(doc["distribution"]), **given)
 
 
 @dataclass(frozen=True)
@@ -213,11 +195,7 @@ def theory_limits(dist: JointDistribution, spec: PolicySpec, cost: float) -> dic
         defaults, aid, y = asymptotic_prediction(sol, dist, cost)
     else:
         y, _stable, defaults, aid = forced_policy_limits(dist, spec_policy(spec))
-    return {
-        "intervention_fraction": aid,
-        "default_fraction": defaults,
-        "time_fraction": y,
-    }
+    return dict(zip(VARIABLES, (aid, defaults, y)))
 
 
 def simulation_policy(
@@ -229,6 +207,14 @@ def simulation_policy(
     if spec["kind"] == "optimal":
         return extract_policy(solve_op(dist, cost), dist, cost)
     return spec_policy(spec)
+
+
+def _theory_p(result: StudyResult) -> StudyResult:
+    """`result` with `theory_p` filled: the one place a study computes its limits."""
+    cfg = result.config
+    for spec in cfg.policies:
+        result.theory_p[spec["name"]] = theory_limits(cfg.distribution, spec, cfg.cost)
+    return result
 
 
 def _simulate_size(cfg: StudyConfig, si: int, result: StudyResult) -> None:
@@ -257,9 +243,7 @@ def _simulate_size(cfg: StudyConfig, si: int, result: StudyResult) -> None:
 
 def run_study(cfg: StudyConfig) -> StudyResult:
     """Full study: simulations, summaries, theory twice, dispersion fits, files."""
-    result = StudyResult(config=cfg)
-    for spec in cfg.policies:
-        result.theory_p[spec["name"]] = theory_limits(cfg.distribution, spec, cfg.cost)
+    result = _theory_p(StudyResult(config=cfg))
     for si in range(len(cfg.sizes)):
         _simulate_size(cfg, si, result)
 
@@ -392,24 +376,24 @@ def compare_policies(cfg: StudyConfig, study: StudyResult | None = None) -> list
     """Tabulate per-policy limits against the no-intervention baseline.
 
     `defaults_prevented` is the drop in the asymptotic default fraction versus
-    letting the cascade run; `aid_cost` is cost * aid volume.  The empirical
-    means at the largest size are attached: from `study` when one is
-    supplied, else from that size's cells alone, run here with the study's
-    seeds.  Writes comparison.csv and a bar chart when the config carries an
-    output directory.
+    letting the cascade run; `aid_cost` is cost * aid volume.  The limits
+    and the empirical means at the largest size come from `study`, a study of
+    `cfg`, when one is supplied, else from that size's cells alone, run here
+    with the study's seeds, and `_theory_p`.  Writes comparison.csv and a bar
+    chart when the config carries an output directory.
     """
     if len(cfg.policies) < 2:
         raise ParameterError("compare_policies needs at least two policies")
-    p = cfg.distribution
-    base_defaults = theory_limits(p, {"kind": "none", "name": "none"}, cfg.cost)["default_fraction"]
+    base_defaults = theory_limits(cfg.distribution, {"kind": "none", "name": "none"},
+                                  cfg.cost)["default_fraction"]
     if study is None:
-        study = StudyResult(config=cfg)
+        study = _theory_p(StudyResult(config=cfg))
         _simulate_size(cfg, len(cfg.sizes) - 1, study)
     n_big = max(cfg.sizes)
     rows = []
     for spec in cfg.policies:
         name = spec["name"]
-        limits = theory_limits(p, spec, cfg.cost)
+        limits = study.theory_p[name]
         cell = study.stats.get((n_big, name))
         rows.append(PolicyComparison(
             policy=name,

@@ -22,8 +22,8 @@ and the boundary y = 1 (everything burns) when feasible; the no-aid fixed
 point is a stage-A root.  They all pass one builder, `_candidates`, and are
 stable by `asymptotics.is_stable`; the singular classes, in the equations and
 in `extract_policy`, are `asymptotics.singular_rows`.  `solve_op` keeps the
-best and stores it on the distribution object, one per cost, so a study that
-needs the limits and the table of one realized distribution solves it once.
+best and stores it on the distribution's class pack, one per cost, so a study
+that needs the limits and the table of one realized distribution solves it once.
 """
 
 from __future__ import annotations
@@ -133,14 +133,13 @@ def _candidates(p, cost, points, branch, singular_j=None) -> list[OPSolution]:
 def _root_candidates(p, cost, roots, branch, singular_j=None) -> list[OPSolution]:
     """The candidates at roots, rows (y, v, z), sorted by (y, v, z).
 
-    NaN rows are dropped and repeats skipped in row order.  y ~ 1
-    makes the first equation vacuous, so a root counts only in 0 <= z <= y <=
-    1 - 1e-9 (1e-9 of slack at 0 and y), clamped into it; y = 1 is a boundary.
+    Repeats are skipped in row order.  y ~ 1 makes the first equation vacuous,
+    so a root counts only in 0 <= z <= y <= 1 - 1e-9 (1e-9 of slack at 0 and
+    y), clamped into it; y = 1 is a boundary.
     """
     seen, points = [], []
     for y, v, z in roots.tolist():
-        if math.isnan(y) or any(max(abs(y - a), abs(v - b), abs(z - c)) <= _DEDUP_TOL
-                                for a, b, c in seen):
+        if any(max(abs(y - a), abs(v - b), abs(z - c)) <= _DEDUP_TOL for a, b, c in seen):
             continue
         seen.append((y, v, z))
         if -1e-9 <= y <= 1.0 - 1e-9 and -1e-9 <= z <= y + 1e-9:
@@ -373,14 +372,13 @@ def solve_op(p: JointDistribution, cost: float) -> OPSolution:
     within _DEDUP_TOL a tie broken by _BRANCH_ORDER: one point found by two
     branches gets one label.  If every candidate is unstable with y < 1, the
     minimizer is still returned but a warning notes that the asymptotic
-    guarantees do not apply.  The solution
-    is stored on p by float(cost), as the class pack is: a repeat call returns
-    the same object (and warns again), and a failed solve stores nothing.
+    guarantees do not apply.  The solution is stored on p's class pack,
+    `_pack(p).solutions`, by float(cost): a repeat call returns the same
+    object (and warns again), and a failed solve stores nothing.
     """
     _check_cost(cost)
-    if "_solutions" not in p.__dict__:
-        object.__setattr__(p, "_solutions", {})
-    best = p._solutions.get(float(cost))  # type: ignore[attr-defined]
+    solutions = _pack(p).solutions
+    best = solutions.get(float(cost))
     if best is None:
         candidates = solve_stage_a(p, cost) + solve_stage_b(p, cost)
         candidates.extend(_boundary_candidates(p, cost))
@@ -391,7 +389,7 @@ def solve_op(p: JointDistribution, cost: float) -> OPSolution:
         near.sort(key=lambda c: (not c.stable, c.end_fraction))
         ties = [c for c in near if c.stable == near[0].stable
                 and c.end_fraction <= near[0].end_fraction + _DEDUP_TOL]
-        best = p._solutions[float(cost)] = min(  # type: ignore[attr-defined]
+        best = solutions[float(cost)] = min(
             ties, key=lambda c: _BRANCH_ORDER.index(c.branch.split(":")[0]))
     if not best.stable and best.end_fraction < 1.0:
         warnings.warn(

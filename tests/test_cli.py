@@ -142,6 +142,7 @@ ZIPF = {"kind": "zipf_copula", "xi": 0.5, "a1": 0.8, "a2": 0.7, "rho": 0.9, "max
 QUAD = {"kind": "explicit", "entries": [[2, 2, 0, 0.2], [2, 2, 2, 0.8]]}
 NO_LINKS = {"kind": "explicit", "entries": [[0, 0, 0, 1.0]]}
 HALF_MASS = {"kind": "explicit", "entries": [[2, 2, 0, 0.1], [2, 2, 2, 0.4]]}
+DEGREE_1031 = {"kind": "explicit", "entries": [[1031, 1031, 0, 0.2], [1031, 1031, 1031, 0.8]]}
 
 
 @pytest.mark.parametrize("case,distribution,extra,policy", [
@@ -264,6 +265,15 @@ HALF_MASS = {"kind": "explicit", "entries": [[2, 2, 0, 0.1], [2, 2, 2, 0.4]]}
      ["solve", "--cost", "0.5"], None),
     ("boolean threshold", QUAD, ["simulate", "--n", "50"],
      {"kind": "threshold_table", "thresholds": {"2,2,2": True}}),
+    # C(i - 1, k) of an in-degree above 1030 exceeds the largest float
+    ("solve on in-degree 1031", DEGREE_1031, ["solve", "--cost", "0.5"], None),
+    ("study on in-degree 1031", DEGREE_1031, ["study", {}], None),
+    ("compare on in-degree 1031", DEGREE_1031, ["compare", {}], None),
+    ("simulate optimal on in-degree 1031", DEGREE_1031,
+     ["simulate", "--n", "50", "--policy", "optimal"], None),
+    ("study with no policies", QUAD, ["study", {"policies": []}], None),
+    # the copula's quadrature loses marginal mass this close to rho = 1
+    ("zipf rho too close to 1", {**ZIPF, "rho": 0.9999}, ["solve", "--cost", "0.5"], None),
 ])
 def test_bad_input_is_a_one_line_config_error(case, distribution, extra, policy, tmp_path, capsys):
     dist = tmp_path / "dist.json"
@@ -286,6 +296,25 @@ def test_bad_input_is_a_one_line_config_error(case, distribution, extra, policy,
     assert main(argv) == 2, case
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), (case, err)
+
+
+def test_no_intervention_runs_above_the_in_degree_limit(tmp_path, capsys):
+    # the simulator needs no binomial sums: only the limits stop at 1030
+    dist = tmp_path / "dist.json"
+    dist.write_text(json.dumps(DEGREE_1031))
+    assert main(["simulate", "--distribution", str(dist), "--n", "50", "--policy", "none"]) == 0
+    assert json.loads(capsys.readouterr().out)["defaults"] == 10
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("cost", True, "error: study config field 'cost' must be a number, got true"),
+    ("runs", None, "error: study config field 'runs' must be an integer, got null"),
+])
+def test_refusal_spells_the_json_value(field, value, message, tmp_path, capsys):
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps({"distribution": QUAD, "sizes": [50], field: value}))
+    assert main(["study", "--config", str(cfg), "--outdir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.strip() == message
 
 
 @pytest.mark.parametrize("entries,mass", [([[2, 2, 0, 0.0]], "0.0"),

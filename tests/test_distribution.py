@@ -24,6 +24,10 @@ from contagion_control.distribution import (
     MAX_COPULA_DEGREE,
     copula_cuts,
     gaussian_copula_cells,
+    parse_array,
+    parse_float,
+    parse_int,
+    parse_object,
     zipf_weights,
 )
 
@@ -46,7 +50,8 @@ class TestBuildZipfCopula:
                 expected = 0.7 * w_deg[i - 1] * w_eq[c - 1]
                 assert p.mass(i, i, c) == pytest.approx(expected, abs=1e-9)
 
-    @pytest.mark.parametrize("rho", [-0.5, 0.0, 0.9])
+    # up to |rho| = 0.997 the quadrature keeps both marginals within the 1e-9 check
+    @pytest.mark.parametrize("rho", [-0.5, 0.0, 0.9, -0.997, 0.997])
     def test_marginals_preserved(self, rho):
         p = build_zipf_copula(0.5, 0.8, 0.7, rho, 10)
         w_deg = zipf_weights(0.8, 10)
@@ -84,6 +89,12 @@ class TestBuildZipfCopula:
         marg = np.array([0.5, 0.5])
         with pytest.raises(ParameterError, match="copula correlation"):
             gaussian_copula_cells(marg, marg, rho)
+
+    @pytest.mark.parametrize("rho", [0.998, 0.999, 0.9999, -0.999999])
+    def test_correlation_that_loses_marginal_mass_is_refused(self, rho):
+        # the quadrature misses a marginal by 2.7e-9 at 0.998 and by 0.06 at 0.9999
+        with pytest.raises(ParameterError, match=f"copula correlation {rho} .* misses a marginal"):
+            build_zipf_copula(0.5, 0.8, 0.7, rho, 10)
 
 
 class TestStdlibQuantile:
@@ -312,6 +323,40 @@ class TestJsonSpecs:
     def test_bad_specs(self, spec):
         with pytest.raises(ParameterError):
             distribution_from_spec(spec)
+
+    @pytest.mark.parametrize("spec,message", [
+        # the refusal names the inner field, not the whole entry
+        ({"kind": "explicit", "entries": [[2.7, 2, 0, 0.2]]},
+         "degree or equity must be an integer, got 2.7"),
+        ({"kind": "explicit", "entries": [[2, 2, 0, True]]}, "mass must be a number, got true"),
+        ({"kind": "explicit", "entries": [[2, 2, None, 0.5]]},
+         "degree or equity must be an integer, got null"),
+        ({"kind": "explicit", "entries": [[2, 2, 1.0]]},
+         r"explicit entry must be \[i, j, c, mass\], got \[2, 2, 1.0\]"),
+        ({"kind": "explicit", "entries": "abc"}, 'explicit entries must be an array, got "abc"'),
+        ({"kind": "zipf_copula", "xi": 0.5, "a1": 0.8, "a2": 0.7, "rho": "high", "max_deg": 4},
+         'rho must be a number, got "high"'),
+        ({"kind": "zipf_copula", "xi": 0.5}, "zipf_copula spec needs 'a1'"),
+        ({"kind": "nope"}, 'unknown distribution kind "nope"'),
+        ([1, 2], r"distribution spec must be an object, got \[1, 2\]"),
+    ])
+    def test_refusals_name_the_field_and_spell_json(self, spec, message):
+        with pytest.raises(ParameterError, match=message):
+            distribution_from_spec(spec)
+
+    def test_readers(self):
+        assert parse_int("7", "n") == 7 and parse_float("nan", "x") != parse_float("nan", "x")
+        assert parse_array([1], "a") == [1] and parse_object({"k": 1}, "o", "k") == {"k": 1}
+        for reader, value, message in (
+                (parse_int, True, "n must be an integer, got true"),
+                (parse_float, None, "n must be a number, got null"),
+                (parse_float, 10 ** 400, "n must be a number, got 1000"),
+                (parse_array, "ab", 'n must be an array, got "ab"'),
+                (parse_object, [], r"n must be an object, got \[\]")):
+            with pytest.raises(ParameterError, match=message):
+                reader(value, "n")
+        with pytest.raises(ParameterError, match="n needs 'k': {}"):
+            parse_object({}, "n", "k")
 
 
 class TestValidation:

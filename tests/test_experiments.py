@@ -160,6 +160,39 @@ class TestRunStudy:
             with pytest.raises(ParameterError, match=f"'{field}' must be an array"):
                 StudyConfig.from_json({"distribution": dist, field: value})
 
+    def test_empty_policy_list_is_refused(self, quadratic_dist):
+        with pytest.raises(ParameterError, match="policies must not be empty"):
+            StudyConfig(distribution=quadratic_dist, policies=())
+        with pytest.raises(ParameterError, match="policies must not be empty"):
+            StudyConfig.from_json({"distribution": {"kind": "explicit",
+                                                    "entries": [[1, 1, 0, 1.0]]},
+                                   "policies": []})
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"cost": True}, "study config field 'cost' must be a number, got true"),
+        ({"runs": None}, "study config field 'runs' must be an integer, got null"),
+        ({"sizes": [100, 2.5]}, "study config field 'sizes' entry must be an integer, got 2.5"),
+        ({"outdir": 7}, "study config field 'outdir' must be a string, got 7"),
+        ({"distribution": None}, "distribution spec must be an object, got null"),
+        ({"policies": ["none", {"kind": "degree_range", "lo": 1, "hi": False}]},
+         r"degree_range bound 'hi' \(degrees are integers\) must be an integer, got false"),
+        ({"policies": ["none", {"kind": "degree_range", "hi": 2}]},
+         "degree_range policy needs 'lo'"),
+        ({"policies": [7]}, "policy spec must be an object, got 7"),
+        ({"policies": ["none", {"kind": "threshold_table", "thresholds": {"2,x": 0.1}}]},
+         r"threshold_table 'thresholds' key \"2,x\": each part must be an integer, got \"x\""),
+    ])
+    def test_json_refusals_name_the_field_and_spell_json(self, doc, message):
+        doc = {"distribution": {"kind": "explicit", "entries": [[1, 1, 0, 1.0]]}, **doc}
+        with pytest.raises(ParameterError, match=message):
+            StudyConfig.from_json(doc)
+
+    def test_json_config_without_a_distribution(self):
+        with pytest.raises(ParameterError, match="study config needs 'distribution'"):
+            StudyConfig.from_json({"sizes": [100]})
+        with pytest.raises(ParameterError, match="study config must be an object, got"):
+            StudyConfig.from_json([1])
+
     def test_policy_names_are_safe_file_and_csv_words(self, quadratic_dist):
         # every built-in name passes
         table = {"kind": "threshold_table", "thresholds": {"2,2,2": 0.1}}
@@ -264,6 +297,26 @@ class TestComparePolicies:
         assert compare_policies(cfg) == want
         # only the largest size's cells are run, once per (policy, run)
         assert calls == [150] * (cfg.runs * len(cfg.policies))
+
+    def test_study_limits_are_read_not_recomputed(self, quadratic_dist, monkeypatch):
+        from contagion_control import experiments
+
+        cfg = StudyConfig(distribution=quadratic_dist, sizes=(50, 100), runs=3,
+                          policies=("optimal", "alternative"), cost=0.5, master_seed=2)
+        study = run_study(cfg)
+        kinds, real = [], experiments.theory_limits
+
+        def counted(p, spec, cost):
+            kinds.append(spec["kind"])
+            return real(p, spec, cost)
+
+        monkeypatch.setattr(experiments, "theory_limits", counted)
+        rows = compare_policies(cfg, study)
+        # only the no-intervention baseline is new work
+        assert kinds == ["none"]
+        for r in rows:
+            assert r.defaults_limit == study.theory_p[r.policy]["default_fraction"]
+            assert r.aid_limit == study.theory_p[r.policy]["intervention_fraction"]
 
     def test_writes_reports(self, quadratic_dist, tmp_path):
         cfg = StudyConfig(distribution=quadratic_dist, sizes=(50,), runs=4,

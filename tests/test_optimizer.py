@@ -316,7 +316,8 @@ class TestSolveCache:
 
     def test_no_aid_fixed_point_is_found_once_per_object(self, quadratic_dist, monkeypatch):
         # the solver finds no fixed point: the no-aid one is a stage-A root;
-        # the no-aid policy's limits find theirs once per distribution object
+        # the no-aid policy's limits search theirs on every call, as nothing
+        # keeps a fixed point between calls
         import contagion_control.asymptotics as asy
         from contagion_control.experiments import normalize_policy_spec, theory_limits
 
@@ -330,7 +331,7 @@ class TestSolveCache:
         assert not calls
         for p in (quadratic_dist, quadratic_dist, twin):
             theory_limits(p, normalize_policy_spec("none"), 0.5)
-        assert len(calls) == 2
+        assert len(calls) == 3
 
     def test_a_failure_is_not_stored(self, quadratic_dist, monkeypatch):
         import contagion_control.optimizer as opt
@@ -341,6 +342,35 @@ class TestSolveCache:
             opt.solve_op(quadratic_dist, 1.5)
         monkeypatch.undo()
         assert opt.solve_op(quadratic_dist, 1.5).branch == "stage_b:j=2"
+
+    def test_solutions_are_kept_on_the_class_pack(self, quadratic_dist):
+        from contagion_control.asymptotics import _pack
+
+        sol = solve_op(quadratic_dist, 1.5)
+        assert _pack(quadratic_dist).solutions == {1.5: sol}
+
+
+class TestInDegreeLimit:
+    """C(i - 1, k) of an in-degree above 1030 exceeds the largest float."""
+
+    def test_largest_in_degree_solves(self):
+        p = JointDistribution({(1030, 1030, 0): 0.2, (1030, 1030, 1030): 0.8})
+        sol = solve_op(p, 0.5)
+        assert sol.stable and sol.end_fraction == pytest.approx(0.2, abs=1e-9)
+
+    def test_larger_vulnerable_class_is_refused_by_name(self):
+        p = JointDistribution({(1031, 1031, 0): 0.2, (1031, 1031, 1031): 0.8})
+        with pytest.raises(ParameterError, match=r"class \(1031, 1031, 1031\) has in-degree 1031"):
+            solve_op(p, 0.5)
+        with pytest.raises(ParameterError, match="1031"):
+            forced_policy_limits(p, InterventionPolicy.none())
+
+    def test_defaulted_or_invulnerable_classes_have_no_limit(self):
+        # only vulnerable classes enter the binomial sums
+        p = JointDistribution({(2000, 2000, 0): 0.1, (1500, 1500, 1501): 0.1,
+                               (2, 2, 2): 0.8})
+        y, stable, defaults, _aid = forced_policy_limits(p, InterventionPolicy.none())
+        assert stable and defaults >= 0.1
 
 
 # about 30 costs from cheap aid to aid that never pays, across the branch switches
