@@ -3,10 +3,15 @@
 State masses s_tau^{i,j,c,l} track, per network class, the fraction of nodes
 that started vulnerable and currently sit at equity-plus-aid c with l revealed
 in-links.  The index set per (i, j) is {0 <= l < c <= i} plus the rescued state
-(i+1, i).  On any interval where the control vector is constant the system of
-ODEs has an explicit solution (mixtures of binomial terms in the elapsed-time
-variable), which `propagate` evaluates; the test suite integrates the same
-ODEs numerically as a cross-check oracle.
+(i+1, i).  On any interval where the controls are constant the ODEs have an
+explicit solution, which `propagate` evaluates by one rule per (i, j) pair: a
+node at (q, r) ends the interval with l >= r losses with binomial weight
+C(i-r, l-r) (1-theta)^(l-r) theta^(i-l), theta = (lam - tau2) / (lam - tau)
+the chance that a hidden in-link stays hidden; it stays at (q, l) if l < q,
+climbs to (l+1, l) if its cushions q..l are all aided, and has defaulted
+otherwise.  `trajectory_at` chains the
+rule between a policy's switch times.  The test suite integrates the same
+ODEs by RK4 from its own state list, controls and switch times.
 
 Every terminal limit is a sum over the network classes (i, j, c) of binomial
 tails at the class's aid start time x, a fraction of the links revealed.  Only
@@ -35,6 +40,7 @@ suite (`tests/scalar_limits.py`) as independent oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Callable
 
@@ -76,27 +82,27 @@ class Trajectory:
         return self.s.get((i, j, c, l), 0.0)
 
 
-def state_space(p: JointDistribution) -> list[StateKey]:
-    """All trackable states for (i, j) pairs carrying vulnerable mass.
+def initial_trajectory(p: JointDistribution) -> Trajectory:
+    """All mass fresh (no link revealed) at tau = 0.
 
-    Interventions can push mass into equity levels with zero initial mass, so
-    every c in 1..i is present, not just the supported ones.
+    Aid lifts a node's cushion, so every pair carrying vulnerable mass tracks
+    every state {0 <= l < c <= i} and the rescued state (i + 1, i), not just
+    the supported cushions.
     """
-    keys: list[StateKey] = []
+    s: dict[StateKey, float] = {}
     for i, j in p.vulnerable_pairs():
         for c in range(1, i + 1):
-            for l in range(0, c):
-                keys.append((i, j, c, l))
-        keys.append((i, j, i + 1, i))
-    return keys
-
-
-def initial_trajectory(p: JointDistribution) -> Trajectory:
-    s = {}
-    for key in state_space(p):
-        i, j, c, l = key
-        s[key] = p.mass(i, j, c) if (l == 0 and c <= i) else 0.0
+            for l in range(c):
+                s[(i, j, c, l)] = p.mass(i, j, c) if l == 0 else 0.0
+        s[(i, j, i + 1, i)] = 0.0
     return Trajectory(tau=0.0, lam=p.lam, s=s)
+
+
+@lru_cache(maxsize=None)
+def _link_binomials(i: int) -> np.ndarray:
+    """C(i - r, l - r) at [r, l], and 0 below the diagonal."""
+    return np.array([[comb(i - r, l - r) if l >= r else 0 for l in range(i + 1)]
+                     for r in range(i + 1)], dtype=float)
 
 
 def propagate(traj: Trajectory, tau2: float, controls: dict[ClassKey, int]) -> Trajectory:
@@ -105,6 +111,15 @@ def propagate(traj: Trajectory, tau2: float, controls: dict[ClassKey, int]) -> T
     `controls[(i, j, c)] = 1` means every class-(i, j, c) node one loss from
     default is aided throughout the interval.  Exact for constant controls; the
     trajectory caller is responsible for splitting at control switch times.
+
+    One rule per (i, j) pair.  Each of the i - r hidden in-links of a node at
+    (q, r) stays hidden w.p. theta = (lam - tau2) / (lam - traj.tau), so the
+    node ends with l >= r losses w.p. K[r, l] = C(i-r, l-r) (1-theta)^(l-r)
+    theta^(i-l), and reach = s @ K.  It stays at (q, l) if l < q.  If l >= q
+    it was one loss from default at every cushion q..l: aided at all of
+    them it climbs to (l + 1, l), else it has defaulted.  So
+    out[(c, l)] = reach[c, l] + [c = l + 1] * sum of reach[q, l] over the q
+    whose cushions q..l are all aided.
     """
     if tau2 < traj.tau:
         raise ParameterError(f"cannot propagate backwards: {tau2} < {traj.tau}")
@@ -112,78 +127,49 @@ def propagate(traj: Trajectory, tau2: float, controls: dict[ClassKey, int]) -> T
         raise ParameterError(f"target time {tau2} is not below the mean degree {traj.lam}")
     if tau2 == traj.tau:
         return traj
-    lam = traj.lam
-    theta = (lam - tau2) / (lam - traj.tau)
-    s1 = traj.s
+    theta = (traj.lam - tau2) / (traj.lam - traj.tau)
+    pairs: dict[tuple[int, int], list[StateKey]] = {}
+    for key in traj.s:
+        pairs.setdefault(key[:2], []).append(key)
     out: dict[StateKey, float] = {}
-
-    pairs = sorted({(i, j) for (i, j, _c, _l) in s1})
-    for i, j in pairs:
-        def b(cc: int) -> int:
-            return controls.get((i, j, cc), 0)
-
-        def bprod(q: int, hi: int) -> float:
-            # controls are 0/1, so the product is an all-on indicator;
-            # the empty product (q > hi) is 1
-            for k in range(q, hi + 1):
-                if not b(k):
-                    return 0.0
-            return 1.0
-
-        for c in range(1, i + 1):
-            for l in range(0, c - 1):
-                acc = 0.0
-                for r in range(0, l + 1):
-                    acc += s1.get((i, j, c, r), 0.0) * comb(i - r, l - r) * (1 - theta) ** (l - r)
-                out[(i, j, c, l)] = theta ** (i - l) * acc
-            # distance-one state (c, c-1): sources (q, r) climb to c through aid
-            acc = 0.0
-            for r in range(0, c):
-                for q in range(r + 1, c + 1):
-                    if bprod(q, c - 1) == 0.0:
-                        continue
-                    acc += s1.get((i, j, q, r), 0.0) * comb(i - r, c - 1 - r) * (1 - theta) ** (c - 1 - r)
-            out[(i, j, c, c - 1)] = theta ** (i - c + 1) * acc
-        acc = s1.get((i, j, i + 1, i), 0.0)
-        for r in range(0, i):
-            for q in range(r + 1, i + 1):
-                if bprod(q, i) == 0.0:
-                    continue
-                acc += s1.get((i, j, q, r), 0.0) * (1 - theta) ** (i - r)
-        out[(i, j, i + 1, i)] = acc
-
-    return Trajectory(tau=tau2, lam=lam, s=out)
+    for (i, j), keys in pairs.items():
+        at = tuple(np.array(keys)[:, 2:].T)  # the keys' (c, l)
+        s = np.zeros((i + 2, i + 1))  # s[q, r]: cushion q, r revealed in-links
+        s[at] = [traj.s[key] for key in keys]
+        r = np.arange(i + 1)
+        gap = np.maximum(r - r[:, None], 0)  # l - r, where C(i - r, l - r) is nonzero
+        reach = s @ (_link_binomials(i) * (1.0 - theta) ** gap * theta ** (i - r))
+        for l in range(i + 1):
+            q = l  # down from l while the cushions q..l are all aided
+            while q >= 1 and controls.get((i, j, q), 0):
+                reach[l + 1, l] += reach[q, l]
+                q -= 1
+        out.update(zip(keys, reach[at].tolist()))
+    return Trajectory(tau=tau2, lam=traj.lam, s=out)
 
 
 # ---------------------------------------------------------------------------
 # piecewise evaluation under a policy's start times
 # ---------------------------------------------------------------------------
 
-def _starts(policy: InterventionPolicy, keys: list[ClassKey]) -> dict[ClassKey, float]:
-    """Scaled start times of the classes in `keys` that the policy ever aids."""
-    return {key: x for key in keys if (x := policy.start(*key)) is not None}
-
-
-def _controls_at(starts: dict[ClassKey, float], tau: float, lam: float) -> dict[ClassKey, int]:
-    return {key: 1 if tau >= lam * x - 1e-12 else 0 for key, x in starts.items()}
-
-
 def _control_keys(p: JointDistribution) -> list[ClassKey]:
     return [(i, j, c) for i, j in p.vulnerable_pairs() for c in range(1, i + 1)]
 
 
-def _switch_times(starts: dict[ClassKey, float], lam: float, tau: float) -> list[float]:
-    return sorted({t for x in starts.values() if 0.0 < (t := lam * x) < tau})
-
-
 def trajectory_at(p: JointDistribution, policy: InterventionPolicy, tau: float) -> Trajectory:
-    """Closed-form state at scaled time tau under a policy's start times."""
+    """Closed-form state at scaled time tau under a policy's start times.
+
+    `propagate` runs between the switch times lam * start, with each class's
+    control on from its switch time (to 1e-12) on.
+    """
     if not 0.0 <= tau < p.lam:
         raise ParameterError(f"time {tau} outside [0, lam={p.lam})")
-    starts = _starts(policy, _control_keys(p))
+    switch = {key: p.lam * x for key in _control_keys(p)
+              if (x := policy.start(*key)) is not None}
     traj = initial_trajectory(p)
-    for t_next in _switch_times(starts, p.lam, tau) + [tau]:
-        traj = propagate(traj, t_next, _controls_at(starts, traj.tau, p.lam))
+    for t_next in sorted({t for t in switch.values() if 0.0 < t < tau}) + [tau]:
+        controls = {key: int(traj.tau >= t - 1e-12) for key, t in switch.items()}
+        traj = propagate(traj, t_next, controls)
     return traj
 
 

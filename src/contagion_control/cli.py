@@ -158,6 +158,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("error: the population does not fit in memory; choose a smaller n",
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

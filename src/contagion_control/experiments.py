@@ -379,16 +379,19 @@ def compare_policies(cfg: StudyConfig, study: StudyResult | None = None) -> list
     letting the cascade run; `aid_cost` is cost * aid volume.  The limits
     and the empirical means at the largest size come from `study`, a study of
     `cfg`, when one is supplied, else from that size's cells alone, run here
-    with the study's seeds, and `_theory_p`.  Writes comparison.csv and a bar
-    chart when the config carries an output directory.
+    with the study's seeds, and `_theory_p`.  The baseline is the limits of a
+    policy of kind `none` among them, else computed here.  Writes
+    comparison.csv and a bar chart when the config carries an output directory.
     """
     if len(cfg.policies) < 2:
         raise ParameterError("compare_policies needs at least two policies")
-    base_defaults = theory_limits(cfg.distribution, {"kind": "none", "name": "none"},
-                                  cfg.cost)["default_fraction"]
     if study is None:
         study = _theory_p(StudyResult(config=cfg))
         _simulate_size(cfg, len(cfg.sizes) - 1, study)
+    none = [spec["name"] for spec in cfg.policies if spec["kind"] == "none"]
+    base = (study.theory_p[none[0]] if none else
+            theory_limits(cfg.distribution, {"kind": "none", "name": "none"}, cfg.cost))
+    base_defaults = base["default_fraction"]
     n_big = max(cfg.sizes)
     rows = []
     for spec in cfg.policies:

@@ -9,8 +9,12 @@ classes as an explicit correction p(i,j,i) * (y^i - z^i) on top of the
 regular start times, which come from the scalar three-regime formula.  The
 singular out-degrees are detected here too, so of the package only
 `smallest_fixed_point` is shared.  `integrate_rk4` integrates the state ODEs
-numerically, an oracle for the closed-form trajectories.  Tests compare the
-package against them; nothing in the package calls them.
+numerically, an oracle for the closed-form trajectories: it derives the
+vulnerable pairs, the state list, the initial masses, the start times, the
+controls on each leg and the switch times itself from `p.entries`, `p.mass`
+and `policy.start`, and uses the package's `Trajectory` only to hold its
+result.  Tests compare the package against them; nothing in the package
+calls them.
 """
 
 from __future__ import annotations
@@ -20,18 +24,9 @@ from math import comb
 
 import numpy as np
 
-from contagion_control.asymptotics import (
-    Trajectory,
-    _control_keys,
-    _controls_at,
-    _starts,
-    _switch_times,
-    initial_trajectory,
-    smallest_fixed_point,
-    state_space,
-)
+from contagion_control.asymptotics import Trajectory, smallest_fixed_point
 from contagion_control.cascade import InterventionPolicy
-from contagion_control.distribution import ClassKey, JointDistribution
+from contagion_control.distribution import JointDistribution
 from contagion_control.errors import ParameterError
 
 
@@ -265,14 +260,16 @@ def integrate_rk4(
         raise ParameterError(f"time {tau} too close to the singular point lam={lam}")
     if h > 1e-3 * lam * (1 + 1e-9):
         raise ParameterError(f"step {h} too coarse; need h <= 1e-3 * lam")
-    starts = _starts(policy, _control_keys(p))
-    states = state_space(p)
+    pairs = sorted({(i, j) for (i, j, c), m in p.entries.items() if 1 <= c <= i and m > 0})
+    # cushions 1..i at every loss count below them, and the rescued (i + 1, i)
+    states = [(i, j, c, l) for i, j in pairs for c in range(1, i + 2) for l in range(c)
+              if c <= i or l == i]
     idx = {key: r for r, key in enumerate(states)}
-    vec = np.zeros(len(states))
-    for key, val in initial_trajectory(p).s.items():
-        vec[idx[key]] = val
+    vec = np.array([p.mass(i, j, c) if l == 0 and c <= i else 0.0 for i, j, c, l in states])
+    start_at = {(i, j, c): lam * x for i, j in pairs for c in range(1, i + 1)
+                if (x := policy.start(i, j, c)) is not None}
 
-    def matrix(controls: dict[ClassKey, int]) -> np.ndarray:
+    def matrix(aided: set) -> np.ndarray:
         mat = np.zeros((len(states), len(states)))
         for (i, j, c, l) in states:
             row = idx[(i, j, c, l)]
@@ -280,15 +277,15 @@ def integrate_rk4(
             src = (i, j, c, l - 1)
             if l >= 1 and src in idx:
                 mat[row, idx[src]] += i - l + 1
-            if l == c - 1 and c >= 2 and controls.get((i, j, c - 1), 0):
+            if l == c - 1 and c >= 2 and (i, j, c - 1) in aided:
                 mat[row, idx[(i, j, c - 1, c - 2)]] += i - l + 1
         return mat
 
     prev = 0.0
-    for t_next in _switch_times(starts, lam, tau) + [tau]:
+    for t_next in sorted({t for t in start_at.values() if 0.0 < t < tau}) + [tau]:
         if t_next <= prev:
             continue
-        mat = matrix(_controls_at(starts, prev, lam))
+        mat = matrix({key for key, t in start_at.items() if prev >= t - 1e-12})
         n_steps = max(1, int(math.ceil((t_next - prev) / h)))
         hh = (t_next - prev) / n_steps
         t = prev

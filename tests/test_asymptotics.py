@@ -83,6 +83,17 @@ class TestPropagate:
         traj = propagate(initial_trajectory(quadratic_dist), 1.3, {})
         assert traj.value(2, 2, 3, 2) == 0.0
 
+    def test_unaided_cushion_between_aided_ones(self):
+        # in-degree 3 at tau = lam / 2: from fresh, l ~ Bin(3, 1/2).  Cushions 1
+        # and 3 are aided, 2 is not.  Cushion-1 mass climbs to (2, 1) at one
+        # loss and defaults at two or three, where it must pass cushion 2;
+        # cushion-3 mass climbs to (4, 3) at three losses.
+        p = JointDistribution({(3, 3, 1): 0.5, (3, 3, 3): 0.5})
+        traj = propagate(initial_trajectory(p), 1.5, {(3, 3, 1): 1, (3, 3, 3): 1})
+        want = {(1, 0): 1 / 16, (2, 0): 0.0, (2, 1): 3 / 16,
+                (3, 0): 1 / 16, (3, 1): 3 / 16, (3, 2): 3 / 16, (4, 3): 1 / 16}
+        assert {key[2:]: mass for key, mass in traj.s.items()} == pytest.approx(want, abs=1e-15)
+
     def test_domain_errors(self, quadratic_dist):
         traj = initial_trajectory(quadratic_dist)
         with pytest.raises(ParameterError):
@@ -107,6 +118,19 @@ class TestRk4Oracle:
             numeric = scalar.integrate_rk4(p, policy, tau, h=1e-3 * p.lam)
             sup = max(abs(exact.s[k] - numeric.s[k]) for k in exact.s)
             assert sup < 1e-8
+
+    def test_agrees_with_closed_form_up_to_in_degree_8(self):
+        rng = make_rng(8)
+        degrees = set()
+        for _ in range(3):
+            p, policy = random_fixture(rng, max_deg=8)
+            degrees |= {i for (i, _j, _c) in p.entries}
+            tau = float(rng.uniform(0.3, 0.95)) * p.lam
+            exact = trajectory_at(p, policy, tau)
+            numeric = scalar.integrate_rk4(p, policy, tau, h=1e-3 * p.lam)
+            assert numeric.s.keys() == exact.s.keys()
+            assert max(abs(exact.s[k] - numeric.s[k]) for k in exact.s) < 1e-8
+        assert max(degrees) == 8
 
     def test_order_four(self, quadratic_dist):
         policy = InterventionPolicy.table({(2, 2, 1): 0.2, (2, 2, 2): 0.6})

@@ -324,3 +324,28 @@ def test_sub_unit_mass_names_the_total(entries, mass, tmp_path, capsys):
     dist.write_text(json.dumps({"kind": "explicit", "entries": entries}))
     assert main(["simulate", "--distribution", str(dist), "--n", "100"]) == 2
     assert f"error: total mass {mass} is below 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "study", "compare"])
+def test_population_too_large_for_memory_is_one_error_line(command, monkeypatch, tmp_path,
+                                                           capsys):
+    # `instantiate` raises as it would on 10^11 nodes; nothing large is allocated
+    from contagion_control import cli, experiments
+
+    def no_memory(counts):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "instantiate", no_memory)
+    monkeypatch.setattr(experiments, "instantiate", no_memory)
+    dist = tmp_path / "dist.json"
+    dist.write_text(json.dumps(QUAD))
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps({"distribution": QUAD, "sizes": [50, 10**11], "runs": 2,
+                               "policies": ["none", "complete"]}))
+    if command == "simulate":
+        argv = ["simulate", "--distribution", str(dist), "--n", str(10**11)]
+    else:
+        argv = [command, "--config", str(cfg), "--outdir", str(tmp_path / "out")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: the population does not fit in memory; choose a smaller n"]

@@ -318,6 +318,30 @@ class TestComparePolicies:
             assert r.defaults_limit == study.theory_p[r.policy]["default_fraction"]
             assert r.aid_limit == study.theory_p[r.policy]["intervention_fraction"]
 
+    def test_no_aid_baseline_is_read_from_the_study(self, quadratic_dist, monkeypatch):
+        import contagion_control.asymptotics as asy
+
+        cfg = StudyConfig(distribution=quadratic_dist, sizes=(50, 100), runs=3,
+                          policies=("none", "optimal"), cost=0.5, master_seed=2)
+        study = run_study(cfg)
+        calls, real = [], asy.smallest_fixed_point
+        monkeypatch.setattr(asy, "smallest_fixed_point",
+                            lambda f: calls.append(1) or real(f))
+        rows = compare_policies(cfg, study)
+        # the study holds the `none` limits: no fixed point is searched again
+        assert calls == []
+        assert rows[0].defaults_prevented == 0.0
+
+    def test_baseline_is_of_kind_none_not_named_none(self, quadratic_dist):
+        cfg = StudyConfig(distribution=quadratic_dist, sizes=(50, 100), runs=3,
+                          policies=({"kind": "complete", "name": "none"}, "optimal"),
+                          cost=0.5, master_seed=2)
+        rows = {r.policy: r for r in compare_policies(cfg, run_study(cfg))}
+        base = theory_limits(quadratic_dist, normalize_policy_spec("none"), 0.5)
+        complete = rows["none"]
+        assert complete.defaults_prevented == base["default_fraction"] - complete.defaults_limit
+        assert complete.defaults_prevented > 0.0
+
     def test_writes_reports(self, quadratic_dist, tmp_path):
         cfg = StudyConfig(distribution=quadratic_dist, sizes=(50,), runs=4,
                           policies=("none", "complete"), cost=0.5, master_seed=3,
