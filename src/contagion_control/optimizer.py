@@ -149,12 +149,33 @@ def _root_candidates(p, cost, roots, branch, singular_j=None) -> list[OPSolution
                   key=lambda s: (s.end_fraction, s.multiplier, s.singular_start))
 
 
-def _straddles(corners):
-    """Cells where each residual is <= 0 at one corner and >= 0 at another;
-    corners is (..., 4, 2), and a NaN corner keeps nothing."""
+def _straddling(corners):
+    """Per cell and residual (..., 2), whether the residual is <= 0 at one
+    corner and >= 0 at another; corners is (..., 4, 2), and a NaN corner
+    keeps nothing."""
     a, b, c, d = np.moveaxis(corners, -2, 0)  # pairwise: a min over that axis is 10x slower
     lo, hi = np.minimum(np.minimum(a, b), np.minimum(c, d)), np.maximum(np.maximum(a, b), c)
-    return ((lo <= 0.0) & (np.maximum(hi, d) >= 0.0)).all(axis=-1)
+    return (lo <= 0.0) & (np.maximum(hi, d) >= 0.0)
+
+
+def _straddles(corners):
+    """Cells where both residuals straddle."""
+    return _straddling(corners).all(axis=-1)
+
+
+def _first_cells(corners):
+    """(rows, columns) of the first grid's cells to subdivide: each straddles
+    one residual, and the other in it or in a cell that shares an edge with
+    it.  A cell straddled by both is kept by its corners alone; the edge
+    neighbour also keeps a cell that the other residual's contour enters and
+    leaves through that shared edge, where no corner of the cell sees it."""
+    each = _straddling(corners)
+    near = each.copy()
+    near[1:] |= each[:-1]
+    near[:-1] |= each[1:]
+    near[:, 1:] |= each[:, :-1]
+    near[:, :-1] |= each[:, 1:]
+    return np.nonzero(each.any(axis=-1) & near.all(axis=-1))
 
 
 def _corners(f):
@@ -206,23 +227,29 @@ def solve_stage_a(p: JointDistribution, cost: float) -> list[OPSolution]:
     [-(1 - 1e-6), 1 - 1e-6], except in the columns [v, v'] where lam v' lies
     below the lower bound of H (`hamiltonian_range`, rising with v as lam v
     does) at v, or lam v above its upper bound at v', by more than stage B's
-    1e-9: their corners stay NaN, which `_straddles` never keeps.  Each kept
-    cell gets a 5 x 5 lattice, two levels of halving, all in one batched call;
-    the 4 x 4 sub-cells that straddle are the next call's cells, until each
-    side is 1e-13 wide; a side too narrow to halve in floating point stays
-    whole.  A finished cell reports its corner of smallest max-norm residual,
-    as the call that made it evaluated them.  A call subdivides at most
-    _STAGE_A_CAP cells, those nearest a root by their corners: more only arise
-    where the roots are not isolated, as along a jump of the outflow on which
-    the first residual vanishes.  The corner test misses a root whose residual
-    contour enters and leaves a cell through the same edge.  Where exactly one
-    sub-cell straddles, the next call zooms: it evaluates a box in it centred
-    on the root of the residuals' least-squares planes, with half-widths
-    _STAGE_A_ZOOM times the planes' misfit carried through their inverse, at
-    least 1e-13 and 1e-2 of the other side; a box that holds no straddling
-    sub-cell returns to that sub-cell, which then only halves.  Planes whose
-    condition, the row sums of |inverse| |slopes|, exceeds _STAGE_A_CONDITION
-    do not zoom: a 1e-13 cell pins no such root.
+    1e-9: their corners stay NaN, which `_straddles` never keeps.  The first
+    grid keeps the cells of `_first_cells`: those straddled by both
+    residuals, and those straddled by one whose edge neighbour the other
+    straddles, as that residual's contour may dip into the cell across their
+    shared edge unseen by its corners.
+    Each kept cell gets a 5 x 5 lattice, two levels of halving, all in one
+    batched call; the 4 x 4 sub-cells that straddle are the next call's cells,
+    until each side is 1e-13 wide; a side too narrow to halve in floating
+    point stays whole.  A finished cell reports its corner of smallest
+    max-norm residual, as the call that made it evaluated them.  A call
+    subdivides at most _STAGE_A_CAP cells, those nearest a root by their
+    corners: more only arise where the roots are not isolated, as along a jump
+    of the outflow on which the first residual vanishes.  The corner test
+    still misses a root whose residual contour enters and leaves a later,
+    finer cell through the same edge, or a first-grid cell whose neighbours do
+    not straddle that residual.  Where exactly one sub-cell straddles, the
+    next call zooms: it evaluates a box in it centred on the root of the
+    residuals' least-squares planes, with half-widths _STAGE_A_ZOOM times the
+    planes' misfit carried through their inverse, at least 1e-13 and 1e-2 of
+    the other side; a box that holds no straddling sub-cell returns to that
+    sub-cell, which then only halves.  Planes whose condition, the row sums of
+    |inverse| |slopes|, exceeds _STAGE_A_CONDITION do not zoom: a 1e-13 cell
+    pins no such root.
 
     y = 0 belongs to stage A alone: where no out-links start hidden
     (default_outflow(p, 0) <= 1e-14), its candidates are the multipliers of
@@ -243,7 +270,7 @@ def solve_stage_a(p: JointDistribution, cost: float) -> list[OPSolution]:
     grid = np.full((len(ys), len(vs), 2), np.nan)
     grid[:, cols] = residuals(*np.meshgrid(ys, vs[cols], indexing="ij"))
     corners = _corners(grid)
-    r, c = np.nonzero(_straddles(corners))
+    r, c = _first_cells(corners)
     # per cell: sides, the sub-cell of a zoom box (else the cell), its corners, only halves
     cells = back = np.stack([ys[r], ys[r + 1], vs[c], vs[c + 1]], axis=1)
     held, plain, found = corners[r, c], np.zeros(len(r), bool), []

@@ -17,6 +17,7 @@ from contagion_control.optimizer import (
     _STAGE_A_GRID,
     _check_cost,
     _corners,
+    _first_cells,
     _quarters,
     _root_candidates,
     _solve_multiplier_at,
@@ -41,7 +42,7 @@ def solve_stage_a(p, cost):
     grid = np.full((len(ys), len(vs), 2), np.nan)
     grid[:, cols] = residuals(*np.meshgrid(ys, vs[cols], indexing="ij"))
     corners = _corners(grid)
-    r, c = np.nonzero(_straddles(corners))
+    r, c = _first_cells(corners)
     cells, held, found = (ys[r], ys[r + 1], vs[c], vs[c + 1]), corners[r, c], []
     while len(held) > 0:
         if len(held) > _STAGE_A_CAP:  # keep the cells nearest a root

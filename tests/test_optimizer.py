@@ -114,11 +114,13 @@ class TestStageA:
 
     def test_residual_calls_of_a_solve(self, experiment_dist, monkeypatch):
         # the first grid in the 9 of 80 multiplier columns that can hold a root
-        # of the first equation, 6 lattice calls (the kept cell, a zoom box
-        # with two straddling sub-cells, those two, and 3 more zoom boxes; 20
-        # lattice calls of halving alone), the finished cells read from the
-        # call that evaluated their corners, and one call of the candidate
-        # builder; stage B skips every out-degree, and y = 1 is infeasible
+        # of the first equation, 6 lattice calls (the cell straddled by both
+        # residuals with its 5 edge neighbours straddled by one, none of which
+        # straddles again, a zoom box with two straddling sub-cells, those two,
+        # and 3 more zoom boxes; 20 lattice calls of halving alone), the
+        # finished cells read from the call that evaluated their corners, and
+        # one call of the candidate builder; stage B skips every out-degree,
+        # and y = 1 is infeasible
         import contagion_control.optimizer as opt
 
         sizes, real = [], opt.program_residuals
@@ -129,7 +131,7 @@ class TestStageA:
 
         monkeypatch.setattr(opt, "program_residuals", counted)
         opt.solve_op(JointDistribution(dict(experiment_dist.entries)), 0.5)
-        assert (len(sizes), sizes[0], sum(sizes), sizes[-1]) == (8, 21 * 9, 365, 1)
+        assert (len(sizes), sizes[0], sum(sizes), sizes[-1]) == (8, 21 * 9, 490, 1)
 
     @pytest.mark.parametrize("cost", [9.0, 20.0])
     def test_zero_root_with_a_multiplier_beyond_eight(self, cost):
@@ -140,6 +142,22 @@ class TestStageA:
         assert sol.end_fraction == 0.0 and sol.objective == 0.0
         assert sol.multiplier == pytest.approx(-cost, abs=1e-10)
         assert max(abs(r) for r in sol.residuals) <= 1e-12
+
+    def test_root_behind_a_dip_of_the_first_residual(self):
+        # the first residual's contour crosses into the first-grid cell
+        # y in [0.55, 0.6], v in [-0.5095, -0.4610] through its edge at
+        # v = -0.4610 and back, where the outflow residual changes sign: no
+        # corner of the cell straddles the first residual, and the only root
+        # of the program is inside it
+        p = JointDistribution({
+            (2, 4, 2): 0.023465703971119134, (4, 2, 1): 0.023465703971119134,
+            (2, 0, 1): 0.1588447653429603, (0, 2, 1): 0.1588447653429603,
+            (2, 0, 2): 0.3176895306859206, (0, 2, 0): 0.3176895306859206,
+        })
+        sol = solve_op(p, 0.703125)
+        assert sol.branch == "stage_a" and sol.stable
+        assert (sol.end_fraction, sol.multiplier) == pytest.approx((0.582458, -0.461669), abs=1e-6)
+        assert max(abs(r) for r in sol.residuals) < 1e-12
 
     def test_all_roots_feasible(self, experiment_dist):
         for sol in solve_stage_a(experiment_dist, 0.5):
