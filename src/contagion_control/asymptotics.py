@@ -21,8 +21,9 @@ x depends on the policy:
   `default_fraction`); the process ends at the smallest fixed point of the
   outflow;
 - the optimal threshold policy: x = `_optimal_starts`(cost, v, y), and x = z
-  on the singular classes (`singular_rows`: c = i with a vanishing aid
-  coefficient), whose start is a free variable (`controlled_limits`,
+  on the singular classes (`singular_rows`: c = i with an aid coefficient
+  that vanishes to 1e-12 max(1, |1 - cost|)), whose start is a free
+  variable; v alone decides which classes they are (`controlled_limits`,
   `default_outflow_controlled`, `terminal_hamiltonian` and
   `program_residuals`, the solver's two equations);
 - fixed start times: x = min(policy.start(i, j, c), y), or y where the policy
@@ -303,16 +304,18 @@ def _optimal_starts(i, j, c, cost: float, v, y):
     return np.where(w >= 0.0, y, x)
 
 
-def singular_rows(i, j, c, cost: float, v, singular_j: int | None):
+def singular_rows(i, j, c, cost: float, v):
     """Mask of the singular classes, whose aid start is the free variable z.
 
     A class is singular when c = i and its aid coefficient vanishes,
-    |j v - 1 + cost| <= 1e-12, or when its out-degree is `singular_j` (stage B
-    pins v = (1 - cost) / j, where the rounded coefficient may miss zero).
-    Arguments broadcast elementwise, `singular_j` too (a per-point array in
-    stage B's batch); None or NaN equals no out-degree, so it marks none.
+    |j v - 1 + cost| <= 1e-12 max(1, |1 - cost|).  The band scales with
+    |1 - cost| so that stage B's v = (1 - cost) / j, rounded, marks out-degree
+    j at every cost; another out-degree falls in it only if |1 - cost| <=
+    1e-12 j, as at cost = 1 (v = 0), where every out-degree is singular.
+    Arguments broadcast elementwise.
     """
-    return ((np.abs(j * v - 1.0 + cost) <= _SINGULAR_TOL) | (j == singular_j)) & (c == i)
+    band = _SINGULAR_TOL * max(1.0, abs(1.0 - cost))
+    return (np.abs(j * v - 1.0 + cost) <= band) & (c == i)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +400,7 @@ class _ClassPack:
         return _column([np.inf if (x := policy.start(*key)) is None else x
                         for key in self.keys])
 
-    def starts(self, cost: float, v, y: np.ndarray, z, singular_j: int | None) -> np.ndarray:
+    def starts(self, cost: float, v, y: np.ndarray, z) -> np.ndarray:
         """Start times x (classes x points) of the optimal policy.
 
         `_optimal_starts` on every row, except that the `singular_rows` start
@@ -406,7 +409,7 @@ class _ClassPack:
         x = _optimal_starts(self.i, self.j, self.c, cost, v, y)
         # the classes with c = i lead the rows (n = 0)
         top = slice(0, self.first[1])
-        sing = singular_rows(self.i[top], self.j[top], self.c[top], cost, v, singular_j)
+        sing = singular_rows(self.i[top], self.j[top], self.c[top], cost, v)
         if sing.any():
             x[top] = np.where(sing, z, x[top])
         return x
@@ -440,10 +443,12 @@ class _ClassPack:
         opow[1:] = 1.0 - y
         np.cumprod(ypow, axis=0, out=ypow)
         np.cumprod(opow, axis=0, out=opow)
-        tails = ypow[self.y_m] * opow[self.y_e] * self.y_binom
+        # summed from q = 0 up, one block of groups at a time: np.cumsum along
+        # the first axis gives the same bits but runs 10x slower on a chunk
+        tails = (ypow[self.y_m] * opow[self.y_e] * self.y_binom).reshape(width, groups, len(y))
         for q in range(1, width):
-            tails[q * groups:(q + 1) * groups] += tails[(q - 1) * groups:q * groups]
-        return tails[self.y_index]
+            tails[q] += tails[q - 1]
+        return tails.reshape(width * groups, len(y))[self.y_index]
 
     def _flow(self, tail_x: np.ndarray) -> np.ndarray:
         return (_class_sum(self.jmass * tail_x) + self.defaulted_flow) / self.lam
@@ -484,10 +489,9 @@ class _ClassPack:
         coef = self._coef(cost, v)
         return _class_sum(np.minimum(coef, 0.0)), _class_sum(np.maximum(coef, 0.0))
 
-    def residuals(self, cost: float, y: np.ndarray, v, z,
-                  singular_j: int | None) -> tuple[np.ndarray, np.ndarray]:
-        """Both residuals at the points y; v, z and singular_j are numbers or arrays like y."""
-        tail_x, ham_x = self.x_sums(self.starts(cost, v, y, z, singular_j))
+    def residuals(self, cost: float, y: np.ndarray, v, z) -> tuple[np.ndarray, np.ndarray]:
+        """Both residuals at the points y; v and z are numbers or arrays like y."""
+        tail_x, ham_x = self.x_sums(self.starts(cost, v, y, z))
         ham = self.hamiltonian(cost, v, y, ham_x)
         return (1.0 - y) * (ham - self.lam * v), self._flow(tail_x) - y
 
@@ -565,9 +569,7 @@ def default_fraction(p: JointDistribution, y):
     return _fixed_limits(pk, pk.never, y)[1]
 
 
-def controlled_limits(
-    p: JointDistribution, cost: float, y, v, z, singular_j: int | None = None,
-):
+def controlled_limits(p: JointDistribution, cost: float, y, v, z):
     """(outflow, defaults, aid) under the optimal threshold policy at (y, v, z).
 
     The singular classes start at z: their aid is p(i,j,i) * (y^i - z^i),
@@ -575,14 +577,12 @@ def controlled_limits(
     """
     pk = _pack(p)
     return _over_points(
-        lambda y, v, z: pk.limits(pk.starts(cost, v, y, z, singular_j), y), y, v, z)
+        lambda y, v, z: pk.limits(pk.starts(cost, v, y, z), y), y, v, z)
 
 
-def default_outflow_controlled(
-    p: JointDistribution, cost: float, y, v, z, singular_j: int | None = None,
-):
+def default_outflow_controlled(p: JointDistribution, cost: float, y, v, z):
     """Out-link flow of the default set under the threshold policy."""
-    return controlled_limits(p, cost, y, v, z, singular_j)[0]
+    return controlled_limits(p, cost, y, v, z)[0]
 
 
 def terminal_hamiltonian(p: JointDistribution, cost: float, y, v):
@@ -591,27 +591,21 @@ def terminal_hamiltonian(p: JointDistribution, cost: float, y, v):
 
     def ham(y, v):
         # the singular rows have c = i, where tail(i-1, x, c) = 0 whatever x
-        return (pk.hamiltonian(cost, v, y, pk.x_sums(pk.starts(cost, v, y, y, None))[1]),)
+        return (pk.hamiltonian(cost, v, y, pk.x_sums(pk.starts(cost, v, y, y))[1]),)
 
     return _over_points(ham, y, v)[0]
 
 
-def program_residuals(
-    p: JointDistribution, cost: float, y, v, z, singular_j: int | None = None,
-):
+def program_residuals(p: JointDistribution, cost: float, y, v, z):
     """((1-y)(H - lam v), controlled outflow - y): the two program equations.
 
     The solver's only evaluation of both equations.  Takes scalar or array
-    inputs: y, v, z and `singular_j` are numbers (None for no singular
-    out-degree) or equal-length 1-D arrays (a number broadcasts against
-    arrays), so each point can carry its own singular out-degree.  Numbers
-    give a pair of floats, arrays a pair of arrays, evaluated in chunks of
-    _RESIDUAL_BATCH points.
+    inputs: y, v and z are numbers or equal-length 1-D arrays (a number
+    broadcasts against arrays).  Numbers give a pair of floats, arrays a pair
+    of arrays, evaluated in chunks of _RESIDUAL_BATCH points.
     """
     pk = _pack(p)
-    # a None singular_j chunks as NaN, which `singular_rows` reads as None
-    return _over_points(
-        lambda y, v, z, sj: pk.residuals(cost, y, v, z, sj), y, v, z, singular_j)
+    return _over_points(lambda y, v, z: pk.residuals(cost, y, v, z), y, v, z)
 
 
 # ---------------------------------------------------------------------------

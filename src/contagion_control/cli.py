@@ -22,6 +22,7 @@ from .distribution import distribution_from_spec, empirical_counts, parse_object
 from .errors import ConstructionError, ParameterError
 from .experiments import (
     StudyConfig,
+    _csv,
     compare_policies,
     normalize_policy_spec,
     run_study,
@@ -48,7 +49,6 @@ def _cmd_solve(args) -> int:
     dist = distribution_from_spec(_load_json(args.distribution))
     sol = solve_op(dist, args.cost)
     doc = dataclasses.asdict(sol)
-    del doc["singular_j"]
     doc["policy"] = table_spec(extract_policy(sol, dist, args.cost))
     payload = json.dumps(doc, indent=2, sort_keys=True)
     if args.output:
@@ -75,10 +75,7 @@ def _cmd_simulate(args) -> int:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(args.seed)))
     out = run(pop, policy, rng, trace=bool(args.trace))
     if args.trace:
-        with open(args.trace, "w") as fh:
-            fh.write("k,D,IT,D_minus\n")
-            for k, d, it, dm in out.trace:
-                fh.write(f"{k},{d},{it},{dm}\n")
+        Path(args.trace).write_text(_csv(("k", "D", "IT", "D_minus"), out.trace))
     print(json.dumps({
         "n": out.n, "m": out.m, "T": out.T,
         "interventions": out.interventions, "defaults": out.defaults,

@@ -88,18 +88,17 @@ class OPSolution:
     stable: bool             # controlled outflow has slope < 1 at y (or y = 1)
     branch: str              # "stage_a" | "stage_b:j=.." | "boundary:.."
     residuals: tuple[float, float]
-    singular_j: int | None = None
 
     @property
     def feasible(self) -> bool:
         return max(abs(self.residuals[0]), abs(self.residuals[1])) < _RESIDUAL_TOL
 
 
-def _make_solution(cost, branch, singular_j, y, v, z, residuals, defaults, aid, stable):
+def _make_solution(cost, branch, y, v, z, residuals, defaults, aid, stable):
     return OPSolution(
         end_fraction=y, multiplier=v, singular_start=z,
         objective=cost * aid + defaults, interventions=aid, defaults=defaults,
-        stable=stable, branch=branch, residuals=residuals, singular_j=singular_j,
+        stable=stable, branch=branch, residuals=residuals,
     )
 
 
@@ -108,7 +107,7 @@ def _check_cost(cost: float) -> None:
         raise ParameterError(f"intervention cost must be positive and finite, got {cost}")
 
 
-def _candidates(p, cost, points, branch, singular_j=None) -> list[OPSolution]:
+def _candidates(p, cost, points, branch) -> list[OPSolution]:
     """The candidate builder: solutions at the points (y, v, z) that solve both
     program equations, with a finite objective (a NaN one would empty
     solve_op's tie set).  The stages' roots and boundary points all pass here.
@@ -119,18 +118,18 @@ def _candidates(p, cost, points, branch, singular_j=None) -> list[OPSolution]:
         return []
     points = np.array(points, dtype=float)
     y, v, z = points.T
-    res = np.stack(program_residuals(p, cost, y, v, z, singular_j), axis=1)
+    res = np.stack(program_residuals(p, cost, y, v, z), axis=1)
     flow, dflt, aid = controlled_limits(p, cost, np.concatenate([y, _slope_probes(y)]),
-                                        np.tile(v, 3), np.tile(z, 3), singular_j)
+                                        np.tile(v, 3), np.tile(z, 3))
     n = len(y)
     stable = is_stable(lambda _probes: flow[n:], y) | (y >= 1.0 - 1e-12)
-    sols = (_make_solution(cost, branch, singular_j, *point, tuple(r), d, a, s)
+    sols = (_make_solution(cost, branch, *point, tuple(r), d, a, s)
             for point, r, d, a, s in zip(points.tolist(), res.tolist(), dflt[:n].tolist(),
                                          aid[:n].tolist(), stable.tolist()))
     return [s for s in sols if s.feasible and math.isfinite(s.objective)]
 
 
-def _root_candidates(p, cost, roots, branch, singular_j=None) -> list[OPSolution]:
+def _root_candidates(p, cost, roots, branch) -> list[OPSolution]:
     """The candidates at roots, rows (y, v, z), sorted by (y, v, z).
 
     Repeats are skipped in row order.  y ~ 1 makes the first equation vacuous,
@@ -145,7 +144,7 @@ def _root_candidates(p, cost, roots, branch, singular_j=None) -> list[OPSolution
         if -1e-9 <= y <= 1.0 - 1e-9 and -1e-9 <= z <= y + 1e-9:
             y = max(y, 0.0)
             points.append((y, v, min(max(z, 0.0), y)))
-    return sorted(_candidates(p, cost, points, branch, singular_j),
+    return sorted(_candidates(p, cost, points, branch),
                   key=lambda s: (s.end_fraction, s.multiplier, s.singular_start))
 
 
@@ -359,14 +358,14 @@ def solve_stage_b(p: JointDistribution, cost: float) -> list[OPSolution]:
                          np.zeros(len(support)), 1.0)
     row, y = row[y < 1.0 - 1e-9], y[y < 1.0 - 1e-9]
     at, z = _scan_roots(
-        lambda r, zs: program_residuals(p, cost, y[r], v[row[r]], zs, support[row[r]])[1],
+        lambda r, zs: program_residuals(p, cost, y[r], v[row[r]], zs)[1],
         0.0, y, grid=1)
     # both ends of [0, y] are roots only where z moves nothing: keep z = 0
     at, first = np.unique(at, return_index=True)
     row = row[at]
     roots = np.stack([y[at], v[row], z[first]], axis=1)
     return [sol for k, j in enumerate(support.tolist())
-            for sol in _root_candidates(p, cost, roots[row == k], f"stage_b:j={j}", j)]
+            for sol in _root_candidates(p, cost, roots[row == k], f"stage_b:j={j}")]
 
 
 def _solve_multiplier_at(p, cost, y):
@@ -438,7 +437,7 @@ def extract_policy(sol: OPSolution, p: JointDistribution, cost: float) -> Interv
     keys = _control_keys(p)
     i, j, c = np.array(keys, dtype=int).reshape(-1, 3).T
     starts = _optimal_starts(i, j, c, cost, v, y).tolist()
-    sing = singular_rows(i, j, c, cost, v, sol.singular_j).tolist()
+    sing = singular_rows(i, j, c, cost, v).tolist()
     thresholds = {key: min(max(x, 0.0), 1.0)
                   for key, x, s in zip(keys, starts, sing) if not s and x < y - 1e-12}
     singular = {key[:2]: max(0.0, z)

@@ -41,14 +41,14 @@ def intervention_start(i, j, c, cost, multiplier, end_fraction):
     return float(_optimal_starts(i, j, c, cost, multiplier, end_fraction))
 
 
-def default_fraction_controlled(p, cost, y, v, z, singular_j=None):
+def default_fraction_controlled(p, cost, y, v, z):
     """Defaulted node share under the optimal policy at (y, v, z)."""
-    return controlled_limits(p, cost, y, v, z, singular_j)[1]
+    return controlled_limits(p, cost, y, v, z)[1]
 
 
-def intervention_volume(p, cost, y, v, z, singular_j=None):
+def intervention_volume(p, cost, y, v, z):
     """Scaled count of aid units under the optimal policy at (y, v, z)."""
-    return controlled_limits(p, cost, y, v, z, singular_j)[2]
+    return controlled_limits(p, cost, y, v, z)[2]
 
 
 def sample_zipf_copula(

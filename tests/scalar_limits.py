@@ -7,7 +7,8 @@ polynomials: P(Bin(i, x) >= c) term by term, the aid window as its double
 sum over the links revealed before and inside [x, y], and the singular
 classes as an explicit correction p(i,j,i) * (y^i - z^i) on top of the
 regular start times, which come from the scalar three-regime formula.  The
-singular out-degrees are detected here too, so of the package only
+singular out-degrees are detected here too, by the package's rule written
+out again (`singular_out_degrees`), so of the package only
 `smallest_fixed_point` is shared.  `integrate_rk4` integrates the state ODEs
 numerically, an oracle for the closed-form trajectories: it derives the
 vulnerable pairs, the state list, the initial masses, the start times, the
@@ -105,15 +106,11 @@ def intervention_start(
     return 0.0
 
 
-def singular_out_degrees(p: JointDistribution, cost: float, v: float,
-                         singular_j: int | None) -> set[int]:
-    """Out-degrees j whose aid coefficient v j - 1 + cost vanishes (to 1e-12),
-    plus `singular_j`, pinned when v was built as (1 - cost) / j."""
-    js = {j for (_i, j, _c) in p.entries}
-    out = {j for j in js if abs(v * j - 1.0 + cost) <= 1e-12}
-    if singular_j in js:
-        out.add(singular_j)
-    return out
+def singular_out_degrees(p: JointDistribution, cost: float, v: float) -> set[int]:
+    """Out-degrees j whose aid coefficient v j - 1 + cost vanishes, to
+    1e-12 max(1, |1 - cost|): wide enough for v = (1 - cost) / j, rounded."""
+    band = 1e-12 * max(1.0, abs(1.0 - cost))
+    return {j for (_i, j, _c) in p.entries if abs(v * j - 1.0 + cost) <= band}
 
 
 def default_outflow(p: JointDistribution, y):
@@ -151,10 +148,9 @@ def _singular_correction(p: JointDistribution, y: float, z: float,
 
 def default_outflow_controlled(
     p: JointDistribution, cost: float, y: float, v: float, z: float,
-    singular_j: int | None = None,
 ) -> float:
     """Out-link flow of the default set under the threshold policy."""
-    sing = singular_out_degrees(p, cost, v, singular_j)
+    sing = singular_out_degrees(p, cost, v)
     tot = 0.0
     for i, j, c, mass in p.vulnerable_items():
         x = _regular_start(i, j, c, cost, v, y, sing)
@@ -165,10 +161,9 @@ def default_outflow_controlled(
 
 def default_fraction_controlled(
     p: JointDistribution, cost: float, y: float, v: float, z: float,
-    singular_j: int | None = None,
 ) -> float:
     """Defaulted node share under the threshold policy."""
-    sing = singular_out_degrees(p, cost, v, singular_j)
+    sing = singular_out_degrees(p, cost, v)
     tot = 0.0
     for i, j, c, mass in p.vulnerable_items():
         x = _regular_start(i, j, c, cost, v, y, sing)
@@ -179,7 +174,6 @@ def default_fraction_controlled(
 
 def intervention_volume(
     p: JointDistribution, cost: float, y: float, v: float, z: float,
-    singular_j: int | None = None,
 ) -> float:
     """Scaled count of aid units under the threshold policy.
 
@@ -188,7 +182,7 @@ def intervention_volume(
     general window sum evaluated with start z, and is what the intervention
     rate integrates to; it enters with a positive sign.)
     """
-    sing = singular_out_degrees(p, cost, v, singular_j)
+    sing = singular_out_degrees(p, cost, v)
     tot = 0.0
     for i, j, c, mass in p.vulnerable_items():
         if c >= 1:

@@ -217,7 +217,7 @@ def _oracle_candidates_stage_b(p, cost, y_grid, j):
             continue
 
         def gap(z):
-            return scalar.default_outflow_controlled(p, cost, y, v, z, singular_j=j) - y
+            return scalar.default_outflow_controlled(p, cost, y, v, z) - y
 
         if gap(0.0) > 0.0 or gap(y) < 0.0:
             continue
@@ -228,7 +228,7 @@ def _oracle_candidates_stage_b(p, cost, y_grid, j):
                 lo = mid
             else:
                 hi = mid
-        candidates.append((y, v, 0.5 * (lo + hi), j))
+        candidates.append((y, v, 0.5 * (lo + hi)))
     return candidates
 
 
@@ -236,20 +236,19 @@ def _grid_scan_minimum(p, cost, resolution=1e-3):
     """Dense independent search of the program at the stated resolution."""
     y_grid = np.arange(resolution, 1.0, resolution)
     v_lo, v_hi = -cost - 2.0, 2.5
-    cands = [(y, v, z, None) for (y, v, z) in
-             _oracle_candidates_stage_a(p, cost, y_grid, v_lo, v_hi, 1601)]
+    cands = _oracle_candidates_stage_a(p, cost, y_grid, v_lo, v_hi, 1601)
     for j in sorted({j for (_i, j, _c) in p.entries if j > 0}):
         cands.extend(_oracle_candidates_stage_b(p, cost, y_grid, j))
     objs = []
-    for y, v, z, sj in cands:
+    for y, v, z in cands:
         # bisection across a control-branch kink can bracket a jump instead of
         # a root; keep only candidates that actually satisfy both equations
         r1 = (1.0 - y) * (scalar.terminal_hamiltonian(p, cost, y, v) - p.lam * v)
-        r2 = scalar.default_outflow_controlled(p, cost, y, v, z, singular_j=sj) - y
+        r2 = scalar.default_outflow_controlled(p, cost, y, v, z) - y
         if max(abs(r1), abs(r2)) > 1e-6:
             continue
-        objs.append(cost * scalar.intervention_volume(p, cost, y, v, z, sj)
-                    + scalar.default_fraction_controlled(p, cost, y, v, z, sj))
+        objs.append(cost * scalar.intervention_volume(p, cost, y, v, z)
+                    + scalar.default_fraction_controlled(p, cost, y, v, z))
     # boundaries
     if scalar.default_outflow(p, 0.0) <= 1e-14:
         objs.append(sum(m for (i, j, c), m in p.entries.items() if c == 0))

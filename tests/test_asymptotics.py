@@ -19,6 +19,7 @@ from contagion_control.asymptotics import (
     forced_policy_limits,
     initial_trajectory,
     program_residuals,
+    singular_rows,
 )
 from contagion_control.optimizer import _candidates, extract_policy, solve_op
 
@@ -243,7 +244,7 @@ class TestControlledLimits:
 
     def test_singular_term_vanishes_at_z_equal_y(self, quadratic_dist):
         v = (1 - 1.5) / 2  # singular at j = 2 for cost 1.5
-        with_z = default_outflow_controlled(quadratic_dist, 1.5, 0.3, v, 0.3, singular_j=2)
+        with_z = default_outflow_controlled(quadratic_dist, 1.5, 0.3, v, 0.3)
         base = default_outflow_controlled(quadratic_dist, 1.5, 0.3, 5.0, 0.3)
         assert with_z == pytest.approx(base, abs=1e-14)
 
@@ -255,12 +256,23 @@ class TestControlledLimits:
         cost, y, z = 0.1, 0.5, 0.2
         v = (1 - cost) / 3
         assert cost + 3 * v - 1 < 0
-        assert default_outflow_controlled(p, cost, y, v, z, 3) == \
+        assert default_outflow_controlled(p, cost, y, v, z) == \
             pytest.approx((0.6 + 2.4 * z**3) / p.lam, abs=1e-15)
-        assert default_fraction_controlled(p, cost, y, v, z, 3) == \
+        assert default_fraction_controlled(p, cost, y, v, z) == \
             pytest.approx(0.2 + 0.8 * z**3, abs=1e-15)
-        assert intervention_volume(p, cost, y, v, z, 3) == \
+        assert intervention_volume(p, cost, y, v, z) == \
             pytest.approx(0.8 * (y**3 - z**3), abs=1e-15)
+
+    def test_singular_rows_are_the_classes_of_the_planes_out_degree(self):
+        # stage B pins v = (1 - cost) / j: the rounded coefficient j' v - 1 + cost
+        # must fall in the band for j' = j alone, at every cost (cost = 1 makes
+        # v = 0, where every out-degree is singular)
+        js = np.arange(1, 101)
+        costs = np.logspace(-3, 15, 3000)
+        for cost in costs[costs != 1.0].tolist():
+            v = (1.0 - cost) / js[:, None]  # row k: the plane of out-degree js[k]
+            assert np.array_equal(singular_rows(5, js, 5, cost, v), np.eye(len(js), dtype=bool)), cost
+            assert not singular_rows(5, js, 4, cost, v).any()
 
     def test_aid_volume_zero_cases(self, quadratic_dist):
         assert intervention_volume(quadratic_dist, 0.5, 0.0, -0.3, 0.0) == 0.0
@@ -332,9 +344,9 @@ class TestSingularAidVolume:
         cost = 1.5
         y, z = 5 / 24, math.sqrt(1 / 96)
         v = (1 - cost) / 2
-        formula = intervention_volume(quadratic_dist, cost, y, v, z, singular_j=2)
+        formula = intervention_volume(quadratic_dist, cost, y, v, z)
 
-        candidate, = _candidates(quadratic_dist, cost, [(y, v, z)], "stage_b:j=2", 2)
+        candidate, = _candidates(quadratic_dist, cost, [(y, v, z)], "stage_b:j=2")
         policy = extract_policy(candidate, quadratic_dist, cost)
         lam = quadratic_dist.lam
         tau_end = lam * y
@@ -365,7 +377,7 @@ class TestSingularAidVolume:
         cost = 1.5
         v = (1 - cost) / 2
         y, z = 0.4, 0.15
-        vol = intervention_volume(quadratic_dist, cost, y, v, z, singular_j=2)
+        vol = intervention_volume(quadratic_dist, cost, y, v, z)
         # by hand: only class (2,2,2) is vulnerable; singular -> p * (y^2 - z^2)
         assert vol == pytest.approx(0.8 * (y**2 - z**2), abs=1e-14)
 

@@ -125,8 +125,8 @@ def _newton_stage_b(p, cost):
     out = []
     for j in _out_degrees(p):
         v = (1.0 - cost) / j
-        roots = _scalar_roots(lambda x: program_residuals(p, cost, x[0], v, x[1], j), starts)
-        out += opt._root_candidates(p, cost, np.insert(roots, 1, v, axis=1), f"stage_b:j={j}", j)
+        roots = _scalar_roots(lambda x: program_residuals(p, cost, x[0], v, x[1]), starts)
+        out += opt._root_candidates(p, cost, np.insert(roots, 1, v, axis=1), f"stage_b:j={j}")
     return out
 
 
@@ -204,12 +204,12 @@ def _assert_first_residual_ignores_z(p, cost, rng, count=64):
     y = rng.uniform(0.0, 1.0, count)
     v = rng.uniform(-3.0, 3.0, count)
     degrees = _out_degrees(p)
-    # half the points on the singular plane of an out-degree of p
+    # half the points on the singular plane of an out-degree of p, where
+    # z is the start of that out-degree's singular classes
     v[count // 2:] = (1.0 - cost) / rng.choice(degrees, count - count // 2)
     want = program_residuals(p, cost, y, v, y)[0].tobytes()
-    for sj in [None, *degrees, rng.choice(degrees, count)]:
-        for z in (np.zeros(count), y * rng.uniform(0.0, 1.0, count), y):
-            assert program_residuals(p, cost, y, v, z, sj)[0].tobytes() == want, sj
+    for z in (np.zeros(count), y * rng.uniform(0.0, 1.0, count)):
+        assert program_residuals(p, cost, y, v, z)[0].tobytes() == want
 
 
 def test_first_residual_ignores_z_and_singular_out_degree(experiment_dist):
@@ -230,18 +230,15 @@ def test_per_point_singular_out_degrees_equal_scalar_calls(experiment_dist):
     count, cost = 700, 0.5  # more than one evaluation batch
     y = rng.uniform(0.0, 1.0, count)
     z = y * rng.uniform(0.0, 1.0, count)
-    sj = rng.integers(1, 11, count)
     # stage B's points: v on the singular plane of the point's own out-degree,
     # and a few off every plane
-    v = (1.0 - cost) / sj
+    v = (1.0 - cost) / rng.integers(1, 11, count)
     v[:50] = rng.uniform(-3.0, 3.0, 50)
-    r1, r2 = program_residuals(experiment_dist, cost, y, v, z, sj)
+    r1, r2 = program_residuals(experiment_dist, cost, y, v, z)
     assert r1.shape == r2.shape == (count,)
     for k in range(count):
-        s1, s2 = program_residuals(experiment_dist, cost, y[k], v[k], z[k], int(sj[k]))
+        s1, s2 = program_residuals(experiment_dist, cost, y[k], v[k], z[k])
         assert abs(r1[k] - s1) <= 1e-13 and abs(r2[k] - s2) <= 1e-13
-    f1, f2 = program_residuals(experiment_dist, cost, y, v, z, sj.astype(float))
-    assert r1.tobytes() == f1.tobytes() and r2.tobytes() == f2.tobytes()
 
 
 @pytest.mark.parametrize("singular_j", [None, 1, 4, 10])
@@ -251,12 +248,15 @@ def test_array_residuals_equal_scalar_calls(experiment_dist, singular_j):
     y = rng.uniform(-0.1, 1.1, count)
     v = rng.uniform(-3.0, 3.0, count)
     z = rng.uniform(-0.1, 1.0, count)
-    # a few points on the singular plane of out-degree 3, found by tolerance
+    # a few points on the singular plane of out-degree 3, and some on that of
+    # out-degree singular_j
     v[:5] = (1.0 - 0.5) / 3
-    r1, r2 = program_residuals(experiment_dist, 0.5, y, v, z, singular_j)
+    if singular_j is not None:
+        v[5:60] = (1.0 - 0.5) / singular_j
+    r1, r2 = program_residuals(experiment_dist, 0.5, y, v, z)
     assert r1.shape == r2.shape == (count,)
     for k in range(count):
-        s1, s2 = program_residuals(experiment_dist, 0.5, y[k], v[k], z[k], singular_j)
+        s1, s2 = program_residuals(experiment_dist, 0.5, y[k], v[k], z[k])
         assert isinstance(s1, float) and isinstance(s2, float)
         assert abs(r1[k] - s1) <= 1e-13 and abs(r2[k] - s2) <= 1e-13
 
@@ -268,21 +268,22 @@ def test_array_residuals_match_per_class_forms(experiment_dist, singular_j):
     v = rng.uniform(-2.0, 2.0, 60)
     z = y * rng.uniform(0.0, 1.0, 60)
     cost, lam = 0.7, experiment_dist.lam
-    r1, r2 = program_residuals(experiment_dist, cost, y, v, z, singular_j)
+    if singular_j is not None:  # a third of the points on out-degree singular_j's plane
+        v[:20] = (1.0 - cost) / singular_j
+    r1, r2 = program_residuals(experiment_dist, cost, y, v, z)
     for k in range(len(y)):
         h = scalar.terminal_hamiltonian(experiment_dist, cost, y[k], v[k])
-        flow = scalar.default_outflow_controlled(experiment_dist, cost, y[k], v[k], z[k],
-                                                 singular_j)
+        flow = scalar.default_outflow_controlled(experiment_dist, cost, y[k], v[k], z[k])
         assert r1[k] == pytest.approx((1 - y[k]) * (h - lam * v[k]), abs=1e-12)
         assert r2[k] == pytest.approx(flow - y[k], abs=1e-12)
 
 
 def test_scalar_inputs_broadcast_against_arrays(quadratic_dist):
     ys = np.array([0.1, 0.2, 0.3])
-    r1, r2 = program_residuals(quadratic_dist, 1.5, ys, -0.25, 0.05, 2)
+    r1, r2 = program_residuals(quadratic_dist, 1.5, ys, -0.25, 0.05)
     for k, y in enumerate(ys):
         assert (r1[k], r2[k]) == pytest.approx(
-            program_residuals(quadratic_dist, 1.5, float(y), -0.25, 0.05, 2), abs=1e-15)
+            program_residuals(quadratic_dist, 1.5, float(y), -0.25, 0.05), abs=1e-15)
 
 
 @pytest.mark.parametrize("case", ["zero", "interior", "interior_late", "none"])
@@ -366,18 +367,18 @@ def test_few_class_values_do_not_depend_on_the_batch(entries):
                                                     + program_residuals(p, *at))
 
 
-def _per_point_candidate(p, cost, y, v, z, branch, singular_j):
+def _per_point_candidate(p, cost, y, v, z, branch):
     """The candidate at one point, one kernel call per value and per slope
     probe, unfiltered."""
-    res = program_residuals(p, cost, y, v, z, singular_j)
-    _flow, dflt, aid = controlled_limits(p, cost, y, v, z, singular_j)
+    res = program_residuals(p, cost, y, v, z)
+    _flow, dflt, aid = controlled_limits(p, cost, y, v, z)
     lo, hi = max(0.0, y - 1e-6), min(1.0, y + 1e-6)
-    slope = (default_outflow_controlled(p, cost, hi, v, z, singular_j)
-             - default_outflow_controlled(p, cost, lo, v, z, singular_j)) / (hi - lo)
+    slope = (default_outflow_controlled(p, cost, hi, v, z)
+             - default_outflow_controlled(p, cost, lo, v, z)) / (hi - lo)
     return opt.OPSolution(
         end_fraction=y, multiplier=v, singular_start=z, objective=cost * aid + dflt,
         interventions=aid, defaults=dflt, stable=bool(slope < 1.0 - 1e-9) or y >= 1.0 - 1e-12,
-        branch=branch, residuals=res, singular_j=singular_j)
+        branch=branch, residuals=res)
 
 
 @settings(max_examples=25, deadline=None)
@@ -389,15 +390,15 @@ def test_candidate_builder_equals_per_point_candidates(p, cost, seed):
     v = rng.uniform(-3.0, 3.0, count)
     z = y * rng.uniform(0.0, 1.0, count)
     degrees = _out_degrees(p)
-    cases = [(None, v, "stage_a")]
+    cases = [(v, "stage_a")]
     if degrees:  # stage B's points: v on the singular plane of one out-degree
         j = int(rng.choice(degrees))
-        cases.append((j, np.full(count, (1.0 - cost) / j), f"stage_b:j={j}"))
+        cases.append((np.full(count, (1.0 - cost) / j), f"stage_b:j={j}"))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(opt, "_RESIDUAL_TOL", np.inf)  # every point with finite residuals counts
-        for sj, vs, branch in cases:
+        for vs, branch in cases:
             points = list(zip(y.tolist(), vs.tolist(), z.tolist()))
-            want = [sol for sol in (_per_point_candidate(p, cost, *point, branch, sj)
+            want = [sol for sol in (_per_point_candidate(p, cost, *point, branch)
                                     for point in points)
                     if sol.feasible and math.isfinite(sol.objective)]
-            assert repr(opt._candidates(p, cost, points, branch, sj)) == repr(want)
+            assert repr(opt._candidates(p, cost, points, branch)) == repr(want)

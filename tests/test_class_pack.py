@@ -62,17 +62,15 @@ def _out_degrees(p):
        v=st.floats(-3.0, 3.0), share=st.floats(0.0, 1.0), data=st.data())
 def test_optimal_starts_match_the_oracle(p, cost, y, v, share, data):
     z = share * y
-    cases = [(v, None)]
-    # on the singular plane of a drawn out-degree, where the solver's stage B evaluates
+    # and on the singular plane of a drawn out-degree, where the solver's stage B evaluates
     j = data.draw(st.sampled_from(_out_degrees(p)))
-    cases.append(((1.0 - cost) / j, j))
-    for v, sj in cases:
-        flow, dflt, aid = controlled_limits(p, cost, y, v, z, sj)
+    for v in (v, (1.0 - cost) / j):
+        flow, dflt, aid = controlled_limits(p, cost, y, v, z)
         assert flow == pytest.approx(
-            scalar.default_outflow_controlled(p, cost, y, v, z, sj), abs=TOL)
+            scalar.default_outflow_controlled(p, cost, y, v, z), abs=TOL)
         assert dflt == pytest.approx(
-            scalar.default_fraction_controlled(p, cost, y, v, z, sj), abs=TOL)
-        assert aid == pytest.approx(scalar.intervention_volume(p, cost, y, v, z, sj), abs=TOL)
+            scalar.default_fraction_controlled(p, cost, y, v, z), abs=TOL)
+        assert aid == pytest.approx(scalar.intervention_volume(p, cost, y, v, z), abs=TOL)
         assert terminal_hamiltonian(p, cost, y, v) == pytest.approx(
             scalar.terminal_hamiltonian(p, cost, y, v), abs=TOL)
 
@@ -136,3 +134,29 @@ def test_solved_table_reproduces_the_prediction(p, cost):
     y, _stable, defaults, aid = forced_policy_limits(p, policy)
     tol = 1e-7 if _tangent(p, policy, y) else 1e-9
     assert (defaults, aid, y) == pytest.approx(prediction, abs=tol)
+
+
+def _blockwise_y_sums(pk, y):
+    """`_ClassPack.y_sums` with its Bernstein table summed the long way: one
+    block of in-degree groups added to the next, from q = 0 up."""
+    width, groups = pk.y_shape
+    ypow = np.cumprod(np.vstack([np.ones_like(y)] + [y] * (width - 1)), axis=0)
+    opow = np.cumprod(np.vstack([np.ones_like(y)] + [1.0 - y] * (width - 1)), axis=0)
+    tails = ypow[pk.y_m] * opow[pk.y_e] * pk.y_binom
+    for q in range(1, width):
+        tails[q * groups:(q + 1) * groups] += tails[(q - 1) * groups:q * groups]
+    return tails[pk.y_index]
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=distributions(), y=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=7))
+def test_y_sums_equal_the_blockwise_sum(p, y):
+    y = np.array(y)
+    assert _pack(p).y_sums(y).tobytes() == _blockwise_y_sums(_pack(p), y).tobytes()
+
+
+@pytest.mark.parametrize("points", [1, 7, 512])
+def test_y_sums_equal_the_blockwise_sum_on_the_experiment(experiment_dist, points):
+    y = np.linspace(0.0, 1.0, points)
+    pk = _pack(experiment_dist)
+    assert pk.y_sums(y).tobytes() == _blockwise_y_sums(pk, y).tobytes()

@@ -253,10 +253,10 @@ class TestSolveOp:
 
         real, kept = opt._root_candidates, set()
 
-        def permuted(p, cost, roots, branch, singular_j=None):
+        def permuted(p, cost, roots, branch):
             if branch != "stage_a":
-                return real(p, cost, roots, branch, singular_j)
-            out = real(p, cost, roots[list(order)], branch, singular_j)
+                return real(p, cost, roots, branch)
+            out = real(p, cost, roots[list(order)], branch)
             kept.update(sol.end_fraction for sol in out)
             return out
 
