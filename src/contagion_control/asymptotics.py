@@ -519,8 +519,9 @@ def _over_points(fn, y, *args):
 
     y and args are floats or equal-length 1-D arrays; y sets the batch, and a
     float arg stays a float, so the per-class terms that depend on it alone
-    (stage B pins v) are computed once per chunk.  `fn` returns a tuple of
-    per-point arrays; the result is that tuple, of floats if every input is.
+    (z in the y = 0 multiplier scan, which pins y and z) are computed once
+    per chunk.  `fn` returns a tuple of per-point arrays; the result is that
+    tuple, of floats if every input is.
     """
     y, *args = (np.asarray(a, dtype=float) for a in (y, *args))
     scalar = y.ndim == 0 and all(a.ndim == 0 for a in args)

@@ -73,6 +73,11 @@ class InterventionPolicy:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ParameterError(f"unknown policy kind {self.kind!r}")
+        if self.kind == "degree_range" and not 0 <= self.degree_lo <= self.degree_hi:
+            raise ParameterError(f"bad degree range [{self.degree_lo}, {self.degree_hi}]")
+        for size, table in ((3, self.thresholds), (2, self.singular)):
+            if bad := [key for key in table if not (isinstance(key, tuple) and len(key) == size)]:
+                raise ParameterError(f"class key {bad[0]!r} is not a tuple of {size} degrees")
         for key, start in [*self.thresholds.items(), *self.singular.items()]:
             if not (math.isfinite(start) and 0.0 <= start <= 1.0):
                 raise ParameterError(f"start time of class {key} must lie in [0, 1], got {start}")
@@ -88,8 +93,6 @@ class InterventionPolicy:
     @staticmethod
     def degree_range(lo: int, hi: int) -> "InterventionPolicy":
         """Aid every one-loss-from-default node whose in-degree lies in [lo, hi]."""
-        if lo > hi or lo < 0:
-            raise ParameterError(f"bad degree range [{lo}, {hi}]")
         return InterventionPolicy(kind="degree_range", degree_lo=lo, degree_hi=hi)
 
     @staticmethod

@@ -41,7 +41,6 @@ from .asymptotics import (
     _slope_probes,
     bisect,
     controlled_limits,
-    default_outflow,
     default_outflow_controlled,  # noqa: F401  (the benchmark's tracer wraps this name)
     is_stable,
     program_residuals,
@@ -122,7 +121,7 @@ def _candidates(p, cost, points, branch) -> list[OPSolution]:
     flow, dflt, aid = controlled_limits(p, cost, np.concatenate([y, _slope_probes(y)]),
                                         np.tile(v, 3), np.tile(z, 3))
     n = len(y)
-    stable = is_stable(lambda _probes: flow[n:], y) | (y >= 1.0 - 1e-12)
+    stable = is_stable(lambda _probes: flow[n:], y) | (y > 1.0 - _RESIDUAL_TOL)
     sols = (_make_solution(cost, branch, *point, tuple(r), d, a, s)
             for point, r, d, a, s in zip(points.tolist(), res.tolist(), dflt[:n].tolist(),
                                          aid[:n].tolist(), stable.tolist()))
@@ -133,15 +132,15 @@ def _root_candidates(p, cost, roots, branch) -> list[OPSolution]:
     """The candidates at roots, rows (y, v, z), sorted by (y, v, z).
 
     Repeats are skipped in row order.  y ~ 1 makes the first equation vacuous,
-    so a root counts only in 0 <= z <= y <= 1 - 1e-9 (1e-9 of slack at 0 and
-    y), clamped into it; y = 1 is a boundary.
+    so a root counts only in 0 <= z <= y <= 1 - _RESIDUAL_TOL (as much slack
+    at 0 and y), clamped into it; y = 1 is a boundary.
     """
     seen, points = [], []
     for y, v, z in roots.tolist():
         if any(max(abs(y - a), abs(v - b), abs(z - c)) <= _DEDUP_TOL for a, b, c in seen):
             continue
         seen.append((y, v, z))
-        if -1e-9 <= y <= 1.0 - 1e-9 and -1e-9 <= z <= y + 1e-9:
+        if -_RESIDUAL_TOL <= y <= 1.0 - _RESIDUAL_TOL and -_RESIDUAL_TOL <= z <= y + _RESIDUAL_TOL:
             y = max(y, 0.0)
             points.append((y, v, min(max(z, 0.0), y)))
     return sorted(_candidates(p, cost, points, branch),
@@ -250,10 +249,10 @@ def solve_stage_a(p: JointDistribution, cost: float) -> list[OPSolution]:
     |inverse| |slopes|, exceeds _STAGE_A_CONDITION do not zoom: a 1e-13 cell
     pins no such root.
 
-    y = 0 belongs to stage A alone: where no out-links start hidden
-    (default_outflow(p, 0) <= 1e-14), its candidates are the multipliers of
-    `_solve_multiplier_at`, and the subdivision's roots within 1e-9 of y = 0
-    are dropped.
+    y = 0 belongs to stage A alone.  Its line is degenerate only where the
+    initially defaulted nodes hold no out-links (defaulted_flow / lam <= 1e-14):
+    there its candidates are the multipliers of `_solve_multiplier_at`, and
+    the subdivision's roots within _RESIDUAL_TOL of y = 0 are dropped.
     """
     _check_cost(cost)
 
@@ -261,7 +260,7 @@ def solve_stage_a(p: JointDistribution, cost: float) -> list[OPSolution]:
         r = program_residuals(p, cost, y.ravel(), v.ravel(), y.ravel())
         return np.stack(r, axis=-1).reshape(*y.shape, 2)
 
-    ys = np.linspace(0.0, 1.0 - 1e-9, _STAGE_A_GRID[0])
+    ys = np.linspace(0.0, 1.0 - _RESIDUAL_TOL, _STAGE_A_GRID[0])
     vs = np.tan(0.5 * np.pi * np.linspace(-(1.0 - 1e-6), 1.0 - 1e-6, _STAGE_A_GRID[1]))
     lo, hi = _pack(p).hamiltonian_range(cost, vs)
     live = (p.lam * vs[1:] >= lo[:-1] - 1e-9) & (p.lam * vs[:-1] <= hi[1:] + 1e-9)
@@ -300,10 +299,9 @@ def solve_stage_a(p: JointDistribution, cost: float) -> list[OPSolution]:
             (nxt, sub, corners[k, a, b], plain[k]),
             (back[miss], back[miss], held[miss], np.ones(miss.sum(), bool))))
     roots = np.concatenate([np.empty((0, 2))] + found)
-    roots = roots[roots[:, 0] > 1e-9]
-    if default_outflow(p, 0.0) <= 1e-14:
+    if _pack(p).defaulted_flow / p.lam <= 1e-14:
         at_zero = [(0.0, v) for v in _solve_multiplier_at(p, cost, 0.0)]
-        roots = np.concatenate([np.reshape(at_zero, (-1, 2)), roots])
+        roots = np.concatenate([np.reshape(at_zero, (-1, 2)), roots[roots[:, 0] > _RESIDUAL_TOL]])
     return _root_candidates(p, cost, roots[:, [0, 1, 0]], "stage_a")
 
 
@@ -356,7 +354,7 @@ def solve_stage_b(p: JointDistribution, cost: float) -> list[OPSolution]:
         return []
     row, y = _scan_roots(lambda r, ys: terminal_hamiltonian(p, cost, ys, v[r]) - p.lam * v[r],
                          np.zeros(len(support)), 1.0)
-    row, y = row[y < 1.0 - 1e-9], y[y < 1.0 - 1e-9]
+    row, y = row[y < 1.0 - _RESIDUAL_TOL], y[y < 1.0 - _RESIDUAL_TOL]
     at, z = _scan_roots(
         lambda r, zs: program_residuals(p, cost, y[r], v[row[r]], zs)[1],
         0.0, y, grid=1)
@@ -381,10 +379,11 @@ def _solve_multiplier_at(p, cost, y):
 
 
 def _boundary_candidates(p: JointDistribution, cost: float) -> list[OPSolution]:
-    """y = 1, feasible only when all out-degree mass is vulnerable-or-defaulted."""
+    """y = 1, every link revealed: a candidate when the vulnerable and defaulted
+    classes hold all but _RESIDUAL_TOL of the out-degree mass lam."""
     out_mass = sum(j * m for (i, j, c), m in p.entries.items() if c <= i)
     support_j = sorted({j for (_i, j, _c) in p.entries if j > 0})
-    if abs(out_mass - p.lam) > 1e-12 or not support_j:
+    if out_mass < p.lam * (1.0 - _RESIDUAL_TOL) or not support_j:
         return []
     v_b = (1.0 - cost) / support_j[0] if cost < 1.0 else 0.0
     return _candidates(p, cost, [(1.0, v_b, 1.0)], "boundary:y=1")
@@ -396,8 +395,8 @@ def solve_op(p: JointDistribution, cost: float) -> OPSolution:
     Ties within 1e-9 of the minimum objective prefer stable candidates, then
     the smallest y (mirroring the smallest-fixed-point convention), with y
     within _DEDUP_TOL a tie broken by _BRANCH_ORDER: one point found by two
-    branches gets one label.  If every candidate is unstable with y < 1, the
-    minimizer is still returned but a warning notes that the asymptotic
+    branches gets one label.  An unstable minimizer (y = 1 is stable by
+    definition) is still returned, with a warning that the asymptotic
     guarantees do not apply.  The solution is stored on p's class pack,
     `_pack(p).solutions`, by float(cost): a repeat call returns the same
     object (and warns again), and a failed solve stores nothing.
@@ -417,7 +416,7 @@ def solve_op(p: JointDistribution, cost: float) -> OPSolution:
                 and c.end_fraction <= near[0].end_fraction + _DEDUP_TOL]
         best = solutions[float(cost)] = min(
             ties, key=lambda c: _BRANCH_ORDER.index(c.branch.split(":")[0]))
-    if not best.stable and best.end_fraction < 1.0:
+    if not best.stable:
         warnings.warn(
             "program minimizer is an unstable fixed point; asymptotic "
             "predictions are not guaranteed", RuntimeWarning,
@@ -450,14 +449,11 @@ def asymptotic_prediction(
 ) -> tuple[float, float, float]:
     """(defaults/n, aid/n, T/m) limits under the solution's policy.
 
-    Only valid at a stable fixed point or at y = 1, where every link is
-    revealed and the limits are the solution's own: a node the policy aids
-    through its last loss survives even then.
+    Only valid at a stable solution; y = 1 is stable by definition, as every
+    link is revealed and the limits are the solution's own: a node the policy
+    aids through its last loss survives even then.
     """
-    y = sol.end_fraction
-    if not sol.stable and y < 1.0 - 1e-12:
-        raise ParameterError(
-            f"prediction refused: y={y:.6f} is an unstable fixed point "
-            f"(branch {sol.branch}); limits are not guaranteed"
-        )
-    return sol.defaults, sol.interventions, y
+    if not sol.stable:
+        raise ParameterError(f"prediction refused: y={sol.end_fraction:.6f} is an unstable fixed "
+                             f"point (branch {sol.branch}); limits are not guaranteed")
+    return sol.defaults, sol.interventions, sol.end_fraction

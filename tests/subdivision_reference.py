@@ -11,8 +11,9 @@ solver's own.
 
 import numpy as np
 
-from contagion_control.asymptotics import _pack, default_outflow, program_residuals
+from contagion_control.asymptotics import _pack, program_residuals
 from contagion_control.optimizer import (
+    _RESIDUAL_TOL,
     _STAGE_A_CAP,
     _STAGE_A_GRID,
     _check_cost,
@@ -34,7 +35,7 @@ def solve_stage_a(p, cost):
         r = program_residuals(p, cost, y.ravel(), v.ravel(), y.ravel())
         return np.stack(r, axis=-1).reshape(*y.shape, 2)
 
-    ys = np.linspace(0.0, 1.0 - 1e-9, _STAGE_A_GRID[0])
+    ys = np.linspace(0.0, 1.0 - _RESIDUAL_TOL, _STAGE_A_GRID[0])
     vs = np.tan(0.5 * np.pi * np.linspace(-(1.0 - 1e-6), 1.0 - 1e-6, _STAGE_A_GRID[1]))
     lo, hi = _pack(p).hamiltonian_range(cost, vs)
     live = (p.lam * vs[1:] >= lo[:-1] - 1e-9) & (p.lam * vs[:-1] <= hi[1:] + 1e-9)
@@ -63,8 +64,7 @@ def solve_stage_a(p, cost):
         a, b = 2 * a1 + a2, 2 * b1 + b2
         cells, held = (ly[k, a], ly[k, a + 1], lv[k, b], lv[k, b + 1]), corners[k, a, b]
     roots = np.concatenate([np.empty((0, 2))] + found)
-    roots = roots[roots[:, 0] > 1e-9]
-    if default_outflow(p, 0.0) <= 1e-14:
+    if _pack(p).defaulted_flow / p.lam <= 1e-14:
         at_zero = [(0.0, v) for v in _solve_multiplier_at(p, cost, 0.0)]
-        roots = np.concatenate([np.reshape(at_zero, (-1, 2)), roots])
+        roots = np.concatenate([np.reshape(at_zero, (-1, 2)), roots[roots[:, 0] > _RESIDUAL_TOL]])
     return _root_candidates(p, cost, roots[:, [0, 1, 0]], "stage_a")

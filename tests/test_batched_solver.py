@@ -377,7 +377,8 @@ def _per_point_candidate(p, cost, y, v, z, branch):
              - default_outflow_controlled(p, cost, lo, v, z)) / (hi - lo)
     return opt.OPSolution(
         end_fraction=y, multiplier=v, singular_start=z, objective=cost * aid + dflt,
-        interventions=aid, defaults=dflt, stable=bool(slope < 1.0 - 1e-9) or y >= 1.0 - 1e-12,
+        interventions=aid, defaults=dflt,
+        stable=bool(slope < 1.0 - 1e-9) or y > 1.0 - opt._RESIDUAL_TOL,
         branch=branch, residuals=res)
 
 
@@ -395,7 +396,9 @@ def test_candidate_builder_equals_per_point_candidates(p, cost, seed):
         j = int(rng.choice(degrees))
         cases.append((np.full(count, (1.0 - cost) / j), f"stage_b:j={j}"))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(opt, "_RESIDUAL_TOL", np.inf)  # every point with finite residuals counts
+        # every point with finite residuals counts
+        finite = property(lambda sol: all(map(math.isfinite, sol.residuals)))
+        mp.setattr(opt.OPSolution, "feasible", finite)
         for vs, branch in cases:
             points = list(zip(y.tolist(), vs.tolist(), z.tolist()))
             want = [sol for sol in (_per_point_candidate(p, cost, *point, branch)

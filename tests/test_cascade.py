@@ -442,3 +442,21 @@ class TestOnePolicyType:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ParameterError):
             InterventionPolicy(kind="sometimes")
+
+    @pytest.mark.parametrize("lo, hi", [(5, 1), (-3, 2), (-3, -3)])
+    def test_bad_degree_band_rejected_by_the_constructor(self, lo, hi):
+        # the constructor checks the band, not only the factory: none of these ever aids
+        with pytest.raises(ParameterError, match=rf"bad degree range \[{lo}, {hi}\]"):
+            InterventionPolicy(kind="degree_range", degree_lo=lo, degree_hi=hi)
+        with pytest.raises(ParameterError, match=rf"bad degree range \[{lo}, {hi}\]"):
+            InterventionPolicy.degree_range(lo, hi)
+
+    @pytest.mark.parametrize("thresholds, singular", [
+        ({(1, 1): 0.5}, {}),              # a pair where a triple belongs: never aids
+        ({(1, 1, 1, 1): 0.5}, {}),
+        ({}, {(1, 1, 1): 0.2}),           # a triple where a pair belongs: never aids
+        ({}, {1: 0.2}),
+    ])
+    def test_table_keys_must_be_class_tuples(self, thresholds, singular):
+        with pytest.raises(ParameterError, match="class key"):
+            InterventionPolicy.table(thresholds, singular)

@@ -63,6 +63,15 @@ class TestBuildZipfCopula:
             liquid = sum(p.mass(i, i, c) for i in range(1, 11))
             assert abs(liquid - 0.5 * w_eq[c - 1]) < 1e-9
 
+    def test_steep_marginal_skips_empty_segments(self):
+        # equity exponent 60: every cumulative mass past c = 1 rounds to 1, so
+        # the upper cut points coincide and their segments hold no panel
+        p = build_zipf_copula(0.5, 0.8, 60.0, 0.9, 10)
+        w_deg, w_eq = zipf_weights(0.8, 10), zipf_weights(60.0, 10)
+        for k in range(1, 11):
+            assert abs(sum(p.mass(k, k, c) for c in range(1, 11)) - 0.5 * w_deg[k - 1]) < 1e-9
+            assert abs(sum(p.mass(i, i, k) for i in range(1, 11)) - 0.5 * w_eq[k - 1]) < 1e-9
+
     def test_invulnerable_mass_is_stored(self):
         p = build_zipf_copula(0.5, 0.8, 0.7, 0.9, 10)
         inv = sum(m for (i, j, c), m in p.entries.items() if c > i)
@@ -357,6 +366,9 @@ class TestJsonSpecs:
                 reader(value, "n")
         with pytest.raises(ParameterError, match="n needs 'k': {}"):
             parse_object({}, "n", "k")
+        # a value JSON cannot write is spelled by its repr
+        with pytest.raises(ParameterError, match="x must be an integer, got <object object at "):
+            parse_int(object(), "x")
 
 
 class TestValidation:

@@ -1,4 +1,6 @@
 
+import math
+
 import pytest
 
 from contagion_control import (
@@ -10,6 +12,7 @@ from contagion_control import (
 )
 from contagion_control.experiments import (
     StudyConfig,
+    Summary,
     compare_policies,
     normalize_policy_spec,
     run_study,
@@ -107,6 +110,11 @@ class TestRunStudy:
         assert len(lines) == 1 + 2 * 2 * 3  # sizes * policies * variables
         assert samples_csv(res).splitlines()[0] == \
             "n,policy,run,intervention_fraction,default_fraction,time_fraction"
+
+    def test_summary_stderr_is_sd_over_root_n(self):
+        summary = Summary.of([1.0, 2.0, 4.0, 7.0])
+        assert summary.stderr() == pytest.approx(summary.sd / 2.0, rel=1e-15)
+        assert summary.sd == pytest.approx(math.sqrt(7.0), rel=1e-15)
 
     def test_output_files(self, tiny_cfg, tmp_path):
         cfg = StudyConfig(

@@ -13,6 +13,7 @@ from contagion_control import (
     JointDistribution,
     ParameterError,
     asymptotic_prediction,
+    build_zipf_copula,
     default_fraction,
     default_outflow,
     empirical_counts,
@@ -288,6 +289,28 @@ class TestSolveOp:
             opt.solve_op(p, 10.0)
 
 
+class TestEnds:
+    """The ends of [0, 1]: a vanishing initial default share keeps its low
+    root, and an invulnerable out-degree share within 1e-9 of nothing keeps
+    the y = 1 boundary."""
+
+    def test_tiny_initial_default_share_keeps_its_low_root(self):
+        p = JointDistribution({(2, 2, 0): 1e-11, (2, 2, 2): 1.0 - 1e-11})
+        sol = solve_op(p, 0.5)
+        assert sol.stable and sol.objective < 1e-9
+        assert sol.objective <= no_aid_objective(p) + 1e-9
+
+    def test_copula_with_a_tiny_initial_default_share_solves(self):
+        sol = solve_op(build_zipf_copula(1e-11, 0.8, 0.7, 0.9, 10), 0.5)
+        assert sol.stable and sol.end_fraction < 1e-9 and sol.objective < 1e-9
+
+    def test_tiny_invulnerable_out_degree_share_keeps_the_boundary(self):
+        p = JointDistribution({(1, 1, 0): 0.25, (1, 1, 1): 0.75 - 1e-10, (1, 1, 2): 1e-10})
+        sol = solve_op(p, 50.0)
+        assert sol.branch == "boundary:y=1" and sol.stable
+        assert sol.objective == pytest.approx(no_aid_objective(p), abs=1e-9)
+
+
 class TestSolveCache:
     """solve_op stores its solution on the distribution object, by float(cost)."""
 
@@ -503,6 +526,14 @@ class TestPrediction:
         broken = OPSolution(**{**sol.__dict__, "stable": False, "end_fraction": 0.5})
         with pytest.raises(ParameterError, match="unstable"):
             asymptotic_prediction(broken, quadratic_dist, 0.5)
+
+    def test_stable_is_the_one_verdict_at_y_equal_one(self, one_regular_dist):
+        # the builder marks y = 1 stable; a solution marked otherwise is refused
+        sol = solve_op(one_regular_dist, 50.0)
+        assert sol.end_fraction == 1.0 and sol.stable
+        broken = OPSolution(**{**sol.__dict__, "stable": False})
+        with pytest.raises(ParameterError, match="unstable"):
+            asymptotic_prediction(broken, one_regular_dist, 50.0)
 
 
 class TestSinkNodes:

@@ -4,7 +4,8 @@
 that do not rise with the cushion) by its own fixed point, so the solver's
 objective can be checked against tables it never built.  The draws are
 seeded, shaped like `test_class_pack.distributions()`: one to three classes
-of in- and out-degree up to 4, each with a mirror of the same mass.
+of in- and out-degree up to 4, each with a mirror of the same mass; the end
+draws add a vanishing defaulted or invulnerable share to such a draw.
 """
 
 import math
@@ -16,12 +17,14 @@ import pytest
 from contagion_control import JointDistribution, extract_policy, solve_op
 from contagion_control.asymptotics import forced_policy_limits
 from contagion_control.cascade import InterventionPolicy
-from contagion_control.errors import ConstructionError
+from contagion_control.errors import ConstructionError, ParameterError
 
 from conftest import make_rng
+from test_batched_solver import SINK
 
 DRAWS = 40
 TABLES = 20  # per draw: half random monotone tables, half perturbed solver tables
+END_DRAWS = 150  # draws with a vanishing defaulted or invulnerable share
 
 
 def _draw_distribution(rng) -> JointDistribution:
@@ -39,8 +42,8 @@ def _draw_distribution(rng) -> JointDistribution:
 
 @pytest.fixture(scope="module")
 def solved_draws():
-    """(p, cost, solution) for DRAWS seeded draws whose solution is stable or
-    at y = 1, where the limits are the solution's own."""
+    """(p, cost, solution) for DRAWS seeded draws whose solution is stable (y = 1
+    is by definition), where the limits are the solution's own."""
     rng = make_rng(101)
     out = []
     while len(out) < DRAWS:
@@ -51,7 +54,7 @@ def solved_draws():
                 sol = solve_op(p, cost)
         except ConstructionError:
             continue
-        if sol.stable or sol.end_fraction >= 1.0 - 1e-12:
+        if sol.stable:
             out.append((p, cost, sol))
     return out
 
@@ -117,6 +120,45 @@ def test_no_perturbed_table_beats_the_solver_on_the_experiment(experiment_dist, 
         assert score >= sol.objective - 1e-9, (cost, starts)
 
 
+def _descend(p, cost, first):
+    """Coordinate descent over the start time of every cushion of every
+    vulnerable pair, in {never, 0, 0.1, ..., 1}, from all starts at first: at
+    most two sweeps, each keeping a coordinate's best value in turn.  Tables
+    `forced_policy_limits` refuses (starts rising with the cushion) are
+    skipped.  Returns the best objective seen."""
+    grid = [math.inf, *np.linspace(0.0, 1.0, 11).tolist()]
+    starts = {pair: [first] * pair[0] for pair in p.vulnerable_pairs()}
+    best = _forced_objective(p, cost, _table(starts))
+    for _sweep in range(2):
+        moved = False
+        for pair, c in [(pair, c) for pair in starts for c in range(pair[0])]:
+            for x in grid:
+                trial = {**starts, pair: starts[pair][:c] + [x] + starts[pair][c + 1:]}
+                try:
+                    score = _forced_objective(p, cost, _table(trial))
+                except ParameterError:
+                    continue
+                if score < best:
+                    best, starts, moved = score, trial, True
+        if not moved:
+            break
+    return best
+
+
+@pytest.mark.parametrize("name, cost", [
+    *((name, cost) for name in ("quadratic_dist", "mixed_dist", "sink") for cost in (0.05, 0.5, 1.5)),
+    ("experiment_dist", 0.5),
+])
+def test_coordinate_descent_does_not_beat_the_solver(name, cost, request):
+    """Optimality against a search that never sees the program: coordinate
+    descent from no aid and from full aid ends no more than 1e-9 below the
+    solver's objective."""
+    p = JointDistribution(SINK) if name == "sink" else request.getfixturevalue(name)
+    sol = solve_op(p, cost)
+    for first in (math.inf, 0.0):
+        assert _descend(p, cost, first) >= sol.objective - 1e-9, (name, cost, first)
+
+
 def test_more_connected_classes_are_aided_no_later(solved_draws):
     """Connectivity: at a fixed distance from default i - c, no start time of
     the extracted table rises with the out-degree j ("never" read as +inf).
@@ -137,3 +179,47 @@ def test_more_connected_classes_are_aided_no_later(solved_draws):
             for j, x in starts:
                 for j2, x2 in starts:
                     assert j2 <= j or x2 <= x, (p.entries, cost, n, starts)
+
+
+def _end_distribution(rng) -> JointDistribution:
+    """A balanced all-vulnerable draw (one to three classes with in- and
+    out-degree 1..4, each with a vulnerable mirror) plus a defaulted class
+    (i, i, 0) and an invulnerable class (i, i, i + 1).  The defaulted share is
+    log-uniform in [1e-15, 1e-6] in 70% of draws, else uniform in [0.05, 0.4];
+    the invulnerable share is log-uniform in [1e-15, 1e-6] in half of the
+    draws and wherever the defaulted share is not, else absent."""
+    entries = {}
+    for _ in range(int(rng.integers(1, 4))):
+        i, j = (int(d) for d in rng.integers(1, 5, size=2))
+        c, c_mirror = int(rng.integers(1, i + 1)), int(rng.integers(1, j + 1))
+        mass = rng.uniform(0.05, 1.0)
+        for key in ((i, j, c), (j, i, c_mirror)):
+            entries[key] = entries.get(key, 0.0) + mass
+    total = sum(entries.values())
+    entries = {key: m / total for key, m in entries.items()}
+    tiny_default = rng.uniform() < 0.7
+    shares = {False: 10.0 ** rng.uniform(-15, -6) if tiny_default else rng.uniform(0.05, 0.4)}
+    if rng.uniform() < 0.5 or not tiny_default:
+        shares[True] = 10.0 ** rng.uniform(-15, -6)
+    for invulnerable, share in shares.items():
+        i = int(rng.integers(1, 5))
+        key = (i, i, i + 1 if invulnerable else 0)
+        entries = {k: m * (1.0 - share) for k, m in entries.items()}
+        entries[key] = entries.get(key, 0.0) + share
+    return JointDistribution(entries)
+
+
+def test_tiny_defaulted_and_invulnerable_shares_do_not_beat_the_solver():
+    """The ends of [0, 1]: a vanishing initial default share (y near 0) and an
+    out-degree share that is invulnerable by a hair (y near 1).  solve_op
+    never raises there, and neither no aid, full aid nor the extracted table
+    scores more than 1e-9 below its objective."""
+    rng = make_rng(104)
+    for _ in range(END_DRAWS):
+        p, cost = _end_distribution(rng), 10.0 ** rng.uniform(-1.5, 1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            sol = solve_op(p, cost)
+        for policy in (InterventionPolicy.none(), InterventionPolicy.complete(),
+                       extract_policy(sol, p, cost)):
+            assert _forced_objective(p, cost, policy) >= sol.objective - 1e-9, (p.entries, cost)
