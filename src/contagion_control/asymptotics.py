@@ -514,25 +514,17 @@ def _pack(p: JointDistribution) -> _ClassPack:
         return pack
 
 
-def _over_points(fn, y, *args):
-    """fn(y, *args) over points, in chunks of _RESIDUAL_BATCH points.
+def _over_points(fn, *args):
+    """fn(*args) over points, in chunks of _RESIDUAL_BATCH points.
 
-    y and args are floats or equal-length 1-D arrays; y sets the batch, and a
-    float arg stays a float, so the per-class terms that depend on it alone
-    (z in the y = 0 multiplier scan, which pins y and z) are computed once
-    per chunk.  `fn` returns a tuple of per-point arrays; the result is that
-    tuple, of floats if every input is.
+    The args are floats or 1-D arrays that broadcast together.  `fn` returns a
+    tuple of per-point arrays; the result is that tuple, of floats if every
+    input is.
     """
-    y, *args = (np.asarray(a, dtype=float) for a in (y, *args))
-    scalar = y.ndim == 0 and all(a.ndim == 0 for a in args)
-    n = np.broadcast_shapes(y.shape, *(a.shape for a in args), (1,))[0]
-    y = np.broadcast_to(y, (n,))
-
-    def chunk(a, s):
-        return a[s:s + _RESIDUAL_BATCH] if a.ndim else a
-
-    parts = [fn(chunk(y, s), *(chunk(a, s) for a in args))
-             for s in range(0, max(n, 1), _RESIDUAL_BATCH)]
+    scalar = all(np.ndim(a) == 0 for a in args)
+    args = np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float)) for a in args))
+    parts = [fn(*(a[s:s + _RESIDUAL_BATCH] for a in args))
+             for s in range(0, max(len(args[0]), 1), _RESIDUAL_BATCH)]
     cols = tuple(np.concatenate(col) for col in zip(*parts))
     if scalar:
         return tuple(float(col[0]) for col in cols)

@@ -6,17 +6,17 @@ fixed-point equation "controlled outflow at y equals y", with the per-class
 start times x(y, v) pinned by the three-branch formula and 0 <= z <= y <= 1.
 
 Solving is staged, no stage evaluates a derivative, and each evaluates the
-program only where a root can be.  Stage A sets z = y (no singular class) and
-finds (y, v) by sign-change subdivision of a (y, v) box that zooms on isolated
-roots, in the multiplier columns where lam v meets the range of H.  Stage B
-fixes v = (1 - cost) / j for every out-degree j in the support, making that
-degree's cushion-equals-in-degree class singular with free start z.  The
-singular classes have c = i, where tail(i - 1, x, i) = 0 whatever their
-start x, so H(y, v) does not involve z: stationarity fixes y alone, and
-the outflow equation, which involves z only through the singular classes' z^i
-terms, rises with z.  Stage B is therefore a scan for y and then a monotone
-solve for z in [0, y], both by `_scan_roots` over every out-degree where lam v
-lies in the range of H; its brackets go to `asymptotics.bisect`.  The
+program only where a root can be.  A vulnerable class with c = i starts at 0
+below the plane v = (1 - cost) / j of its out-degree j, at y above it and at a
+free z on it, so the outflow jumps on these planes (`_planes`) alone.  Stage A
+sets z = y and finds (y, v) by sign-change subdivision of a (y, v) box that
+zooms on isolated roots, in the multiplier columns where lam v meets the range
+of H, on a grid that stops at each plane.  Stage B fixes v on each plane.  Its
+singular classes have tail(i - 1, x, i) = 0 whatever x, so H(y, v) does not
+involve z: stationarity fixes y alone, and the outflow rises with z, through
+their z^i terms.  Stage B is therefore a scan for y and then a monotone solve
+for z in [0, y], both by `_scan_roots` on every plane where lam v lies in the
+range of H; its brackets go to `asymptotics.bisect`.  The
 candidates are stage A's (y = 0, nothing to reveal, among them), stage B's
 and the boundary y = 1 (everything burns) when feasible; the no-aid fixed
 point is a stage-A root.  They all pass one builder, `_candidates`, and are
@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import (
+    _SINGULAR_TOL,
     _control_keys,
     _optimal_starts,
     _pack,
@@ -217,6 +218,34 @@ def _zoom_box(ly, lv, f, sub):
     return np.where(ok[:, None], box, sub)
 
 
+def _planes(p: JointDistribution, cost: float):
+    """(j, v): the out-degrees j > 0 of the vulnerable classes with c = i and
+    positive mass, ascending, and their planes v = (1 - cost) / j."""
+    j = np.array(sorted({j for (i, j, c), m in p.entries.items()
+                         if 0 < c == i and j > 0 and m > 0}), dtype=int)
+    return j, (1.0 - cost) / j
+
+
+def _first_grid(p, cost, residuals):
+    """Stage A's first grid, as `solve_stage_a` says: its sides ys and vs, and
+    the corners of its cells from `residuals(y, v)` on a (y, v) mesh."""
+    ys = np.linspace(0.0, 1.0 - _RESIDUAL_TOL, _STAGE_A_GRID[0])
+    vs = np.tan(0.5 * np.pi * np.linspace(-(1.0 - 1e-6), 1.0 - 1e-6, _STAGE_A_GRID[1]))
+    j, top = _planes(p, cost)
+    low = top - 2.0 * _SINGULAR_TOL * max(1.0, abs(1.0 - cost)) / j  # the slivers [low, top]
+    vs = np.union1d(vs, np.clip(np.concatenate([low, top]), vs[0], vs[-1]))
+    vs = vs[~((low[:, None] < vs) & (vs < top[:, None])).any(axis=0)]
+    dead = np.isin(vs[:-1], low)
+    lo, hi = _pack(p).hamiltonian_range(cost, vs)
+    live = (p.lam * vs[1:] >= lo[:-1] - 1e-9) & (p.lam * vs[:-1] <= hi[1:] + 1e-9) & ~dead
+    cols = np.append(live, False) | np.insert(live, 0, False)
+    grid = np.full((len(ys), len(vs), 2), np.nan)
+    grid[:, cols] = residuals(*np.meshgrid(ys, vs[cols], indexing="ij"))
+    corners = _corners(grid)
+    corners[:, dead] = np.nan
+    return ys, vs, corners
+
+
 def solve_stage_a(p: JointDistribution, cost: float) -> list[OPSolution]:
     """Roots of the two terminal equations with z = y, by sign-change subdivision.
 
@@ -225,19 +254,22 @@ def solve_stage_a(p: JointDistribution, cost: float) -> list[OPSolution]:
     [-(1 - 1e-6), 1 - 1e-6], except in the columns [v, v'] where lam v' lies
     below the lower bound of H (`hamiltonian_range`, rising with v as lam v
     does) at v, or lam v above its upper bound at v', by more than stage B's
-    1e-9: their corners stay NaN, which `_straddles` never keeps.  The first
-    grid keeps the cells of `_first_cells`: those straddled by both
-    residuals, and those straddled by one whose edge neighbour the other
-    straddles, as that residual's contour may dip into the cell across their
-    shared edge unseen by its corners.
+    1e-9: their corners stay NaN, which `_straddles` never keeps.  At each
+    plane v_j of `_planes`, with `singular_rows`' band 1e-12 max(1, |1 - cost|),
+    the grid has a column at either end of the sliver [v_j - 2 band / j, v_j],
+    none inside, and NaN corners in it: no cell spans a jump of the outflow,
+    and the sliver is stage B's.  The first grid keeps the cells of
+    `_first_cells`: those straddled by both residuals, and those straddled by
+    one whose edge neighbour the other straddles, as that residual's contour
+    may dip into the cell across their shared edge unseen by its corners.
     Each kept cell gets a 5 x 5 lattice, two levels of halving, all in one
     batched call; the 4 x 4 sub-cells that straddle are the next call's cells,
     until each side is 1e-13 wide; a side too narrow to halve in floating
     point stays whole.  A finished cell reports its corner of smallest
     max-norm residual, as the call that made it evaluated them.  A call
     subdivides at most _STAGE_A_CAP cells, those nearest a root by their
-    corners: more only arise where the roots are not isolated, as along a jump
-    of the outflow on which the first residual vanishes.  The corner test
+    corners: more only arise where the contours of the residuals run nearly
+    tangent, and many cells straddle both.  The corner test
     still misses a root whose residual contour enters and leaves a later,
     finer cell through the same edge, or a first-grid cell whose neighbours do
     not straddle that residual.  Where exactly one sub-cell straddles, the
@@ -260,14 +292,7 @@ def solve_stage_a(p: JointDistribution, cost: float) -> list[OPSolution]:
         r = program_residuals(p, cost, y.ravel(), v.ravel(), y.ravel())
         return np.stack(r, axis=-1).reshape(*y.shape, 2)
 
-    ys = np.linspace(0.0, 1.0 - _RESIDUAL_TOL, _STAGE_A_GRID[0])
-    vs = np.tan(0.5 * np.pi * np.linspace(-(1.0 - 1e-6), 1.0 - 1e-6, _STAGE_A_GRID[1]))
-    lo, hi = _pack(p).hamiltonian_range(cost, vs)
-    live = (p.lam * vs[1:] >= lo[:-1] - 1e-9) & (p.lam * vs[:-1] <= hi[1:] + 1e-9)
-    cols = np.append(live, False) | np.insert(live, 0, False)
-    grid = np.full((len(ys), len(vs), 2), np.nan)
-    grid[:, cols] = residuals(*np.meshgrid(ys, vs[cols], indexing="ij"))
-    corners = _corners(grid)
+    ys, vs, corners = _first_grid(p, cost, residuals)
     r, c = _first_cells(corners)
     # per cell: sides, the sub-cell of a zoom box (else the cell), its corners, only halves
     cells = back = np.stack([ys[r], ys[r + 1], vs[c], vs[c + 1]], axis=1)
@@ -334,8 +359,9 @@ def _scan_roots(g, lo, hi, grid=400):
 
 
 def solve_stage_b(p: JointDistribution, cost: float) -> list[OPSolution]:
-    """The singular branch: v = (1 - cost) / j for every out-degree j > 0 of
-    the support, unknowns (y, z), same equations; candidates in ascending j.
+    """The singular branch: v on each plane (j, v_j) of `_planes`, unknowns
+    (y, z), same equations; candidates in ascending j.  Off these planes no
+    class is singular and z moves nothing, so their roots are stage A's.
 
     H does not involve z, so y solves H(y, v_j) = lam v_j alone: a scan over
     y in [0, 1] (not of the (1 - y)-scaled residual, which vanishes at the
@@ -346,8 +372,7 @@ def solve_stage_b(p: JointDistribution, cost: float) -> list[OPSolution]:
     H(., v_j) (`hamiltonian_range`) has no root and is not scanned.
     """
     _check_cost(cost)
-    support = np.array(sorted({j for (_i, j, _c) in p.entries if j > 0}), dtype=int)
-    v = (1.0 - cost) / support
+    support, v = _planes(p, cost)
     lo, hi = _pack(p).hamiltonian_range(cost, v)
     support, v = (a[(lo - 1e-9 <= p.lam * v) & (p.lam * v <= hi + 1e-9)] for a in (support, v))
     if not support.size:

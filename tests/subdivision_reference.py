@@ -4,9 +4,9 @@
 Every kept cell gets a 5 x 5 lattice, two levels of halving, and each of its
 straddling 4 x 4 sub-cells is a cell of the next call, until it is 1e-13 wide
 in y and in v: about 20 lattice calls to an isolated root, where the solver
-zooms on a plane fit of the lattice instead.  The first grid, the skipped
-multiplier columns, the cap, the finish and the y = 0 candidates are the
-solver's own.
+zooms on a plane fit of the lattice instead.  The first grid (`_first_grid`,
+with its skipped multiplier columns and its stops at the outflow's jumps), the
+cap, the finish and the y = 0 candidates are the solver's own.
 """
 
 import numpy as np
@@ -15,10 +15,10 @@ from contagion_control.asymptotics import _pack, program_residuals
 from contagion_control.optimizer import (
     _RESIDUAL_TOL,
     _STAGE_A_CAP,
-    _STAGE_A_GRID,
     _check_cost,
     _corners,
     _first_cells,
+    _first_grid,
     _quarters,
     _root_candidates,
     _solve_multiplier_at,
@@ -35,14 +35,7 @@ def solve_stage_a(p, cost):
         r = program_residuals(p, cost, y.ravel(), v.ravel(), y.ravel())
         return np.stack(r, axis=-1).reshape(*y.shape, 2)
 
-    ys = np.linspace(0.0, 1.0 - _RESIDUAL_TOL, _STAGE_A_GRID[0])
-    vs = np.tan(0.5 * np.pi * np.linspace(-(1.0 - 1e-6), 1.0 - 1e-6, _STAGE_A_GRID[1]))
-    lo, hi = _pack(p).hamiltonian_range(cost, vs)
-    live = (p.lam * vs[1:] >= lo[:-1] - 1e-9) & (p.lam * vs[:-1] <= hi[1:] + 1e-9)
-    cols = np.append(live, False) | np.insert(live, 0, False)
-    grid = np.full((len(ys), len(vs), 2), np.nan)
-    grid[:, cols] = residuals(*np.meshgrid(ys, vs[cols], indexing="ij"))
-    corners = _corners(grid)
+    ys, vs, corners = _first_grid(p, cost, residuals)
     r, c = _first_cells(corners)
     cells, held, found = (ys[r], ys[r + 1], vs[c], vs[c + 1]), corners[r, c], []
     while len(held) > 0:

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contagion_control import (
@@ -48,6 +48,63 @@ def quiet_solve(p, cost):
         return solve_op(p, cost)
 
 
+# the outflow jumps across v = -1 at cost 2, for every y
+JUMP = {(1, 1, 1): 0.5, (1, 1, 0): 0.5}
+# the only low root lies at y ~ 2e-8
+LOST, LOST_COST = {(1, 1, 1): 0.9999999931217047, (3, 3, 0): 6.878295295578308e-09}, 31.45000617148316
+# stage A's kept cells exceed the cap
+CAPPED = {(3, 3, 3): 0.21292244561803886, (3, 3, 2): 0.21292244561803886,
+          (3, 4, 1): 0.021101980871938236, (4, 3, 4): 0.021101980871938236,
+          (3, 2, 2): 0.07870353373213826, (2, 3, 1): 0.07870353373213826,
+          (1, 1, 0): 0.37454407955565516, (1, 1, 2): 1.1416144955719604e-13}
+CAPPED_COST = 0.3456167509707623
+
+
+def residual_sizes(monkeypatch):
+    """The point count of each `program_residuals` call the optimizer makes
+    from now on, in call order."""
+    import contagion_control.optimizer as opt
+
+    sizes, real = [], opt.program_residuals
+
+    def counted(p, cost, y, *args):
+        sizes.append(np.size(y))
+        return real(p, cost, y, *args)
+
+    monkeypatch.setattr(opt, "program_residuals", counted)
+    return sizes
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=distributions(), cost=st.floats(0.05, 3.0))
+@example(p=JointDistribution(JUMP), cost=2.0)
+def test_stage_a_evaluates_nothing_inside_a_sliver(p, cost):
+    # a vulnerable class with c = i starts at 0 below the band |j v - 1 + cost|
+    # <= 1e-12 max(1, |1 - cost|) of its plane v_j = (1 - cost) / j and at y
+    # from it on: for y > 0 the outflow jumps inside the sliver
+    # [v_j - 2 band / j, v_j], which is stage B's, and stage A evaluates no v
+    # strictly inside it.  At y = 0 both sides start the class at 0, and the
+    # y = 0 multiplier scan may bisect a root of the first residual there
+    import contagion_control.optimizer as opt
+
+    band = 1e-12 * max(1.0, abs(1.0 - cost))
+    degrees = {j for (i, j, c) in p.entries if c == i > 0 and j > 0}
+    seen, real = [], opt.program_residuals
+
+    def recorded(p, cost, y, v, z):
+        ys, vs = np.broadcast_arrays(np.atleast_1d(y), v)
+        seen.append(vs[ys > 0.0])
+        return real(p, cost, y, v, z)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(opt, "program_residuals", recorded)
+        solve_stage_a(p, cost)
+    v = np.concatenate(seen)
+    for j in degrees:
+        top = (1.0 - cost) / j
+        assert not ((top - 2.0 * band / j < v) & (v < top)).any(), j
+
+
 class TestStageA:
     def test_high_cost_recovers_uncontrolled_fixed_point(self, quadratic_dist):
         roots = solve_stage_a(quadratic_dist, 10.0)
@@ -75,11 +132,12 @@ class TestStageA:
                    for r in roots)
 
     def test_candidate_at_a_jump_of_the_outflow(self, quadratic_dist):
-        # at cost 5/3 the outflow jumps at the root (1/4, -1/3), where
-        # cost + 2 v - 1 = 0: no plane fits the lattice there, so its cells
-        # only halve, as pure subdivision does.  The first of the three
-        # finished cells, whose best corner stage A keeps, lies beside the jump,
-        # 1.27e-13 from it in v
+        # at cost 5/3 the root (1/4, -1/3) lies on the plane cost + 2 v - 1 = 0,
+        # where the outflow jumps: the first grid has a column on that plane,
+        # and the root is a corner of the cells beside it.  The zoom declines
+        # every box there, so the cells only halve, as pure subdivision does,
+        # and the finished cell's best corner lies on the plane, 2e-14 from
+        # the root in y
         from subdivision_reference import solve_stage_a as subdivision_stage_a
 
         (sol,) = solve_stage_a(quadratic_dist, 5 / 3)
@@ -90,19 +148,42 @@ class TestStageA:
 
     def test_cells_along_a_jump_stay_bounded(self, monkeypatch):
         # at cost 2 the outflow jumps across v = -1, where the first residual
-        # vanishes for every y: each cell on that line straddles both residuals,
-        # and without a bound their number would double at every level
+        # vanishes for every y; the first grid stops at either side of that
+        # plane, no cell straddles the jump, and nothing is subdivided
+        sizes = residual_sizes(monkeypatch)
+        assert solve_stage_a(JointDistribution(JUMP), 2.0) == []
+        assert len(sizes) == 1
+
+    def test_no_halving_along_a_jump(self, quadratic_dist, monkeypatch):
+        # at cost 1.5 the outflow jumps across v = -1/4, and stage A has no
+        # root: no cell spans the jump, so none is halved along it to 1e-13
+        sizes = residual_sizes(monkeypatch)
+        assert solve_stage_a(quadratic_dist, 1.5) == []
+        assert len(sizes) <= 4
+
+    def test_root_beside_a_jump_in_its_first_grid_column(self):
+        # the only low root is near (y, v) = (2.06e-8, -cost), in the tan
+        # grid's multiplier column that also holds the jump at v = 1 - cost:
+        # cells spanning that jump would straddle it at every y and crowd the
+        # root's cell out of the cap
+        p = JointDistribution(LOST)
+        sol = solve_op(p, LOST_COST)
+        assert sol.branch == "stage_a" and sol.stable
+        assert sol.end_fraction == pytest.approx(2.06e-8, rel=1e-2)
+        assert sol.objective <= forced_objective(p, LOST_COST, InterventionPolicy.complete()) + 1e-9
+
+    def test_cap_on_near_tangent_contours(self, monkeypatch):
+        # near the unstable root, 902 cells about 1e-13 wide straddle both
+        # residuals in one call: the cap keeps 576 of them, and the root
+        # is still found
         import contagion_control.optimizer as opt
 
-        sizes, real = [], opt.program_residuals
-
-        def counted(p, cost, y, *args):
-            sizes.append(np.size(y))
-            return real(p, cost, y, *args)
-
-        monkeypatch.setattr(opt, "program_residuals", counted)
-        opt.solve_stage_a(JointDistribution({(1, 1, 1): 0.5, (1, 1, 0): 0.5}), 2.0)
-        assert max(sizes) <= 9 * 20 * 80 and len(sizes) < 100
+        sizes = residual_sizes(monkeypatch)
+        roots = solve_stage_a(JointDistribution(CAPPED), CAPPED_COST)
+        assert [(r.end_fraction, r.multiplier, r.stable) for r in roots] == [
+            (pytest.approx(0.170767, abs=1e-6), pytest.approx(-0.080845, abs=1e-6), True),
+            (pytest.approx(0.913413, abs=1e-6), pytest.approx(39.286507, abs=1e-6), False)]
+        assert len(sizes) == 34 and 10_000 < max(sizes) <= 25 * opt._STAGE_A_CAP
 
     def test_two_levels_per_residual_call(self, experiment_dist, monkeypatch):
         import contagion_control.optimizer as opt
@@ -122,16 +203,8 @@ class TestStageA:
         # finished cells read from the call that evaluated their corners, and
         # one call of the candidate builder; stage B skips every out-degree,
         # and y = 1 is infeasible
-        import contagion_control.optimizer as opt
-
-        sizes, real = [], opt.program_residuals
-
-        def counted(p, cost, y, *args):
-            sizes.append(np.size(y))
-            return real(p, cost, y, *args)
-
-        monkeypatch.setattr(opt, "program_residuals", counted)
-        opt.solve_op(JointDistribution(dict(experiment_dist.entries)), 0.5)
+        sizes = residual_sizes(monkeypatch)
+        solve_op(JointDistribution(dict(experiment_dist.entries)), 0.5)
         assert (len(sizes), sizes[0], sum(sizes), sizes[-1]) == (8, 21 * 9, 490, 1)
 
     @pytest.mark.parametrize("cost", [9.0, 20.0])
@@ -143,6 +216,13 @@ class TestStageA:
         assert sol.end_fraction == 0.0 and sol.objective == 0.0
         assert sol.multiplier == pytest.approx(-cost, abs=1e-10)
         assert max(abs(r) for r in sol.residuals) <= 1e-12
+
+    def test_no_plane_without_a_singular_class(self):
+        # every class is invulnerable, so no class is singular at cost 1 and
+        # stage B scans nothing: y = 0 is stage A's root
+        sol = solve_op(JointDistribution({(1, 1, 2): 1.0}), 1.0)
+        assert (sol.branch, sol.end_fraction, sol.objective) == ("stage_a", 0.0, 0.0)
+        assert solve_stage_b(JointDistribution({(1, 1, 2): 1.0}), 1.0) == []
 
     def test_root_behind_a_dip_of_the_first_residual(self):
         # the first residual's contour crosses into the first-grid cell
