@@ -33,9 +33,11 @@ x depends on the policy:
 gives the default outflow, the defaulted share and the aid volume, and the
 Hamiltonian H(y, v) of the terminal stationarity equation H = lam * v, with
 its range over y.
-`is_stable` is the one stability test of a fixed point, and `bisect` the one
-bisection.  The class-by-class scalar forms of these sums are kept in the test
-suite (`tests/scalar_limits.py`) as independent oracles.
+`is_stable` is the one stability test of a fixed point.  `_scan_roots` is the
+one root scan of an equation in one variable, for `smallest_fixed_point` and
+the solver alike, and `bisect`, behind it, the one bisection.  The
+class-by-class scalar forms of these sums are kept in the test suite
+(`tests/scalar_limits.py`) as independent oracles.
 """
 
 from __future__ import annotations
@@ -56,10 +58,9 @@ ClassKey = tuple[int, int, int]
 
 _SINGULAR_TOL = 1e-12
 MAX_IN_DEGREE = 1030  # above it C(i - 1, k) exceeds the largest float: C(1030, 515) ~ 2.9e308
-# the fixed-point scan's grid k / _SCAN_GRID, bracket width and block size,
-# and points per residual batch, which bounds the temporaries to a few MB
+# the fixed-point scan's grid k / _SCAN_GRID and block size, and points per
+# residual batch, which bounds the temporaries to a few MB
 _SCAN_GRID = 4096
-_SCAN_TOL = 1e-12
 _SCAN_BLOCK = 64
 _RESIDUAL_BATCH = 512
 # most points per call of the function that `bisect` bisects
@@ -181,13 +182,13 @@ def trajectory_at(p: JointDistribution, policy: InterventionPolicy, tau: float) 
 def smallest_fixed_point(f: Callable[[np.ndarray], np.ndarray]) -> tuple[float, bool]:
     """Smallest y in [0, 1] with f(y) = y, and whether f `is_stable` there.
 
-    Scans the grid k / _SCAN_GRID for the first sign change of f(y) - y, then
-    bisects it with `bisect` to a bracket at most _SCAN_TOL wide.  Assumes
-    f continuous and increasing with f(1) <= 1, so y = 1 is always a fallback
-    fixed point; f must accept an ndarray.  The grid runs in blocks (a, b] of
-    _SCAN_BLOCK points, and one call evaluates f at every a, y = 0 among them.
-    As f increases, a block with f(a) - b > 1e-12 cannot hold the crossing;
-    the scan evaluates the others in order, one call each, until one crosses.
+    Assumes f continuous and increasing with f(1) <= 1, so y = 1 is always a
+    fallback fixed point; f must accept an ndarray.  The grid k / _SCAN_GRID
+    runs in blocks [a, b] of _SCAN_BLOCK cells, and one call evaluates f at
+    every a, y = 0 among them.  As f increases, a block with f(a) - b > 1e-12
+    cannot hold the crossing.  The others go in order to `_scan_roots`, which
+    scans g = f(y) - y at the block's grid points and bisects to adjacent
+    floats; the first root of the first block that holds one is y*.
     """
     starts = np.arange(0, _SCAN_GRID, _SCAN_BLOCK)
     ends = np.minimum(starts + _SCAN_BLOCK, _SCAN_GRID)
@@ -195,45 +196,60 @@ def smallest_fixed_point(f: Callable[[np.ndarray], np.ndarray]) -> tuple[float, 
     y_star = 0.0 if f_a[0] <= 0.0 else 1.0
     crossing = ~(f_a - ends / _SCAN_GRID > 1e-12) & (f_a[0] > 0.0)
     for a, b in zip(starts[crossing].tolist(), ends[crossing].tolist()):
-        ys = np.arange(a + 1, b + 1) / _SCAN_GRID
-        gs = np.asarray(f(ys), dtype=float) - ys
-        below = np.flatnonzero(gs <= 0.0)
-        if below.size:
-            k = below[0]
-            hi = float(ys[k])
-            lo = hi if gs[k] == 0.0 else (a + k) / _SCAN_GRID  # the last point with g > 0
-            _lo, hi, _g = bisect(lambda _b, mid: f(mid) - mid, [lo], [hi], [np.nan],
-                                 keep_left=lambda _g_lo, g_mid: ~(g_mid > 0.0),
-                                 settled=lambda lo, hi, _mid: hi - lo <= _SCAN_TOL)
-            y_star = float(hi[0])
+        roots = _scan_roots(lambda _r, ys: f(ys) - ys, a / _SCAN_GRID, b / _SCAN_GRID, b - a)[1]
+        if roots.size:
+            y_star = float(roots[0])
             break
     return y_star, bool(is_stable(f, [y_star])[0])
 
 
-def bisect(g, lo, hi, g_lo, keep_left, settled, levels=np.inf):
+def _scan_roots(g, lo, hi, grid=400):
+    """Every root of g on each row's [lo, hi]: (rows, roots), sorted by row,
+    then root.
+
+    The package's one root scan in one variable.  `g(rows, xs)` evaluates each
+    row's function at equal-length arrays in one batch; lo and hi broadcast to
+    one entry per row.  A scan of grid + 1 evenly spaced points takes every
+    exact zero and brackets every cell whose ends have strictly opposite
+    signs.  All brackets then go to `bisect`, and the root is the midpoint of
+    the bracket it returns.
+    """
+    lo, hi = np.broadcast_arrays(np.atleast_1d(lo), hi)
+    xs = np.linspace(lo, hi, grid + 1, axis=1)
+    rows = np.repeat(np.arange(len(lo)), grid + 1)
+    vals = g(rows, xs.ravel()).reshape(xs.shape)
+    roots = np.where(vals == 0.0, xs, np.nan)
+    r, k = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
+    a, b = bisect(lambda at, mid: g(r[at], mid), xs[r, k], xs[r, k + 1], vals[r, k])
+    roots[r, k] = 0.5 * (a + b)
+    r, k = np.nonzero(~np.isnan(roots))
+    return r, roots[r, k]
+
+
+def bisect(g, lo, hi, g_lo):
     """Bisect the brackets [lo, hi] together, several levels per call of g.
 
-    The one bisection of the package, for `smallest_fixed_point` and the
-    solver's root scans.  A bracket halves as a one-midpoint loop would: at
-    mid = 0.5 * (lo + hi) it stops for good if `settled(lo, hi, mid)`, else it
-    keeps [lo, mid] if `keep_left(g_lo, g(mid))` and otherwise [mid, hi],
-    with g_lo = g(mid); at most `levels` halvings in all.  Each call
-    `g(brackets, points)` evaluates the 2^d - 1 midpoints of the next d levels
-    of every unsettled bracket's bisection tree, each computed as the loop
+    The one bisection of the package, behind `_scan_roots`.  A bracket halves
+    as a one-midpoint loop would: at mid = 0.5 * (lo + hi) it keeps [lo, mid]
+    where g(lo) g(mid) <= 0 and [mid, hi] otherwise.  It stops once mid
+    equals one of its ends, as every further halving leaves that midpoint in
+    place (about 50 halvings from a grid cell), or after 80 halvings.  Each
+    call `g(brackets, points)` evaluates the 2^d - 1 midpoints of the next d
+    levels of every live bracket's bisection tree, each computed as the loop
     would compute it, with d the largest depth that keeps brackets * (2^d - 1)
     <= _BISECT_POINTS, and at least 1.  The walk through those levels then
-    takes each bracket's own path.  So (lo, hi, g_lo), returned as arrays,
-    are the loop's, provided g's value at a point does not depend on the
-    batch it is evaluated in.
+    takes each bracket's own path.  So (lo, hi), returned as arrays, are the
+    loop's, provided g's value at a point does not depend on the batch it is
+    evaluated in.
     """
     lo, hi, g_lo = (np.array(x, dtype=float) for x in (lo, hi, g_lo))
-    live = np.arange(len(lo))
-    done = 0
-    while done < levels:
-        live = live[~settled(lo[live], hi[live], 0.5 * (lo[live] + hi[live]))]
+    live, halvings = np.arange(len(lo)), 80
+    while halvings:
+        mid = 0.5 * (lo[live] + hi[live])
+        live = live[(mid != lo[live]) & (mid != hi[live])]
         if not live.size:
             break
-        d = min(max((_BISECT_POINTS // live.size + 1).bit_length() - 1, 1), levels - done)
+        d = min(max((_BISECT_POINTS // live.size + 1).bit_length() - 1, 1), halvings)
         # the tree in breadth-first order: level l holds 2^l midpoints
         a, b, tree = lo[live, None], hi[live, None], []
         for _ in range(d):
@@ -250,15 +266,15 @@ def bisect(g, lo, hi, g_lo, keep_left, settled, levels=np.inf):
         for level in range(d):
             col = (1 << level) - 1 + node
             mid, g_mid = tree[rows, col], vals[rows, col]
-            walking &= ~settled(a, b, mid)
-            left = keep_left(g_a, g_mid)
-            right = walking & ~left
-            b = np.where(walking & left, mid, b)
+            walking &= (mid != a) & (mid != b)
+            to_left = g_a * g_mid <= 0.0
+            right = walking & ~to_left
+            b = np.where(walking & to_left, mid, b)
             a, g_a = np.where(right, mid, a), np.where(right, g_mid, g_a)
-            node = 2 * node + ~left
+            node = 2 * node + ~to_left
         lo[live], hi[live], g_lo[live] = a, b, g_a
-        done += d
-    return lo, hi, g_lo
+        halvings -= d
+    return lo, hi
 
 
 def _slope_probes(y) -> np.ndarray:
@@ -574,8 +590,10 @@ def controlled_limits(p: JointDistribution, cost: float, y, v, z):
 
 
 def default_outflow_controlled(p: JointDistribution, cost: float, y, v, z):
-    """Out-link flow of the default set under the threshold policy."""
-    return controlled_limits(p, cost, y, v, z)[0]
+    """Out-link flow of the default set under the threshold policy: the first
+    of `controlled_limits`, bit for bit, without the other two."""
+    pk = _pack(p)
+    return _over_points(lambda y, v, z: (pk.outflow(pk.starts(cost, v, y, z)),), y, v, z)[0]
 
 
 def terminal_hamiltonian(p: JointDistribution, cost: float, y, v):

@@ -14,14 +14,17 @@ zooms on isolated roots, in the multiplier columns where lam v meets the range
 of H, on a grid that stops at each plane.  Stage B fixes v on each plane.  Its
 singular classes have tail(i - 1, x, i) = 0 whatever x, so H(y, v) does not
 involve z: stationarity fixes y alone, and the outflow rises with z, through
-their z^i terms.  Stage B is therefore a scan for y and then a monotone solve
-for z in [0, y], both by `_scan_roots` on every plane where lam v lies in the
-range of H; its brackets go to `asymptotics.bisect`.  The
-candidates are stage A's (y = 0, nothing to reveal, among them), stage B's
-and the boundary y = 1 (everything burns) when feasible; the no-aid fixed
-point is a stage-A root.  They all pass one builder, `_candidates`, and are
-stable by `asymptotics.is_stable`; the singular classes, in the equations and
-in `extract_policy`, are `asymptotics.singular_rows`.  `solve_op` keeps the
+their z^i terms.  Stage B is therefore, on every plane where lam v lies in
+the range of H, a scan of H - lam v for y and then a monotone solve of the
+controlled outflow (`default_outflow_controlled`) minus y for z in [0, y].
+Both go to `asymptotics._scan_roots`, the package's one root scan in one
+variable, as does stage A's multiplier scan at y = 0; each evaluates the one
+function it roots, not both program equations.  The candidates are stage A's
+(y = 0, nothing to reveal, among them), stage B's and the boundary y = 1
+(everything burns) when feasible; the no-aid fixed point is a stage-A root.
+They all pass one builder, `_candidates`, and are stable by
+`asymptotics.is_stable`; the singular classes, in the equations and in
+`extract_policy`, are `asymptotics.singular_rows`.  `solve_op` keeps the
 best and stores it on the distribution's class pack, one per cost, so a study
 that needs the limits and the table of one realized distribution solves it once.
 """
@@ -39,10 +42,10 @@ from .asymptotics import (
     _control_keys,
     _optimal_starts,
     _pack,
+    _scan_roots,
     _slope_probes,
-    bisect,
     controlled_limits,
-    default_outflow_controlled,  # noqa: F401  (the benchmark's tracer wraps this name)
+    default_outflow_controlled,
     is_stable,
     program_residuals,
     singular_rows,
@@ -94,14 +97,6 @@ class OPSolution:
         return max(abs(self.residuals[0]), abs(self.residuals[1])) < _RESIDUAL_TOL
 
 
-def _make_solution(cost, branch, y, v, z, residuals, defaults, aid, stable):
-    return OPSolution(
-        end_fraction=y, multiplier=v, singular_start=z,
-        objective=cost * aid + defaults, interventions=aid, defaults=defaults,
-        stable=stable, branch=branch, residuals=residuals,
-    )
-
-
 def _check_cost(cost: float) -> None:
     if not (math.isfinite(cost) and cost > 0):
         raise ParameterError(f"intervention cost must be positive and finite, got {cost}")
@@ -123,9 +118,11 @@ def _candidates(p, cost, points, branch) -> list[OPSolution]:
                                         np.tile(v, 3), np.tile(z, 3))
     n = len(y)
     stable = is_stable(lambda _probes: flow[n:], y) | (y > 1.0 - _RESIDUAL_TOL)
-    sols = (_make_solution(cost, branch, *point, tuple(r), d, a, s)
-            for point, r, d, a, s in zip(points.tolist(), res.tolist(), dflt[:n].tolist(),
-                                         aid[:n].tolist(), stable.tolist()))
+    sols = (OPSolution(end_fraction=yk, multiplier=vk, singular_start=zk,
+                       objective=cost * a + d, interventions=a, defaults=d, stable=s,
+                       branch=branch, residuals=tuple(r))
+            for (yk, vk, zk), r, d, a, s in zip(points.tolist(), res.tolist(), dflt[:n].tolist(),
+                                                aid[:n].tolist(), stable.tolist()))
     return [s for s in sols if s.feasible and math.isfinite(s.objective)]
 
 
@@ -330,34 +327,6 @@ def solve_stage_a(p: JointDistribution, cost: float) -> list[OPSolution]:
     return _root_candidates(p, cost, roots[:, [0, 1, 0]], "stage_a")
 
 
-def _scan_roots(g, lo, hi, grid=400):
-    """Every root of g on each row's [lo, hi]: (rows, roots), sorted by row,
-    then root.
-
-    `g(rows, xs)` evaluates each row's function at equal-length arrays in one
-    batch; lo and hi broadcast to one entry per row.  A scan of grid + 1
-    evenly spaced points takes every exact zero and brackets every cell whose
-    ends have strictly opposite signs.  All brackets then go to `bisect`, which
-    evaluates several levels per call of g: at most 80 halvings, each keeping
-    [lo, mid] where g(lo) g(mid) <= 0 and [mid, hi] otherwise, and the root is
-    the last midpoint.  A bracket stops once its midpoint equals one of its
-    ends, as every further halving leaves that midpoint in place; that is
-    after about 50 halvings.
-    """
-    lo, hi = np.broadcast_arrays(np.atleast_1d(lo), hi)
-    xs = np.linspace(lo, hi, grid + 1, axis=1)
-    rows = np.repeat(np.arange(len(lo)), grid + 1)
-    vals = g(rows, xs.ravel()).reshape(xs.shape)
-    roots = np.where(vals == 0.0, xs, np.nan)
-    r, k = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
-    a, b, _g_a = bisect(lambda at, mid: g(r[at], mid), xs[r, k], xs[r, k + 1], vals[r, k],
-                        keep_left=lambda g_a, g_mid: g_a * g_mid <= 0.0,
-                        settled=lambda a, b, mid: (mid == a) | (mid == b), levels=80)
-    roots[r, k] = 0.5 * (a + b)
-    r, k = np.nonzero(~np.isnan(roots))
-    return r, roots[r, k]
-
-
 def solve_stage_b(p: JointDistribution, cost: float) -> list[OPSolution]:
     """The singular branch: v on each plane (j, v_j) of `_planes`, unknowns
     (y, z), same equations; candidates in ascending j.  Off these planes no
@@ -368,7 +337,9 @@ def solve_stage_b(p: JointDistribution, cost: float) -> list[OPSolution]:
     grid point y = 1 and would hide a root in the last cell).  The outflow
     rises with z, so each y < 1 - 1e-9 has one z in [0, y] or none (outflow
     above y at z = 0, or below it at z = y); where z moves nothing, z = 0.
-    An out-degree whose lam v_j lies more than 1e-9 outside the range of
+    Both scans go to `_scan_roots`: the first roots `terminal_hamiltonian`
+    - lam v_j, the second `default_outflow_controlled` - y, with one bracket,
+    [0, y], per y.  An out-degree whose lam v_j lies more than 1e-9 outside the range of
     H(., v_j) (`hamiltonian_range`) has no root and is not scanned.
     """
     _check_cost(cost)
@@ -381,7 +352,7 @@ def solve_stage_b(p: JointDistribution, cost: float) -> list[OPSolution]:
                          np.zeros(len(support)), 1.0)
     row, y = row[y < 1.0 - _RESIDUAL_TOL], y[y < 1.0 - _RESIDUAL_TOL]
     at, z = _scan_roots(
-        lambda r, zs: program_residuals(p, cost, y[r], v[row[r]], zs)[1],
+        lambda r, zs: default_outflow_controlled(p, cost, y[r], v[row[r]], zs) - y[r],
         0.0, y, grid=1)
     # both ends of [0, y] are roots only where z moves nothing: keep z = 0
     at, first = np.unique(at, return_index=True)
@@ -395,11 +366,15 @@ def _solve_multiplier_at(p, cost, y):
     """All v with H(y, v) = lam * v for a fixed y < 1, scanned as v = tan(pi u / 2)
     over 401 points u in [-(1 - 1e-6), 1 - 1e-6], the first grid's map of stage A.
 
-    The sign of H - lam v is that of the first program residual, (1 - y)
-    times it, which `_scan_roots` scans and bisects in u.
+    `_scan_roots` scans and bisects H - lam v in u, from `terminal_hamiltonian`
+    alone: for y < 1 it has the sign of the first program residual,
+    (1 - y)(H - lam v), and at y = 0 the same value.
     """
-    us = _scan_roots(lambda _r, u: program_residuals(p, cost, y, np.tan(0.5 * np.pi * u), y)[0],
-                     -(1.0 - 1e-6), 1.0 - 1e-6)[1]
+    def excess(_rows, u):
+        v = np.tan(0.5 * np.pi * u)
+        return terminal_hamiltonian(p, cost, y, v) - p.lam * v
+
+    us = _scan_roots(excess, -(1.0 - 1e-6), 1.0 - 1e-6)[1]
     return np.tan(0.5 * np.pi * us).tolist()
 
 

@@ -1,11 +1,12 @@
-"""The one-midpoint bisection loops, kept as the references that
+"""The one-midpoint bisection loop, kept as the reference that
 `asymptotics.bisect` must match bitwise.
 
-`scan_roots` is the solver's root scan with one call of g per halving:
-every bracket halves 80 times, keeping the half whose ends' values have a
-product <= 0.  `scalar_fixed_point` is `smallest_fixed_point` one point at a
-time: a grid scan, then one call of f per halving until the bracket is at
-most `tol` wide, and the slope test.
+`scan_roots` is the package's root scan, `asymptotics._scan_roots`, with one
+call of g per halving: every bracket halves 80 times, keeping the half whose
+ends' values have a product <= 0.  `scalar_fixed_point` is
+`smallest_fixed_point` one point at a time: a grid scan for the first point
+with f(y) <= y, then `scan_roots` on the one grid cell before it, and the
+slope test.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ import numpy as np
 
 def scan_roots(g, lo, hi, grid=400):
     """Every root of g on each row's [lo, hi]: (rows, roots), as
-    `optimizer._scan_roots` returns them."""
+    `asymptotics._scan_roots` returns them."""
     lo, hi = np.broadcast_arrays(np.atleast_1d(lo), hi)
     xs = np.linspace(lo, hi, grid + 1, axis=1)
     rows = np.repeat(np.arange(len(lo)), grid + 1)
@@ -32,37 +33,21 @@ def scan_roots(g, lo, hi, grid=400):
     return r, roots[r, k]
 
 
-def bisect_fixed_point(g, lo, hi, tol=1e-12):
-    """The upper end of [lo, hi] after halving it, one call of g per
-    halving, until it is at most tol wide; g(lo) > 0 >= g(hi)."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
-def scalar_fixed_point(f, grid=4096, tol=1e-12):
-    """(y*, stable) of `smallest_fixed_point`, point by point."""
+def scalar_fixed_point(f, grid=4096):
+    """(y*, stable) of `smallest_fixed_point`, point by point: the first grid
+    point k / grid where g = f - y is <= 0, if g is 0 there or k = 0, else
+    the root `scan_roots` bisects in the cell before it; then the slope test."""
     def g(y):
         return f(y) - y
 
-    y_star = None
-    if g(0.0) <= 0.0:
-        y_star = 0.0
-    else:
-        prev_y = 0.0
-        for k in range(1, grid + 1):
-            y = k / grid
-            gy = g(y)
-            if gy <= 0.0:
-                y_star = bisect_fixed_point(g, y if gy == 0.0 else prev_y, y, tol)
-                break
-            prev_y = y
-        if y_star is None:
-            y_star = 1.0
+    y_star = 1.0
+    for k in range(grid + 1):
+        y = k / grid
+        gy = g(y)
+        if gy <= 0.0:
+            y_star = y if gy == 0.0 or k == 0 else float(
+                scan_roots(lambda _r, x: g(x), (k - 1) / grid, y, grid=1)[1][0])
+            break
     lo_pt, hi_pt = max(0.0, y_star - 1e-6), min(1.0, y_star + 1e-6)
     deriv = (f(hi_pt) - f(lo_pt)) / (hi_pt - lo_pt) if hi_pt > lo_pt else float("inf")
     return y_star, bool(deriv < 1.0 - 1e-9)

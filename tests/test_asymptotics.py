@@ -403,6 +403,14 @@ class TestForcedPolicies:
         assert (y, defaults, aid) == pytest.approx((0.25, 0.25, 0.0), abs=1e-10)
         assert stable
 
+    def test_complete_aid_limit_is_exact(self, quadratic_dist):
+        # every node is aided from the start: the outflow is the initial
+        # defaults' 0.2 at every y, and the root scan lands on 0.2 itself
+        y, stable, defaults, aid = forced_policy_limits(quadratic_dist,
+                                                        InterventionPolicy.complete())
+        assert y == 0.2 and defaults == 0.2 and stable
+        assert aid == pytest.approx(0.032, abs=1e-15)
+
     def test_always_keeps_only_initial_defaults(self, experiment_dist):
         _y, _stable, defaults, aid = forced_policy_limits(
             experiment_dist, InterventionPolicy.complete()

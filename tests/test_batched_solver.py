@@ -339,8 +339,8 @@ def test_fixed_point_with_cleared_blocks_equals_the_scalar_scan(p, band_lo, band
 
 
 def test_fixed_point_scan_skips_cleared_blocks(quadratic_dist):
-    # the 64 block ends, the one block (0.234375, 0.25] that can cross, where
-    # f(1/4) = 1/4 exactly, and the two slope probes
+    # the 64 block ends, the 65 points of the one block [0.234375, 0.25] that
+    # can cross, where f(1/4) = 1/4 exactly, and the two slope probes
     sizes = []
 
     def f(y):
@@ -348,7 +348,7 @@ def test_fixed_point_scan_skips_cleared_blocks(quadratic_dist):
         return default_outflow(quadratic_dist, y)
 
     assert smallest_fixed_point(f) == (0.25, True)
-    assert sizes == [64, 64, 2]
+    assert sizes == [64, 65, 2]
 
 
 @pytest.mark.parametrize("entries", [{(3, 3, 2): 1.0}, {(2, 2, 2): 0.5, (2, 2, 1): 0.5}])

@@ -1,11 +1,13 @@
-"""The shared bisection against the one-midpoint loops of `bisection_reference`.
+"""The shared root scan against the one-midpoint loop of `bisection_reference`.
 
 `asymptotics.bisect` evaluates several levels of every bracket's bisection
-tree per call and then walks them with the caller's rules, so the solver's
-root scan and the fixed-point search must return bitwise what the loops that
-evaluate one midpoint per call return: on random monotone and non-monotone
-functions, on brackets that reach adjacent floats long before 80 halvings,
-with exact zeros at midpoints and with NaN values.
+tree per call and then walks them by its one rule, so `_scan_roots`, and the
+fixed-point search that scans through it, must return bitwise what the loop
+that evaluates one midpoint per call returns: on random monotone and
+non-monotone functions, on brackets that reach adjacent floats long before 80
+halvings, with exact zeros at midpoints and with NaN values.  A fixed point
+found so is exact to the float: the outflow minus y vanishes there, or is 0
+or of the other sign at a neighbouring float.
 """
 
 import numpy as np
@@ -13,10 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contagion_control import InterventionPolicy, default_outflow, smallest_fixed_point
-from contagion_control.asymptotics import _fixed_outflow, _pack, bisect
-from contagion_control.optimizer import _scan_roots
+from contagion_control.asymptotics import _fixed_outflow, _pack, _scan_roots
 
-from bisection_reference import bisect_fixed_point, scalar_fixed_point, scan_roots
+from bisection_reference import scalar_fixed_point, scan_roots
 from test_class_pack import distributions
 
 unit = st.floats(0.0, 1.0)
@@ -72,24 +73,6 @@ def test_scan_roots_equal_the_one_midpoint_loop(problem):
     assert roots.tobytes() == want_roots.tobytes()
 
 
-@settings(max_examples=100, deadline=None)
-@given(shift=unit, slope=st.floats(0.1, 10.0), wiggle=st.floats(0.0, 50.0),
-       nan_above=st.one_of(st.just(2.0), unit), lo=unit, width=st.floats(1e-9, 1.0),
-       tol=st.sampled_from([1e-12, 1e-9, 1e-6]))
-def test_fixed_point_rule_equals_the_one_midpoint_loop(shift, slope, wiggle, nan_above,
-                                                       lo, width, tol):
-    # falling for wiggle 0, not monotone for larger wiggle; NaN counts as <= 0
-    def g(x):
-        val = slope * (shift - x) + wiggle * (x - shift) * (x - 0.3) * (x - 0.7)
-        return np.where(x > nan_above, np.nan, val)
-
-    hi = lo + width
-    _lo, got, _g = bisect(lambda _b, x: g(x), [lo], [hi], [np.nan],
-                          keep_left=lambda _g_lo, g_mid: ~(g_mid > 0.0),
-                          settled=lambda a, b, _mid: b - a <= tol)
-    assert got[0] == bisect_fixed_point(lambda x: float(g(x)), lo, hi, tol)
-
-
 @settings(max_examples=15, deadline=None)
 @given(p=distributions(), band_lo=st.integers(0, 4), band_width=st.integers(0, 4))
 def test_fixed_point_of_the_pack_outflow_equals_the_scalar_scan(p, band_lo, band_width):
@@ -99,6 +82,22 @@ def test_fixed_point_of_the_pack_outflow_equals_the_scalar_scan(p, band_lo, band
     first = pk.start_column(InterventionPolicy.degree_range(band_lo, band_lo + band_width))
     f = lambda y: _fixed_outflow(pk, first, y)  # noqa: E731
     assert smallest_fixed_point(f) == scalar_fixed_point(f)
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=distributions(), band_lo=st.integers(0, 4), band_width=st.integers(0, 4))
+def test_fixed_point_is_a_root_to_the_float(p, band_lo, band_width):
+    pk = _pack(p)
+    for policy in (InterventionPolicy.none(), InterventionPolicy.complete(),
+                   InterventionPolicy.degree_range(band_lo, band_lo + band_width)):
+        first = pk.start_column(policy)
+        g = lambda y: _fixed_outflow(pk, first, y) - y  # noqa: E731
+        y = smallest_fixed_point(lambda y: _fixed_outflow(pk, first, y))[0]
+        if not 1e-12 < y < 1.0:
+            continue
+        at = g(y)
+        # the neighbour's value is 0 or of the other sign, as the halving rule reads it
+        assert at == 0.0 or any(at * g(np.nextafter(y, side)) <= 0.0 for side in (0.0, 1.0))
 
 
 def _counting(f):
@@ -121,8 +120,9 @@ def test_one_bracket_bisects_six_levels_per_call():
     assert len(calls) <= 1 + 10
     f, calls = _counting(lambda y: 0.3 + 0.5 * y)
     assert smallest_fixed_point(f) == scalar_fixed_point(lambda y: 0.3 + 0.5 * y)
-    # scan, bisection and slope test: 28 halvings from 1/4096 to 1e-12 in 5 calls
-    assert calls.count(63) == 5
+    # the block ends, the crossing block's 65 points, then 41 halvings from
+    # 1/4096 down to adjacent floats near 0.6 in 7 calls, and the slope test
+    assert calls.count(63) == 7
 
 
 def test_many_brackets_share_a_call():

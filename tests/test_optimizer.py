@@ -84,7 +84,7 @@ def test_stage_a_evaluates_nothing_inside_a_sliver(p, cost):
     # from it on: for y > 0 the outflow jumps inside the sliver
     # [v_j - 2 band / j, v_j], which is stage B's, and stage A evaluates no v
     # strictly inside it.  At y = 0 both sides start the class at 0, and the
-    # y = 0 multiplier scan may bisect a root of the first residual there
+    # y = 0 multiplier scan may bisect a root of H - lam v there
     import contagion_control.optimizer as opt
 
     band = 1e-12 * max(1.0, abs(1.0 - cost))
@@ -358,13 +358,7 @@ class TestSolveOp:
         p = JointDistribution({(2, 2, 0): 0.2, (2, 2, 2): 0.8})
         import contagion_control.optimizer as opt
 
-        real = opt._make_solution
-
-        def unstable(*args, **kwargs):
-            sol = real(*args, **kwargs)
-            return OPSolution(**{**sol.__dict__, "stable": False})
-
-        monkeypatch.setattr(opt, "_make_solution", unstable)
+        monkeypatch.setattr(opt, "is_stable", lambda f, y: np.zeros(len(y), bool))
         with pytest.warns(RuntimeWarning, match="unstable"):
             opt.solve_op(p, 10.0)
 
@@ -425,9 +419,7 @@ class TestSolveCache:
     def test_unstable_stored_minimizer_warns_again(self, monkeypatch, solves):
         import contagion_control.optimizer as opt
 
-        real = opt._make_solution
-        monkeypatch.setattr(opt, "_make_solution", lambda *args: OPSolution(
-            **{**real(*args).__dict__, "stable": False}))
+        monkeypatch.setattr(opt, "is_stable", lambda f, y: np.zeros(len(y), bool))
         p = JointDistribution({(2, 2, 0): 0.2, (2, 2, 2): 0.8})
         with pytest.warns(RuntimeWarning, match="unstable"):
             sol = opt.solve_op(p, 10.0)
