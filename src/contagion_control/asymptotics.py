@@ -211,8 +211,7 @@ def _scan_roots(g, lo, hi, grid=400):
     row's function at equal-length arrays in one batch; lo and hi broadcast to
     one entry per row.  A scan of grid + 1 evenly spaced points takes every
     exact zero and brackets every cell whose ends have strictly opposite
-    signs.  All brackets then go to `bisect`, and the root is the midpoint of
-    the bracket it returns.
+    signs.  All brackets then go to `bisect`.
     """
     lo, hi = np.broadcast_arrays(np.atleast_1d(lo), hi)
     xs = np.linspace(lo, hi, grid + 1, axis=1)
@@ -220,13 +219,13 @@ def _scan_roots(g, lo, hi, grid=400):
     vals = g(rows, xs.ravel()).reshape(xs.shape)
     roots = np.where(vals == 0.0, xs, np.nan)
     r, k = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
-    a, b = bisect(lambda at, mid: g(r[at], mid), xs[r, k], xs[r, k + 1], vals[r, k])
-    roots[r, k] = 0.5 * (a + b)
+    roots[r, k] = bisect(lambda at, mid: g(r[at], mid), xs[r, k], xs[r, k + 1],
+                         vals[r, k], vals[r, k + 1])
     r, k = np.nonzero(~np.isnan(roots))
     return r, roots[r, k]
 
 
-def bisect(g, lo, hi, g_lo):
+def bisect(g, lo, hi, g_lo, g_hi):
     """Bisect the brackets [lo, hi] together, several levels per call of g.
 
     The one bisection of the package, behind `_scan_roots`.  A bracket halves
@@ -238,11 +237,12 @@ def bisect(g, lo, hi, g_lo):
     levels of every live bracket's bisection tree, each computed as the loop
     would compute it, with d the largest depth that keeps brackets * (2^d - 1)
     <= _BISECT_POINTS, and at least 1.  The walk through those levels then
-    takes each bracket's own path.  So (lo, hi), returned as arrays, are the
-    loop's, provided g's value at a point does not depend on the batch it is
-    evaluated in.
+    takes each bracket's own path.  So the last brackets are the loop's,
+    provided g's value at a point does not depend on the batch it is
+    evaluated in.  Each bracket's root is returned: its upper end where g is
+    exactly 0 there (the halving keeps g(lo) nonzero), else its midpoint.
     """
-    lo, hi, g_lo = (np.array(x, dtype=float) for x in (lo, hi, g_lo))
+    lo, hi, g_lo, g_hi = (np.array(x, dtype=float) for x in (lo, hi, g_lo, g_hi))
     live, halvings = np.arange(len(lo)), 80
     while halvings:
         mid = 0.5 * (lo[live] + hi[live])
@@ -261,20 +261,20 @@ def bisect(g, lo, hi, g_lo):
         vals = np.asarray(g(np.repeat(live, tree.shape[1]), tree.ravel()),
                           dtype=float).reshape(tree.shape)
         rows, node = np.arange(len(live)), np.zeros(len(live), dtype=int)
-        a, b, g_a = lo[live], hi[live], g_lo[live]
+        a, b, g_a, g_b = lo[live], hi[live], g_lo[live], g_hi[live]
         walking = np.ones(len(live), dtype=bool)
         for level in range(d):
             col = (1 << level) - 1 + node
             mid, g_mid = tree[rows, col], vals[rows, col]
             walking &= (mid != a) & (mid != b)
             to_left = g_a * g_mid <= 0.0
-            right = walking & ~to_left
-            b = np.where(walking & to_left, mid, b)
+            left, right = walking & to_left, walking & ~to_left
+            b, g_b = np.where(left, mid, b), np.where(left, g_mid, g_b)
             a, g_a = np.where(right, mid, a), np.where(right, g_mid, g_a)
             node = 2 * node + ~to_left
-        lo[live], hi[live], g_lo[live] = a, b, g_a
+        lo[live], hi[live], g_lo[live], g_hi[live] = a, b, g_a, g_b
         halvings -= d
-    return lo, hi
+    return np.where(g_hi == 0.0, hi, 0.5 * (lo + hi))
 
 
 def _slope_probes(y) -> np.ndarray:

@@ -12,19 +12,14 @@ order can be fixed first.  Each node's fate is then a first passage over its
 own loss steps: at cushion c0 it meets losses r = c0, c0 + 1, ... one loss
 from default, is aided while the step has reached the cut of (i, j, r), and
 defaults at the first loss that is not (the reveal-order argument of Janson &
-Luczak 2007 and of Amini, Cont & Minca 2016).
+Luczak 2007 and of Amini, Cont & Minca 2016).  So a run changes only the
+draw order and the passage: a population's node arrays are built on its
+first run (`_Nodes`), and a policy's cut table on its first run there.
 
 The draw order is the swap-remove of the per-step chain (index floor(u *
 remaining) over the node-ordered owner list, u from blocks of
-`rng.random(4096)`).  `_replay` replays it one 4096-step block at a time, in
-step order: one sort of the block's (position, step) keys, a gather of the
-draws, and fix-ups on the few steps that re-read a position or write into the
-block's tail.  `run` advances the first passage over the replayed prefix as
-it grows.  The pool falls by at most one per step, so once the passage covers
-K steps, T >= K + pool(K): `run` replays up to that bound before it looks
-again, and once the pool is empty it replays no further block.  It draws the
-skipped blocks' uniforms instead, so the generator ends where the swap loop
-over all m steps leaves it.
+`rng.random(4096)`), which `_replay` replays one 4096-step block at a time
+while `run` advances the first passage over the replayed prefix.
 
 Time is step count k; scaled time is k/n.  Continuous-time clocks are not
 simulated: the embedded chain has the same law for everything the outcome
@@ -205,36 +200,47 @@ def _replay(left: np.ndarray, rng: np.random.Generator):
         yield m - stop
 
 
+class _Nodes:
+    """A population's node arrays, which all its runs read: built on its first run, kept on it."""
+
+    def __init__(self, pop: NodePopulation):
+        self.keys = np.array([key for key, _count in pop.runs], np.int32)
+        counts = [count for _key, count in pop.runs]
+        self.ins, self.outs, self.eqs = (np.repeat(col, counts) for col in self.keys.T)
+        self.m, self.width = pop.m, int(self.keys[:, 0].max()) + 1
+        self.hidden0 = int(self.outs[self.eqs == 0].sum())
+        self.vulnerable = (self.eqs > 0) & (self.eqs <= self.ins)
+        # each node's place at loss 0: its class run's row of the cut table
+        self.place = np.repeat(np.arange(len(counts), dtype=np.int32) * self.width, counts)
+        object.__setattr__(pop, "_run_nodes", self)
+
+
 class _Passage:
-    """Each node's first passage over a growing prefix of the draw order.
+    """Each node's first passage over a growing prefix of one run's draw order.
 
     A vulnerable node (1 <= c0 <= i) meets losses 1, 2, ... at its hits.  From
     loss c0 on it is one loss from default, at cushion r on loss r, and is
     aided while the step has reached the cut of (i, j, r); at the first loss
-    that is not, it defaults.  The cut table has one row per class run, and
-    the policy is asked once per (i, j) pair.  The passage carries each node's
-    place in it (its class row plus the losses met so far) and its fall step
-    (m while it stands).
+    that is not, it defaults.  The passage carries each node's place in the
+    cut table (its class row plus the losses met so far) and its fall step (m while it stands).
     """
 
-    def __init__(self, keys, counts, ins, eqs, policy, m):
+    def __init__(self, nodes: _Nodes, policy: InterventionPolicy):
         # row k, column r: the first step ceil(m * start) at which loss r of a
-        # node of class run k is aided; m means never (and at r outside 1..i,
-        # where no node is one loss from default), and -1 marks r < c0
-        width = int(keys[:, 0].max()) + 1
-        pairs = keys[:, :2].tolist()
-        rows = {}
-        for i, j in pairs:
-            if (i, j) not in rows:
-                starts = [policy.start(i, j, r) if 1 <= r <= i else None for r in range(width)]
-                rows[i, j] = [m if x is None else math.ceil(m * x) for x in starts]
-        table = np.array([rows[i, j] for i, j in pairs])
-        table[np.arange(width) < keys[:, 2:]] = -1
-        self.table = table.ravel()
-        # each node's table entry of loss 0, then of the last loss it met
-        self.place = np.repeat(np.arange(0, len(keys) * width, width, dtype=np.int32), counts)
-        self.live = (eqs > 0) & (eqs <= ins)  # vulnerable and not fallen
-        self.fall = np.full(len(ins), m)
+        # node of class run k is aided, m if never (as at r outside 1..i) and
+        # -1 at r < c0; the policy keeps the table of the population it last ran on
+        if vars(policy).get("_cuts", (None,))[0] is not nodes:
+            m, width, pairs, rows = nodes.m, nodes.width, nodes.keys[:, :2].tolist(), {}
+            for i, j in pairs:
+                if (i, j) not in rows:
+                    starts = [policy.start(i, j, r) if 1 <= r <= i else None for r in range(width)]
+                    rows[i, j] = [m if x is None else math.ceil(m * x) for x in starts]
+            table = np.array([rows[i, j] for i, j in pairs])
+            table[np.arange(width) < nodes.keys[:, 2:]] = -1
+            object.__setattr__(policy, "_cuts", (nodes, table.ravel()))
+        self.table = vars(policy)["_cuts"][1]
+        self.place, self.live = nodes.place.copy(), nodes.vulnerable.copy()
+        self.fall = np.full(len(self.live), nodes.m)
         self.aid_node, self.aid_step = [], []
 
     def advance(self, nodes: np.ndarray, first: int) -> np.ndarray:
@@ -290,13 +296,12 @@ def run(
     remaining); the bias versus exact bounded integers is ~2^-53 *
     remaining, far below anything observable here.
     """
-    keys, counts = pop._classes
-    ins, outs, eqs = (np.repeat(col, counts) for col in keys.T)
+    nodes = vars(pop).get("_run_nodes") or _Nodes(pop)
+    ins, outs, eqs, hidden0 = nodes.ins, nodes.outs, nodes.eqs, nodes.hidden0
     n, m = pop.n, pop.m
-    hidden0 = int(outs[eqs == 0].sum())
     left = np.repeat(np.arange(n, dtype=np.int32), ins)
     order = left[::-1]
-    passage = _Passage(keys, counts, ins, eqs, policy, m)
+    passage = _Passage(nodes, policy)
     # the pool after k steps is hidden0 plus the out-degrees of the nodes
     # fallen before k, minus k.  It falls by at most one per step, so T is at
     # least `reach`, that sum over the falls in the steps the passage has
@@ -328,7 +333,7 @@ def run(
         """Counts over states (i, j, c, l) of initially vulnerable nodes live after k steps."""
         loss = np.bincount(order[:k], minlength=n)
         cushion = eqs + np.bincount(aid_node[aid_step < k], minlength=n)
-        v = np.flatnonzero((eqs > 0) & (eqs <= ins) & (fall >= k))
+        v = np.flatnonzero(nodes.vulnerable & (fall >= k))
         return dict(Counter(zip(*(col[v].tolist() for col in (ins, outs, cushion, loss)))))
 
     snapshots = {

@@ -10,11 +10,8 @@ revealed link set is the same as matching everything up front.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-
-import numpy as np
 
 from .distribution import EmpiricalCounts
 from .errors import ParameterError
@@ -22,33 +19,31 @@ from .errors import ParameterError
 
 @dataclass(frozen=True)
 class NodePopulation:
-    """Deterministic expansion of class counts into per-node attributes."""
+    """Nodes as class runs ((in_degree, out_degree, initial_equity), count), in node order."""
 
-    nodes: tuple[tuple[int, int, int], ...]  # (in_degree, out_degree, initial_equity)
+    runs: tuple[tuple[tuple[int, int, int], int], ...]
     n: int = field(init=False)
     m: int = field(init=False)
 
     def __post_init__(self):
-        if not self.nodes:
+        if not self.runs:
             raise ParameterError("empty population")
-        m_in = sum(i for (i, _j, _c) in self.nodes)
-        m_out = sum(j for (_i, j, _c) in self.nodes)
+        if bad := [count for _key, count in self.runs if count < 1]:
+            raise ParameterError(f"a class run needs at least 1 node, got {bad[0]}")
+        m_in = sum(i * count for (i, _j, _c), count in self.runs)
+        m_out = sum(j * count for (_i, j, _c), count in self.runs)
         if m_in != m_out:
             raise ParameterError(f"stub totals unbalanced: in={m_in} out={m_out}")
-        object.__setattr__(self, "n", len(self.nodes))
+        object.__setattr__(self, "n", sum(count for _key, count in self.runs))
         object.__setattr__(self, "m", m_in)
 
     @cached_property
-    def _classes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The runs of equal classes in node order, built once: int32 rows
-        (i, j, c) and each run's node count."""
-        runs = [(key, len(list(group))) for key, group in itertools.groupby(self.nodes)]
-        return np.array([key for key, _ in runs], np.int32), np.array([count for _, count in runs])
+    def nodes(self) -> tuple[tuple[int, int, int], ...]:
+        """Each node's class in node order, built on first use (one shared tuple per run)."""
+        return tuple(key for key, count in self.runs for _ in range(count))
 
 
 def instantiate(counts: EmpiricalCounts) -> NodePopulation:
-    """Expand counts into a node list ordered by class key."""
-    nodes = []
-    for key in sorted(counts.counts):
-        nodes.extend([key] * counts.counts[key])
-    return NodePopulation(nodes=tuple(nodes))
+    """The population of counts: one run per class present, ordered by class key."""
+    runs = tuple((key, count) for key, count in sorted(counts.counts.items()) if count)
+    return NodePopulation(runs=runs)

@@ -3,7 +3,8 @@
 
 `scan_roots` is the package's root scan, `asymptotics._scan_roots`, with one
 call of g per halving: every bracket halves 80 times, keeping the half whose
-ends' values have a product <= 0.  `scalar_fixed_point` is
+ends' values have a product <= 0, and its root is the upper end where g is
+exactly 0 there, else the midpoint.  `scalar_fixed_point` is
 `smallest_fixed_point` one point at a time: a grid scan for the first point
 with f(y) <= y, then `scan_roots` on the one grid cell before it, and the
 slope test.
@@ -21,14 +22,14 @@ def scan_roots(g, lo, hi, grid=400):
     vals = g(rows, xs.ravel()).reshape(xs.shape)
     roots = np.where(vals == 0.0, xs, np.nan)
     r, k = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
-    a, b, g_a = xs[r, k], xs[r, k + 1], vals[r, k]
+    a, b, g_a, g_b = xs[r, k], xs[r, k + 1], vals[r, k], vals[r, k + 1]
     for _ in range(80 if r.size else 0):
         mid = 0.5 * (a + b)
         g_mid = g(r, mid)
         left = g_a * g_mid <= 0.0
-        b = np.where(left, mid, b)
+        b, g_b = np.where(left, mid, b), np.where(left, g_mid, g_b)
         a, g_a = np.where(left, a, mid), np.where(left, g_a, g_mid)
-    roots[r, k] = 0.5 * (a + b)
+    roots[r, k] = np.where(g_b == 0.0, b, 0.5 * (a + b))
     r, k = np.nonzero(~np.isnan(roots))
     return r, roots[r, k]
 

@@ -6,15 +6,18 @@ fixed-point search that scans through it, must return bitwise what the loop
 that evaluates one midpoint per call returns: on random monotone and
 non-monotone functions, on brackets that reach adjacent floats long before 80
 halvings, with exact zeros at midpoints and with NaN values.  A fixed point
-found so is exact to the float: the outflow minus y vanishes there, or is 0
-or of the other sign at a neighbouring float.
+found so is exact to the float: the outflow minus y vanishes there, or is of
+the other sign at a neighbouring float.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contagion_control import InterventionPolicy, default_outflow, smallest_fixed_point
+from contagion_control import (
+    InterventionPolicy, JointDistribution, default_outflow, forced_policy_limits,
+    smallest_fixed_point,
+)
 from contagion_control.asymptotics import _fixed_outflow, _pack, _scan_roots
 
 from bisection_reference import scalar_fixed_point, scan_roots
@@ -98,6 +101,18 @@ def test_fixed_point_is_a_root_to_the_float(p, band_lo, band_width):
         at = g(y)
         # the neighbour's value is 0 or of the other sign, as the halving rule reads it
         assert at == 0.0 or any(at * g(np.nextafter(y, side)) <= 0.0 for side in (0.0, 1.0))
+        # and where the neighbour is an exact zero, that neighbour is the root
+        assert at == 0.0 or all(g(np.nextafter(y, side)) != 0.0 for side in (0.0, 1.0))
+
+
+def test_an_exact_zero_at_the_bracket_end_is_the_root():
+    # the last bracket's midpoint rounds down to 0.33333333333333326, where
+    # outflow - y is 5.6e-17; at its upper end it is exactly 0
+    p = JointDistribution({(1, 2, 1): 0.5, (2, 1, 0): 0.5})
+    y = forced_policy_limits(p, InterventionPolicy.complete())[0]
+    pk = _pack(p)
+    assert y == 0.3333333333333333
+    assert _fixed_outflow(pk, pk.start_column(InterventionPolicy.complete()), y) - y == 0.0
 
 
 def _counting(f):

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from contagion_control import (
     instantiate,
     run,
 )
+from contagion_control import cascade
 from contagion_control.cascade import _Passage
 
 from conftest import make_rng
@@ -184,11 +186,11 @@ def populations(draw, stubs=None):
                    sum(j * count for _i, j, _c, count in classes), 1)
         scale = max(draw(stubs) // most, 1)
         classes = [(i, j, c, count * scale) for i, j, c, count in classes]
-    nodes = [(i, j, c) for i, j, c, count in classes for _ in range(count)]
-    gap = sum(i for i, _j, _c in nodes) - sum(j for _i, j, _c in nodes)
+    runs = [((i, j, c), count) for i, j, c, count in classes]
+    gap = sum((i - j) * count for (i, j, _c), count in runs)
     if gap:
-        nodes.append((max(-gap, 0), max(gap, 0), draw(st.integers(0, 3))))
-    return NodePopulation(nodes=tuple(nodes))
+        runs.append(((max(-gap, 0), max(gap, 0), draw(st.integers(0, 3))), 1))
+    return NodePopulation(runs=tuple(runs))
 
 
 @st.composite
@@ -234,15 +236,23 @@ class TestOneRunner:
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
     def test_cutoffs_over_every_node(self, data):
-        # each node's row of the cut table, losses r = 0..max i: -1 below its
-        # cushion c0, ceil(m * start) where its class is aided at loss r
-        # (1 <= r <= i), and m, never, elsewhere, so an invulnerable class
-        # (c0 > i) is never aided
+        # each node's row of the cut table that `run` is served, losses r =
+        # 0..max i: -1 below its cushion c0, ceil(m * start) where its class
+        # is aided at loss r (1 <= r <= i), and m, never, elsewhere, so an
+        # invulnerable class (c0 > i) is never aided; a second run is served
+        # the same table
         pop = data.draw(populations())
         policy = data.draw(policies(pop))
-        keys, counts = pop._classes
-        ins, _outs, eqs = (np.repeat(col, counts) for col in keys.T)
-        passage = _Passage(keys, counts, ins, eqs, policy, pop.m)
+        served = []
+
+        class Served(_Passage):
+            def __init__(self, *args):
+                super().__init__(*args)
+                served.append((self.table, self.place.copy()))
+
+        with mock.patch.object(cascade, "_Passage", Served):
+            run(pop, policy, make_rng(0))
+            run(pop, policy, make_rng(1))
         width = max(i for (i, _j, _c) in pop.nodes) + 1
 
         def cut(i, j, c0, r):
@@ -251,9 +261,50 @@ class TestOneRunner:
             start = policy.start(i, j, r) if 1 <= r <= i else None
             return pop.m if start is None else math.ceil(pop.m * start)
 
-        rows = passage.table[passage.place[:, None] + np.arange(width)]
+        (table, place), (again, place_again) = served
+        assert again is table and np.array_equal(place_again, place)
+        rows = table[place[:, None] + np.arange(width)]
         assert rows.tolist() == [[cut(i, j, c0, r) for r in range(width)]
                                  for (i, j, c0) in pop.nodes]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_runs_share_what_is_built_once(self, data):
+        # one population under several policies, interleaved, and one policy
+        # on two populations of different m, alternately: each run equals the
+        # step chain, one generator carried through all the runs of each
+        pop, other = data.draw(populations()), data.draw(populations())
+        assume(pop.m != other.m)
+        several = [data.draw(policies(pop)) for _ in range(3)]
+        plan = [(pop, several[k]) for k in data.draw(st.lists(st.integers(0, 2), max_size=6))]
+        plan += [(p, several[0]) for p in (pop, other, pop, other)]
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng_a, rng_b = make_rng(seed), make_rng(seed)
+        for p, policy in plan:
+            times = [-1.0, *every_step(p), 1e3]
+            out = run(p, policy, rng_a, times, trace=True)
+            assert out == run_steps(p, policy, rng_b, times, trace=True)
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_the_cut_table_is_built_once(self, monkeypatch):
+        calls = []
+        start = InterventionPolicy.start
+
+        def counted(policy, *args):
+            calls.append(args)
+            return start(policy, *args)
+
+        monkeypatch.setattr(InterventionPolicy, "start", counted)
+        pop = pop_of({(2, 2, 0): 2, (2, 2, 1): 3, (3, 1, 2): 3, (1, 3, 1): 3})
+        asked = []
+        for runs in (1, 5):
+            policy = InterventionPolicy.table({(2, 2, 1): 0.1, (3, 1, 3): 0.4})
+            for seed in range(runs):
+                run(pop, policy, make_rng(seed))
+            asked.append(len(calls))
+            calls.clear()
+        # once per loss r = 1..i of each pair (i, j): 2 + 3 + 1, whatever the runs
+        assert asked == [6, 6]
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())

@@ -329,14 +329,14 @@ def test_sub_unit_mass_names_the_total(entries, mass, tmp_path, capsys):
 @pytest.mark.parametrize("command", ["simulate", "study", "compare"])
 def test_population_too_large_for_memory_is_one_error_line(command, monkeypatch, tmp_path,
                                                            capsys):
-    # `instantiate` raises as it would on 10^11 nodes; nothing large is allocated
-    from contagion_control import cli, experiments
+    # the first per-node arrays, built on the population's first run, raise
+    # as they would on 10^11 nodes; nothing large is allocated
+    from contagion_control import cascade
 
-    def no_memory(counts):
+    def no_memory(nodes, pop):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "instantiate", no_memory)
-    monkeypatch.setattr(experiments, "instantiate", no_memory)
+    monkeypatch.setattr(cascade._Nodes, "__init__", no_memory)
     dist = tmp_path / "dist.json"
     dist.write_text(json.dumps(QUAD))
     cfg = tmp_path / "study.json"

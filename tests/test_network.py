@@ -24,19 +24,30 @@ class TestInstantiate:
     def test_three_nodes(self):
         pop = instantiate(EmpiricalCounts(n=3, counts={(1, 1, 0): 1, (1, 1, 1): 2}))
         assert pop.n == 3 and pop.m == 3
+        assert pop.runs == (((1, 1, 0), 1), ((1, 1, 1), 2))
         assert pop.nodes == ((1, 1, 0), (1, 1, 1), (1, 1, 1))
+        assert pop.nodes[1] is pop.nodes[2]  # a run repeats one tuple
 
     def test_ten_nodes(self):
         pop = instantiate(EmpiricalCounts(n=10, counts={(2, 2, 2): 8, (2, 2, 0): 2}))
         assert pop.n == 10 and pop.m == 20
 
+    def test_absent_class_has_no_run(self):
+        pop = instantiate(EmpiricalCounts(n=2, counts={(2, 2, 1): 0, (1, 1, 0): 2}))
+        assert pop.runs == (((1, 1, 0), 2),)
+
     def test_empty_population(self):
         with pytest.raises(ParameterError, match="empty"):
-            NodePopulation(nodes=())
+            NodePopulation(runs=())
 
     def test_unbalanced_population(self):
         with pytest.raises(ParameterError, match="stub totals unbalanced: in=3 out=2"):
-            NodePopulation(nodes=((2, 1, 0), (1, 1, 1)))
+            NodePopulation(runs=(((2, 1, 0), 1), ((1, 1, 1), 1)))
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_run_without_nodes(self, count):
+        with pytest.raises(ParameterError, match=f"at least 1 node, got {count}"):
+            NodePopulation(runs=(((1, 1, 0), 1), ((2, 2, 1), count), ((1, 1, 1), 1)))
 
     def test_deterministic_order(self):
         counts = EmpiricalCounts(n=4, counts={(2, 2, 1): 2, (1, 1, 0): 2})
