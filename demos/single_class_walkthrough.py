@@ -34,8 +34,8 @@ for cost in (10.0, 1.5, 0.5, 0.05):
     print(f"cost {cost:>5}: branch={sol.branch:12s} objective={sol.objective:.6f}  "
           f"defaults={defaults:.4f} aid={aid:.4f} horizon={horizon:.4f}")
     if policy.thresholds or policy.singular:
-        print(f"          aid starts: {policy.thresholds or '-'}  "
-              f"singular: {policy.singular or '-'}")
+        print(f"          aid starts: {dict(policy.thresholds) or '-'}  "
+              f"singular: {dict(policy.singular) or '-'}")
 
 # The cost-1.5 point sits exactly in the singular regime: only the
 # cushion-equals-degree state is aided, starting at the scaled time z.

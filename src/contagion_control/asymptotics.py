@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, nan
 from typing import Callable
 
 import numpy as np
@@ -211,14 +211,17 @@ def _scan_roots(g, lo, hi, grid=400):
     row's function at equal-length arrays in one batch; lo and hi broadcast to
     one entry per row.  A scan of grid + 1 evenly spaced points takes every
     exact zero and brackets every cell whose ends have strictly opposite
-    signs.  All brackets then go to `bisect`.
+    signs.  All brackets of all rows then go to one `bisect`, whose calls of
+    g follow each bracket's secant, so a cell where g is close to linear
+    costs about one call whatever the number of rows.
     """
     lo, hi = np.broadcast_arrays(np.atleast_1d(lo), hi)
     xs = np.linspace(lo, hi, grid + 1, axis=1)
     rows = np.repeat(np.arange(len(lo)), grid + 1)
     vals = g(rows, xs.ravel()).reshape(xs.shape)
     roots = np.where(vals == 0.0, xs, np.nan)
-    r, k = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
+    with np.errstate(over="ignore"):  # a product that overflows keeps its sign
+        r, k = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
     roots[r, k] = bisect(lambda at, mid: g(r[at], mid), xs[r, k], xs[r, k + 1],
                          vals[r, k], vals[r, k + 1])
     r, k = np.nonzero(~np.isnan(roots))
@@ -226,55 +229,83 @@ def _scan_roots(g, lo, hi, grid=400):
 
 
 def bisect(g, lo, hi, g_lo, g_hi):
-    """Bisect the brackets [lo, hi] together, several levels per call of g.
+    """Bisect the brackets [lo, hi] together, along a predicted path.
 
     The one bisection of the package, behind `_scan_roots`.  A bracket halves
     as a one-midpoint loop would: at mid = 0.5 * (lo + hi) it keeps [lo, mid]
     where g(lo) g(mid) <= 0 and [mid, hi] otherwise.  It stops once mid
     equals one of its ends, as every further halving leaves that midpoint in
-    place (about 50 halvings from a grid cell), or after 80 halvings.  Each
-    call `g(brackets, points)` evaluates the 2^d - 1 midpoints of the next d
-    levels of every live bracket's bisection tree, each computed as the loop
-    would compute it, with d the largest depth that keeps brackets * (2^d - 1)
-    <= _BISECT_POINTS, and at least 1.  The walk through those levels then
-    takes each bracket's own path.  So the last brackets are the loop's,
-    provided g's value at a point does not depend on the batch it is
-    evaluated in.  Each bracket's root is returned: its upper end where g is
-    exactly 0 there (the halving keeps g(lo) nonzero), else its midpoint.
+    place (about 50 halvings from a grid cell), or after 80 halvings.
+
+    Each call `g(brackets, points)` evaluates, per live bracket, the
+    midpoints the loop would visit if g were the secant through the
+    bracket's end values: up to _BISECT_POINTS // brackets levels, at least
+    one, and no further than the loop's own stop.  The walk then halves with
+    the real values and keeps every level up to and including the first whose
+    side differs from the secant's.  Each kept midpoint is 0.5 * (lo + hi)
+    of the loop's own bracket and each side is read from the real g, so the
+    last brackets are the loop's, provided g's value at a point does not
+    depend on the batch it is evaluated in.  A lone bracket on which g is
+    linear takes one call; elsewhere the secant through ends that close in
+    on the root predicts ever further, and a g that defeats it at every level
+    costs a call per halving.  Each bracket's root is returned: its upper end
+    where g is exactly 0 there (the halving keeps g(lo) nonzero), else its
+    midpoint.
+
+    The paths and the walk run on Python floats, the same IEEE doubles as
+    numpy's: a call walks at most max(_BISECT_POINTS, brackets) points, and
+    the package bisects one or two brackets at a time, where numpy's
+    per-operation cost would dominate.
     """
-    lo, hi, g_lo, g_hi = (np.array(x, dtype=float) for x in (lo, hi, g_lo, g_hi))
-    live, halvings = np.arange(len(lo)), 80
-    while halvings:
-        mid = 0.5 * (lo[live] + hi[live])
-        live = live[(mid != lo[live]) & (mid != hi[live])]
-        if not live.size:
+    ends = [list(e) for e in zip(*(np.asarray(x, dtype=float).tolist()
+                                   for x in (lo, hi, g_lo, g_hi)))]
+    halvings = [0] * len(ends)
+    live = list(range(len(ends)))
+    while live:
+        live = [k for k in live
+                if halvings[k] < 80 and 0.5 * (ends[k][0] + ends[k][1]) not in ends[k][:2]]
+        if not live:
             break
-        d = min(max((_BISECT_POINTS // live.size + 1).bit_length() - 1, 1), halvings)
-        # the tree in breadth-first order: level l holds 2^l midpoints
-        a, b, tree = lo[live, None], hi[live, None], []
-        for _ in range(d):
-            mid = 0.5 * (a + b)
-            tree.append(mid)
-            a = np.stack((a, mid), axis=2).reshape(len(live), -1)
-            b = np.stack((mid, b), axis=2).reshape(len(live), -1)
-        tree = np.concatenate(tree, axis=1)
-        vals = np.asarray(g(np.repeat(live, tree.shape[1]), tree.ravel()),
-                          dtype=float).reshape(tree.shape)
-        rows, node = np.arange(len(live)), np.zeros(len(live), dtype=int)
-        a, b, g_a, g_b = lo[live], hi[live], g_lo[live], g_hi[live]
-        walking = np.ones(len(live), dtype=bool)
-        for level in range(d):
-            col = (1 << level) - 1 + node
-            mid, g_mid = tree[rows, col], vals[rows, col]
-            walking &= (mid != a) & (mid != b)
-            to_left = g_a * g_mid <= 0.0
-            left, right = walking & to_left, walking & ~to_left
-            b, g_b = np.where(left, mid, b), np.where(left, g_mid, g_b)
-            a, g_a = np.where(right, mid, a), np.where(right, g_mid, g_a)
-            node = 2 * node + ~to_left
-        lo[live], hi[live], g_lo[live], g_hi[live] = a, b, g_a, g_b
-        halvings -= d
-    return np.where(g_hi == 0.0, hi, 0.5 * (lo + hi))
+        depth = max(1, _BISECT_POINTS // len(live))
+        paths = [_secant_path(*ends[k], min(depth, 80 - halvings[k])) for k in live]
+        mids = [mid for path in paths for mid, _left in path]
+        vals = np.asarray(g(np.repeat(live, [len(path) for path in paths]), np.array(mids)),
+                          dtype=float).tolist()
+        at = 0
+        for k, path in zip(live, paths):
+            a, b, g_a, g_b = ends[k]
+            for (mid, guess), g_mid in zip(path, vals[at:at + len(path)]):
+                halvings[k] += 1
+                left = g_a * g_mid <= 0.0
+                if left:
+                    b, g_b = mid, g_mid
+                else:
+                    a, g_a = mid, g_mid
+                if left != guess:
+                    break  # the rest of the path bisects another bracket
+            ends[k] = [a, b, g_a, g_b]
+            at += len(path)
+    return np.array([b if g_b == 0.0 else 0.5 * (a + b) for a, b, _g_a, g_b in ends])
+
+
+def _secant_path(a, b, g_a, g_b, levels):
+    """(mid, keeps [a, mid]) of the loop's next halvings of [a, b] where g is
+    the secant through (a, g_a) and (b, g_b): `levels` of them, or fewer where
+    a midpoint reaches an end of its bracket."""
+    # the secant keeps the left half where its root x lies left of mid or on it
+    x = a + (b - a) * (g_a / (g_a - g_b)) if g_a != g_b else nan
+    path = []
+    for _ in range(levels):
+        mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            break
+        left = x <= mid
+        path.append((mid, left))
+        if left:
+            b = mid
+        else:
+            a = mid
+    return path
 
 
 def _slope_probes(y) -> np.ndarray:
@@ -311,8 +342,8 @@ def _optimal_starts(i, j, c, cost: float, v, y):
     v, y = np.asarray(v, dtype=float), np.asarray(y, dtype=float)
     vj = j * v
     w = cost + vj - 1.0
-    denom = (i - c + 1.0) * cost + vj - 1.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        denom = (i - c + 1.0) * cost + vj - 1.0
         interior = 1.0 - (1.0 - y) * ((i - c) * cost) / denom
         # a subnormal y can make cost * y zero: w / 0 is then -inf, the immediate regime
         interior_regime = (c < i + w / (cost * y)) & (y > 0.0)

@@ -31,7 +31,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -56,16 +57,20 @@ class InterventionPolicy:
     [degree_lo, degree_hi], and a threshold table looks the class up (absent
     means never; `singular` entries apply to the state c == i of their (i, j)
     pair).  Policies act only on the selected node and only when it is one loss
-    from default; anything else is wasted aid.
+    from default; anything else is wasted aid.  Both tables are read-only
+    copies of the dicts the policy was built with, so a policy never changes
+    and the runner may keep what it read of one.
     """
 
     kind: str  # "none" | "complete" | "degree_range" | "threshold_table"
     degree_lo: int = 0
     degree_hi: int = 0
-    thresholds: dict[tuple[int, int, int], float] = field(default_factory=dict)
-    singular: dict[tuple[int, int], float] = field(default_factory=dict)
+    thresholds: Mapping[tuple[int, int, int], float] = field(default_factory=dict)
+    singular: Mapping[tuple[int, int], float] = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("thresholds", "singular"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
         if self.kind not in _KINDS:
             raise ParameterError(f"unknown policy kind {self.kind!r}")
         if self.kind == "degree_range" and not 0 <= self.degree_lo <= self.degree_hi:
@@ -96,9 +101,8 @@ class InterventionPolicy:
         singular: dict[tuple[int, int], float] | None = None,
     ) -> "InterventionPolicy":
         """Start times per class; each must be a finite scaled time in [0, 1]."""
-        return InterventionPolicy(
-            kind="threshold_table", thresholds=dict(thresholds), singular=dict(singular or {})
-        )
+        return InterventionPolicy(kind="threshold_table", thresholds=thresholds,
+                                  singular=singular or {})
 
     def start(self, i: int, j: int, c: int) -> float | None:
         """Scaled start time of aid for class (i, j) at cushion c; None means never."""

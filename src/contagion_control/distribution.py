@@ -346,14 +346,22 @@ def parse_array(value, what: str):
     raise ParameterError(f"{what} must be an array, got {_spell(value)}")
 
 
-def parse_object(value, what: str, *required: str) -> dict:
+def parse_object(value, what: str, *required: str, optional=None) -> dict:
     """The one object reader of JSON inputs: a dict holding every `required`
-    key, returned as it is; else refused, naming the first missing key."""
+    key, returned as it is; else refused, naming the first missing key.  With
+    `optional` given, a key neither required nor optional is refused too,
+    named with the accepted keys, so a misspelt key is never ignored."""
     if not isinstance(value, dict):
         raise ParameterError(f"{what} must be an object, got {_spell(value)}")
     for key in required:
         if key not in value:
             raise ParameterError(f"{what} needs {key!r}: {_spell(value)}")
+    if optional is not None:
+        accepted = sorted({*required, *optional})
+        for key in value:
+            if key not in accepted:
+                raise ParameterError(f"{what} has unknown key {_spell(key)}; "
+                                     f"accepted keys: {', '.join(accepted)}")
     return value
 
 
@@ -363,16 +371,19 @@ def distribution_from_spec(spec: dict) -> JointDistribution:
     Schemas:
       {"kind": "zipf_copula", "xi":, "a1":, "a2":, "rho":, "max_deg":}
       {"kind": "explicit", "entries": [[i, j, c, mass], ...]}
-    A zipf_copula max_deg above MAX_COPULA_DEGREE (200) is a ParameterError.
+    Each kind needs all of its keys and takes no other.  A zipf_copula
+    max_deg above MAX_COPULA_DEGREE (200) is a ParameterError.
     """
     kind = parse_object(spec, "distribution spec", "kind")["kind"]
     if kind == "zipf_copula":
-        parse_object(spec, "zipf_copula spec", "xi", "a1", "a2", "rho", "max_deg")
+        parse_object(spec, "zipf_copula spec", "kind", "xi", "a1", "a2", "rho", "max_deg",
+                     optional=())
         return build_zipf_copula(*(parse_float(spec[k], k) for k in ("xi", "a1", "a2", "rho")),
                                  max_deg=parse_int(spec["max_deg"], "max_deg"))
     if kind == "explicit":
+        parse_object(spec, "explicit spec", "kind", "entries", optional=())
         entries = {}
-        for row in parse_array(spec.get("entries", []), "explicit entries"):
+        for row in parse_array(spec["entries"], "explicit entries"):
             if len(parse_array(row, "explicit entry")) != 4:
                 raise ParameterError(f"explicit entry must be [i, j, c, mass], got {_spell(row)}")
             key = tuple(parse_int(k, "degree or equity") for k in row[:3])

@@ -146,7 +146,7 @@ class StudyConfig:
             "seed": ("master_seed", parse_int),
             "outdir": ("outdir", outdir),
         }
-        parse_object(doc, "study config", "distribution")
+        parse_object(doc, "study config", "distribution", optional=parsers)
         given = {name: parse(doc[key], f"study config field {key!r}")
                  for key, (name, parse) in parsers.items() if key in doc}
         return StudyConfig(distribution=distribution_from_spec(doc["distribution"]), **given)

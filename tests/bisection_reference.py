@@ -1,10 +1,11 @@
 """The one-midpoint bisection loop, kept as the reference that
 `asymptotics.bisect` must match bitwise.
 
-`scan_roots` is the package's root scan, `asymptotics._scan_roots`, with one
-call of g per halving: every bracket halves 80 times, keeping the half whose
-ends' values have a product <= 0, and its root is the upper end where g is
-exactly 0 there, else the midpoint.  `scalar_fixed_point` is
+`bisect_loop` halves every bracket 80 times, one call of g per halving,
+keeping the half whose ends' values have a product <= 0; its root is the
+upper end where g is exactly 0 there, else the midpoint.  `scan_roots` is the
+package's root scan, `asymptotics._scan_roots`, with `bisect_loop` for
+`asymptotics.bisect`.  `scalar_fixed_point` is
 `smallest_fixed_point` one point at a time: a grid scan for the first point
 with f(y) <= y, then `scan_roots` on the one grid cell before it, and the
 slope test.
@@ -22,16 +23,30 @@ def scan_roots(g, lo, hi, grid=400):
     vals = g(rows, xs.ravel()).reshape(xs.shape)
     roots = np.where(vals == 0.0, xs, np.nan)
     r, k = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
-    a, b, g_a, g_b = xs[r, k], xs[r, k + 1], vals[r, k], vals[r, k + 1]
-    for _ in range(80 if r.size else 0):
+    roots[r, k] = bisect_loop(lambda at, mid: g(r[at], mid), xs[r, k], xs[r, k + 1],
+                              vals[r, k], vals[r, k + 1])[0]
+    r, k = np.nonzero(~np.isnan(roots))
+    return r, roots[r, k]
+
+
+def bisect_loop(g, lo, hi, g_lo, g_hi):
+    """(roots, mids) of the brackets [lo, hi] after 80 halvings, one
+    midpoint per bracket per call `g(brackets, points)`; mids[k] lists the
+    midpoints bracket k halves at before the first that equals an end of its
+    bracket, from where the halvings leave it in place."""
+    a, b, g_a, g_b = (np.array(x, dtype=float) for x in (lo, hi, g_lo, g_hi))
+    at = np.arange(len(a))
+    mids, moving = [[] for _ in at], np.ones(len(a), dtype=bool)
+    for _ in range(80 if at.size else 0):
         mid = 0.5 * (a + b)
-        g_mid = g(r, mid)
+        moving &= (mid != a) & (mid != b)
+        for k in at[moving]:
+            mids[k].append(mid[k])
+        g_mid = g(at, mid)
         left = g_a * g_mid <= 0.0
         b, g_b = np.where(left, mid, b), np.where(left, g_mid, g_b)
         a, g_a = np.where(left, a, mid), np.where(left, g_a, g_mid)
-    roots[r, k] = np.where(g_b == 0.0, b, 0.5 * (a + b))
-    r, k = np.nonzero(~np.isnan(roots))
-    return r, roots[r, k]
+    return np.where(g_b == 0.0, b, 0.5 * (a + b)), mids
 
 
 def scalar_fixed_point(f, grid=4096):

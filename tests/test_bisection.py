@@ -1,11 +1,14 @@
 """The shared root scan against the one-midpoint loop of `bisection_reference`.
 
-`asymptotics.bisect` evaluates several levels of every bracket's bisection
-tree per call and then walks them by its one rule, so `_scan_roots`, and the
-fixed-point search that scans through it, must return bitwise what the loop
-that evaluates one midpoint per call returns: on random monotone and
-non-monotone functions, on brackets that reach adjacent floats long before 80
-halvings, with exact zeros at midpoints and with NaN values.  A fixed point
+`asymptotics.bisect` evaluates per call the midpoints along each bracket's
+secant-predicted path and keeps the levels up to the first the real values
+send the other way, so `bisect`, `_scan_roots` and the fixed-point search
+that scans through it must return bitwise what the loop that evaluates one
+midpoint per call returns, and every call must advance every live bracket by
+at least one of the loop's levels: on random monotone and non-monotone
+functions, on brackets that reach adjacent floats long before 80 halvings or
+that reach the 80-halving cap, with exact zeros at midpoints, NaN values,
+ulp-level noise near the root and steps that the secant mispredicts.  A fixed point
 found so is exact to the float: the outflow minus y vanishes there, or is of
 the other sign at a neighbouring float.
 """
@@ -18,9 +21,11 @@ from contagion_control import (
     InterventionPolicy, JointDistribution, default_outflow, forced_policy_limits,
     smallest_fixed_point,
 )
-from contagion_control.asymptotics import _fixed_outflow, _pack, _scan_roots
+from contagion_control.asymptotics import (
+    _BISECT_POINTS, _fixed_outflow, _pack, _scan_roots, bisect,
+)
 
-from bisection_reference import scalar_fixed_point, scan_roots
+from bisection_reference import bisect_loop, scalar_fixed_point, scan_roots
 from test_class_pack import distributions
 
 unit = st.floats(0.0, 1.0)
@@ -76,6 +81,100 @@ def test_scan_roots_equal_the_one_midpoint_loop(problem):
     assert roots.tobytes() == want_roots.tobytes()
 
 
+KINDS = ("linear", "noise", "step", "step_at_end", "nan", "cap")
+
+
+@st.composite
+def bracket_problems(draw):
+    """(g, lo, hi, g_lo, g_hi, kinds) for `bisect` itself, one kind per bracket:
+    a linear g, whose secant is right but for rounding; the same plus a few
+    ulps of noise, a fixed function of x's bits, that flips the sign at random
+    near the root; a sign step, where the secant through -1 and 1 is the
+    midpoint; a step just below the upper end, where the secant keeps the left
+    half at every level and the loop the right, so it mispredicts every
+    level but where rounding moves it; a linear g that is NaN on a random
+    stretch; and a root within 1e-20 of 0 on a bracket about 1 wide, which
+    needs more than 80 halvings.
+    The root may sit exactly on a midpoint a few levels in.  Brackets
+    without strictly opposite end signs are dropped, as `_scan_roots` drops
+    them."""
+    kinds, lo, hi, roots, nans = [], [], [], [], []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(KINDS))
+        if kind == "cap":
+            a, b = -draw(st.floats(1e-3, 4.0)), draw(st.floats(1e-3, 4.0))
+            root = draw(st.floats(-1e-20, 1e-20))
+        else:
+            a = draw(st.floats(-4.0, 4.0))
+            b = a + (draw(st.floats(1e-3, 8.0)) if draw(st.booleans())
+                     else draw(st.integers(1, 600)) * np.spacing(a))
+            b = max(b, np.nextafter(a, np.inf))
+            root = b if kind == "step_at_end" else a + draw(unit) * (b - a)
+        if kind not in ("step_at_end", "cap") and draw(st.booleans()):
+            left, right = a, b
+            for go_left in draw(st.lists(st.booleans(), min_size=1, max_size=8)):
+                mid = 0.5 * (left + right)
+                left, right = (left, mid) if go_left else (mid, right)
+            root = 0.5 * (left + right)
+        cut = sorted(a + draw(unit) * (b - a) for _ in range(2))
+        kinds.append(kind)
+        lo.append(a)
+        hi.append(b)
+        roots.append(root)
+        nans.append(cut if kind == "nan" else [np.inf, np.inf])
+    kinds, roots, nans = np.array(kinds), np.array(roots), np.array(nans)
+    sign = np.where(np.array([draw(st.booleans()) for _ in kinds]), 1.0, -1.0)
+
+    def g(at, x):
+        k = kinds[at]
+        val = x - roots[at]
+        bits = (x.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(61)
+        val = np.where(k == "noise", val + (bits - 3.5) * 4.0 * np.spacing(roots[at]), val)
+        step = np.where(x < roots[at], -1.0, 1.0)
+        val = np.where(np.isin(k, ("step", "step_at_end")), step, val)
+        val = np.where((nans[at, 0] < x) & (x < nans[at, 1]), np.nan, val)
+        return sign[at] * val
+
+    lo, hi = np.array(lo), np.array(hi)
+    every = np.arange(len(lo))
+    keep = g(every, lo) * g(every, hi) < 0.0
+    lo, hi = lo[keep], hi[keep]
+    kinds, roots, nans, sign = kinds[keep], roots[keep], nans[keep], sign[keep]
+    every = np.arange(len(lo))
+    return g, lo, hi, g(every, lo), g(every, hi), kinds
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=bracket_problems())
+def test_bisect_equals_the_one_midpoint_loop_and_advances_every_call(problem):
+    g, lo, hi, g_lo, g_hi, kinds = problem
+    calls = []
+
+    def counted(at, x):
+        calls.append((np.array(at), np.array(x)))
+        return g(at, x)
+
+    roots = bisect(counted, lo, hi, g_lo, g_hi)
+    want, mids = bisect_loop(g, lo, hi, g_lo, g_hi)
+    assert roots.tobytes() == want.tobytes()
+    # the loop's midpoints, one list per bracket, are the levels kept: each
+    # call evaluates every live bracket from its next one, and the points
+    # after a call's kept levels are off the loop's path
+    done = [0] * len(lo)
+    for at, x in calls:
+        live = [k for k in range(len(lo)) if done[k] < len(mids[k])]
+        assert sorted(set(at.tolist())) == live
+        assert len(x) <= max(_BISECT_POINTS, len(live))
+        for k in live:
+            path, ahead = x[at == k].tolist(), mids[k][done[k]:]
+            kept = next((n for n, (m, w) in enumerate(zip(path, ahead)) if m != w),
+                        min(len(path), len(ahead)))
+            assert kept >= 1
+            done[k] += kept
+    assert done == [len(m) for m in mids]
+    assert all(len(m) == 80 for m, kind in zip(mids, kinds) if kind == "cap")
+
+
 @settings(max_examples=15, deadline=None)
 @given(p=distributions(), band_lo=st.integers(0, 4), band_width=st.integers(0, 4))
 def test_fixed_point_of_the_pack_outflow_equals_the_scalar_scan(p, band_lo, band_width):
@@ -125,19 +224,35 @@ def _counting(f):
     return counted, calls
 
 
-def test_one_bracket_bisects_six_levels_per_call():
-    # 63 <= 64 points per call: the tree's first six levels
+def test_one_bracket_follows_the_secant_in_one_call():
+    # g is linear, so the secant through the bracket's ends predicts every
+    # side: the grid's 5 points, then one call of the 52 halvings down to
+    # adjacent floats near 1/3
     g, calls = _counting(lambda _r, x: x - 1.0 / 3.0)
     rows, roots = _scan_roots(g, 0.0, 1.0, grid=4)
     assert rows.tolist() == [0] and abs(roots[0] - 1.0 / 3.0) < 1e-15
-    assert calls[0] == 5 and set(calls[1:]) == {63}
-    # a one-midpoint loop needs about 50 halvings to reach adjacent floats
-    assert len(calls) <= 1 + 10
+    assert calls == [5, 52]
     f, calls = _counting(lambda y: 0.3 + 0.5 * y)
     assert smallest_fixed_point(f) == scalar_fixed_point(lambda y: 0.3 + 0.5 * y)
-    # the block ends, the crossing block's 65 points, then 41 halvings from
-    # 1/4096 down to adjacent floats near 0.6 in 7 calls, and the slope test
-    assert calls.count(63) == 7
+    # the 64 block starts, 65 points in each of the two blocks that may hold
+    # the crossing, then the 41 halvings from 1/4096 to adjacent floats near
+    # 0.6 in one call, one more where the last side went against the
+    # secant's rounding, and the slope test's 2 points
+    assert calls == [64, 65, 65, 41, 1, 2]
+
+
+def test_a_step_the_secant_always_mispredicts_costs_one_call_a_halving():
+    # on [0, 1] the secant through -1 and 1 is each bracket's midpoint, so it
+    # keeps the left half while the loop keeps the right: each call keeps one
+    # level, as many calls as the one-midpoint loop makes
+    def g(_at, x):
+        return np.where(x < 1.0, -1.0, 1.0)
+
+    counted, calls = _counting(g)
+    root = bisect(counted, [0.0], [1.0], [-1.0], [1.0])
+    want, mids = bisect_loop(g, [0.0], [1.0], [-1.0], [1.0])
+    assert root.tobytes() == want.tobytes() and root[0] == 1.0
+    assert len(calls) == len(mids[0]) == 53
 
 
 def test_many_brackets_share_a_call():

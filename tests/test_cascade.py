@@ -306,6 +306,26 @@ class TestOneRunner:
         # once per loss r = 1..i of each pair (i, j): 2 + 3 + 1, whatever the runs
         assert asked == [6, 6]
 
+    def test_a_policy_cannot_change_after_its_cut_table_is_kept(self):
+        # the runner keeps a policy's cut table from its first run on a
+        # population, so the policy's tables are read-only copies
+        pop = pop_of({(1, 1, 0): 100, (1, 1, 1): 200})
+        built = {}
+        policy = InterventionPolicy.table(built)
+        first = run(pop, policy, make_rng(1))
+        with pytest.raises(TypeError):
+            policy.thresholds[(1, 1, 1)] = 0.0
+        with pytest.raises(TypeError):
+            policy.singular[(1, 1)] = 0.0
+        built[(1, 1, 1)] = 0.0
+        assert policy.start(1, 1, 1) is None and first.interventions == 0
+        again = run(pop, policy, make_rng(1))
+        assert (again.defaults, again.interventions) == (first.defaults, 0)
+        # another table is another policy, with its own cut table
+        fresh = run(pop, InterventionPolicy.table(built), make_rng(1))
+        assert fresh.interventions > 0 and fresh.defaults < first.defaults
+        assert InterventionPolicy.table(built) == InterventionPolicy.table({(1, 1, 1): 0.0})
+
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_run_over_several_draw_blocks(self, data):

@@ -274,6 +274,13 @@ DEGREE_1031 = {"kind": "explicit", "entries": [[1031, 1031, 0, 0.2], [1031, 1031
     ("study with no policies", QUAD, ["study", {"policies": []}], None),
     # the copula's quadrature loses marginal mass this close to rho = 1
     ("zipf rho too close to 1", {**ZIPF, "rho": 0.9999}, ["solve", "--cost", "0.5"], None),
+    # a misspelt or unknown key is refused, not ignored
+    ("study config key typo", QUAD, ["study", {"run": 4}], None),
+    ("compare config key typo", QUAD, ["compare", {"polices": ["none", "complete"]}], None),
+    ("explicit spec without entries", {"kind": "explicit"}, ["solve", "--cost", "0.5"], None),
+    ("explicit spec with an unknown key", {**QUAD, "name": "quad"}, ["simulate", "--n", "50"],
+     None),
+    ("zipf spec with an unknown key", {**ZIPF, "maxdeg": 4}, ["solve", "--cost", "0.5"], None),
 ])
 def test_bad_input_is_a_one_line_config_error(case, distribution, extra, policy, tmp_path, capsys):
     dist = tmp_path / "dist.json"
@@ -349,3 +356,13 @@ def test_population_too_large_for_memory_is_one_error_line(command, monkeypatch,
     assert main(argv) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["error: the population does not fit in memory; choose a smaller n"]
+
+
+def test_unknown_study_key_is_named_with_the_accepted_keys(tmp_path, capsys):
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps({"distribution": QUAD, "run": 4}))
+    assert main(["study", "--config", str(cfg), "--outdir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.strip() == (
+        'error: study config has unknown key "run"; accepted keys: '
+        'cost, distribution, outdir, policies, runs, seed, sizes')
+    assert not (tmp_path / "out").exists()

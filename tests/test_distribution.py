@@ -327,6 +327,9 @@ class TestJsonSpecs:
             # entries must be an array, and a boolean is not an integer
             {"kind": "explicit", "entries": 5},
             {"kind": "explicit", "entries": [[True, 1, 0, 1.0]]},
+            # entries are required, and no key is ignored
+            {"kind": "explicit"},
+            {"kind": "explicit", "entries": [[1, 1, 0, 1.0]], "name": "one"},
         ],
     )
     def test_bad_specs(self, spec):
@@ -348,6 +351,14 @@ class TestJsonSpecs:
         ({"kind": "zipf_copula", "xi": 0.5}, "zipf_copula spec needs 'a1'"),
         ({"kind": "nope"}, 'unknown distribution kind "nope"'),
         ([1, 2], r"distribution spec must be an object, got \[1, 2\]"),
+        # every kind takes its own keys and no other
+        ({"kind": "explicit"}, "explicit spec needs 'entries'"),
+        ({"kind": "explicit", "entries": [[1, 1, 0, 1.0]], "entry": [[1, 1, 0, 1.0]]},
+         'explicit spec has unknown key "entry"; accepted keys: entries, kind$'),
+        ({"kind": "zipf_copula", "xi": 0.5, "a1": 0.8, "a2": 0.7, "rho": 0.9, "max_deg": 4,
+          "max_degree": 4},
+         'zipf_copula spec has unknown key "max_degree"; '
+         'accepted keys: a1, a2, kind, max_deg, rho, xi$'),
     ])
     def test_refusals_name_the_field_and_spell_json(self, spec, message):
         with pytest.raises(ParameterError, match=message):
@@ -356,6 +367,9 @@ class TestJsonSpecs:
     def test_readers(self):
         assert parse_int("7", "n") == 7 and parse_float("nan", "x") != parse_float("nan", "x")
         assert parse_array([1], "a") == [1] and parse_object({"k": 1}, "o", "k") == {"k": 1}
+        assert parse_object({"k": 1, "m": 2}, "o", "k", optional=("m", "n")) == {"k": 1, "m": 2}
+        with pytest.raises(ParameterError, match='o has unknown key "x"; accepted keys: k, m$'):
+            parse_object({"k": 1, "x": 2}, "o", "k", optional=("m",))
         for reader, value, message in (
                 (parse_int, True, "n must be an integer, got true"),
                 (parse_float, None, "n must be a number, got null"),

@@ -189,6 +189,11 @@ class TestRunStudy:
         ({"policies": [7]}, "policy spec must be an object, got 7"),
         ({"policies": ["none", {"kind": "threshold_table", "thresholds": {"2,x": 0.1}}]},
          r"threshold_table 'thresholds' key \"2,x\": each part must be an integer, got \"x\""),
+        # a misspelt field is refused, not left at its default
+        ({"run": 4}, 'study config has unknown key "run"; accepted keys: '
+                     'cost, distribution, outdir, policies, runs, seed, sizes$'),
+        ({"distribution": {"kind": "explicit", "entries": [[1, 1, 0, 1.0]], "mass": 1.0}},
+         'explicit spec has unknown key "mass"'),
     ])
     def test_json_refusals_name_the_field_and_spell_json(self, doc, message):
         doc = {"distribution": {"kind": "explicit", "entries": [[1, 1, 0, 1.0]]}, **doc}

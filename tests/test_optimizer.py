@@ -302,6 +302,14 @@ class TestSolveOp:
         assert sol.interventions == pytest.approx(0.0, abs=1e-12)
         assert sol.objective == pytest.approx(no_aid_objective(quadratic_dist), abs=1e-9)
 
+    def test_largest_cost_solves_without_a_warning(self, quadratic_dist):
+        # (i - c + 1) * cost overflows to inf at cost 1e308; the interior start
+        # formula reads that as the not-worth-aiding regime, silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_op(quadratic_dist, 1e308)
+        assert sol.interventions == 0.0 and sol.end_fraction == pytest.approx(0.25, abs=1e-9)
+
     def test_singular_minimizer(self, quadratic_dist):
         sol = solve_op(quadratic_dist, 1.5)
         assert sol.branch == "stage_b:j=2"
