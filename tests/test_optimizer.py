@@ -303,8 +303,8 @@ class TestSolveOp:
         assert sol.objective == pytest.approx(no_aid_objective(quadratic_dist), abs=1e-9)
 
     def test_largest_cost_solves_without_a_warning(self, quadratic_dist):
-        # (i - c + 1) * cost overflows to inf at cost 1e308; the interior start
-        # formula reads that as the not-worth-aiding regime, silently
+        # at cost 1e308, (i - c + 1) * cost in the start formula and products
+        # of the root scan's values overflow to inf; both read it silently
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol = solve_op(quadratic_dist, 1e308)
