@@ -32,7 +32,8 @@ x depends on the policy:
 `_ClassPack` is the only code that sums over classes: for a start array it
 gives the default outflow, the defaulted share and the aid volume, and the
 Hamiltonian H(y, v) of the terminal stationarity equation H = lam * v, with
-its range over y.
+its range over y and, from per-class bounds, over each span of y
+(`_hamiltonian_cells`).
 `is_stable` is the one stability test of a fixed point.  `_scan_roots` is the
 one root scan of an equation in one variable, for `smallest_fixed_point` and
 the solver alike, and `bisect`, behind it, the one bisection.  The
@@ -65,6 +66,8 @@ _SCAN_BLOCK = 64
 _RESIDUAL_BATCH = 512
 # most points per call of the function that `bisect` bisects
 _BISECT_POINTS = 64
+# a bounded `_scan_roots` evaluates every _SCAN_STRIDE-th lattice point first
+_SCAN_STRIDE = 16
 _SLOPE_STEP = 1e-6  # half-width of `is_stable`'s central slope
 
 
@@ -203,7 +206,7 @@ def smallest_fixed_point(f: Callable[[np.ndarray], np.ndarray]) -> tuple[float, 
     return y_star, bool(is_stable(f, [y_star])[0])
 
 
-def _scan_roots(g, lo, hi, grid=400):
+def _scan_roots(g, lo, hi, grid=400, bound=None):
     """Every root of g on each row's [lo, hi]: (rows, roots), sorted by row,
     then root.
 
@@ -211,17 +214,35 @@ def _scan_roots(g, lo, hi, grid=400):
     row's function at equal-length arrays in one batch; lo and hi broadcast to
     one entry per row.  A scan of grid + 1 evenly spaced points takes every
     exact zero and brackets every cell whose ends have strictly opposite
-    signs.  All brackets of all rows then go to one `bisect`, whose calls of
-    g follow each bracket's secant, so a cell where g is close to linear
-    costs about one call whatever the number of rows.
+    signs; a NaN brackets nothing.  All brackets of all rows then go to one
+    `bisect`, whose calls of g follow each bracket's secant, so a cell where g
+    is close to linear costs about one call whatever the number of rows.
+
+    With a `bound`, the scan goes coarse first.  `bound(rows, xs)` gets every
+    _SCAN_STRIDE-th point of the lattice and its last, one row of xs per row,
+    and returns g there and a lower and an upper bound of g over each span
+    between neighbouring points (rows x points - 1).  A span whose bounds
+    are both above 0 or both below 0 holds no root and no sign change; g is
+    evaluated at the inner lattice points of the other spans only.  The
+    points evaluated are the lattice's own, so the roots are those of the
+    full scan wherever the bound holds.
     """
     lo, hi = np.broadcast_arrays(np.atleast_1d(lo), hi)
     xs = np.linspace(lo, hi, grid + 1, axis=1)
-    rows = np.repeat(np.arange(len(lo)), grid + 1)
-    vals = g(rows, xs.ravel()).reshape(xs.shape)
+    if bound is None:
+        vals = g(np.repeat(np.arange(len(lo)), grid + 1), xs.ravel()).reshape(xs.shape)
+    else:
+        coarse = np.append(np.arange(0, grid, _SCAN_STRIDE), grid)
+        vals = np.full(xs.shape, np.nan)
+        vals[:, coarse], low, high = bound(np.arange(len(lo)), xs[:, coarse])
+        inner = np.repeat(~((low > 0.0) | (high < 0.0)), np.diff(coarse), axis=1)
+        inner[:, coarse[:-1]] = False
+        r, k = np.nonzero(inner)
+        if len(r):
+            vals[r, k] = g(r, xs[r, k])
     roots = np.where(vals == 0.0, xs, np.nan)
-    with np.errstate(over="ignore"):  # a product that overflows keeps its sign
-        r, k = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
+    a, b = vals[:, :-1], vals[:, 1:]
+    r, k = np.nonzero((a < 0.0) & (b > 0.0) | (a > 0.0) & (b < 0.0))
     roots[r, k] = bisect(lambda at, mid: g(r[at], mid), xs[r, k], xs[r, k + 1],
                          vals[r, k], vals[r, k + 1])
     r, k = np.nonzero(~np.isnan(roots))
@@ -233,7 +254,9 @@ def bisect(g, lo, hi, g_lo, g_hi):
 
     The one bisection of the package, behind `_scan_roots`.  A bracket halves
     as a one-midpoint loop would: at mid = 0.5 * (lo + hi) it keeps [lo, mid]
-    where g(lo) g(mid) <= 0 and [mid, hi] otherwise.  It stops once mid
+    where g(lo) and g(mid) are not of one strict sign, and [mid, hi]
+    otherwise, where either is NaN too.  Signs are compared, not multiplied,
+    so values whose product underflows to 0 still bisect.  It stops once mid
     equals one of its ends, as every further halving leaves that midpoint in
     place (about 50 halvings from a grid cell), or after 80 halvings.
 
@@ -276,7 +299,7 @@ def bisect(g, lo, hi, g_lo, g_hi):
             a, b, g_a, g_b = ends[k]
             for (mid, guess), g_mid in zip(path, vals[at:at + len(path)]):
                 halvings[k] += 1
-                left = g_a * g_mid <= 0.0
+                left = g_a >= 0.0 >= g_mid or g_a <= 0.0 <= g_mid
                 if left:
                     b, g_b = mid, g_mid
                 else:
@@ -536,6 +559,18 @@ class _ClassPack:
         coef = self._coef(cost, v)
         return _class_sum(np.minimum(coef, 0.0)), _class_sum(np.maximum(coef, 0.0))
 
+    def hamiltonian_parts(self, cost: float, v, y: np.ndarray) -> tuple[np.ndarray, ...]:
+        """H(y, v) per point, as `hamiltonian` at the optimal starts x(y, v)
+        with z = y, then the sums over classes of coef+ T1, coef+ T2, coef- T1
+        and coef- T2, coef+- the positive and negative parts of each class's
+        coefficient and T1 = tail(i-1, y, c-1), T2 = tail(i-1, x, c) the two
+        tails of its bracket."""
+        tail_y, tail_x = self.y_sums(y), self.x_sums(self.starts(cost, v, y, y))[1]
+        coef = self._coef(cost, v)
+        signed = (np.maximum(coef, 0.0), np.minimum(coef, 0.0))
+        return (_class_sum(coef * (tail_y - tail_x)),
+                *(_class_sum(part * tail) for part in signed for tail in (tail_y, tail_x)))
+
     def residuals(self, cost: float, y: np.ndarray, v, z) -> tuple[np.ndarray, np.ndarray]:
         """Both residuals at the points y; v and z are numbers or arrays like y."""
         tail_x, ham_x = self.x_sums(self.starts(cost, v, y, z))
@@ -636,6 +671,29 @@ def terminal_hamiltonian(p: JointDistribution, cost: float, y, v):
         return (pk.hamiltonian(cost, v, y, pk.x_sums(pk.starts(cost, v, y, y))[1]),)
 
     return _over_points(ham, y, v)[0]
+
+
+def _hamiltonian_cells(p: JointDistribution, cost: float, y: np.ndarray, v: np.ndarray):
+    """(H, low, high): H(y, v) at the points y (rows x points, ascending along
+    each row) of one multiplier v per row, bitwise `terminal_hamiltonian`'s,
+    and a lower and an upper bound of H over each span between neighbouring
+    points (rows x points - 1).
+
+    On a span [y0, y1] each class's start x(y) does not decrease in y, and
+    both tails of its bracket rise with their argument, so the bracket lies
+    in [T1(y0) - T2(x(y1)), T1(y1) - T2(x(y0))].  Its coefficient does not
+    depend on y: the low ends weighted by coef+ and the high ends by coef-
+    bound H from below, and the other way round from above.  The bounds hold
+    in exact arithmetic; the caller allows for rounding.
+    """
+    pk = _pack(p)
+    rows, points = y.shape
+    ham, up_y, up_x, down_y, down_x = (
+        part.reshape(rows, points) for part in _over_points(
+            lambda y, v: pk.hamiltonian_parts(cost, v, y), y.ravel(), np.repeat(v, points)))
+    low = up_y[:, :-1] - up_x[:, 1:] + down_y[:, 1:] - down_x[:, :-1]
+    high = up_y[:, 1:] - up_x[:, :-1] + down_y[:, :-1] - down_x[:, 1:]
+    return ham, low, high
 
 
 def program_residuals(p: JointDistribution, cost: float, y, v, z):

@@ -21,6 +21,8 @@ import math
 import operator
 from dataclasses import dataclass, field
 from statistics import NormalDist
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -45,10 +47,12 @@ MAX_COPULA_DEGREE = 200
 class JointDistribution:
     """Limiting class probabilities p(i, j, c) with mean degree `lam`."""
 
-    entries: dict[ClassKey, float]
+    entries: Mapping[ClassKey, float]
     lam: float = field(init=False)
 
     def __post_init__(self):
+        # read-only: the class pack and the stored solutions are built from it once
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
         in_mean = 0.0
         out_mean = 0.0
         total = 0.0

@@ -17,9 +17,11 @@ involve z: stationarity fixes y alone, and the outflow rises with z, through
 their z^i terms.  Stage B is therefore, on every plane where lam v lies in
 the range of H, a scan of H - lam v for y and then a monotone solve of the
 controlled outflow (`default_outflow_controlled`) minus y for z in [0, y].
-Both go to `asymptotics._scan_roots`, the package's one root scan in one
-variable, as does stage A's multiplier scan at y = 0; each evaluates the one
-function it roots, not both program equations.  The candidates are stage A's
+The scan for y evaluates H only in the spans of y where per-class bounds
+(`asymptotics._hamiltonian_cells`) let it meet lam v.  Both go to
+`asymptotics._scan_roots`, the package's one root scan in one variable, as
+does stage A's multiplier scan at y = 0; each evaluates the one function it
+roots, not both program equations.  The candidates are stage A's
 (y = 0, nothing to reveal, among them), stage B's and the boundary y = 1
 (everything burns) when feasible; the no-aid fixed point is a stage-A root.
 They all pass one builder, `_candidates`, and are stable by
@@ -40,6 +42,7 @@ import numpy as np
 from .asymptotics import (
     _SINGULAR_TOL,
     _control_keys,
+    _hamiltonian_cells,
     _optimal_starts,
     _pack,
     _scan_roots,
@@ -339,17 +342,31 @@ def solve_stage_b(p: JointDistribution, cost: float) -> list[OPSolution]:
     above y at z = 0, or below it at z = y); where z moves nothing, z = 0.
     Both scans go to `_scan_roots`: the first roots `terminal_hamiltonian`
     - lam v_j, the second `default_outflow_controlled` - y, with one bracket,
-    [0, y], per y.  An out-degree whose lam v_j lies more than 1e-9 outside the range of
-    H(., v_j) (`hamiltonian_range`) has no root and is not scanned.
+    [0, y], per y.  An out-degree whose lam v_j lies more than 1e-9 outside
+    the range of H(., v_j) (`hamiltonian_range`) has no root and is not
+    scanned.  On the others the scan for y is bounded: it evaluates H at
+    every 16th point of its 401-point lattice first, with `_hamiltonian_cells`'
+    bounds of H over each span between them, and skips a span where lam v_j
+    lies more than 1e-9 max(1, sum |coef|) outside them: the plane test's
+    margin, grown with the rounding of H's sums where the coefficients are
+    large.  Only the inner points of the other spans are evaluated, so the
+    brackets and roots are those of the full lattice.
     """
     _check_cost(cost)
     support, v = _planes(p, cost)
     lo, hi = _pack(p).hamiltonian_range(cost, v)
-    support, v = (a[(lo - 1e-9 <= p.lam * v) & (p.lam * v <= hi + 1e-9)] for a in (support, v))
+    scanned = (lo - 1e-9 <= p.lam * v) & (p.lam * v <= hi + 1e-9)
+    support, v, margin = support[scanned], v[scanned], 1e-9 * np.maximum(1.0, hi - lo)[scanned]
     if not support.size:
         return []
+
+    def spans(r, ys):
+        ham, low, high = _hamiltonian_cells(p, cost, ys, v[r])
+        target = p.lam * v[r, None]
+        return ham - target, low - target - margin[r, None], high - target + margin[r, None]
+
     row, y = _scan_roots(lambda r, ys: terminal_hamiltonian(p, cost, ys, v[r]) - p.lam * v[r],
-                         np.zeros(len(support)), 1.0)
+                         np.zeros(len(support)), 1.0, bound=spans)
     row, y = row[y < 1.0 - _RESIDUAL_TOL], y[y < 1.0 - _RESIDUAL_TOL]
     at, z = _scan_roots(
         lambda r, zs: default_outflow_controlled(p, cost, y[r], v[row[r]], zs) - y[r],

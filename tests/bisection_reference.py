@@ -2,8 +2,10 @@
 `asymptotics.bisect` must match bitwise.
 
 `bisect_loop` halves every bracket 80 times, one call of g per halving,
-keeping the half whose ends' values have a product <= 0; its root is the
-upper end where g is exactly 0 there, else the midpoint.  `scan_roots` is the
+keeping the left half where the signs of g at its ends have a product <= 0
+(a NaN keeps the right half); its root is the upper end where g is exactly 0
+there, else the midpoint.  Signs are compared, never
+multiplied, so values whose product underflows still bisect.  `scan_roots` is the
 package's root scan, `asymptotics._scan_roots`, with `bisect_loop` for
 `asymptotics.bisect`.  `scalar_fixed_point` is
 `smallest_fixed_point` one point at a time: a grid scan for the first point
@@ -22,7 +24,8 @@ def scan_roots(g, lo, hi, grid=400):
     rows = np.repeat(np.arange(len(lo)), grid + 1)
     vals = g(rows, xs.ravel()).reshape(xs.shape)
     roots = np.where(vals == 0.0, xs, np.nan)
-    r, k = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
+    sign = np.sign(vals)  # NaN for a NaN value, which brackets nothing
+    r, k = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0.0)
     roots[r, k] = bisect_loop(lambda at, mid: g(r[at], mid), xs[r, k], xs[r, k + 1],
                               vals[r, k], vals[r, k + 1])[0]
     r, k = np.nonzero(~np.isnan(roots))
@@ -43,7 +46,7 @@ def bisect_loop(g, lo, hi, g_lo, g_hi):
         for k in at[moving]:
             mids[k].append(mid[k])
         g_mid = g(at, mid)
-        left = g_a * g_mid <= 0.0
+        left = np.sign(g_a) * np.sign(g_mid) <= 0.0
         b, g_b = np.where(left, mid, b), np.where(left, g_mid, g_b)
         a, g_a = np.where(left, a, mid), np.where(left, g_a, g_mid)
     return np.where(g_b == 0.0, b, 0.5 * (a + b)), mids

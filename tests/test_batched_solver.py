@@ -10,8 +10,9 @@ limits of `scalar_limits`, and a point-by-point grid scan
 candidates of the former method, a scalar Newton in (y, z) from a grid of
 starts per out-degree; it rests on the first residual not involving z.  Stage
 A's zoom on an isolated root must find what pure subdivision
-(`subdivision_reference`) finds, to 1e-12.  What the solver skips by a bound (stage A's root-free multiplier columns, the
-fixed-point scan's cleared blocks) must change nothing, bit for bit.
+(`subdivision_reference`) finds, to 1e-12.  What the solver skips by a bound (stage A's root-free multiplier columns,
+stage B's root-free spans of y, the fixed-point scan's cleared blocks) must
+change nothing, bit for bit.
 """
 
 import math
@@ -29,7 +30,9 @@ from contagion_control import (
     default_outflow_controlled,
     smallest_fixed_point,
 )
-from contagion_control.asymptotics import _ClassPack, _fixed_outflow, _pack, program_residuals
+from contagion_control.asymptotics import (
+    _ClassPack, _fixed_outflow, _hamiltonian_cells, _pack, program_residuals, terminal_hamiltonian,
+)
 from contagion_control import optimizer as opt
 
 import scalar_limits as scalar
@@ -325,6 +328,71 @@ def test_stage_a_skips_only_columns_without_a_root(p, cost):
                    lambda self, cost, v: (np.full(len(v), -np.inf), np.full(len(v), np.inf)))
         want = opt.solve_stage_a(p, cost)
     assert repr(got) == repr(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=distributions(), cost=st.floats(0.05, 3.0))
+def test_stage_b_span_bounds_hold_on_the_full_lattice(p, cost):
+    # on every plane, scanned or not: H at the coarse points is the scan's,
+    # bit for bit, every lattice value of a span lies within its bounds, and
+    # every sign change or exact zero of H - lam v on the full 401-point
+    # lattice lies in a span kept at a margin of 1e-12, far below stage B's
+    ys = np.linspace(0.0, 1.0, 401)
+    coarse = np.arange(0, 401, 16)
+    span = np.arange(400) // 16
+    for v in opt._planes(p, cost)[1].tolist():
+        g = terminal_hamiltonian(p, cost, ys, np.full(401, v)) - p.lam * v
+        ham, low, high = (a[0] - p.lam * v for a in _hamiltonian_cells(
+            p, cost, ys[coarse][None, :], np.array([v])))
+        assert ham.tobytes() == g[coarse].tobytes()
+        for k in range(25):
+            part = g[16 * k:16 * k + 17]
+            assert low[k] - 1e-12 <= part.min() and part.max() <= high[k] + 1e-12
+        kept = ~((low > 1e-12) | (high < -1e-12))
+        a, b = g[:-1], g[1:]
+        assert kept[span[(a < 0.0) & (b > 0.0) | (a > 0.0) & (b < 0.0)]].all()
+        assert kept[span[g[:-1] == 0.0]].all()
+
+
+def _stage_b_keeping_every_span(p, cost):
+    real = opt._hamiltonian_cells
+
+    def keep_all(*args):
+        ham, low, high = real(*args)
+        return ham, np.full_like(low, -np.inf), np.full_like(high, np.inf)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(opt, "_hamiltonian_cells", keep_all)
+        return opt.solve_stage_b(p, cost)
+
+
+@pytest.mark.parametrize("name,cost", OPTIMIZER_CASES)
+def test_stage_b_skips_only_spans_without_a_root(name, cost, request):
+    p = _dist(name, request)
+    assert repr(opt.solve_stage_b(p, cost)) == repr(_stage_b_keeping_every_span(p, cost))
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=distributions(), cost=st.floats(0.05, 3.0))
+def test_stage_b_skips_only_spans_without_a_root_on_drawn_distributions(p, cost):
+    assert repr(opt.solve_stage_b(p, cost)) == repr(_stage_b_keeping_every_span(p, cost))
+
+
+@pytest.mark.parametrize("name,spans,sizes", [
+    # 9 planes: 9 x 26 span ends, then the inner points of 9 kept spans and
+    # the bisection of their sign changes (the full lattice was 9 x 401)
+    ("experiment_dist", [234], [135, 64, 64, 14, 7, 3]),
+    # one plane: 26 span ends, one kept span of 15 inner points (was 401)
+    ("quadratic_dist", [26], [15, 46]),
+])
+def test_stage_b_point_counts(name, spans, sizes, request, monkeypatch):
+    p = request.getfixturevalue(name)
+    seen = {"spans": [], "sizes": []}
+    for attr, key in (("_hamiltonian_cells", "spans"), ("terminal_hamiltonian", "sizes")):
+        monkeypatch.setattr(opt, attr, lambda *args, real=getattr(opt, attr), key=key:
+                            seen[key].append(np.size(args[2])) or real(*args))
+    opt.solve_stage_b(p, 1.5)
+    assert seen == {"spans": spans, "sizes": sizes}
 
 
 @settings(max_examples=10, deadline=None)

@@ -81,6 +81,47 @@ def test_scan_roots_equal_the_one_midpoint_loop(problem):
     assert roots.tobytes() == want_roots.tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(problem=scan_problems())
+def test_a_bound_that_keeps_every_span_changes_nothing(problem):
+    # the coarse points come from the bound, the rest from g: the same
+    # lattice, the same brackets, bitwise the same roots
+    g, lo, hi, grid = problem
+
+    def keep_all(rows, xs):
+        n = xs.shape[1] - 1
+        vals = g(np.repeat(rows, xs.shape[1]), xs.ravel()).reshape(xs.shape)
+        return vals, np.full((len(rows), n), -np.inf), np.full((len(rows), n), np.inf)
+
+    rows, roots = _scan_roots(g, lo, hi, grid, bound=keep_all)
+    want_rows, want_roots = scan_roots(g, lo, hi, grid)
+    assert rows.tolist() == want_rows.tolist()
+    assert roots.tobytes() == want_roots.tobytes()
+
+
+def test_a_bound_that_clears_every_span_evaluates_only_its_points():
+    g, calls = _counting(lambda _r, x: x - 0.3)
+    seen = []
+
+    def clear_all(rows, xs):
+        seen.append(xs.shape)
+        return xs - 0.3, np.full((1, xs.shape[1] - 1), 1.0), np.full((1, xs.shape[1] - 1), 2.0)
+
+    assert _scan_roots(g, 0.0, 1.0, bound=clear_all)[1].size == 0
+    assert seen == [(1, 26)] and calls == []
+
+
+def test_values_whose_products_underflow_still_bisect():
+    # (x - 0.3) * 1e-200: the product of two values is below the smallest
+    # float, so a product test saw no sign change; signs are compared instead
+    tiny = _scan_roots(lambda _r, x: (x - 0.3) * 1e-200, 0.0, 1.0, grid=10)
+    small = _scan_roots(lambda _r, x: (x - 0.3) * 1e-100, 0.0, 1.0, grid=10)
+    assert tiny[0].tolist() == small[0].tolist() == [0]
+    assert tiny[1].tobytes() == small[1].tobytes() and tiny[1][0] == 0.3
+    want = scan_roots(lambda _r, x: (x - 0.3) * 1e-200, 0.0, 1.0, grid=10)
+    assert tiny[1].tobytes() == want[1].tobytes()
+
+
 KINDS = ("linear", "noise", "step", "step_at_end", "nan", "cap")
 
 

@@ -14,11 +14,13 @@ import contagion_control
 from contagion_control import (
     ConstructionError,
     EmpiricalCounts,
+    InterventionPolicy,
     JointDistribution,
     ParameterError,
     build_zipf_copula,
     distribution_from_spec,
     empirical_counts,
+    forced_policy_limits,
 )
 from contagion_control.distribution import (
     MAX_COPULA_DEGREE,
@@ -169,6 +171,23 @@ class TestMeanDegree:
         est = deg.mean()
         se = deg.std(ddof=1) / math.sqrt(len(deg))
         assert abs(est - lam) < 3 * se
+
+
+    def test_entries_are_read_only(self):
+        # the limits are built from the entries once and kept on the object:
+        # a changed entry would keep serving the old limits, so none can change
+        p = JointDistribution({(2, 2, 0): 0.2, (2, 2, 2): 0.8})
+        assert forced_policy_limits(p, InterventionPolicy.none()) == (0.25, True, 0.25, 0.0)
+        with pytest.raises(TypeError):
+            p.entries[(2, 2, 0)] = 0.5
+        fresh = JointDistribution({(2, 2, 0): 0.5, (2, 2, 2): 0.5})
+        assert forced_policy_limits(fresh, InterventionPolicy.none()) == (1.0, True, 1.0, 0.0)
+
+    def test_entries_are_a_copy(self):
+        entries = {(2, 2, 0): 0.2, (2, 2, 2): 0.8}
+        p = JointDistribution(entries)
+        entries[(2, 2, 0)] = 0.5
+        assert p.entries == {(2, 2, 0): 0.2, (2, 2, 2): 0.8}
 
 
 class TestEmpiricalCounts:
