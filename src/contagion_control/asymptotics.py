@@ -45,7 +45,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, nan
+from itertools import accumulate
+from math import nan
 from typing import Callable
 
 import numpy as np
@@ -104,10 +105,16 @@ def initial_trajectory(p: JointDistribution) -> Trajectory:
 
 
 @lru_cache(maxsize=None)
+def _binomials(d: int) -> tuple[float, ...]:
+    """C(d, k) for k = 0..d: one exact integer row, each entry rounded once."""
+    return tuple(map(float, accumulate(range(d), lambda b, k: b * (d - k) // (k + 1),
+                                       initial=1)))
+
+
+@lru_cache(maxsize=None)
 def _link_binomials(i: int) -> np.ndarray:
     """C(i - r, l - r) at [r, l], and 0 below the diagonal."""
-    return np.array([[comb(i - r, l - r) if l >= r else 0 for l in range(i + 1)]
-                     for r in range(i + 1)], dtype=float)
+    return np.array([(0.0,) * r + _binomials(i - r) for r in range(i + 1)])
 
 
 def propagate(traj: Trajectory, tau2: float, controls: dict[ClassKey, int]) -> Trajectory:
@@ -183,7 +190,7 @@ def trajectory_at(p: JointDistribution, policy: InterventionPolicy, tau: float) 
 # ---------------------------------------------------------------------------
 
 def smallest_fixed_point(f: Callable[[np.ndarray], np.ndarray]) -> tuple[float, bool]:
-    """Smallest y in [0, 1] with f(y) = y, and whether f `is_stable` there.
+    """Smallest y in [0, 1] with f(y) <= y, and whether f `is_stable` there.
 
     Assumes f continuous and increasing with f(1) <= 1, so y = 1 is always a
     fallback fixed point; f must accept an ndarray.  The grid k / _SCAN_GRID
@@ -191,7 +198,8 @@ def smallest_fixed_point(f: Callable[[np.ndarray], np.ndarray]) -> tuple[float, 
     every a, y = 0 among them.  As f increases, a block with f(a) - b > 1e-12
     cannot hold the crossing.  The others go in order to `_scan_roots`, which
     scans g = f(y) - y at the block's grid points and bisects to adjacent
-    floats; the first root of the first block that holds one is y*.
+    floats; the first root of the first block that holds one is y*: g <= 0
+    there, and g > 0 at the float below unless g(y*) = 0.
     """
     starts = np.arange(0, _SCAN_GRID, _SCAN_BLOCK)
     ends = np.minimum(starts + _SCAN_BLOCK, _SCAN_GRID)
@@ -271,9 +279,9 @@ def bisect(g, lo, hi, g_lo, g_hi):
     depend on the batch it is evaluated in.  A lone bracket on which g is
     linear takes one call; elsewhere the secant through ends that close in
     on the root predicts ever further, and a g that defeats it at every level
-    costs a call per halving.  Each bracket's root is returned: its upper end
-    where g is exactly 0 there (the halving keeps g(lo) nonzero), else its
-    midpoint.
+    costs a call per halving.  Each bracket's root is its last upper end: the
+    halving keeps g(hi) 0 or of the other sign than g(lo), so that is the
+    first float, to the last bracket, at which g has left the sign of g(lo).
 
     The paths and the walk run on Python floats, the same IEEE doubles as
     numpy's: a call walks at most max(_BISECT_POINTS, brackets) points, and
@@ -283,12 +291,9 @@ def bisect(g, lo, hi, g_lo, g_hi):
     ends = [list(e) for e in zip(*(np.asarray(x, dtype=float).tolist()
                                    for x in (lo, hi, g_lo, g_hi)))]
     halvings = [0] * len(ends)
-    live = list(range(len(ends)))
-    while live:
-        live = [k for k in live
-                if halvings[k] < 80 and 0.5 * (ends[k][0] + ends[k][1]) not in ends[k][:2]]
-        if not live:
-            break
+    live = range(len(ends))
+    while live := [k for k in live
+                   if halvings[k] < 80 and 0.5 * (ends[k][0] + ends[k][1]) not in ends[k][:2]]:
         depth = max(1, _BISECT_POINTS // len(live))
         paths = [_secant_path(*ends[k], min(depth, 80 - halvings[k])) for k in live]
         mids = [mid for path in paths for mid, _left in path]
@@ -308,7 +313,7 @@ def bisect(g, lo, hi, g_lo, g_hi):
                     break  # the rest of the path bisects another bracket
             ends[k] = [a, b, g_a, g_b]
             at += len(path)
-    return np.array([b if g_b == 0.0 else 0.5 * (a + b) for a, b, _g_a, g_b in ends])
+    return np.array([b for _a, b, _g_a, _g_b in ends])
 
 
 def _secant_path(a, b, g_a, g_b, levels):
@@ -432,38 +437,36 @@ class _ClassPack:
         self.defaulted_mass = sum(mass for (_i, _j, c, mass) in p.vulnerable_items() if c == 0)
         self.keys = [(i, j, c) for (i, j, c, _m) in rows]
 
-        self.i = _column([r[0] for r in rows])
-        self.j = _column([r[1] for r in rows])
-        self.c = _column([r[2] for r in rows])
-        self.mass = _column([r[3] for r in rows])
+        self.i, self.j, self.c, self.mass = (_column([r[k] for r in rows]) for k in range(4))
         self.jmass = self.j * self.mass
         self.imass = self.i * self.mass
         # start column of the no-aid policy: every class waits for the horizon
         self.never = np.full_like(self.c, np.inf)
         self.solutions: dict = {}
-        n = [i - c for (i, _j, c, _m) in rows]
-        self.max_n = max(n, default=0)
+        i, c = self.i[:, 0].astype(int), self.c[:, 0].astype(int)
+        n = i - c
+        self.max_n = int(n.max(initial=0))
         self.first = np.searchsorted(n, np.arange(self.max_n + 2), side="left")
+        # C(d, k) at [g, k] for in-degree group g, of degree d = i - 1, and 0
+        # for k > d: one `_binomials` row per degree present
+        degrees = np.array(sorted(set(i.tolist())), dtype=int) - 1
+        groups, width = len(degrees), int(degrees.max(initial=0)) + 1
+        binom = np.zeros((groups, width))
+        for g, d in enumerate(degrees.tolist()):
+            binom[g, :d + 1] = _binomials(d)
+        at = np.searchsorted(degrees, i - 1)
         # coefficient a of the Horner sum only reaches the rows with n > a
-        self.window = [_column([comb(i - 1, c + a) for (i, _j, c, _m) in rows[self.first[a + 1]:]])
-                       for a in range(self.max_n)]
-        self.edge = _column([comb(i - 1, c - 1) for (i, _j, c, _m) in rows])
+        self.window = [binom[at[lo:], c[lo:] + a].reshape(-1, 1)
+                       for a, lo in enumerate(self.first[1:-1].tolist())]
+        self.edge = binom[at, c - 1].reshape(-1, 1)
         # y-side table, row q * G + g for in-degree group g of degree d:
         # C(d, q) y^(d-q) (1-y)^q, zero for q > d.  Summed over q <= n it is
         # tail(d, y, d - n) = tail(i-1, y, c-1) for d = i - 1, n = i - c.
-        degrees = sorted({i - 1 for (i, _j, _c, _m) in rows})
-        groups, width = len(degrees), max(degrees, default=0) + 1
-        self.y_m = np.zeros(width * groups, dtype=int)
-        self.y_e = np.zeros(width * groups, dtype=int)
-        self.y_binom = np.zeros((width * groups, 1))
-        for g, d in enumerate(degrees):
-            for q in range(d + 1):
-                r = q * groups + g
-                self.y_m[r], self.y_e[r], self.y_binom[r] = d - q, q, comb(d, q)
+        q = np.arange(width)[:, None]
+        self.y_m, self.y_e = (np.where(q <= degrees, e, 0).ravel() for e in (degrees - q, q))
+        self.y_binom = binom.T.reshape(-1, 1)
         self.y_shape = (width, groups)
-        group = {d: g for g, d in enumerate(degrees)}
-        self.y_index = np.array([(i - c) * groups + group[i - 1] for (i, _j, c, _m) in rows],
-                                dtype=int)
+        self.y_index = n * groups + at
 
     def start_column(self, policy: InterventionPolicy) -> np.ndarray:
         """policy.start per row (inf where it never aids); x = min(column, y)."""
@@ -560,16 +563,16 @@ class _ClassPack:
         return _class_sum(np.minimum(coef, 0.0)), _class_sum(np.maximum(coef, 0.0))
 
     def hamiltonian_parts(self, cost: float, v, y: np.ndarray) -> tuple[np.ndarray, ...]:
-        """H(y, v) per point, as `hamiltonian` at the optimal starts x(y, v)
-        with z = y, then the sums over classes of coef+ T1, coef+ T2, coef- T1
-        and coef- T2, coef+- the positive and negative parts of each class's
-        coefficient and T1 = tail(i-1, y, c-1), T2 = tail(i-1, x, c) the two
-        tails of its bracket."""
+        """(H, U, W) per point: H(y, v) as `hamiltonian` at the optimal starts
+        x(y, v) with z = y, and the class sums U of coef+ T1 - coef- T2 and W
+        of coef+ T2 - coef- T1, so that H = U - W, both rising with y; coef+-
+        are the positive and negative parts of each class's coefficient and
+        T1 = tail(i-1, y, c-1), T2 = tail(i-1, x, c) the tails of its bracket."""
         tail_y, tail_x = self.y_sums(y), self.x_sums(self.starts(cost, v, y, y))[1]
         coef = self._coef(cost, v)
-        signed = (np.maximum(coef, 0.0), np.minimum(coef, 0.0))
-        return (_class_sum(coef * (tail_y - tail_x)),
-                *(_class_sum(part * tail) for part in signed for tail in (tail_y, tail_x)))
+        pos, neg = np.maximum(coef, 0.0), np.minimum(coef, 0.0)
+        return (_class_sum(coef * (tail_y - tail_x)), _class_sum(pos * tail_y - neg * tail_x),
+                _class_sum(pos * tail_x - neg * tail_y))
 
     def residuals(self, cost: float, y: np.ndarray, v, z) -> tuple[np.ndarray, np.ndarray]:
         """Both residuals at the points y; v and z are numbers or arrays like y."""
@@ -680,20 +683,15 @@ def _hamiltonian_cells(p: JointDistribution, cost: float, y: np.ndarray, v: np.n
     points (rows x points - 1).
 
     On a span [y0, y1] each class's start x(y) does not decrease in y, and
-    both tails of its bracket rise with their argument, so the bracket lies
-    in [T1(y0) - T2(x(y1)), T1(y1) - T2(x(y0))].  Its coefficient does not
-    depend on y: the low ends weighted by coef+ and the high ends by coef-
-    bound H from below, and the other way round from above.  The bounds hold
-    in exact arithmetic; the caller allows for rounding.
+    both tails of its bracket rise with their argument.  Its coefficient
+    does not depend on y, so H = U - W with U and W of `hamiltonian_parts`
+    both rising in y, and H lies in [U(y0) - W(y1), U(y1) - W(y0)].  The
+    bounds hold in exact arithmetic; the caller allows for rounding.
     """
     pk = _pack(p)
-    rows, points = y.shape
-    ham, up_y, up_x, down_y, down_x = (
-        part.reshape(rows, points) for part in _over_points(
-            lambda y, v: pk.hamiltonian_parts(cost, v, y), y.ravel(), np.repeat(v, points)))
-    low = up_y[:, :-1] - up_x[:, 1:] + down_y[:, 1:] - down_x[:, :-1]
-    high = up_y[:, 1:] - up_x[:, :-1] + down_y[:, :-1] - down_x[:, 1:]
-    return ham, low, high
+    ham, u, w = (part.reshape(y.shape) for part in _over_points(
+        lambda y, v: pk.hamiltonian_parts(cost, v, y), y.ravel(), np.repeat(v, y.shape[1])))
+    return ham, u[:, :-1] - w[:, 1:], u[:, 1:] - w[:, :-1]
 
 
 def program_residuals(p: JointDistribution, cost: float, y, v, z):

@@ -1,13 +1,14 @@
 """The one-midpoint bisection loop, kept as the reference that
 `asymptotics.bisect` must match bitwise.
 
-`bisect_loop` halves every bracket 80 times, one call of g per halving,
-keeping the left half where the signs of g at its ends have a product <= 0
-(a NaN keeps the right half); its root is the upper end where g is exactly 0
-there, else the midpoint.  Signs are compared, never
-multiplied, so values whose product underflows still bisect.  `scan_roots` is the
-package's root scan, `asymptotics._scan_roots`, with `bisect_loop` for
-`asymptotics.bisect`.  `scalar_fixed_point` is
+`bisect_loop` halves every bracket until its midpoint equals an end, or 80
+times, one call of g per halving, keeping the left half where the signs of g
+at its ends have a product <= 0 (a NaN keeps the right half); its root is the
+last bracket's upper end, the first float at which g has left the sign of
+g(lo).  Signs are compared, never multiplied, so values whose product
+underflows still bisect.  `scan_roots` is the package's root scan,
+`asymptotics._scan_roots`, with `bisect_loop` for `asymptotics.bisect`.
+`scalar_fixed_point` is
 `smallest_fixed_point` one point at a time: a grid scan for the first point
 with f(y) <= y, then `scan_roots` on the one grid cell before it, and the
 slope test.
@@ -18,7 +19,8 @@ import numpy as np
 
 def scan_roots(g, lo, hi, grid=400):
     """Every root of g on each row's [lo, hi]: (rows, roots), as
-    `asymptotics._scan_roots` returns them."""
+    `asymptotics._scan_roots` returns them: each exact zero of the grid, and
+    the upper end of each sign-change cell's last bracket."""
     lo, hi = np.broadcast_arrays(np.atleast_1d(lo), hi)
     xs = np.linspace(lo, hi, grid + 1, axis=1)
     rows = np.repeat(np.arange(len(lo)), grid + 1)
@@ -33,11 +35,13 @@ def scan_roots(g, lo, hi, grid=400):
 
 
 def bisect_loop(g, lo, hi, g_lo, g_hi):
-    """(roots, mids) of the brackets [lo, hi] after 80 halvings, one
-    midpoint per bracket per call `g(brackets, points)`; mids[k] lists the
-    midpoints bracket k halves at before the first that equals an end of its
-    bracket, from where the halvings leave it in place."""
-    a, b, g_a, g_b = (np.array(x, dtype=float) for x in (lo, hi, g_lo, g_hi))
+    """(roots, mids) of the brackets [lo, hi] after 80 calls
+    `g(brackets, points)` of one midpoint per bracket; the roots are the last
+    brackets' upper ends, and mids[k] lists the midpoints bracket k halves at
+    before the first that equals an end of its bracket, where it stops: a
+    NaN can leave g(lo) = 0 there, and a further halving would then move
+    the upper end onto lo."""
+    a, b, g_a = (np.array(x, dtype=float) for x in (lo, hi, g_lo))
     at = np.arange(len(a))
     mids, moving = [[] for _ in at], np.ones(len(a), dtype=bool)
     for _ in range(80 if at.size else 0):
@@ -47,9 +51,9 @@ def bisect_loop(g, lo, hi, g_lo, g_hi):
             mids[k].append(mid[k])
         g_mid = g(at, mid)
         left = np.sign(g_a) * np.sign(g_mid) <= 0.0
-        b, g_b = np.where(left, mid, b), np.where(left, g_mid, g_b)
-        a, g_a = np.where(left, a, mid), np.where(left, g_a, g_mid)
-    return np.where(g_b == 0.0, b, 0.5 * (a + b)), mids
+        b = np.where(moving & left, mid, b)
+        a, g_a = np.where(moving & ~left, mid, a), np.where(moving & ~left, g_mid, g_a)
+    return b, mids
 
 
 def scalar_fixed_point(f, grid=4096):

@@ -16,6 +16,10 @@ from contagion_control import (
     trajectory_at,
 )
 from contagion_control.asymptotics import (
+    MAX_IN_DEGREE,
+    _binomials,
+    _ClassPack,
+    _link_binomials,
     forced_policy_limits,
     initial_trajectory,
     program_residuals,
@@ -454,3 +458,33 @@ class TestForcedPolicies:
         assert scalar.binom_tail(4, 0.3, 2) == pytest.approx(
             sum(math.comb(4, m) * 0.3**m * 0.7 ** (4 - m) for m in (2, 3, 4))
         )
+
+
+class TestBinomialRows:
+    def test_rows_are_the_exact_coefficients_rounded_once(self):
+        # every degree the limits take, up to C(1029, 514) ~ 1.4e308: against
+        # Pascal's rule in exact integers, and math.comb on the largest degrees
+        row = [1]
+        for d in range(MAX_IN_DEGREE):
+            assert _binomials(d) == tuple(float(b) for b in row)
+            row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
+        for d in range(MAX_IN_DEGREE - 30, MAX_IN_DEGREE):
+            assert _binomials(d) == tuple(float(math.comb(d, k)) for k in range(d + 1))
+
+    def test_pack_and_link_arrays_hold_comb_rounded_once(self):
+        p = JointDistribution({(1030, 1030, 1): 0.3, (1030, 1030, 1000): 0.3, (1030, 1030, 0): 0.1,
+                               (6, 6, 2): 0.2, (6, 6, 6): 0.1})
+        pk = _ClassPack(p)
+        for row, (i, _j, c) in enumerate(pk.keys):
+            assert pk.edge[row, 0] == float(math.comb(i - 1, c - 1))
+            for a in range(i - c):  # the window rows with n > a start at first[a + 1]
+                assert pk.window[a][row - pk.first[a + 1], 0] == float(math.comb(i - 1, c + a))
+        width, groups = pk.y_shape
+        y_binom = pk.y_binom.reshape(width, groups)
+        for g, d in enumerate((5, 1029)):
+            assert y_binom[:, g].tolist() == [float(math.comb(d, q)) if q <= d else 0.0
+                                              for q in range(width)]
+        for i in (0, 1, 6, 100):
+            want = [[float(math.comb(i - r, l - r)) if l >= r else 0.0 for l in range(i + 1)]
+                    for r in range(i + 1)]
+            assert _link_binomials(i).tolist() == want
