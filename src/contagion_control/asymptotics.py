@@ -104,7 +104,6 @@ def initial_trajectory(p: JointDistribution) -> Trajectory:
     return Trajectory(tau=0.0, lam=p.lam, s=s)
 
 
-@lru_cache(maxsize=None)
 def _binomials(d: int) -> tuple[float, ...]:
     """C(d, k) for k = 0..d: one exact integer row, each entry rounded once."""
     return tuple(map(float, accumulate(range(d), lambda b, k: b * (d - k) // (k + 1),
@@ -198,8 +197,7 @@ def smallest_fixed_point(f: Callable[[np.ndarray], np.ndarray]) -> tuple[float, 
     every a, y = 0 among them.  As f increases, a block with f(a) - b > 1e-12
     cannot hold the crossing.  The others go in order to `_scan_roots`, which
     scans g = f(y) - y at the block's grid points and bisects to adjacent
-    floats; the first root of the first block that holds one is y*: g <= 0
-    there, and g > 0 at the float below unless g(y*) = 0.
+    floats; the first root of the first block that holds one is y*.
     """
     starts = np.arange(0, _SCAN_GRID, _SCAN_BLOCK)
     ends = np.minimum(starts + _SCAN_BLOCK, _SCAN_GRID)
@@ -225,6 +223,8 @@ def _scan_roots(g, lo, hi, grid=400, bound=None):
     signs; a NaN brackets nothing.  All brackets of all rows then go to one
     `bisect`, whose calls of g follow each bracket's secant, so a cell where g
     is close to linear costs about one call whatever the number of rows.
+    A bracket's root is the upper end `bisect` returns: g is 0 there or of
+    the other sign than at the cell's lower end.
 
     With a `bound`, the scan goes coarse first.  `bound(rows, xs)` gets every
     _SCAN_STRIDE-th point of the lattice and its last, one row of xs per row,
@@ -260,13 +260,14 @@ def _scan_roots(g, lo, hi, grid=400, bound=None):
 def bisect(g, lo, hi, g_lo, g_hi):
     """Bisect the brackets [lo, hi] together, along a predicted path.
 
-    The one bisection of the package, behind `_scan_roots`.  A bracket halves
-    as a one-midpoint loop would: at mid = 0.5 * (lo + hi) it keeps [lo, mid]
-    where g(lo) and g(mid) are not of one strict sign, and [mid, hi]
-    otherwise, where either is NaN too.  Signs are compared, not multiplied,
-    so values whose product underflows to 0 still bisect.  It stops once mid
-    equals one of its ends, as every further halving leaves that midpoint in
-    place (about 50 halvings from a grid cell), or after 80 halvings.
+    The one bisection of the package, behind `_scan_roots`, on brackets with
+    g of strictly opposite signs at the ends.  A bracket halves as a
+    one-midpoint loop would: at mid = 0.5 * (lo + hi) it keeps [lo, mid]
+    where g(mid) is 0 or of the other sign than g(lo), else [mid, hi].
+    Signs are compared, not multiplied, so values whose product underflows
+    to 0 still bisect.  It stops once mid equals one of its ends, as every
+    further halving leaves the upper end in place (about 50 halvings from a
+    grid cell), or after 80 halvings.
 
     Each call `g(brackets, points)` evaluates, per live bracket, the
     midpoints the loop would visit if g were the secant through the
@@ -279,9 +280,9 @@ def bisect(g, lo, hi, g_lo, g_hi):
     depend on the batch it is evaluated in.  A lone bracket on which g is
     linear takes one call; elsewhere the secant through ends that close in
     on the root predicts ever further, and a g that defeats it at every level
-    costs a call per halving.  Each bracket's root is its last upper end: the
-    halving keeps g(hi) 0 or of the other sign than g(lo), so that is the
-    first float, to the last bracket, at which g has left the sign of g(lo).
+    costs a call per halving.  Each bracket's root is its last upper end:
+    there g is 0 or of the other sign than g(lo), and at the last lower end
+    of g(lo)'s sign or NaN.
 
     The paths and the walk run on Python floats, the same IEEE doubles as
     numpy's: a call walks at most max(_BISECT_POINTS, brackets) points, and
@@ -291,9 +292,12 @@ def bisect(g, lo, hi, g_lo, g_hi):
     ends = [list(e) for e in zip(*(np.asarray(x, dtype=float).tolist()
                                    for x in (lo, hi, g_lo, g_hi)))]
     halvings = [0] * len(ends)
-    live = range(len(ends))
-    while live := [k for k in live
-                   if halvings[k] < 80 and 0.5 * (ends[k][0] + ends[k][1]) not in ends[k][:2]]:
+    live = list(range(len(ends)))
+    while live:
+        live = [k for k in live
+                if halvings[k] < 80 and 0.5 * (ends[k][0] + ends[k][1]) not in ends[k][:2]]
+        if not live:
+            break
         depth = max(1, _BISECT_POINTS // len(live))
         paths = [_secant_path(*ends[k], min(depth, 80 - halvings[k])) for k in live]
         mids = [mid for path in paths for mid, _left in path]
@@ -304,7 +308,7 @@ def bisect(g, lo, hi, g_lo, g_hi):
             a, b, g_a, g_b = ends[k]
             for (mid, guess), g_mid in zip(path, vals[at:at + len(path)]):
                 halvings[k] += 1
-                left = g_a >= 0.0 >= g_mid or g_a <= 0.0 <= g_mid
+                left = g_mid == 0.0 or g_a >= 0.0 >= g_mid or g_a <= 0.0 <= g_mid
                 if left:
                     b, g_b = mid, g_mid
                 else:
@@ -437,7 +441,10 @@ class _ClassPack:
         self.defaulted_mass = sum(mass for (_i, _j, c, mass) in p.vulnerable_items() if c == 0)
         self.keys = [(i, j, c) for (i, j, c, _m) in rows]
 
-        self.i, self.j, self.c, self.mass = (_column([r[k] for r in rows]) for k in range(4))
+        self.i = _column([r[0] for r in rows])
+        self.j = _column([r[1] for r in rows])
+        self.c = _column([r[2] for r in rows])
+        self.mass = _column([r[3] for r in rows])
         self.jmass = self.j * self.mass
         self.imass = self.i * self.mass
         # start column of the no-aid policy: every class waits for the horizon
@@ -447,8 +454,7 @@ class _ClassPack:
         n = i - c
         self.max_n = int(n.max(initial=0))
         self.first = np.searchsorted(n, np.arange(self.max_n + 2), side="left")
-        # C(d, k) at [g, k] for in-degree group g, of degree d = i - 1, and 0
-        # for k > d: one `_binomials` row per degree present
+        # C(d, k) at [g, k] for the g-th degree d = i - 1 present, 0 for k > d
         degrees = np.array(sorted(set(i.tolist())), dtype=int) - 1
         groups, width = len(degrees), int(degrees.max(initial=0)) + 1
         binom = np.zeros((groups, width))
@@ -463,7 +469,8 @@ class _ClassPack:
         # C(d, q) y^(d-q) (1-y)^q, zero for q > d.  Summed over q <= n it is
         # tail(d, y, d - n) = tail(i-1, y, c-1) for d = i - 1, n = i - c.
         q = np.arange(width)[:, None]
-        self.y_m, self.y_e = (np.where(q <= degrees, e, 0).ravel() for e in (degrees - q, q))
+        self.y_m = np.where(q <= degrees, degrees - q, 0).ravel()
+        self.y_e = np.where(q <= degrees, q, 0).ravel()
         self.y_binom = binom.T.reshape(-1, 1)
         self.y_shape = (width, groups)
         self.y_index = n * groups + at

@@ -1,11 +1,11 @@
 """The one-midpoint bisection loop, kept as the reference that
 `asymptotics.bisect` must match bitwise.
 
-`bisect_loop` halves every bracket until its midpoint equals an end, or 80
-times, one call of g per halving, keeping the left half where the signs of g
-at its ends have a product <= 0 (a NaN keeps the right half); its root is the
-last bracket's upper end, the first float at which g has left the sign of
-g(lo).  Signs are compared, never multiplied, so values whose product
+`bisect_loop` halves every bracket 80 times, one call of g per halving,
+keeping the left half where g(mid) is 0 or the signs of g at its ends have
+a product <= 0 (else a NaN keeps the right half); its root is the last
+bracket's upper end, the first float at which g is 0 or has left the sign
+of g(lo).  Signs are compared, never multiplied, so values whose product
 underflows still bisect.  `scan_roots` is the package's root scan,
 `asymptotics._scan_roots`, with `bisect_loop` for `asymptotics.bisect`.
 `scalar_fixed_point` is
@@ -35,12 +35,11 @@ def scan_roots(g, lo, hi, grid=400):
 
 
 def bisect_loop(g, lo, hi, g_lo, g_hi):
-    """(roots, mids) of the brackets [lo, hi] after 80 calls
-    `g(brackets, points)` of one midpoint per bracket; the roots are the last
-    brackets' upper ends, and mids[k] lists the midpoints bracket k halves at
-    before the first that equals an end of its bracket, where it stops: a
-    NaN can leave g(lo) = 0 there, and a further halving would then move
-    the upper end onto lo."""
+    """(roots, mids) of the brackets [lo, hi] after 80 halvings, one
+    midpoint per bracket per call `g(brackets, points)`; the roots are the
+    last brackets' upper ends, and mids[k] lists the midpoints bracket k
+    halves at before the first that equals an end of its bracket, from where
+    the halvings leave its upper end in place."""
     a, b, g_a = (np.array(x, dtype=float) for x in (lo, hi, g_lo))
     at = np.arange(len(a))
     mids, moving = [[] for _ in at], np.ones(len(a), dtype=bool)
@@ -50,9 +49,9 @@ def bisect_loop(g, lo, hi, g_lo, g_hi):
         for k in at[moving]:
             mids[k].append(mid[k])
         g_mid = g(at, mid)
-        left = np.sign(g_a) * np.sign(g_mid) <= 0.0
-        b = np.where(moving & left, mid, b)
-        a, g_a = np.where(moving & ~left, mid, a), np.where(moving & ~left, g_mid, g_a)
+        left = (g_mid == 0.0) | (np.sign(g_a) * np.sign(g_mid) <= 0.0)
+        b = np.where(left, mid, b)
+        a, g_a = np.where(left, a, mid), np.where(left, g_a, g_mid)
     return b, mids
 
 

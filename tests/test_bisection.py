@@ -185,8 +185,19 @@ def bracket_problems(draw):
     return g, lo, hi, g(every, lo), g(every, hi), kinds
 
 
+def _nan_then_zero():
+    """g = 0.75 - x on [0, 1], NaN on (0.25, 0.6): the first midpoint, 0.5,
+    is NaN, and the second, 0.75, an exact zero above a NaN lower end."""
+    def g(_at, x):
+        return np.where((0.25 < x) & (x < 0.6), np.nan, 0.75 - x)
+
+    lo, hi = np.array([0.0]), np.array([1.0])
+    return g, lo, hi, g(0, lo), g(0, hi), np.array(["nan"])
+
+
 @settings(max_examples=300, deadline=None)
 @given(problem=bracket_problems())
+@example(problem=_nan_then_zero())
 def test_bisect_equals_the_one_midpoint_loop_and_advances_every_call(problem):
     g, lo, hi, g_lo, g_hi, kinds = problem
     calls = []
@@ -260,6 +271,14 @@ def test_an_exact_zero_at_the_bracket_end_is_the_root():
     pk = _pack(p)
     assert y == 0.3333333333333333
     assert _fixed_outflow(pk, pk.start_column(InterventionPolicy.complete()), y) - y == 0.0
+
+
+def test_an_exact_zero_above_a_nan_is_the_root():
+    # the zero at 0.75 becomes the upper end; were it the lower end, every
+    # later halving would keep the left half and return the float above it
+    g, lo, hi, g_lo, g_hi, _kinds = _nan_then_zero()
+    assert bisect(g, lo, hi, g_lo, g_hi).tolist() == [0.75]
+    assert bisect_loop(g, lo, hi, g_lo, g_hi)[0].tolist() == [0.75]
 
 
 def _counting(f):
