@@ -496,13 +496,13 @@ class _ClassPack:
 
     def x_sums(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(tail(i, x, c), tail(i-1, x, c)) per class and point, by nested Horner
-        steps.  numpy picks its routine for x ** c by the operands' layout: with
-        c a whole array, not broadcast along the points, it is the same for
-        any batch."""
+        steps; x is classes x points.  numpy picks its routine for x ** c by
+        the operands' layout: with c repeated into a whole array, not broadcast
+        along the points, it is the same for any batch."""
         first, s = self.first, 1.0 - x
-        acc = np.zeros_like(x)
-        edge = np.ones_like(x)  # becomes (1-x)^n
-        power = np.ones_like(x[first[1]:])  # x^a on the rows with n > a
+        acc = np.zeros(x.shape)
+        edge = np.ones(x.shape)  # becomes (1-x)^n
+        power = np.ones((x.shape[0] - first[1], x.shape[1]))  # x^a on the rows with n > a
         for a in range(self.max_n):
             lo = first[a + 1]
             if a:
@@ -510,19 +510,17 @@ class _ClassPack:
             acc[lo:] += self.window[a] * power
             acc[first[a + 2]:] *= s[first[a + 2]:]
             edge[lo:] *= s[lo:]
-        xc = x ** np.broadcast_to(self.c, x.shape).copy()
+        xc = x ** np.repeat(self.c, x.shape[1], axis=1)
         ham = xc * acc
         return ham + xc * self.edge * edge, ham
 
     def y_sums(self, y: np.ndarray) -> np.ndarray:
         """tail(i-1, y, c-1) per class and point."""
         width, groups = self.y_shape
-        ypow = np.ones((width, len(y)))
-        opow = np.ones((width, len(y)))
+        ypow, opow = powers = np.ones((2, width, len(y)))
         ypow[1:] = y
         opow[1:] = 1.0 - y
-        np.cumprod(ypow, axis=0, out=ypow)
-        np.cumprod(opow, axis=0, out=opow)
+        np.cumprod(powers, axis=1, out=powers)
         # summed from q = 0 up, one block of groups at a time: np.cumsum along
         # the first axis gives the same bits but runs 10x slower on a chunk
         tails = (ypow[self.y_m] * opow[self.y_e] * self.y_binom).reshape(width, groups, len(y))
@@ -538,8 +536,10 @@ class _ClassPack:
         when c of its i in-links are revealed before its start x."""
         return self._flow(self.x_sums(x)[0])
 
-    def limits(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(outflow, defaults, aid) per point for start times x <= y.
+    def limits(self, x: np.ndarray, y: np.ndarray, coef=None) -> tuple[np.ndarray, ...]:
+        """(outflow, defaults, aid) per point for start times x <= y, and with
+        coef, `_coef` at the points' multipliers, also H(y, v) as `hamiltonian`
+        gives it, from the same tails.
 
         Of a node's i in-links, M ~ Bin(i, y) are revealed by y and N of them
         before x.  Aid in the window [x, y] gives (M - c + 1)^+ units when
@@ -551,10 +551,11 @@ class _ClassPack:
         """
         tail_x, ham_x = self.x_sums(x)
         tail_y = self.x_sums(np.broadcast_to(y, x.shape))[0]
-        window = (self.i * (y * (self.y_sums(y) - ham_x) - (tail_x - ham_x))
-                  - (self.c - 1.0) * (tail_y - tail_x))
+        bracket = self.y_sums(y) - ham_x
+        window = self.i * (y * bracket - (tail_x - ham_x)) - (self.c - 1.0) * (tail_y - tail_x)
         defaults = _class_sum(self.mass * tail_x) + self.defaulted_mass
-        return self._flow(tail_x), defaults, _class_sum(self.mass * window)
+        out = self._flow(tail_x), defaults, _class_sum(self.mass * window)
+        return out if coef is None else out + (_class_sum(coef * bracket),)
 
     def _coef(self, cost: float, v) -> np.ndarray:
         return np.maximum(-cost, self.j * v - 1.0) * self.imass
@@ -584,8 +585,11 @@ class _ClassPack:
     def residuals(self, cost: float, y: np.ndarray, v, z) -> tuple[np.ndarray, np.ndarray]:
         """Both residuals at the points y; v and z are numbers or arrays like y."""
         tail_x, ham_x = self.x_sums(self.starts(cost, v, y, z))
-        ham = self.hamiltonian(cost, v, y, ham_x)
-        return (1.0 - y) * (ham - self.lam * v), self._flow(tail_x) - y
+        return self.equations(y, v, self.hamiltonian(cost, v, y, ham_x), self._flow(tail_x))
+
+    def equations(self, y, v, ham, flow) -> tuple[np.ndarray, np.ndarray]:
+        """The two program residuals, (1-y)(H - lam v) and outflow - y."""
+        return (1.0 - y) * (ham - self.lam * v), flow - y
 
 
 def _column(values) -> np.ndarray:
@@ -611,13 +615,19 @@ def _over_points(fn, *args):
 
     The args are floats or 1-D arrays that broadcast together.  `fn` returns a
     tuple of per-point arrays; the result is that tuple, of floats if every
-    input is.
+    input is.  Up to _RESIDUAL_BATCH points are one call of fn, whose arrays
+    are the result as they are.
     """
     scalar = all(np.ndim(a) == 0 for a in args)
-    args = np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float)) for a in args))
-    parts = [fn(*(a[s:s + _RESIDUAL_BATCH] for a in args))
-             for s in range(0, max(len(args[0]), 1), _RESIDUAL_BATCH)]
-    cols = tuple(np.concatenate(col) for col in zip(*parts))
+    args = [np.asarray(a, dtype=float).reshape(-1) for a in args]
+    if any(a.shape != args[0].shape for a in args):
+        args = np.broadcast_arrays(*args)
+    if len(args[0]) <= _RESIDUAL_BATCH:
+        cols = fn(*args)
+    else:
+        cols = tuple(np.concatenate(col) for col in zip(*(
+            fn(*(a[s:s + _RESIDUAL_BATCH] for a in args))
+            for s in range(0, len(args[0]), _RESIDUAL_BATCH))))
     if scalar:
         return tuple(float(col[0]) for col in cols)
     return cols
@@ -665,6 +675,19 @@ def controlled_limits(p: JointDistribution, cost: float, y, v, z):
         lambda y, v, z: pk.limits(pk.starts(cost, v, y, z), y), y, v, z)
 
 
+def _residuals_and_limits(p: JointDistribution, cost: float, y, v, z):
+    """(first residual, second residual, outflow, defaults, aid) per point:
+    `program_residuals` and `controlled_limits` bit for bit, from one
+    evaluation of the tails at the optimal starts."""
+    pk = _pack(p)
+
+    def values(y, v, z):
+        flow, dflt, aid, ham = pk.limits(pk.starts(cost, v, y, z), y, pk._coef(cost, v))
+        return *pk.equations(y, v, ham, flow), flow, dflt, aid
+
+    return _over_points(values, y, v, z)
+
+
 def default_outflow_controlled(p: JointDistribution, cost: float, y, v, z):
     """Out-link flow of the default set under the threshold policy: the first
     of `controlled_limits`, bit for bit, without the other two."""
@@ -704,10 +727,11 @@ def _hamiltonian_cells(p: JointDistribution, cost: float, y: np.ndarray, v: np.n
 def program_residuals(p: JointDistribution, cost: float, y, v, z):
     """((1-y)(H - lam v), controlled outflow - y): the two program equations.
 
-    The solver's only evaluation of both equations.  Takes scalar or array
-    inputs: y, v and z are numbers or equal-length 1-D arrays (a number
-    broadcasts against arrays).  Numbers give a pair of floats, arrays a pair
-    of arrays, evaluated in chunks of _RESIDUAL_BATCH points.
+    The solver's evaluation of both equations, but for the candidate
+    builder's, which takes them from `_residuals_and_limits`.  Takes scalar
+    or array inputs: y, v and z are numbers or equal-length 1-D arrays (a
+    number broadcasts against arrays).  Numbers give a pair of floats, arrays
+    a pair of arrays, evaluated in chunks of _RESIDUAL_BATCH points.
     """
     pk = _pack(p)
     return _over_points(lambda y, v, z: pk.residuals(cost, y, v, z), y, v, z)

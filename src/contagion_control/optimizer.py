@@ -45,9 +45,9 @@ from .asymptotics import (
     _hamiltonian_cells,
     _optimal_starts,
     _pack,
+    _residuals_and_limits,
     _scan_roots,
     _slope_probes,
-    controlled_limits,
     default_outflow_controlled,
     is_stable,
     program_residuals,
@@ -106,26 +106,24 @@ def _check_cost(cost: float) -> None:
 
 
 def _candidates(p, cost, points, branch) -> list[OPSolution]:
-    """The candidate builder: solutions at the points (y, v, z) that solve both
-    program equations, with a finite objective (a NaN one would empty
-    solve_op's tie set).  The stages' roots and boundary points all pass here.
-    One `program_residuals` call evaluates every point, and one
-    `controlled_limits` call every point and its two `is_stable` probes: a
-    point's values do not depend on its batch."""
+    """The candidate builder: solutions at the points, a list of (y, v, z), that
+    solve both program equations, with a finite objective (a NaN one would
+    empty solve_op's tie set).  The stages' roots and boundary points all pass here.
+    One `_residuals_and_limits` call evaluates both residuals and the limits
+    at every point and the outflow at its two `is_stable` probes: a point's
+    values do not depend on its batch."""
     if not points:
         return []
-    points = np.array(points, dtype=float)
-    y, v, z = points.T
-    res = np.stack(program_residuals(p, cost, y, v, z), axis=1)
-    flow, dflt, aid = controlled_limits(p, cost, np.concatenate([y, _slope_probes(y)]),
-                                        np.tile(v, 3), np.tile(z, 3))
-    n = len(y)
-    stable = is_stable(lambda _probes: flow[n:], y) | (y > 1.0 - _RESIDUAL_TOL)
+    n = len(points)
+    y, v, z = np.array(points * 3, dtype=float).T.copy()
+    y[n:] = _slope_probes(y[:n])
+    res1, res2, flow, dflt, aid = _residuals_and_limits(p, cost, y, v, z)
+    stable = is_stable(lambda _probes: flow[n:], y[:n]) | (y[:n] > 1.0 - _RESIDUAL_TOL)
     sols = (OPSolution(end_fraction=yk, multiplier=vk, singular_start=zk,
                        objective=cost * a + d, interventions=a, defaults=d, stable=s,
-                       branch=branch, residuals=tuple(r))
-            for (yk, vk, zk), r, d, a, s in zip(points.tolist(), res.tolist(), dflt[:n].tolist(),
-                                                aid[:n].tolist(), stable.tolist()))
+                       branch=branch, residuals=(r1, r2))
+            for yk, vk, zk, r1, r2, d, a, s in zip(
+                *(col[:n].tolist() for col in (y, v, z, res1, res2, dflt, aid)), stable.tolist()))
     return [s for s in sols if s.feasible and math.isfinite(s.objective)]
 
 
@@ -148,74 +146,81 @@ def _root_candidates(p, cost, roots, branch) -> list[OPSolution]:
                   key=lambda s: (s.end_fraction, s.multiplier, s.singular_start))
 
 
-def _straddling(corners):
-    """Per cell and residual (..., 2), whether the residual is <= 0 at one
-    corner and >= 0 at another; corners is (..., 4, 2), and a NaN corner
-    keeps nothing."""
-    a, b, c, d = np.moveaxis(corners, -2, 0)  # pairwise: a min over that axis is 10x slower
-    lo, hi = np.minimum(np.minimum(a, b), np.minimum(c, d)), np.maximum(np.maximum(a, b), c)
-    return (lo <= 0.0) & (np.maximum(hi, d) >= 0.0)
+def _straddling(f):
+    """Per residual and cell of a (2, ..., rows, columns) grid of residual
+    values, whether the residual is <= 0 at one corner of the cell and >= 0 at
+    another; a NaN corner keeps nothing."""
+    a, b, c, d = f[..., :-1, :-1], f[..., :-1, 1:], f[..., 1:, :-1], f[..., 1:, 1:]
+    lo = np.minimum(np.minimum(a, b), np.minimum(c, d))
+    return (lo <= 0.0) & (np.maximum(np.maximum(a, b), np.maximum(c, d)) >= 0.0)
 
 
-def _straddles(corners):
-    """Cells where both residuals straddle."""
-    return _straddling(corners).all(axis=-1)
-
-
-def _first_cells(corners):
-    """(rows, columns) of the first grid's cells to subdivide: each straddles
-    one residual, and the other in it or in a cell that shares an edge with
-    it.  A cell straddled by both is kept by its corners alone; the edge
-    neighbour also keeps a cell that the other residual's contour enters and
-    leaves through that shared edge, where no corner of the cell sees it."""
-    each = _straddling(corners)
+def _first_cells(each):
+    """(rows, columns) of the first grid's cells to subdivide, from `_straddling`
+    on it: each straddles one residual, and the other in it or in a cell that
+    shares an edge with it.  A cell straddled by both is kept by its corners
+    alone; the edge neighbour also keeps a cell that the other residual's
+    contour enters and leaves through that shared edge, where no corner of the
+    cell sees it."""
     near = each.copy()
-    near[1:] |= each[:-1]
-    near[:-1] |= each[1:]
     near[:, 1:] |= each[:, :-1]
     near[:, :-1] |= each[:, 1:]
-    return np.nonzero(each.any(axis=-1) & near.all(axis=-1))
+    near[:, :, 1:] |= each[:, :, :-1]
+    near[:, :, :-1] |= each[:, :, 1:]
+    return np.nonzero((each[0] | each[1]) & near[0] & near[1])
 
 
-def _corners(f):
-    """The (..., 4, 2) corners of every cell of a (..., rows, columns, 2) grid."""
-    return np.stack([f[..., :-1, :-1, :], f[..., :-1, 1:, :], f[..., 1:, :-1, :],
-                     f[..., 1:, 1:, :]], axis=-2)
+def _mesh(y, v):
+    """The (2, ..., n, m) points (y, v) of the grids with sides y (..., n) and
+    v (..., m)."""
+    mesh = np.empty((2, *y.shape, v.shape[-1]))
+    mesh[0] = y[..., None]
+    mesh[1] = v[..., None, :]
+    return mesh
+
+
+def _halve(lo, hi):
+    mid = 0.5 * (lo + hi)
+    return np.where((hi - lo > _STAGE_A_WIDTH) & (lo < mid) & (mid < hi), mid, hi)
 
 
 def _quarters(lo, hi):
     """Two levels of halving of each side [lo, hi]: a (..., 5) lattice, sub-side
     k from lattice[k] to lattice[k + 1].  A side halves while wider than
     _STAGE_A_WIDTH with its midpoint strictly inside, else the midpoint is hi."""
-    def halve(lo, hi):
-        mid = 0.5 * (lo + hi)
-        return np.where((hi - lo > _STAGE_A_WIDTH) & (lo < mid) & (mid < hi), mid, hi)
+    lattice = np.empty((*lo.shape, 5))
+    lattice[..., 0], lattice[..., 4] = lo, hi
+    lattice[..., 2] = _halve(lo, hi)
+    lattice[..., 1::2] = _halve(lattice[..., 0:3:2], lattice[..., 2::2])
+    return lattice
 
-    mid = halve(lo, hi)
-    return np.stack([lo, halve(lo, mid), mid, halve(mid, hi), hi], axis=-1)
 
-
-def _zoom_box(ly, lv, f, sub):
-    """Each cell's zoom box (y, y', v, v') in its straddling sub-cell sub, from its
-    lattice (ly, lv) and values f, as `solve_stage_a` says; sub where none."""
+def _zoom_box(lattice, f, sub):
+    """Each cell's zoom box (y, y', v, v') in its straddling sub-cell sub, from
+    its lattice (2 x cells x 5) and values f (2 x cells x 5 x 5), as
+    `solve_stage_a` says; sub where none.  Columns are cells."""
     with np.errstate(all="ignore"):
-        centre = np.stack([ly.mean(axis=1), lv.mean(axis=1)], axis=1)
-        dy, dv = ly - centre[:, :1], lv - centre[:, 1:]
-        x = np.stack(np.broadcast_arrays(1.0, dy[:, :, None], dv[:, None, :]), 3).reshape(-1, 25, 3)
-        xt, f = x.transpose(0, 2, 1), f.reshape(-1, 25, 2)
+        centre = lattice.mean(axis=2)
+        d = lattice - centre[:, :, None]
+        x = np.empty((lattice.shape[1], 5, 5, 3))
+        x[..., 0], x[..., 1], x[..., 2] = 1.0, d[0, :, :, None], d[1, :, None, :]
+        x = x.reshape(-1, 25, 3)
+        xt, f = x.transpose(0, 2, 1), np.ascontiguousarray(f.reshape(2, -1, 25).transpose(1, 2, 0))
         coef = xt @ f / (xt * xt).sum(axis=2)[:, :, None]  # (cells, 3, 2), the columns orthogonal
         misfit = np.abs(x @ coef - f).max(axis=1)
         (m0, m1), (a0, a1), (b0, b1) = coef.transpose(1, 2, 0)
         inv = np.array([[b1, -b0], [-a1, a0]]) / (a0 * b1 - a1 * b0)  # (2, 2, cells)
-        cond = np.abs(inv[:, 0]) * (abs(a0) + abs(b0)) + np.abs(inv[:, 1]) * (abs(a1) + abs(b1))
-        root = centre - (inv[:, 0] * m0 + inv[:, 1] * m1).T
-        w = _STAGE_A_ZOOM * (np.abs(inv[:, 0]) * misfit[:, 0] + np.abs(inv[:, 1]) * misfit[:, 1]).T
-        w = np.maximum(w, np.maximum(1e-2 * w.max(axis=1, keepdims=True), _STAGE_A_WIDTH))
-        lo, hi = sub[:, 0::2], sub[:, 1::2]
+        size = np.abs(inv)
+        cond = size[:, 0] * (abs(a0) + abs(b0)) + size[:, 1] * (abs(a1) + abs(b1))
+        root = centre - (inv[:, 0] * m0 + inv[:, 1] * m1)
+        w = _STAGE_A_ZOOM * (size[:, 0] * misfit[:, 0] + size[:, 1] * misfit[:, 1])
+        w = np.maximum(w, np.maximum(1e-2 * w.max(axis=0), _STAGE_A_WIDTH))
+        lo, hi = sub[0::2], sub[1::2]
         mid = np.minimum(np.maximum(root, lo + w), hi - w)
-        box = np.stack([np.maximum(mid - w, lo), np.minimum(mid + w, hi)], axis=-1).reshape(-1, 4)
-        ok = (cond.max(axis=0) <= _STAGE_A_CONDITION) & (box[:, 1::2] > box[:, 0::2]).all(axis=1)
-    return np.where(ok[:, None], box, sub)
+        box = np.empty_like(sub)
+        box[0::2], box[1::2] = np.maximum(mid - w, lo), np.minimum(mid + w, hi)
+        ok = (cond.max(axis=0) <= _STAGE_A_CONDITION) & (box[1::2] > box[0::2]).all(axis=0)
+    return np.where(ok, box, sub)
 
 
 def _planes(p: JointDistribution, cost: float):
@@ -227,23 +232,22 @@ def _planes(p: JointDistribution, cost: float):
 
 
 def _first_grid(p, cost, residuals):
-    """Stage A's first grid, as `solve_stage_a` says: its sides ys and vs, and
-    the corners of its cells from `residuals(y, v)` on a (y, v) mesh."""
+    """Stage A's first grid, as `solve_stage_a` says: its sides ys and vs, both
+    residuals on its mesh from `residuals(mesh)` (2 x ys x vs, NaN in the
+    columns it skips), and the columns of cells in a sliver."""
     ys = np.linspace(0.0, 1.0 - _RESIDUAL_TOL, _STAGE_A_GRID[0])
     vs = np.tan(0.5 * np.pi * np.linspace(-(1.0 - 1e-6), 1.0 - 1e-6, _STAGE_A_GRID[1]))
     j, top = _planes(p, cost)
     low = top - 2.0 * _SINGULAR_TOL * max(1.0, abs(1.0 - cost)) / j  # the slivers [low, top]
-    vs = np.union1d(vs, np.clip(np.concatenate([low, top]), vs[0], vs[-1]))
+    vs = np.unique(np.concatenate([vs, np.clip(np.concatenate([low, top]), vs[0], vs[-1])]))
     vs = vs[~((low[:, None] < vs) & (vs < top[:, None])).any(axis=0)]
-    dead = np.isin(vs[:-1], low)
+    dead = (vs[:-1, None] == low).any(axis=1)
     lo, hi = _pack(p).hamiltonian_range(cost, vs)
     live = (p.lam * vs[1:] >= lo[:-1] - 1e-9) & (p.lam * vs[:-1] <= hi[1:] + 1e-9) & ~dead
-    cols = np.append(live, False) | np.insert(live, 0, False)
-    grid = np.full((len(ys), len(vs), 2), np.nan)
-    grid[:, cols] = residuals(*np.meshgrid(ys, vs[cols], indexing="ij"))
-    corners = _corners(grid)
-    corners[:, dead] = np.nan
-    return ys, vs, corners
+    cols = np.concatenate([live, [False]]) | np.concatenate([[False], live])
+    grid = np.full((2, len(ys), len(vs)), np.nan)
+    grid[:, :, cols] = residuals(_mesh(ys, vs[cols]))
+    return ys, vs, grid, dead
 
 
 def solve_stage_a(p: JointDistribution, cost: float) -> list[OPSolution]:
@@ -254,7 +258,7 @@ def solve_stage_a(p: JointDistribution, cost: float) -> list[OPSolution]:
     [-(1 - 1e-6), 1 - 1e-6], except in the columns [v, v'] where lam v' lies
     below the lower bound of H (`hamiltonian_range`, rising with v as lam v
     does) at v, or lam v above its upper bound at v', by more than stage B's
-    1e-9: their corners stay NaN, which `_straddles` never keeps.  At each
+    1e-9: their corners stay NaN, which `_straddling` never keeps.  At each
     plane v_j of `_planes`, with `singular_rows`' band 1e-12 max(1, |1 - cost|),
     the grid has a column at either end of the sliver [v_j - 2 band / j, v_j],
     none inside, and NaN corners in it: no cell spans a jump of the outflow,
@@ -264,9 +268,10 @@ def solve_stage_a(p: JointDistribution, cost: float) -> list[OPSolution]:
     may dip into the cell across their shared edge unseen by its corners.
     Each kept cell gets a 5 x 5 lattice, two levels of halving, all in one
     batched call; the 4 x 4 sub-cells that straddle are the next call's cells,
-    until each side is 1e-13 wide; a side too narrow to halve in floating
-    point stays whole.  A finished cell reports its corner of smallest
-    max-norm residual, as the call that made it evaluated them.  A call
+    in the order of two one-level passes, until each side is 1e-13 wide; a
+    side too narrow to halve in floating point stays whole.  A cell carries
+    the max-norm residual at its corners, from the call that made it, and a
+    finished cell reports its corner where that is smallest.  A call
     subdivides at most _STAGE_A_CAP cells, those nearest a root by their
     corners: more only arise where the contours of the residuals run nearly
     tangent, and many cells straddle both.  The corner test
@@ -288,41 +293,52 @@ def solve_stage_a(p: JointDistribution, cost: float) -> list[OPSolution]:
     """
     _check_cost(cost)
 
-    def residuals(y, v):
-        r = program_residuals(p, cost, y.ravel(), v.ravel(), y.ravel())
-        return np.stack(r, axis=-1).reshape(*y.shape, 2)
+    def residuals(mesh):
+        y, v = mesh.reshape(2, -1)
+        return np.array(program_residuals(p, cost, y, v, y)).reshape(mesh.shape)
 
-    ys, vs, corners = _first_grid(p, cost, residuals)
-    r, c = _first_cells(corners)
-    # per cell: sides, the sub-cell of a zoom box (else the cell), its corners, only halves
-    cells = back = np.stack([ys[r], ys[r + 1], vs[c], vs[c + 1]], axis=1)
-    held, plain, found = corners[r, c], np.zeros(len(r), bool), []
-    while len(cells):
-        if len(cells) > _STAGE_A_CAP:  # keep the cells nearest a root
-            near = np.argsort(np.abs(held).max(-1).min(-1), kind="stable")[:_STAGE_A_CAP]
-            cells, back, held, plain = cells[near], back[near], held[near], plain[near]
-        ly, lv = _quarters(cells[:, 0::2], cells[:, 1::2]).transpose(1, 0, 2)
-        done = (ly[:, 1] == ly[:, 4]) & (lv[:, 1] == lv[:, 4])
-        best = np.abs(held[done]).max(axis=-1).argmin(axis=1)
-        found.append(np.stack([ly[done, best // 2 * 4], lv[done, best % 2 * 4]], axis=1))
-        cells, back, held, plain, ly, lv = (a[~done] for a in (cells, back, held, plain, ly, lv))
-        if not len(ly):
-            break
-        f = residuals(*np.broadcast_arrays(ly[:, :, None], lv[:, None, :]))
-        corners = _corners(f)
-        keep = ((ly[:, 1:] > ly[:, :-1])[:, :, None] & (lv[:, 1:] > lv[:, :-1])[:, None, :]
-                & _straddles(corners))
+    ys, vs, grid, dead = _first_grid(p, cost, residuals)
+    each = _straddling(grid)
+    each[:, :, dead] = False
+    r, c = _first_cells(each)
+    # per cell, a column: its sides, the sub-cell of a zoom box (else the cell),
+    # the max-norm residual at its corners, and whether it only halves
+    cells = back = np.array([ys[r], ys[r + 1], vs[c], vs[c + 1]])
+    held = np.abs(grid).max(axis=0)[[r, r, r + 1, r + 1], [c, c + 1, c, c + 1]]
+    plain, found = np.zeros(len(r), bool), []
+    while len(plain):
+        if len(plain) > _STAGE_A_CAP:  # keep the cells nearest a root
+            near = np.argsort(held.min(axis=0), kind="stable")[:_STAGE_A_CAP]
+            cells, back, held, plain = cells[:, near], back[:, near], held[:, near], plain[near]
+        lattice = _quarters(cells[0::2], cells[1::2])  # (2, cells, 5): y, v
+        done = (lattice[:, :, 1] == lattice[:, :, 4]).all(axis=0)
+        if done.any():
+            at, best = np.flatnonzero(done), held[:, done].argmin(axis=0)
+            found.append(np.stack([cells[best // 2, at], cells[2 + best % 2, at]], axis=1))
+            cells, back, held, plain = (a[..., ~done] for a in (cells, back, held, plain))
+            lattice = lattice[:, ~done]
+            if not len(plain):
+                break
+        mesh = _mesh(lattice[0], lattice[1])
+        f = residuals(mesh)
+        grow = lattice[..., 1:] > lattice[..., :-1]
+        both = _straddling(f)
+        keep = grow[0, :, :, None] & grow[1, :, None, :] & both[0] & both[1]
         # in the order of two one-level passes: second child, first child, cell
         a2, b2, a1, b1, k = np.nonzero(keep.reshape(-1, 2, 2, 2, 2).transpose(2, 4, 1, 3, 0))
-        a, b = 2 * a1 + a2, 2 * b1 + b2
-        sub = np.stack([ly[k, a], ly[k, a + 1], lv[k, b], lv[k, b + 1]], axis=1)
-        one, nxt = np.flatnonzero(((keep.sum(axis=(1, 2)) == 1) & ~plain)[k]), sub.copy()
+        # the lattice points at the corners (y, v), (y, v'), (y', v), (y', v')
+        corners = 25 * k + 5 * (2 * a1 + a2) + 2 * b1 + b2 + np.array([[0], [1], [5], [6]])
+        sub = mesh.reshape(2, -1)[[[0], [0], [1], [1]], corners[[0, 2, 0, 1]]]
+        count = np.bincount(k, minlength=len(plain))
+        one, nxt = np.flatnonzero((count[k] == 1) & ~plain[k]), sub.copy()
         if len(one):
-            nxt[one] = _zoom_box(ly[k[one]], lv[k[one]], f[k[one]], sub[one])
-        miss = (cells != back).any(axis=1) & ~keep.any(axis=(1, 2))  # zoom boxes that missed
-        cells, back, held, plain = (np.concatenate(pair) for pair in zip(
-            (nxt, sub, corners[k, a, b], plain[k]),
-            (back[miss], back[miss], held[miss], np.ones(miss.sum(), bool))))
+            nxt[:, one] = _zoom_box(lattice[:, k[one]], f[:, k[one]], sub[:, one])
+        state = nxt, sub, np.abs(f).max(axis=0).ravel()[corners], plain[k]
+        miss = (count == 0) & (cells != back).any(axis=0)  # zoom boxes that missed
+        if miss.any():
+            state = [np.concatenate(pair, axis=-1) for pair in zip(
+                state, (back[:, miss], back[:, miss], held[:, miss], np.ones(miss.sum(), bool)))]
+        cells, back, held, plain = state
     roots = np.concatenate([np.empty((0, 2))] + found)
     if _pack(p).defaulted_flow / p.lam <= 1e-14:
         at_zero = [(0.0, v) for v in _solve_multiplier_at(p, cost, 0.0)]

@@ -183,7 +183,7 @@ class TestStageA:
         assert [(r.end_fraction, r.multiplier, r.stable) for r in roots] == [
             (pytest.approx(0.170767, abs=1e-6), pytest.approx(-0.080845, abs=1e-6), True),
             (pytest.approx(0.913413, abs=1e-6), pytest.approx(39.286507, abs=1e-6), False)]
-        assert len(sizes) == 34 and 10_000 < max(sizes) <= 25 * opt._STAGE_A_CAP
+        assert len(sizes) == 33 and 10_000 < max(sizes) <= 25 * opt._STAGE_A_CAP
 
     def test_two_levels_per_residual_call(self, experiment_dist, monkeypatch):
         import contagion_control.optimizer as opt
@@ -195,17 +195,23 @@ class TestStageA:
         assert len(calls) <= 25  # one level per call took 42
 
     def test_residual_calls_of_a_solve(self, experiment_dist, monkeypatch):
-        # the first grid in the 9 of 80 multiplier columns that can hold a root
-        # of the first equation, 6 lattice calls (the cell straddled by both
-        # residuals with its 5 edge neighbours straddled by one, none of which
-        # straddles again, a zoom box with two straddling sub-cells, those two,
-        # and 3 more zoom boxes; 20 lattice calls of halving alone), the
-        # finished cells read from the call that evaluated their corners, and
-        # one call of the candidate builder; stage B skips every out-degree,
+        # the point count of every residual call, in order: the first grid in
+        # the multiplier columns that can hold a root of the first equation
+        # (7, 9 and 32 of 80 columns), then 25 points per kept cell in each
+        # lattice call; at cost 0.5 the cell straddled by both residuals and
+        # its 5 edge neighbours straddled by one, none of which straddles
+        # again, a zoom box with two straddling sub-cells, those two, and 3
+        # more zoom boxes.  The finished cells are read from the call that
+        # evaluated their corners, and the candidate builder evaluates the
+        # residuals with the limits, not here; stage B skips every out-degree,
         # and y = 1 is infeasible
         sizes = residual_sizes(monkeypatch)
-        solve_op(JointDistribution(dict(experiment_dist.entries)), 0.5)
-        assert (len(sizes), sizes[0], sum(sizes), sizes[-1]) == (8, 21 * 9, 490, 1)
+        for cost, want in ((0.05, [21 * 7, 100, 25, 50, 50, 50]),
+                           (0.5, [21 * 9, 150, 25, 50, 25, 25, 25]),
+                           (1.5, [21 * 32, 100, 25, 50, 50, 50, 75, 25])):
+            sizes.clear()
+            solve_op(JointDistribution(dict(experiment_dist.entries)), cost)
+            assert sizes == want, cost
 
     @pytest.mark.parametrize("cost", [9.0, 20.0])
     def test_zero_root_with_a_multiplier_beyond_eight(self, cost):
