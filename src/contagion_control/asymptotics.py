@@ -32,8 +32,8 @@ x depends on the policy:
 `_ClassPack` is the only code that sums over classes: for a start array it
 gives the default outflow, the defaulted share and the aid volume, and the
 Hamiltonian H(y, v) of the terminal stationarity equation H = lam * v, with
-its range over y and, from per-class bounds, over each span of y
-(`_hamiltonian_cells`).
+its range over y and its split into two parts that rise with y
+(`hamiltonian_parts`), which bound it over each span of y.
 `is_stable` is the one stability test of a fixed point.  `_scan_roots` is the
 one root scan of an equation in one variable, for `smallest_fixed_point` and
 the solver alike, and `bisect`, behind it, the one bisection.  The
@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from math import nan
+from math import isqrt, nan
 from typing import Callable
 
 import numpy as np
@@ -60,15 +60,12 @@ ClassKey = tuple[int, int, int]
 
 _SINGULAR_TOL = 1e-12
 MAX_IN_DEGREE = 1030  # above it C(i - 1, k) exceeds the largest float: C(1030, 515) ~ 2.9e308
-# the fixed-point scan's grid k / _SCAN_GRID and block size, and points per
-# residual batch, which bounds the temporaries to a few MB
+# the fixed-point scan's grid k / _SCAN_GRID, and points per residual batch,
+# which bounds the temporaries to a few MB
 _SCAN_GRID = 4096
-_SCAN_BLOCK = 64
 _RESIDUAL_BATCH = 512
 # most points per call of the function that `bisect` bisects
 _BISECT_POINTS = 64
-# a bounded `_scan_roots` evaluates every _SCAN_STRIDE-th lattice point first
-_SCAN_STRIDE = 16
 _SLOPE_STEP = 1e-6  # half-width of `is_stable`'s central slope
 
 
@@ -192,23 +189,22 @@ def smallest_fixed_point(f: Callable[[np.ndarray], np.ndarray]) -> tuple[float, 
     """Smallest y in [0, 1] with f(y) <= y, and whether f `is_stable` there.
 
     Assumes f continuous and increasing with f(1) <= 1, so y = 1 is always a
-    fallback fixed point; f must accept an ndarray.  The grid k / _SCAN_GRID
-    runs in blocks [a, b] of _SCAN_BLOCK cells, and one call evaluates f at
-    every a, y = 0 among them.  As f increases, a block with f(a) - b > 1e-12
-    cannot hold the crossing.  The others go in order to `_scan_roots`, which
-    scans g = f(y) - y at the block's grid points and bisects to adjacent
-    floats; the first root of the first block that holds one is y*.
+    fallback fixed point; f must accept an ndarray.  One bounded `_scan_roots`
+    of g = f(y) - y over the grid k / _SCAN_GRID, with u = f, w = y and a
+    margin of 1e-12, skips each 64-cell span that lies above or below the
+    diagonal.  y* is 0 where f(0) <= 0, and then no span is filled in; else
+    it is the scan's first root, or 1 if it has none.
     """
-    starts = np.arange(0, _SCAN_GRID, _SCAN_BLOCK)
-    ends = np.minimum(starts + _SCAN_BLOCK, _SCAN_GRID)
-    f_a = np.asarray(f(starts / _SCAN_GRID), dtype=float)
-    y_star = 0.0 if f_a[0] <= 0.0 else 1.0
-    crossing = ~(f_a - ends / _SCAN_GRID > 1e-12) & (f_a[0] > 0.0)
-    for a, b in zip(starts[crossing].tolist(), ends[crossing].tolist()):
-        roots = _scan_roots(lambda _r, ys: f(ys) - ys, a / _SCAN_GRID, b / _SCAN_GRID, b - a)[1]
-        if roots.size:
-            y_star = float(roots[0])
-            break
+    at_zero = []
+
+    def spans(_rows, ys):
+        fy = np.asarray(f(ys[0]), dtype=float)[None]
+        at_zero.append(fy[0, 0])
+        # where f(0) <= 0, y* = 0 whatever the roots: a margin of -inf clears every span
+        return fy - ys, fy, ys, 1e-12 if fy[0, 0] > 0.0 else -np.inf
+
+    roots = _scan_roots(lambda _r, ys: f(ys) - ys, 0.0, 1.0, _SCAN_GRID, bound=spans)[1]
+    y_star = 0.0 if at_zero[0] <= 0.0 else float(roots[0]) if roots.size else 1.0
     return y_star, bool(is_stable(f, [y_star])[0])
 
 
@@ -226,24 +222,26 @@ def _scan_roots(g, lo, hi, grid=400, bound=None):
     A bracket's root is the upper end `bisect` returns: g is 0 there or of
     the other sign than at the cell's lower end.
 
-    With a `bound`, the scan goes coarse first.  `bound(rows, xs)` gets every
-    _SCAN_STRIDE-th point of the lattice and its last, one row of xs per row,
-    and returns g there and a lower and an upper bound of g over each span
-    between neighbouring points (rows x points - 1).  A span whose bounds
-    are both above 0 or both below 0 holds no root and no sign change; g is
-    evaluated at the inner lattice points of the other spans only.  The
-    points evaluated are the lattice's own, so the roots are those of the
-    full scan wherever the bound holds.
+    With a `bound`, the scan goes coarse first: `bound(rows, xs)` gets every
+    s-th lattice point and the last, s the largest power of two with
+    s^2 <= grid, one row of xs per row, and returns there g, u and w, which
+    do not decrease along each row and have g = u - w, and a rounding margin.
+    On a span [x0, x1] between these points g lies in [u(x0) - w(x1),
+    u(x1) - w(x0)]; where both bounds, widened by the margin, lie on one side
+    of 0, the span holds no root and no sign change, and g is evaluated at
+    the inner lattice points of the other spans only.  So the roots are the
+    full scan's wherever the bound holds.
     """
     lo, hi = np.broadcast_arrays(np.atleast_1d(lo), hi)
     xs = np.linspace(lo, hi, grid + 1, axis=1)
     if bound is None:
         vals = g(np.repeat(np.arange(len(lo)), grid + 1), xs.ravel()).reshape(xs.shape)
     else:
-        coarse = np.append(np.arange(0, grid, _SCAN_STRIDE), grid)
+        coarse = np.append(np.arange(0, grid, 1 << (isqrt(grid).bit_length() - 1)), grid)
         vals = np.full(xs.shape, np.nan)
-        vals[:, coarse], low, high = bound(np.arange(len(lo)), xs[:, coarse])
-        inner = np.repeat(~((low > 0.0) | (high < 0.0)), np.diff(coarse), axis=1)
+        vals[:, coarse], u, w, margin = bound(np.arange(len(lo)), xs[:, coarse])
+        clear = (u[:, :-1] - w[:, 1:] - margin > 0.0) | (u[:, 1:] - w[:, :-1] + margin < 0.0)
+        inner = np.repeat(~clear, np.diff(coarse), axis=1)
         inner[:, coarse[:-1]] = False
         r, k = np.nonzero(inner)
         if len(r):
@@ -571,11 +569,12 @@ class _ClassPack:
         return _class_sum(np.minimum(coef, 0.0)), _class_sum(np.maximum(coef, 0.0))
 
     def hamiltonian_parts(self, cost: float, v, y: np.ndarray) -> tuple[np.ndarray, ...]:
-        """(H, U, W) per point: H(y, v) as `hamiltonian` at the optimal starts
-        x(y, v) with z = y, and the class sums U of coef+ T1 - coef- T2 and W
-        of coef+ T2 - coef- T1, so that H = U - W, both rising with y; coef+-
-        are the positive and negative parts of each class's coefficient and
-        T1 = tail(i-1, y, c-1), T2 = tail(i-1, x, c) the tails of its bracket."""
+        """(H, U, W) per point: H(y, v), bitwise `terminal_hamiltonian`'s, and
+        the class sums U of coef+ T1 - coef- T2 and W of coef+ T2 - coef- T1,
+        so that H = U - W, both rising with y as x(y) and both tails do: the
+        parts of a bounded `_scan_roots`.  coef+- are the positive and negative
+        parts of each class's coefficient, and T1 = tail(i-1, y, c-1) and
+        T2 = tail(i-1, x, c) the tails of its bracket."""
         tail_y, tail_x = self.y_sums(y), self.x_sums(self.starts(cost, v, y, y))[1]
         coef = self._coef(cost, v)
         pos, neg = np.maximum(coef, 0.0), np.minimum(coef, 0.0)
@@ -704,24 +703,6 @@ def terminal_hamiltonian(p: JointDistribution, cost: float, y, v):
         return (pk.hamiltonian(cost, v, y, pk.x_sums(pk.starts(cost, v, y, y))[1]),)
 
     return _over_points(ham, y, v)[0]
-
-
-def _hamiltonian_cells(p: JointDistribution, cost: float, y: np.ndarray, v: np.ndarray):
-    """(H, low, high): H(y, v) at the points y (rows x points, ascending along
-    each row) of one multiplier v per row, bitwise `terminal_hamiltonian`'s,
-    and a lower and an upper bound of H over each span between neighbouring
-    points (rows x points - 1).
-
-    On a span [y0, y1] each class's start x(y) does not decrease in y, and
-    both tails of its bracket rise with their argument.  Its coefficient
-    does not depend on y, so H = U - W with U and W of `hamiltonian_parts`
-    both rising in y, and H lies in [U(y0) - W(y1), U(y1) - W(y0)].  The
-    bounds hold in exact arithmetic; the caller allows for rounding.
-    """
-    pk = _pack(p)
-    ham, u, w = (part.reshape(y.shape) for part in _over_points(
-        lambda y, v: pk.hamiltonian_parts(cost, v, y), y.ravel(), np.repeat(v, y.shape[1])))
-    return ham, u[:, :-1] - w[:, 1:], u[:, 1:] - w[:, :-1]
 
 
 def program_residuals(p: JointDistribution, cost: float, y, v, z):

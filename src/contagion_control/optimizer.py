@@ -17,8 +17,8 @@ involve z: stationarity fixes y alone, and the outflow rises with z, through
 their z^i terms.  Stage B is therefore, on every plane where lam v lies in
 the range of H, a scan of H - lam v for y and then a monotone solve of the
 controlled outflow (`default_outflow_controlled`) minus y for z in [0, y].
-The scan for y evaluates H only in the spans of y where per-class bounds
-(`asymptotics._hamiltonian_cells`) let it meet lam v.  Both go to
+The scan for y evaluates H only in the spans of y where the rising parts of
+H (`_ClassPack.hamiltonian_parts`) let it meet lam v.  Both go to
 `asymptotics._scan_roots`, the package's one root scan in one variable, as
 does stage A's multiplier scan at y = 0; each evaluates the one function it
 roots, not both program equations.  The candidates are stage A's
@@ -42,8 +42,8 @@ import numpy as np
 from .asymptotics import (
     _SINGULAR_TOL,
     _control_keys,
-    _hamiltonian_cells,
     _optimal_starts,
+    _over_points,
     _pack,
     _residuals_and_limits,
     _scan_roots,
@@ -341,7 +341,7 @@ def solve_stage_a(p: JointDistribution, cost: float) -> list[OPSolution]:
         cells, back, held, plain = state
     roots = np.concatenate([np.empty((0, 2))] + found)
     if _pack(p).defaulted_flow / p.lam <= 1e-14:
-        at_zero = [(0.0, v) for v in _solve_multiplier_at(p, cost, 0.0)]
+        at_zero = [(0.0, v) for v in _solve_multiplier_at(p, cost)]
         roots = np.concatenate([np.reshape(at_zero, (-1, 2)), roots[roots[:, 0] > _RESIDUAL_TOL]])
     return _root_candidates(p, cost, roots[:, [0, 1, 0]], "stage_a")
 
@@ -360,29 +360,32 @@ def solve_stage_b(p: JointDistribution, cost: float) -> list[OPSolution]:
     - lam v_j, the second `default_outflow_controlled` - y, with one bracket,
     [0, y], per y.  An out-degree whose lam v_j lies more than 1e-9 outside
     the range of H(., v_j) (`hamiltonian_range`) has no root and is not
-    scanned.  On the others the scan for y is bounded: it evaluates H at
-    every 16th point of its 401-point lattice first, with `_hamiltonian_cells`'
-    bounds of H over each span between them, and skips a span where lam v_j
-    lies more than 1e-9 max(1, sum |coef|) outside them: the plane test's
-    margin, grown with the rounding of H's sums where the coefficients are
-    large.  Only the inner points of the other spans are evaluated, so the
-    brackets and roots are those of the full lattice.
+    scanned.  On the others the scan for y is bounded: its callback gives
+    H - lam v_j at the coarse points of the 401-point lattice, every 16th,
+    with the parts U - lam v_j and W of `hamiltonian_parts`, and the margin
+    1e-9 max(1, sum |coef|): the plane test's, grown with the rounding of
+    H's sums where the coefficients are large.  `_scan_roots` skips the spans
+    these bound away from 0, so the brackets and roots are those of the full
+    lattice.
     """
     _check_cost(cost)
     support, v = _planes(p, cost)
-    lo, hi = _pack(p).hamiltonian_range(cost, v)
+    pk = _pack(p)
+    lo, hi = pk.hamiltonian_range(cost, v)
     scanned = (lo - 1e-9 <= p.lam * v) & (p.lam * v <= hi + 1e-9)
     support, v, margin = support[scanned], v[scanned], 1e-9 * np.maximum(1.0, hi - lo)[scanned]
     if not support.size:
         return []
 
-    def spans(r, ys):
-        ham, low, high = _hamiltonian_cells(p, cost, ys, v[r])
+    def parts(r, ys):
+        ham, u, w = (part.reshape(ys.shape) for part in _over_points(
+            lambda y, v: pk.hamiltonian_parts(cost, v, y),
+            ys.ravel(), np.repeat(v[r], ys.shape[1])))
         target = p.lam * v[r, None]
-        return ham - target, low - target - margin[r, None], high - target + margin[r, None]
+        return ham - target, u - target, w, margin[r, None]
 
     row, y = _scan_roots(lambda r, ys: terminal_hamiltonian(p, cost, ys, v[r]) - p.lam * v[r],
-                         np.zeros(len(support)), 1.0, bound=spans)
+                         np.zeros(len(support)), 1.0, bound=parts)
     row, y = row[y < 1.0 - _RESIDUAL_TOL], y[y < 1.0 - _RESIDUAL_TOL]
     at, z = _scan_roots(
         lambda r, zs: default_outflow_controlled(p, cost, y[r], v[row[r]], zs) - y[r],
@@ -395,17 +398,16 @@ def solve_stage_b(p: JointDistribution, cost: float) -> list[OPSolution]:
             for sol in _root_candidates(p, cost, roots[row == k], f"stage_b:j={j}")]
 
 
-def _solve_multiplier_at(p, cost, y):
-    """All v with H(y, v) = lam * v for a fixed y < 1, scanned as v = tan(pi u / 2)
-    over 401 points u in [-(1 - 1e-6), 1 - 1e-6], the first grid's map of stage A.
+def _solve_multiplier_at(p, cost):
+    """All v with H(0, v) = lam * v, scanned as v = tan(pi u / 2) over 401
+    points u in [-(1 - 1e-6), 1 - 1e-6], the first grid's map of stage A.
 
     `_scan_roots` scans and bisects H - lam v in u, from `terminal_hamiltonian`
-    alone: for y < 1 it has the sign of the first program residual,
-    (1 - y)(H - lam v), and at y = 0 the same value.
+    alone: at y = 0 it is the first program residual, (1 - y)(H - lam v).
     """
     def excess(_rows, u):
         v = np.tan(0.5 * np.pi * u)
-        return terminal_hamiltonian(p, cost, y, v) - p.lam * v
+        return terminal_hamiltonian(p, cost, 0.0, v) - p.lam * v
 
     us = _scan_roots(excess, -(1.0 - 1e-6), 1.0 - 1e-6)[1]
     return np.tan(0.5 * np.pi * us).tolist()

@@ -106,6 +106,6 @@ def solve_stage_a(p, cost):
         cells, held = (ly[k, a], ly[k, a + 1], lv[k, b], lv[k, b + 1]), corners[k, a, b]
     roots = np.concatenate([np.empty((0, 2))] + found)
     if _pack(p).defaulted_flow / p.lam <= 1e-14:
-        at_zero = [(0.0, v) for v in _solve_multiplier_at(p, cost, 0.0)]
+        at_zero = [(0.0, v) for v in _solve_multiplier_at(p, cost)]
         roots = np.concatenate([np.reshape(at_zero, (-1, 2)), roots[roots[:, 0] > _RESIDUAL_TOL]])
     return _root_candidates(p, cost, roots[:, [0, 1, 0]], "stage_a")

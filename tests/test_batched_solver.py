@@ -1,7 +1,7 @@
 """The batched solver against scalar references.
 
 Stage A's sign-change subdivision, the array residuals, the candidate
-builder and the blocked fixed-point scan must reproduce what
+builder and the bounded fixed-point scan must reproduce what
 one-point-at-a-time code finds.  The references below are the scalar forms:
 a damped Newton run per start (stage A's former method), scalar residual
 calls, candidates built from one kernel call per value, the class-by-class
@@ -11,7 +11,7 @@ candidates of the former method, a scalar Newton in (y, z) from a grid of
 starts per out-degree; it rests on the first residual not involving z.  Stage
 A's zoom on an isolated root must find what pure subdivision
 (`subdivision_reference`) finds, to 1e-12.  What the solver skips by a bound (stage A's root-free multiplier columns,
-stage B's root-free spans of y, the fixed-point scan's cleared blocks) must
+stage B's root-free spans of y, the fixed-point scan's cleared spans) must
 change nothing, bit for bit.  Nor may the solver's bookkeeping: every
 candidate list and solution of `OPTIMIZER_CASES` must keep the repr recorded
 in `golden_solutions.json`.
@@ -37,7 +37,7 @@ from contagion_control import (
     smallest_fixed_point,
 )
 from contagion_control.asymptotics import (
-    _ClassPack, _fixed_outflow, _hamiltonian_cells, _pack, program_residuals, terminal_hamiltonian,
+    _ClassPack, _fixed_outflow, _pack, program_residuals, terminal_hamiltonian,
 )
 from contagion_control import optimizer as opt
 
@@ -334,7 +334,7 @@ def test_blocked_scan_equals_scalar_scan(case, quadratic_dist, experiment_dist):
         # g(0) <= 0: nothing defaulted at the start
         "zero": lambda y: default_outflow(JointDistribution({(2, 2, 2): 1.0}), y),
         "interior": lambda y: default_outflow(quadratic_dist, y),
-        # the crossing lies several blocks into the grid
+        # the crossing lies several 64-cell spans into the grid
         "interior_late": lambda y: default_outflow(experiment_dist, y),
         # f stays above the diagonal: no crossing, y* = 1
         "none": lambda y: 0.5 + 0.5 * y * y + 1e-3,
@@ -349,12 +349,11 @@ def test_blocked_scan_equals_scalar_scan(case, quadratic_dist, experiment_dist):
 
 
 def test_multiplier_scan_finds_the_quadratic_root(quadratic_dist):
-    # at the uncontrolled fixed point y = 1/4 with cost 10 the multiplier is -1/3
-    roots = opt._solve_multiplier_at(quadratic_dist, 10.0, 0.25)
-    assert any(math.isclose(v, -1 / 3, abs_tol=1e-9) for v in roots)
-    lam = quadratic_dist.lam
-    for v in roots:
-        assert abs(scalar.terminal_hamiltonian(quadratic_dist, 10.0, 0.25, v) - lam * v) < 1e-9
+    # at y = 0 no tail has mass: H(0, v) = 0 and the one multiplier is 0
+    roots = opt._solve_multiplier_at(quadratic_dist, 10.0)
+    assert len(roots) == 1 and math.isclose(roots[0], 0.0, abs_tol=1e-9)
+    assert abs(scalar.terminal_hamiltonian(quadratic_dist, 10.0, 0.0, roots[0])
+               - quadratic_dist.lam * roots[0]) < 1e-9
 
 
 @settings(max_examples=30, deadline=None)
@@ -373,17 +372,19 @@ def test_stage_a_skips_only_columns_without_a_root(p, cost):
 @given(p=distributions(), cost=st.floats(0.05, 3.0))
 def test_stage_b_span_bounds_hold_on_the_full_lattice(p, cost):
     # on every plane, scanned or not: H at the coarse points is the scan's,
-    # bit for bit, every lattice value of a span lies within its bounds, and
-    # every sign change or exact zero of H - lam v on the full 401-point
-    # lattice lies in a span kept at a margin of 1e-12, far below stage B's
+    # bit for bit, every lattice value of a span lies within the bounds of
+    # `hamiltonian_parts`, and every sign change or exact zero of H - lam v
+    # on the full 401-point lattice lies in a span kept at a margin of 1e-12,
+    # far below stage B's
     ys = np.linspace(0.0, 1.0, 401)
     coarse = np.arange(0, 401, 16)
     span = np.arange(400) // 16
     for v in opt._planes(p, cost)[1].tolist():
         g = terminal_hamiltonian(p, cost, ys, np.full(401, v)) - p.lam * v
-        ham, low, high = (a[0] - p.lam * v for a in _hamiltonian_cells(
-            p, cost, ys[coarse][None, :], np.array([v])))
-        assert ham.tobytes() == g[coarse].tobytes()
+        ham, u, w = _pack(p).hamiltonian_parts(cost, np.full(26, v), ys[coarse])
+        u = u - p.lam * v
+        assert (ham - p.lam * v).tobytes() == g[coarse].tobytes()
+        low, high = u[:-1] - w[1:], u[1:] - w[:-1]
         for k in range(25):
             part = g[16 * k:16 * k + 17]
             assert low[k] - 1e-12 <= part.min() and part.max() <= high[k] + 1e-12
@@ -394,14 +395,12 @@ def test_stage_b_span_bounds_hold_on_the_full_lattice(p, cost):
 
 
 def _stage_b_keeping_every_span(p, cost):
-    real = opt._hamiltonian_cells
-
-    def keep_all(*args):
-        ham, low, high = real(*args)
-        return ham, np.full_like(low, -np.inf), np.full_like(high, np.inf)
+    # without its bound the scan evaluates all 401 points of each lattice
+    real = opt._scan_roots
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(opt, "_hamiltonian_cells", keep_all)
+        mp.setattr(opt, "_scan_roots",
+                   lambda g, lo, hi, grid=400, bound=None: real(g, lo, hi, grid))
         return opt.solve_stage_b(p, cost)
 
 
@@ -419,17 +418,19 @@ def test_stage_b_skips_only_spans_without_a_root_on_drawn_distributions(p, cost)
 
 @pytest.mark.parametrize("name,spans,sizes", [
     # 9 planes: 9 x 26 span ends, then the inner points of 9 kept spans and
-    # the bisection of their sign changes (the full lattice was 9 x 401)
+    # the bisection of their sign changes
     ("experiment_dist", [234], [135, 64, 64, 14, 7, 3]),
-    # one plane: 26 span ends, one kept span of 15 inner points (was 401)
+    # one plane: 26 span ends, one kept span of 15 inner points
     ("quadratic_dist", [26], [15, 46]),
 ])
 def test_stage_b_point_counts(name, spans, sizes, request, monkeypatch):
     p = request.getfixturevalue(name)
     seen = {"spans": [], "sizes": []}
-    for attr, key in (("_hamiltonian_cells", "spans"), ("terminal_hamiltonian", "sizes")):
-        monkeypatch.setattr(opt, attr, lambda *args, real=getattr(opt, attr), key=key:
-                            seen[key].append(np.size(args[2])) or real(*args))
+    parts, ham = _ClassPack.hamiltonian_parts, opt.terminal_hamiltonian
+    monkeypatch.setattr(_ClassPack, "hamiltonian_parts", lambda self, cost, v, y:
+                        seen["spans"].append(np.size(y)) or parts(self, cost, v, y))
+    monkeypatch.setattr(opt, "terminal_hamiltonian", lambda p, cost, y, v:
+                        seen["sizes"].append(np.size(y)) or ham(p, cost, y, v))
     opt.solve_stage_b(p, 1.5)
     assert seen == {"spans": spans, "sizes": sizes}
 
@@ -446,8 +447,10 @@ def test_fixed_point_with_cleared_blocks_equals_the_scalar_scan(p, band_lo, band
 
 
 def test_fixed_point_scan_skips_cleared_blocks(quadratic_dist):
-    # the 64 block ends, the 65 points of the one block [0.234375, 0.25] that
-    # can cross, where f(1/4) = 1/4 exactly, and the two slope probes
+    # the 65 ends of the 64-cell spans, the 63 inner points of each of the
+    # four spans the bound keeps, two on either side of the crossing at 1/4,
+    # where f(1/4) = 1/4 exactly, and the last two, where f(1) = 1, and the
+    # two slope probes
     sizes = []
 
     def f(y):
@@ -455,7 +458,7 @@ def test_fixed_point_scan_skips_cleared_blocks(quadratic_dist):
         return default_outflow(quadratic_dist, y)
 
     assert smallest_fixed_point(f) == (0.25, True)
-    assert sizes == [64, 65, 2]
+    assert sizes == [65, 252, 2]
 
 
 @pytest.mark.parametrize("entries", [{(3, 3, 2): 1.0}, {(2, 2, 2): 0.5, (2, 2, 1): 0.5}])

@@ -14,6 +14,7 @@ outflow minus y is <= 0 there and > 0 at the float below, unless it is 0.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -89,9 +90,8 @@ def test_a_bound_that_keeps_every_span_changes_nothing(problem):
     g, lo, hi, grid = problem
 
     def keep_all(rows, xs):
-        n = xs.shape[1] - 1
         vals = g(np.repeat(rows, xs.shape[1]), xs.ravel()).reshape(xs.shape)
-        return vals, np.full((len(rows), n), -np.inf), np.full((len(rows), n), np.inf)
+        return vals, np.zeros(xs.shape), np.zeros(xs.shape), np.inf
 
     rows, roots = _scan_roots(g, lo, hi, grid, bound=keep_all)
     want_rows, want_roots = scan_roots(g, lo, hi, grid)
@@ -99,16 +99,78 @@ def test_a_bound_that_keeps_every_span_changes_nothing(problem):
     assert roots.tobytes() == want_roots.tobytes()
 
 
-def test_a_bound_that_clears_every_span_evaluates_only_its_points():
-    g, calls = _counting(lambda _r, x: x - 0.3)
-    seen = []
-
-    def clear_all(rows, xs):
+def _clear_all(seen):
+    def bound(rows, xs):
+        # g = u - w with u = 2x + 1 and w = x: each span's lower bound is above 0
         seen.append(xs.shape)
-        return xs - 0.3, np.full((1, xs.shape[1] - 1), 1.0), np.full((1, xs.shape[1] - 1), 2.0)
+        return xs + 1.0, 2.0 * xs + 1.0, xs, 0.0
 
-    assert _scan_roots(g, 0.0, 1.0, bound=clear_all)[1].size == 0
+    return bound
+
+
+def test_a_bound_that_clears_every_span_evaluates_only_its_points():
+    g, calls = _counting(lambda _r, x: x + 1.0)
+    seen = []
+    assert _scan_roots(g, 0.0, 1.0, bound=_clear_all(seen))[1].size == 0
     assert seen == [(1, 26)] and calls == []
+
+
+@pytest.mark.parametrize("grid,coarse", [
+    # every s-th point and the last, s the largest power of two with s^2 <= grid
+    (4096, 65), (1, 2), (3, 4), (4, 3), (63, 17), (64, 9),
+])
+def test_the_coarse_points_are_every_stride_th_and_the_last(grid, coarse):
+    seen = []
+    _scan_roots(lambda _r, x: x + 1.0, 0.0, 1.0, grid, bound=_clear_all(seen))
+    assert seen == [(1, coarse)]
+
+
+@st.composite
+def bound_problems(draw):
+    """(g, u, w, lo, hi, grid, margin): per row, u and w rise along the
+    lattice by integer steps, with ties, flat stretches and exact zeros of
+    g = u - w, and between lattice points run on the line of their cell,
+    clamped to its end values, so both rise over every span and each bound
+    holds in floating point at any margin >= 0."""
+    grid = draw(st.integers(1, 80))
+    rows = draw(st.integers(1, 3))
+    lo = np.array([draw(st.floats(-2.0, 2.0)) for _ in range(rows)])
+    hi = lo + np.array([draw(st.floats(1e-3, 4.0)) for _ in range(rows)])
+    steps = st.lists(st.sampled_from([0, 0, 0, 1, 2, 5]), min_size=grid, max_size=grid)
+    knots = [np.array([np.cumsum([draw(st.integers(-40, 40))] + draw(steps)) for _ in range(rows)],
+                      dtype=float) for _part in "uw"]
+    xs = np.linspace(lo, hi, grid + 1, axis=1)
+
+    def rising(knot):
+        def at(r, x):
+            k = np.clip(np.array([np.searchsorted(xs[i], xi, side="right") - 1
+                                  for i, xi in zip(np.broadcast_to(r, np.shape(x)), x)],
+                                 dtype=int), 0, grid - 1)
+            a, b = knot[r, k], knot[r, k + 1]
+            t = (x - xs[r, k]) / (xs[r, k + 1] - xs[r, k])
+            return np.clip(a + (b - a) * t, a, b)
+        return at
+
+    u, w = (rising(knot) for knot in knots)
+    return (lambda r, x: u(r, x) - w(r, x)), u, w, lo, hi, grid, draw(
+        st.sampled_from([0.0, 1e-12, 0.5, 3.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=bound_problems())
+def test_a_bound_from_rising_parts_changes_nothing(problem):
+    # the spans the parts clear hold no sign change and no zero: the bounded
+    # scan keeps bitwise the full scan's rows and roots
+    g, u, w, lo, hi, grid, margin = problem
+
+    def parts(rows, xs):
+        r = np.repeat(rows, xs.shape[1])
+        return tuple(f(r, xs.ravel()).reshape(xs.shape) for f in (g, u, w)) + (margin,)
+
+    rows, roots = _scan_roots(g, lo, hi, grid, bound=parts)
+    want_rows, want_roots = _scan_roots(g, lo, hi, grid)
+    assert rows.tolist() == want_rows.tolist()
+    assert roots.tobytes() == want_roots.tobytes()
 
 
 def test_values_whose_products_underflow_still_bisect():
@@ -301,11 +363,20 @@ def test_one_bracket_follows_the_secant_in_one_call():
     assert calls == [5, 52]
     f, calls = _counting(lambda y: 0.3 + 0.5 * y)
     assert smallest_fixed_point(f) == scalar_fixed_point(lambda y: 0.3 + 0.5 * y)
-    # the 64 block starts, 65 points in each of the two blocks that may hold
-    # the crossing, then the 41 halvings from 1/4096 to adjacent floats near
-    # 0.6 in one call, one more where the last side went against the
-    # secant's rounding, and the slope test's 2 points
-    assert calls == [64, 65, 65, 41, 1, 2]
+    # the 65 ends of the 64-cell spans, the 63 inner points of each of the
+    # three spans that may hold the crossing, then the 41 halvings from
+    # 1/4096 to adjacent floats near 0.6 in one call, one more where the last
+    # side went against the secant's rounding, and the slope test's 2 points
+    assert calls == [65, 189, 41, 1, 2]
+
+
+def test_a_fixed_point_below_zero_is_zero():
+    # f(0) < 0: y = 0 already has f(y) <= y, though g = f - y first crosses
+    # 0 at y = 0.1
+    def f(y):
+        return np.minimum(1.0, 2 * np.asarray(y) - 0.1)
+
+    assert smallest_fixed_point(f) == scalar_fixed_point(f) == (0.0, False)
 
 
 def test_a_step_the_secant_always_mispredicts_costs_one_call_a_halving():
