@@ -60,10 +60,13 @@ ClassKey = tuple[int, int, int]
 
 _SINGULAR_TOL = 1e-12
 MAX_IN_DEGREE = 1030  # above it C(i - 1, k) exceeds the largest float: C(1030, 515) ~ 2.9e308
-# the fixed-point scan's grid k / _SCAN_GRID, and points per residual batch,
-# which bounds the temporaries to a few MB
+# the fixed-point scan's grid k / _SCAN_GRID; a class sum runs over chunks of
+# at most _RESIDUAL_BATCH points and _CLASS_POINTS class x point elements (at
+# least one point), so on a Zipf copula its temporaries stay within a few MB
+# at every accepted degree cutoff
 _SCAN_GRID = 4096
 _RESIDUAL_BATCH = 512
+_CLASS_POINTS = 2**15
 # most points per call of the function that `bisect` bisects
 _BISECT_POINTS = 64
 _SLOPE_STEP = 1e-6  # half-width of `is_stable`'s central slope
@@ -609,24 +612,25 @@ def _pack(p: JointDistribution) -> _ClassPack:
         return pack
 
 
-def _over_points(fn, *args):
-    """fn(*args) over points, in chunks of _RESIDUAL_BATCH points.
+def _over_points(pk: _ClassPack, fn, *args):
+    """fn(*args) over points, in chunks of min(_RESIDUAL_BATCH, _CLASS_POINTS
+    // rows) points, at least one, for the pack's rows of classes.
 
     The args are floats or 1-D arrays that broadcast together.  `fn` returns a
     tuple of per-point arrays; the result is that tuple, of floats if every
-    input is.  Up to _RESIDUAL_BATCH points are one call of fn, whose arrays
-    are the result as they are.
+    input is.  Up to a chunk's points are one call of fn, whose arrays are the
+    result as they are.  A point's values do not depend on its chunk.
     """
     scalar = all(np.ndim(a) == 0 for a in args)
     args = [np.asarray(a, dtype=float).reshape(-1) for a in args]
     if any(a.shape != args[0].shape for a in args):
         args = np.broadcast_arrays(*args)
-    if len(args[0]) <= _RESIDUAL_BATCH:
+    chunk = max(1, min(_RESIDUAL_BATCH, _CLASS_POINTS // max(1, len(pk.keys))))
+    if len(args[0]) <= chunk:
         cols = fn(*args)
     else:
         cols = tuple(np.concatenate(col) for col in zip(*(
-            fn(*(a[s:s + _RESIDUAL_BATCH] for a in args))
-            for s in range(0, len(args[0]), _RESIDUAL_BATCH))))
+            fn(*(a[s:s + chunk] for a in args)) for s in range(0, len(args[0]), chunk))))
     if scalar:
         return tuple(float(col[0]) for col in cols)
     return cols
@@ -635,12 +639,12 @@ def _over_points(fn, *args):
 def _fixed_outflow(pk: _ClassPack, first: np.ndarray, y):
     """Outflow at y for start times x = min(first, y); first is a start column
     that does not depend on y (inf where a class is never aided)."""
-    return _over_points(lambda y: (pk.outflow(np.minimum(first, y)),), y)[0]
+    return _over_points(pk, lambda y: (pk.outflow(np.minimum(first, y)),), y)[0]
 
 
 def _fixed_limits(pk: _ClassPack, first: np.ndarray, y):
     """(outflow, defaults, aid) at y for start times x = min(first, y)."""
-    return _over_points(lambda y: pk.limits(np.minimum(first, y), y), y)
+    return _over_points(pk, lambda y: pk.limits(np.minimum(first, y), y), y)
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +675,7 @@ def controlled_limits(p: JointDistribution, cost: float, y, v, z):
     """
     pk = _pack(p)
     return _over_points(
-        lambda y, v, z: pk.limits(pk.starts(cost, v, y, z), y), y, v, z)
+        pk, lambda y, v, z: pk.limits(pk.starts(cost, v, y, z), y), y, v, z)
 
 
 def _residuals_and_limits(p: JointDistribution, cost: float, y, v, z):
@@ -684,14 +688,14 @@ def _residuals_and_limits(p: JointDistribution, cost: float, y, v, z):
         flow, dflt, aid, ham = pk.limits(pk.starts(cost, v, y, z), y, pk._coef(cost, v))
         return *pk.equations(y, v, ham, flow), flow, dflt, aid
 
-    return _over_points(values, y, v, z)
+    return _over_points(pk, values, y, v, z)
 
 
 def default_outflow_controlled(p: JointDistribution, cost: float, y, v, z):
     """Out-link flow of the default set under the threshold policy: the first
     of `controlled_limits`, bit for bit, without the other two."""
     pk = _pack(p)
-    return _over_points(lambda y, v, z: (pk.outflow(pk.starts(cost, v, y, z)),), y, v, z)[0]
+    return _over_points(pk, lambda y, v, z: (pk.outflow(pk.starts(cost, v, y, z)),), y, v, z)[0]
 
 
 def terminal_hamiltonian(p: JointDistribution, cost: float, y, v):
@@ -702,7 +706,7 @@ def terminal_hamiltonian(p: JointDistribution, cost: float, y, v):
         # the singular rows have c = i, where tail(i-1, x, c) = 0 whatever x
         return (pk.hamiltonian(cost, v, y, pk.x_sums(pk.starts(cost, v, y, y))[1]),)
 
-    return _over_points(ham, y, v)[0]
+    return _over_points(pk, ham, y, v)[0]
 
 
 def program_residuals(p: JointDistribution, cost: float, y, v, z):
@@ -712,10 +716,11 @@ def program_residuals(p: JointDistribution, cost: float, y, v, z):
     builder's, which takes them from `_residuals_and_limits`.  Takes scalar
     or array inputs: y, v and z are numbers or equal-length 1-D arrays (a
     number broadcasts against arrays).  Numbers give a pair of floats, arrays
-    a pair of arrays, evaluated in chunks of _RESIDUAL_BATCH points.
+    a pair of arrays, evaluated in `_over_points`' chunks of at most 512
+    points and 2^15 class x point elements.
     """
     pk = _pack(p)
-    return _over_points(lambda y, v, z: pk.residuals(cost, y, v, z), y, v, z)
+    return _over_points(pk, lambda y, v, z: pk.residuals(cost, y, v, z), y, v, z)
 
 
 # ---------------------------------------------------------------------------

@@ -325,11 +325,10 @@ def run(
     aid_node = np.concatenate([np.empty(0, np.int64), *passage.aid_node])
     aid_step = np.concatenate([np.empty(0, np.int64), *passage.aid_step])
     # while q nodes have defaulted (in step order) the pool after k steps is
-    # budget[q] - k; T is the first k at which it is empty
-    fallen = np.flatnonzero(fall < m)
-    fallen = fallen[np.argsort(fall[fallen])]
-    fell_at = fall[fallen]
-    budget = hidden0 + np.cumsum(np.concatenate(([0], outs[fallen])))
+    # budget[q] - k; T is the first k at which it is empty.  A step hits one
+    # node, so the fall steps are distinct and step k's node is order[k]
+    fell_at = np.sort(fall[fall < m])
+    budget = hidden0 + np.cumsum(np.concatenate(([0], outs[order[fell_at]])))
     T = int(budget[np.argmax(budget <= np.concatenate((fell_at, [done])))])
     initial = int(np.count_nonzero(eqs == 0))
 

@@ -38,8 +38,10 @@ _NORMAL_QUANTILE = NormalDist().inv_cdf
 # Copula quadrature: Gauss-Legendre panels of at most this width and order.
 _PANEL_WIDTH = 0.5
 _PANEL_ORDER = 12
-# The copula's quadrature grid has about (12 max_deg)^2 points: at 200 a build
-# takes about half a second and 170 MB, and the grid grows with the square.
+# The copula's quadrature grid has about (12 max_deg)^2 points, evaluated at
+# most _COPULA_BLOCK points at a time: at 200 a build takes about 0.2 s and
+# traces 10 MB, mostly the entries' dicts; its time grows with the square.
+_COPULA_BLOCK = 2**15
 MAX_COPULA_DEGREE = 200
 
 
@@ -168,7 +170,9 @@ def gaussian_copula_cells(marg_row: np.ndarray, marg_col: np.ndarray, rho: float
     Cells are quantile rectangles: the standard-normal plane is cut at the
     inverse normal CDF of the marginal cumulative masses, and the bivariate
     normal density with correlation rho is integrated over each rectangle by
-    composite Gauss-Legendre quadrature.  Near |rho| = 1 the density is too
+    composite Gauss-Legendre quadrature, a block of at most _COPULA_BLOCK
+    grid points at a time; each cell adds its terms in grid order, so the
+    masses do not depend on the block size.  Near |rho| = 1 the density is too
     narrow for the panels, so a row or column sum that misses its marginal by
     more than 1e-9 is a ParameterError naming rho (|rho| <= 0.997 passes).
     The quantile is the standard library's `NormalDist().inv_cdf` (Wichura's
@@ -185,13 +189,21 @@ def gaussian_copula_cells(marg_row: np.ndarray, marg_col: np.ndarray, rho: float
 
     one_m_r2 = 1.0 - rho * rho
     norm = 1.0 / (2.0 * math.pi * math.sqrt(one_m_r2))
-    X = xs[:, None]
+    ncols = len(marg_col)
+    cells = np.zeros((len(marg_row), ncols))
     Y = ys[None, :]
-    dens = norm * np.exp(-(X * X - 2.0 * rho * X * Y + Y * Y) / (2.0 * one_m_r2))
-    contrib = (wx[:, None] * wy[None, :]) * dens
-
-    cells = np.zeros((len(marg_row), len(marg_col)))
-    np.add.at(cells, (seg_x[:, None], seg_y[None, :]), contrib)
+    step = max(1, _COPULA_BLOCK // len(ys))
+    for r in range(0, len(xs), step):
+        X, rows = xs[r:r + step, None], seg_x[r:r + step]
+        dens = norm * np.exp(-(X * X - 2.0 * rho * X * Y + Y * Y) / (2.0 * one_m_r2))
+        contrib = (wx[r:r + step, None] * wy[None, :]) * dens
+        # bincount adds in input order from 0.0: the touched cells' running
+        # sums first, then the block's terms in C order, as np.add.at would
+        block = cells[rows[0]:rows[-1] + 1]
+        flat = (rows[:, None] - rows[0]) * ncols + seg_y
+        block[:] = np.bincount(np.concatenate((np.arange(block.size), flat.ravel())),
+                               np.concatenate((block.ravel(), contrib.ravel())),
+                               block.size).reshape(block.shape)
     miss = max(np.abs(cells.sum(axis=1) - marg_row).max(),
                np.abs(cells.sum(axis=0) - marg_col).max())
     if miss > 1e-9:

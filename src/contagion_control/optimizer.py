@@ -242,7 +242,8 @@ def _first_grid(p, cost, residuals):
     vs = np.unique(np.concatenate([vs, np.clip(np.concatenate([low, top]), vs[0], vs[-1])]))
     vs = vs[~((low[:, None] < vs) & (vs < top[:, None])).any(axis=0)]
     dead = (vs[:-1, None] == low).any(axis=1)
-    lo, hi = _pack(p).hamiltonian_range(cost, vs)
+    pk = _pack(p)
+    lo, hi = _over_points(pk, lambda v: pk.hamiltonian_range(cost, v), vs)
     live = (p.lam * vs[1:] >= lo[:-1] - 1e-9) & (p.lam * vs[:-1] <= hi[1:] + 1e-9) & ~dead
     cols = np.concatenate([live, [False]]) | np.concatenate([[False], live])
     grid = np.full((2, len(ys), len(vs)), np.nan)
@@ -371,7 +372,7 @@ def solve_stage_b(p: JointDistribution, cost: float) -> list[OPSolution]:
     _check_cost(cost)
     support, v = _planes(p, cost)
     pk = _pack(p)
-    lo, hi = pk.hamiltonian_range(cost, v)
+    lo, hi = _over_points(pk, lambda v: pk.hamiltonian_range(cost, v), v)
     scanned = (lo - 1e-9 <= p.lam * v) & (p.lam * v <= hi + 1e-9)
     support, v, margin = support[scanned], v[scanned], 1e-9 * np.maximum(1.0, hi - lo)[scanned]
     if not support.size:
@@ -379,7 +380,7 @@ def solve_stage_b(p: JointDistribution, cost: float) -> list[OPSolution]:
 
     def parts(r, ys):
         ham, u, w = (part.reshape(ys.shape) for part in _over_points(
-            lambda y, v: pk.hamiltonian_parts(cost, v, y),
+            pk, lambda y, v: pk.hamiltonian_parts(cost, v, y),
             ys.ravel(), np.repeat(v[r], ys.shape[1])))
         target = p.lam * v[r, None]
         return ham - target, u - target, w, margin[r, None]

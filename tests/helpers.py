@@ -3,12 +3,14 @@
 Trajectory bookkeeping (the defaulted share and the hidden pool implied by
 the closed-form state masses), single limits of the optimal policy read from
 the package's kernels, an independent Monte Carlo route to the Zipf copula,
-the Zipf copula built with scipy's `ndtri` as its quantile, and the degree
+the Zipf copula built with scipy's `ndtri` as its quantile, the copula's
+cells summed over the whole quadrature grid at once, and the degree
 truncation index of a distribution.  Nothing in the package calls them.
 """
 
 from __future__ import annotations
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -17,7 +19,8 @@ from scipy.special import ndtr, ndtri
 from contagion_control import JointDistribution, ParameterError, build_zipf_copula
 from contagion_control import distribution
 from contagion_control.asymptotics import Trajectory, _optimal_starts, controlled_limits
-from contagion_control.distribution import zipf_weights
+from contagion_control.distribution import (
+    _gauss_legendre_panels, copula_cuts, zipf_weights)
 
 
 def default_fraction_at(traj: Trajectory, p: JointDistribution) -> float:
@@ -92,6 +95,20 @@ def build_zipf_copula_ndtri(
     """`build_zipf_copula` with `ndtri_cuts` in place of `copula_cuts`."""
     with mock.patch.object(distribution, "copula_cuts", ndtri_cuts):
         return build_zipf_copula(xi, a1, a2, rho, max_deg)
+
+
+def whole_grid_copula_cells(marg_row: np.ndarray, marg_col: np.ndarray, rho: float) -> np.ndarray:
+    """`gaussian_copula_cells` in one piece: the density on the whole quadrature
+    grid, added into the cells by one `np.add.at`, in the grid's C order."""
+    xs, wx, seg_x = _gauss_legendre_panels(copula_cuts(marg_row))
+    ys, wy, seg_y = _gauss_legendre_panels(copula_cuts(marg_col))
+    one_m_r2 = 1.0 - rho * rho
+    norm = 1.0 / (2.0 * math.pi * math.sqrt(one_m_r2))
+    X, Y = xs[:, None], ys[None, :]
+    dens = norm * np.exp(-(X * X - 2.0 * rho * X * Y + Y * Y) / (2.0 * one_m_r2))
+    cells = np.zeros((len(marg_row), len(marg_col)))
+    np.add.at(cells, (seg_x[:, None], seg_y[None, :]), (wx[:, None] * wy[None, :]) * dens)
+    return cells
 
 
 def truncation_index(p: JointDistribution, eps: float) -> int:

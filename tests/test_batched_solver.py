@@ -20,6 +20,7 @@ in `golden_solutions.json`.
 import json
 import math
 import platform
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -31,11 +32,14 @@ from hypothesis import strategies as st
 from contagion_control import (
     InterventionPolicy,
     JointDistribution,
+    build_zipf_copula,
     controlled_limits,
     default_outflow,
     default_outflow_controlled,
+    forced_policy_limits,
     smallest_fixed_point,
 )
+from contagion_control import asymptotics
 from contagion_control.asymptotics import (
     _ClassPack, _fixed_outflow, _pack, program_residuals, terminal_hamiltonian,
 )
@@ -475,6 +479,48 @@ def test_few_class_values_do_not_depend_on_the_batch(entries):
         at = (0.7, y[k], v[k], z[k])
         assert [float(b[k]) for b in batch] == list(controlled_limits(p, *at)
                                                     + program_residuals(p, *at))
+
+
+def _class_sum_values(cost=0.5):
+    """Every class-sum route on a fresh max_deg-30 copula (465 vulnerable
+    rows): array residuals and limits, the forced limits and a solve."""
+    p = build_zipf_copula(0.5, 0.8, 0.7, 0.9, 30)
+    rng = make_rng(30)
+    y, v = rng.random(1100), rng.uniform(-2.0, 2.0, 1100)
+    z = y * rng.random(1100)
+    forced = [forced_policy_limits(p, policy) for policy in (
+        InterventionPolicy.none(), InterventionPolicy.complete(),
+        InterventionPolicy.degree_range(8, 10))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # an unstable minimizer warns
+        solution = repr(opt.solve_op(p, cost))
+    arrays = program_residuals(p, cost, y, v, z) + controlled_limits(p, cost, y, v, z)
+    return [a.tobytes() for a in arrays], forced, solution
+
+
+def test_class_sums_do_not_depend_on_the_chunk(monkeypatch):
+    # the default budget gives 2**15 // 465 = 70 points per chunk
+    want = _class_sum_values()
+    monkeypatch.setattr(asymptotics, "_CLASS_POINTS", 1)  # one point per chunk
+    assert _class_sum_values() == want
+    monkeypatch.setattr(asymptotics, "_CLASS_POINTS", 2**62)
+    monkeypatch.setattr(asymptotics, "_RESIDUAL_BATCH", 2**62)  # every point in one chunk
+    assert _class_sum_values() == want
+
+
+def test_residual_memory_stays_one_chunk_deep():
+    # 512-point chunks of 465 classes held 12.9 MB of temporaries
+    p = build_zipf_copula(0.5, 0.8, 0.7, 0.9, 30)
+    y = np.linspace(0.0, 1.0, 4097)
+    v, z = np.full(4097, 0.3), 0.5 * y
+    program_residuals(p, 0.5, y[:1], v[:1], z[:1])  # builds the class pack
+    tracemalloc.start()
+    try:
+        program_residuals(p, 0.5, y, v, z)
+        _now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def _per_point_candidate(p, cost, y, v, z, branch):

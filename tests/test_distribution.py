@@ -3,13 +3,16 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import contagion_control
+from contagion_control import distribution
 
 from contagion_control import (
     ConstructionError,
@@ -34,7 +37,10 @@ from contagion_control.distribution import (
 )
 
 from conftest import make_rng
-from helpers import build_zipf_copula_ndtri, ndtri_cuts, sample_zipf_copula, truncation_index
+from helpers import (
+    build_zipf_copula_ndtri, ndtri_cuts, sample_zipf_copula, truncation_index,
+    whole_grid_copula_cells,
+)
 
 
 class TestBuildZipfCopula:
@@ -106,6 +112,33 @@ class TestBuildZipfCopula:
         # the quadrature misses a marginal by 2.7e-9 at 0.998 and by 0.06 at 0.9999
         with pytest.raises(ParameterError, match=f"copula correlation {rho} .* misses a marginal"):
             build_zipf_copula(0.5, 0.8, 0.7, rho, 10)
+
+
+class TestCopulaBlocks:
+    """The copula's quadrature grid is added into the cells a block of grid
+    rows at a time: every cell must get the whole-grid sum, bit for bit,
+    whatever the block size, in bounded memory."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(a1=st.floats(0.05, 3.0), a2=st.floats(0.05, 3.0), rho=st.floats(-0.99, 0.99),
+           max_deg=st.integers(1, 30), block=st.sampled_from([1, 2**15, 2**62]))
+    @example(a1=0.8, a2=0.7, rho=0.9, max_deg=10, block=2**15)  # the experiment's
+    def test_cells_equal_the_whole_grid_sum(self, a1, a2, rho, max_deg, block):
+        # block 1 is one grid row per block, 2**62 the whole grid in one
+        rows, cols = zipf_weights(a1, max_deg), zipf_weights(a2, max_deg)
+        with mock.patch.object(distribution, "_COPULA_BLOCK", block):
+            got = gaussian_copula_cells(rows, cols, rho)
+        assert got.tobytes() == whole_grid_copula_cells(rows, cols, rho).tobytes()
+
+    def test_build_memory_stays_a_few_blocks_deep(self):
+        # the whole (12 max_deg)^2 grid at max_deg 100 held 35 MB of temporaries
+        tracemalloc.start()
+        try:
+            build_zipf_copula(0.5, 0.8, 0.7, 0.9, 100)
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
 
 
 class TestStdlibQuantile:
